@@ -55,6 +55,12 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None) -> CovarianceGraph:
     if graph_path:
         graph = CovarianceGraph.load(graph_path)
+        if graph.reps.shape[1] != cfg.model.n_x or graph.n_methods != len(cfg.methods):
+            raise ConfigError(
+                f"graph file {graph_path} has n={graph.reps.shape[1]} and "
+                f"{graph.n_methods} methods; the scenario has n={cfg.model.n_x} "
+                f"and {len(cfg.methods)}"
+            )
         meta = graph.policy_meta or {}
         stale = (graph.policy is None
                  or meta.get("tf") != cfg.tf

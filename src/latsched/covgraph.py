@@ -17,10 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DiscretizedDynamics
-from .errors import GraphExpansionError
+from .config import _matrix, _number, _require
+from .errors import ConfigError, GraphExpansionError
 from .estimator import riccati_step
 
 FORMAT_VERSION = 1
+# Nodes stepped per kernel call, and entries per block of the distance
+# matrix, in expand_graph; together they bound its temporaries.
+_CHUNK = 2048
+_BLOCK = 1 << 18
 
 
 def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
@@ -35,20 +40,24 @@ def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
     if b0 <= 0:
         raise ValueError("b0 must be > 0")
     rng = np.random.default_rng(seed)
-    out = np.empty((count, n, n))
+    eigvals = np.empty((count, n))
+    gauss = np.empty((count, n, n))
+    targets = np.empty(count)
     for i in range(count):
-        eigvals = rng.uniform(0.0, 1.0, size=n)
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        q = q * np.sign(np.diag(r))
-        P = (q * eigvals) @ q.T
-        P = 0.5 * (P + P.T)
-        norm = np.linalg.norm(P, "fro")
+        eigvals[i] = rng.uniform(0.0, 1.0, size=n)
+        gauss[i] = rng.standard_normal((n, n))
         target = rng.uniform(0.0, 1.0)
         # Uniform target norm on (0, b0]; resample the rare exact zero.
         while target == 0.0:
             target = rng.uniform(0.0, 1.0)
-        out[i] = P * (target * b0 / norm)
-    return out
+        targets[i] = target
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    P = (q * eigvals[:, None, :]) @ q.mT
+    P = 0.5 * (P + P.mT)
+    flat = P.reshape(count, -1)
+    norms = np.sqrt(np.vecdot(flat, flat))  # norm(P, "fro") of one P is this dot product
+    return P * (targets * b0 / norms)[:, None, None]
 
 
 @dataclass
@@ -118,26 +127,78 @@ class CovarianceGraph:
 
     @classmethod
     def load(cls, path) -> "CovarianceGraph":
+        """Read a graph file written by `save`; a malformed file raises ConfigError."""
         with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported graph format {payload.get('format_version')}")
-        n = payload["n"]
-        reps = np.array(payload["reps"], dtype=float).reshape(-1, n, n)
-        n_methods = max(edge[1] for edge in payload["edges"])
-        succ = np.zeros((reps.shape[0], n_methods), dtype=np.int64)
-        for q, rho, target in payload["edges"]:
-            succ[q, rho - 1] = target
-        policy = payload.get("policy")
-        return cls(
-            reps=reps,
-            succ=succ,
-            delta=payload["delta"],
-            b0=payload["b0"],
-            bound=payload["bound"],
-            policy=None if policy is None else np.asarray(policy, dtype=np.int64),
-            policy_meta=payload.get("policy_meta"),
-        )
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"graph file {path}: not valid JSON: {exc}") from None
+        try:
+            return cls(**_parse_graph(payload))
+        except ConfigError as exc:
+            raise ConfigError(f"graph file {path}: {exc}") from None
+
+
+def _int_array(value, path: str, width: int | None = None) -> np.ndarray:
+    """Integers of shape (k,) or, given `width`, (k, width)."""
+    shape = (-1,) if width is None else (-1, width)
+    try:
+        arr = np.array(value)
+    except ValueError:
+        arr = None
+    if arr is None or (arr.size and (arr.dtype.kind not in "iu" or arr.shape[1:] != shape[1:])):
+        what = "an array" if width is None else f"rows of {width}"
+        raise ConfigError(f"{path}: expected {what} of integers")
+    return arr.astype(np.int64).reshape(shape)
+
+
+def _parse_graph(payload) -> dict:
+    """Validated constructor arguments from a graph file's JSON payload."""
+    if not isinstance(payload, dict):
+        raise ConfigError("expected a JSON object")
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported graph format {version!r}")
+    n = _require(payload, "n", "graph")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigError("graph.n: expected a positive integer")
+    reps = _matrix(_require(payload, "reps", "graph"), "graph.reps")
+    if reps.shape[0] == 0 or reps.shape[1] != n * n:
+        raise ConfigError(f"graph.reps: expected (Q, {n * n}) values, got shape {reps.shape}")
+    if not np.all(np.isfinite(reps)):
+        raise ConfigError("graph.reps: non-finite value")
+    Q = reps.shape[0]
+
+    edges = _int_array(_require(payload, "edges", "graph"), "graph.edges", 3)
+    nodes, rhos, targets = edges.T
+    D = int(rhos.max(initial=0))
+    if rhos.min(initial=1) < 1 or nodes.min(initial=0) < 0 or nodes.max(initial=0) >= Q:
+        raise ConfigError(f"graph.edges: (node, method) outside 0..{Q - 1} x 1..{D}")
+    keys = nodes * D + rhos - 1
+    if len(keys) != Q * D or np.unique(keys).size != Q * D:
+        raise ConfigError("graph.edges: every (node, method) pair needs exactly one edge")
+    if targets.min(initial=0) < 0 or targets.max(initial=0) >= Q:
+        raise ConfigError(f"graph.edges: successor outside 0..{Q - 1}")
+    succ = np.empty((Q, D), dtype=np.int64)
+    succ.reshape(-1)[keys] = targets
+
+    policy = payload.get("policy")
+    if policy is not None:
+        policy = _int_array(policy, "graph.policy")
+        if policy.shape != (Q,) or policy.min(initial=1) < 1 or policy.max(initial=1) > D:
+            raise ConfigError(f"graph.policy: expected {Q} method ids in 1..{D}")
+    meta = payload.get("policy_meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ConfigError("graph.policy_meta: expected an object")
+    return {
+        "reps": reps.reshape(Q, n, n),
+        "succ": succ,
+        "delta": _number(_require(payload, "delta", "graph"), "graph.delta"),
+        "b0": _number(_require(payload, "b0", "graph"), "graph.b0"),
+        "bound": _number(_require(payload, "bound", "graph"), "graph.bound"),
+        "policy": policy,
+        "policy_meta": meta,
+    }
 
 
 def quantize(P: np.ndarray, graph: CovarianceGraph) -> int:
@@ -174,6 +235,36 @@ def default_admit_tol(reps: np.ndarray) -> float:
     return max(float(np.median(nearest)), floor)
 
 
+def _nearest_known(known: np.ndarray, points: np.ndarray):
+    """Nearest known node and its squared distance for each row of `points`.
+
+    Candidates come from |k|^2 - 2 k.x over blocks of points. Where the two
+    best are within round-off of each other, an einsum scan over every known
+    node decides, so ties go to the lowest id as in `CovarianceGraph.nearest`.
+    """
+    sq = np.einsum("ij,ij->i", known, known)
+    scale = 1.0 + sq.max()
+    j = np.empty(len(points), dtype=np.int64)
+    step = max(1, _BLOCK // len(known))
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        d2 = block @ known.T
+        d2 *= -2.0
+        d2 += sq
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(block))
+        low = d2[rows, best]
+        d2[rows, best] = np.inf
+        # Round-off in |k|^2 - 2 k.x stays far below this band.
+        band = 1e-9 * (scale + np.einsum("ij,ij->i", block, block))
+        for i in np.flatnonzero(d2.min(axis=1) - low <= band):
+            diff = known - block[i]
+            best[i] = np.argmin(np.einsum("ij,ij->i", diff, diff))
+        j[start:start + step] = best
+    diff = known[j] - points
+    return j, np.einsum("ij,ij->i", diff, diff)
+
+
 def expand_graph(
     reps,
     methods,
@@ -189,6 +280,13 @@ def expand_graph(
     `admit_tol` the successor becomes a new node, otherwise the edge points at
     that representative. Aborts if the node count exceeds `max_growth` times
     the initial count, which a valid boundedness certificate rules out.
+
+    Successors are computed in batches: all known, unexpanded nodes are
+    stepped with one `riccati_step` call per method and chunk, and matched
+    against the nodes known when the batch starts. Admission follows the
+    (node, method) order: each node admitted in a batch becomes a candidate
+    for every later successor of the batch, so the graph equals the one a
+    node-by-node expansion builds.
     """
     reps = np.asarray(reps, dtype=float)
     if reps.ndim != 3 or reps.shape[0] == 0:
@@ -204,21 +302,32 @@ def expand_graph(
     store = np.zeros((max(initial * 2, 16), n * n))
     store[:initial] = reps.reshape(initial, -1)
     count = initial
-    succ_rows: list[list[int]] = []
+    succ_blocks = []
     achieved_delta = 0.0
 
-    q = 0
-    while q < count:
-        row = []
-        P = store[q].reshape(n, n)
-        for method in methods:
-            P_next = riccati_step(P, method, dyn)
-            flat = P_next.reshape(-1)
-            diff = store[:count] - flat
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            j = int(np.argmin(d2))
-            dist = float(np.sqrt(d2[j]))
-            if dist > admit_tol:
+    done = 0
+    while methods and done < count:
+        known = count
+        for start in range(done, known, _CHUNK):
+            stop = min(start + _CHUNK, known)
+            P = store[start:stop].reshape(-1, n, n)
+            # Rows in (node, method) order, the order of admission.
+            nxt = np.stack([riccati_step(P, m, dyn) for m in methods], axis=1)
+            nxt = nxt.reshape(-1, n * n)
+            j, d2 = _nearest_known(store[:known], nxt)
+            if count > known:
+                # Nodes admitted by earlier chunks of this batch; ties keep the lower id.
+                j_new, d2_new = _nearest_known(store[known:count], nxt)
+                closer = d2_new < d2
+                j[closer], d2[closer] = known + j_new[closer], d2_new[closer]
+            dist = np.sqrt(d2)
+            pos = 0
+            while True:
+                over = np.flatnonzero(dist[pos:] > admit_tol)
+                i = pos + over[0] if over.size else len(dist)
+                achieved_delta = max(achieved_delta, float(dist[pos:i].max(initial=0.0)))
+                if i == len(dist):
+                    break
                 if count == cap:
                     raise GraphExpansionError(
                         f"expansion exceeded {max_growth}x the initial node count "
@@ -226,20 +335,25 @@ def expand_graph(
                     )
                 if count == store.shape[0]:
                     store = np.vstack([store, np.zeros_like(store)])
-                store[count] = flat
-                row.append(count)
+                store[count] = nxt[i]
+                j[i] = count
+                # The new node is a candidate for every later successor.
+                diff = nxt[i + 1:] - nxt[i]
+                d2_here = np.einsum("ij,ij->i", diff, diff)
+                closer = i + 1 + np.flatnonzero(d2_here < d2[i + 1:])
+                j[closer], d2[closer] = count, d2_here[closer - i - 1]
+                dist[closer] = np.sqrt(d2[closer])
                 count += 1
-            else:
-                row.append(j)
-                achieved_delta = max(achieved_delta, dist)
-        succ_rows.append(row)
-        q += 1
+                pos = i + 1
+            succ_blocks.append(j.reshape(-1, len(methods)))
+        done = known
 
     final = store[:count].reshape(count, n, n)
     bound = float(np.linalg.norm(final.reshape(count, -1), axis=1).max())
+    succ = np.concatenate(succ_blocks) if succ_blocks else np.zeros((count, 0))
     return CovarianceGraph(
         reps=final,
-        succ=np.asarray(succ_rows, dtype=np.int64),
+        succ=succ,
         delta=achieved_delta,
         b0=b0,
         bound=bound,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dynamics import DiscretizedDynamics, PerceptionMethod
 from .errors import SingularUpdateError
@@ -97,19 +96,26 @@ def predict(belief: BeliefState, elapsed: float, dyn: DiscretizedDynamics) -> Be
 def _gain_and_next_cov(
     P: np.ndarray, Ad: np.ndarray, Wd: np.ndarray, C: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    S = C @ P @ C.T + R
-    S = 0.5 * (S + S.T)
+    """Gain and Joseph-form successor for one covariance `(n, n)` or a stack `(N, n, n)`.
+
+    Raises SingularUpdateError if any member's innovation covariance is
+    singular or too ill-conditioned to invert.
+    """
+    PCt = P @ C.T
+    S = C @ PCt + R
+    S = 0.5 * (S + S.mT)
     eig = np.linalg.eigvalsh(S)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > _COND_LIMIT:
-        raise SingularUpdateError(
-            f"innovation covariance condition {eig[-1] / max(eig[0], 1e-300):.3e} exceeds limit"
-        )
-    chol = cho_factor(S, lower=True)
-    # L = Ad P C' S^-1  computed without forming S^-1 explicitly.
-    L = cho_solve(chol, C @ P @ Ad.T).T
+    low, high = eig[..., 0], eig[..., -1]
+    bad = (low <= 0.0) | (high > _COND_LIMIT * low)
+    if np.any(bad):
+        cond = np.max(high[bad] / np.maximum(low[bad], 1e-300))
+        raise SingularUpdateError(f"innovation covariance condition {cond:.3e} exceeds limit")
+    # L = Ad P C' S^-1 with S^-1 = G' G, G the inverse of the Cholesky factor.
+    G = np.linalg.inv(np.linalg.cholesky(S))
+    L = Ad @ PCt @ G.mT @ G
     F = Ad - L @ C
-    P_next = F @ P @ F.T + L @ R @ L.T + Wd
-    return L, 0.5 * (P_next + P_next.T)
+    P_next = F @ P @ F.mT + L @ R @ L.mT + Wd
+    return L, 0.5 * (P_next + P_next.mT)
 
 
 def riccati_step(
@@ -118,7 +124,10 @@ def riccati_step(
     dyn: DiscretizedDynamics,
     R: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Covariance-only filter step for one method (measurement-independent)."""
+    """Covariance-only filter step for one method (measurement-independent).
+
+    `P` is one covariance `(n, n)` or a stack `(N, n, n)`, stepped together.
+    """
     Ad, Wd = dyn.step_pair(method.steps)
     R = method.R if R is None else R
     _, P_next = _gain_and_next_cov(P, Ad, Wd, dyn.model.C, R)

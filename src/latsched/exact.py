@@ -39,10 +39,6 @@ class Schedule:
     def __iter__(self):
         return iter(self.methods)
 
-    def duration_steps(self, methods) -> int:
-        steps = {m.id: m.steps for m in methods}
-        return sum(steps[pid] for pid in self.methods)
-
     def minimally_covers(self, tf_steps: int, methods) -> bool:
         steps = {m.id: m.steps for m in methods}
         total = 0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,3 +196,100 @@ class TestCli:
         b = CovarianceGraph.load(g2)
         assert not np.array_equal(a.reps[: min(a.size, b.size)],
                                   b.reps[: min(a.size, b.size)])
+
+
+def _put(path, value):
+    """Edit that sets payload[path[0]][path[1]]... to `value`."""
+    def edit(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    """Edit that deletes payload[path[0]][path[1]]..."""
+    def edit(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        del payload[path[-1]]
+    return edit
+
+
+class TestGraphFile:
+    """Malformed graph files given to --graph exit with code 1, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("graph")
+        cfg_path = write_config(tmp, planar_payload())
+        graph_path = tmp / "graph.json"
+        assert main(["build-graph", "-c", cfg_path, "-o", str(graph_path)]) == 0
+        return cfg_path, json.loads(graph_path.read_text())
+
+    @pytest.mark.parametrize("edit,match", [
+        (_drop(("edges", -1)), "exactly one edge"),
+        (_put(("edges", -1), [0, 1, 0]), "exactly one edge"),
+        (_put(("edges", -1, 1), 3), "exactly one edge"),
+        (_put(("edges", 0, 0), 10**6), r"\(node, method\) outside"),
+        (_put(("edges", 0, 1), 0), r"\(node, method\) outside"),
+        (_put(("edges", 0, 2), 10**6), "successor outside"),
+        (_put(("edges", 0, 2), -1), "successor outside"),
+        (_put(("reps", 0, 0), float("nan")), "non-finite"),
+        (_put(("reps", 0, 1), float("inf")), "non-finite"),
+        (_drop(("reps", 0, -1)), "graph.reps"),
+        (_put(("n",), 3), "graph.reps: expected"),
+        (_put(("reps",), []), "graph.reps"),
+        (_drop(("policy", -1)), "graph.policy"),
+        (_put(("policy", 0), 3), "graph.policy"),
+        (_put(("policy", 0), 0), "graph.policy"),
+        (_put(("format_version",), 99), "unsupported graph format"),
+        (_drop(("format_version",)), "unsupported graph format"),
+        (_drop(("reps",)), "graph.reps: missing"),
+        (_drop(("edges",)), "graph.edges: missing"),
+        (_drop(("delta",)), "graph.delta: missing"),
+        (_put(("delta",), "small"), "graph.delta: expected a number"),
+        (_put(("n",), "2"), "graph.n"),
+        (_put(("edges",), "none"), "graph.edges"),
+        (_put(("edges", 0, 2), 1.5), "graph.edges"),
+        (_drop(("edges", 0, -1)), "graph.edges"),
+        (_put(("policy",), ["1"] * 3), "graph.policy"),
+        (_put(("policy_meta",), [1.0, 5.0]), "graph.policy_meta"),
+    ])
+    def test_malformed_graph_exits_1(self, built, tmp_path, capsys, edit, match):
+        cfg_path, payload = built
+        payload = json.loads(json.dumps(payload))
+        edit(payload)
+        graph_path = tmp_path / "bad.json"
+        graph_path.write_text(json.dumps(payload))
+        assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
+                     "--graph", str(graph_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph file")
+        assert re.search(match, err)
+
+    def test_not_json_exits_1(self, built, tmp_path, capsys):
+        cfg_path, _ = built
+        graph_path = tmp_path / "bad.json"
+        graph_path.write_text("{not json")
+        assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
+                     "--graph", str(graph_path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_graph_from_another_model_exits_1(self, built, tmp_path, capsys):
+        _, payload = built
+        scenario = planar_payload()
+        scenario["methods"].append(dict(scenario["methods"][0], steps=2))
+        cfg_path = write_config(tmp_path, scenario)
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(payload))
+        assert main(["simulate", "-c", cfg_path, "-o", str(tmp_path / "t.csv"),
+                     "--graph", str(graph_path)]) == 1
+        assert "2 methods; the scenario has n=2 and 3" in capsys.readouterr().err
+
+    def test_untouched_graph_still_loads(self, built, tmp_path):
+        cfg_path, payload = built
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(payload))
+        assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
+                     "--graph", str(graph_path)]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latsched import (
+    ConfigError,
     CovarianceGraph,
     GraphExpansionError,
     expand_graph,
@@ -34,6 +35,21 @@ class TestSampleRegion:
         a = sample_region(4, 1.0, 10, seed=42)
         b = sample_region(4, 1.0, 10, seed=42)
         assert np.array_equal(a, b)
+
+    def test_matches_per_sample_loop(self):
+        rng = np.random.default_rng(21)
+        expected = np.empty((50, 3, 3))
+        for i in range(50):
+            eigvals = rng.uniform(0.0, 1.0, size=3)
+            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+            q = q * np.sign(np.diag(r))
+            P = (q * eigvals) @ q.T
+            P = 0.5 * (P + P.T)
+            target = rng.uniform(0.0, 1.0)
+            while target == 0.0:
+                target = rng.uniform(0.0, 1.0)
+            expected[i] = P * (target * 2.0 / np.linalg.norm(P, "fro"))
+        assert np.array_equal(sample_region(3, 2.0, 50, np.random.default_rng(21)), expected)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -187,5 +203,5 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CovarianceGraph.load(path)

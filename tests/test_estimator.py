@@ -14,6 +14,7 @@ from latsched import (
     steady_state,
     switched_step,
 )
+from latsched.estimator import _gain_and_next_cov
 
 from conftest import random_spd, scalar_setup
 
@@ -196,3 +197,36 @@ def test_psd_preserved_over_random_steps(bench):
         assert np.allclose(P, P.T)
         norm = np.linalg.norm(P, "fro")
         assert np.linalg.eigvalsh(P).min() >= -1e-10 * norm
+
+
+class TestStackedKernel:
+    def test_stack_equals_per_matrix(self, bench):
+        _, methods, dyn = bench
+        rng = np.random.default_rng(12)
+        stack = np.stack([random_spd(rng, 4, scale) for scale in np.linspace(0.1, 8.0, 25)])
+        for method in methods:
+            stepped = riccati_step(stack, method, dyn)
+            assert stepped.shape == stack.shape
+            for P, P_next in zip(stack, stepped):
+                expected = riccati_step(P, method, dyn)
+                assert np.allclose(P_next, expected, rtol=1e-14, atol=0.0)
+
+    def test_gain_stack_equals_per_matrix(self, bench):
+        _, methods, dyn = bench
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_spd(rng, 4) for _ in range(10)])
+        Ad, Wd = dyn.step_pair(methods[1].steps)
+        C, R = dyn.model.C, methods[1].R
+        gains, _ = _gain_and_next_cov(stack, Ad, Wd, C, R)
+        for P, L in zip(stack, gains):
+            assert np.allclose(L, _gain_and_next_cov(P, Ad, Wd, C, R)[0], rtol=1e-14, atol=0.0)
+
+    def test_one_ill_conditioned_member_raises(self, bench):
+        _, methods, dyn = bench
+        rng = np.random.default_rng(14)
+        stack = np.stack([random_spd(rng, 4) for _ in range(6)])
+        stack[3] = np.diag([1.0, 0.0, 1e-13, 0.0])  # C P C' has condition 1e13
+        R = np.zeros((2, 2))
+        riccati_step(stack[[0, 1, 2, 4, 5]], methods[0], dyn, R=R)
+        with pytest.raises(SingularUpdateError, match="condition"):
+            riccati_step(stack, methods[0], dyn, R=R)
