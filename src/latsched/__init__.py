@@ -54,8 +54,6 @@ from .qdp import (
     attach_policy,
     backward_tables,
     evaluate_on_graph,
-    make_workspace,
-    precompute_policy,
     qdp,
     qdp_matrices,
 )

@@ -83,45 +83,40 @@ class LyapunovCertificate:
             return cls.from_json(json.load(fh))
 
 
-def _closed_loop_maps(cert: LyapunovCertificate, methods, dyn: DiscretizedDynamics):
-    C = dyn.model.C
-    maps = []
-    for method, gain in zip(methods, cert.gains()):
-        Ad, _ = dyn.step_pair(method.steps)
-        maps.append(Ad - gain @ C)
-    return maps
+def _closed_loop_maps(gains, methods, dyn: DiscretizedDynamics) -> list:
+    """Lam_i = Ad(m_i) - L_i C for each method and its gain."""
+    return [dyn.step_pair(m.steps)[0] - gain @ dyn.model.C for m, gain in zip(methods, gains)]
 
 
-def lmi_margin(omega: np.ndarray, lams, gamma: float) -> float:
-    """Min eigenvalue of gamma*Omega - Lam' Omega Lam across the given maps."""
-    margin = np.inf
-    for lam in lams:
-        gap = gamma * omega - lam.T @ omega @ lam
-        gap = 0.5 * (gap + gap.T)
-        margin = min(margin, float(np.linalg.eigvalsh(gap)[0]))
-    return margin
+def _lmi_scan(omega: np.ndarray, lams, gamma: float) -> tuple[bool, float]:
+    """Feasibility and margin of gamma*Omega - Lam' Omega Lam >= 0 over the maps.
 
-
-def lmi_feasible(
-    cert: LyapunovCertificate, methods, dyn: DiscretizedDynamics
-) -> tuple[bool, float]:
-    """Feasibility of the decay inequality for every method, with its margin.
-
-    The margin (smallest eigenvalue of any gamma*Omega - Lam'*Omega*Lam) is
-    reported unrounded; values within -1e-9 * ||.||_F of zero still count as
+    The margin is the smallest eigenvalue of any gap, unrounded; a gap whose
+    smallest eigenvalue lies within -1e-9 * ||gap||_F of zero still counts as
     feasible.
     """
-    lams = _closed_loop_maps(cert, methods, dyn)
     margin = np.inf
     feasible = True
     for lam in lams:
-        gap = cert.gamma * cert.omega - lam.T @ cert.omega @ lam
+        gap = gamma * omega - lam.T @ omega @ lam
         gap = 0.5 * (gap + gap.T)
         low = float(np.linalg.eigvalsh(gap)[0])
         margin = min(margin, low)
         if low < -PSD_MARGIN_RTOL * np.linalg.norm(gap, "fro"):
             feasible = False
     return feasible, margin
+
+
+def lmi_margin(omega: np.ndarray, lams, gamma: float) -> float:
+    """Min eigenvalue of gamma*Omega - Lam' Omega Lam across the given maps."""
+    return _lmi_scan(omega, lams, gamma)[1]
+
+
+def lmi_feasible(
+    cert: LyapunovCertificate, methods, dyn: DiscretizedDynamics
+) -> tuple[bool, float]:
+    """Feasibility of the decay inequality for every method, with its margin."""
+    return _lmi_scan(cert.omega, _closed_loop_maps(cert.gains(), methods, dyn), cert.gamma)
 
 
 def gbar(cert: LyapunovCertificate, methods, dyn: DiscretizedDynamics) -> float:
@@ -173,10 +168,7 @@ def synthesize_certificate(
         raise ValueError("gamma must lie strictly in (0, 1)")
     n = model.n_x
     gains = [steady_state(method, dyn)[1] for method in methods]
-    lams = []
-    for method, gain in zip(methods, gains):
-        Ad, _ = dyn.step_pair(method.steps)
-        lams.append(Ad - gain @ model.C)
+    lams = _closed_loop_maps(gains, methods, dyn)
 
     best_omega = None
     best_cond = np.inf

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .bounds import bound_bs, gbar, lmi_feasible, synthesize_certificate
-from .config import ScenarioConfig, load_scenario
+from .config import ScenarioConfig, _number, _seed, load_scenario
 from .covgraph import CovarianceGraph, expand_graph, quantize, sample_region
 from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
@@ -37,14 +37,14 @@ from .sim import GridMeasurementSource, metrics, simulate_sde
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "tf", None) is not None:
-        if abs(args.tf / cfg.model.dt_s - round(args.tf / cfg.model.dt_s)) > 1e-6:
+        tf = _number(args.tf, "--Tf", positive=True)
+        if abs(tf / cfg.model.dt_s - round(tf / cfg.model.dt_s)) > 1e-6:
             raise ConfigError("--Tf must be an integer multiple of model.dt_s")
-        cfg.tf = args.tf
+        cfg.tf = tf
     if getattr(args, "seed", None) is not None:
-        cfg.sim.seed = args.seed
-        cfg.graph.seed = args.seed
+        cfg.sim.seed = cfg.graph.seed = _seed(args.seed, "--seed")
     if getattr(args, "runs", None) is not None:
-        cfg.sim.runs = args.runs
+        cfg.sim.runs = int(_number(args.runs, "--runs", positive=True))
     if getattr(args, "gamma", None) is not None:
         if not (0.0 < args.gamma < 1.0):
             raise ConfigError("--gamma must lie strictly in (0, 1)")
@@ -180,7 +180,7 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_mc_eval(cfg: ScenarioConfig, args) -> int:
-    rows = monte_carlo(cfg, jobs=args.jobs)
+    rows = monte_carlo(cfg, jobs=int(_number(args.jobs, "--jobs", positive=True)))
     rows_to_csv(rows, args.output)
     failed = sum(1 for row in rows if "error" in row)
     print(f"mc-eval {cfg.experiment.name}: {len(rows)} runs "

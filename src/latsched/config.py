@@ -13,6 +13,7 @@ Validation errors name the offending JSON path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,17 @@ def _require(block: dict, key: str, path: str):
 def _number(value, path: str, positive: bool = False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be > 0")
     return float(value)
+
+
+def _seed(value, path: str) -> int:
+    if _number(value, path) < 0:
+        raise ConfigError(f"{path}: must be >= 0")
+    return int(value)
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -163,7 +172,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         graph = GraphConfig(
             b0=_number(g.get("B0", graph.b0), "graph.B0", positive=True),
             count=int(_number(g.get("count", graph.count), "graph.count", positive=True)),
-            seed=int(_number(g.get("seed", graph.seed), "graph.seed")),
+            seed=_seed(g.get("seed", graph.seed), "graph.seed"),
             admit_tol=None if g.get("admit_tol") is None
             else _number(g["admit_tol"], "graph.admit_tol", positive=True),
         )
@@ -191,9 +200,10 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         sim = SimConfig(
             dt=_number(s.get("dt", sim.dt), "sim.dt", positive=True),
             horizon=_number(s.get("horizon", sim.horizon), "sim.horizon", positive=True),
-            occlusions=[(float(a), float(b)) for a, b in occl],
+            occlusions=[(_number(a, "sim.occlusions"), _number(b, "sim.occlusions"))
+                        for a, b in occl],
             true_R=true_R,
-            seed=int(_number(s.get("seed", sim.seed), "sim.seed")),
+            seed=_seed(s.get("seed", sim.seed), "sim.seed"),
             runs=int(_number(s.get("runs", sim.runs), "sim.runs", positive=True)),
             adaptive=bool(s.get("adaptive_R", sim.adaptive)),
             window=int(_number(s.get("window", sim.window), "sim.window", positive=True)),

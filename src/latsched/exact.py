@@ -6,10 +6,12 @@ The window cost of a schedule p over [0, Tf] is
 
 with d_k the epoch duration truncated at the window edge and P[k] the filter
 covariance under nominal measurement noise. `evaluate_schedule` computes that
-sum directly and is the reference every scheduler is checked against;
-`dyn_prog_exact` searches all minimal covering schedules recursively. Exact
-search is exponential in the window length, so it is guarded by a recursion
-depth cap and intended as a ground-truth oracle, not a runtime component.
+sum directly and is the reference every scheduler is checked against. Its
+loop, `window_cost`, takes the covariance step as a callback, so graph
+trajectories are costed by the same code. `dyn_prog_exact` searches all
+minimal covering schedules recursively. Exact search is exponential in the
+window length, so it is guarded by a recursion depth cap and intended as a
+ground-truth oracle, not a runtime component.
 """
 
 from __future__ import annotations
@@ -82,6 +84,33 @@ def schedule_cpu_load(schedule: Schedule, tf: float, methods, dyn: DiscretizedDy
     return busy / tf_steps
 
 
+def window_cost(state, step, cov, schedule: Schedule, tf: float, lam_alpha: float,
+                methods, dyn: DiscretizedDynamics) -> float:
+    """Window cost of a minimal covering schedule walked from `state`.
+
+    cov(state) is the covariance an epoch starts from and step(state, method)
+    the state the epoch leaves behind; no step is taken once the window is
+    covered.
+    """
+    tf_steps = window_steps(tf, dyn.dt_s)
+    if not schedule.minimally_covers(tf_steps, methods):
+        raise IncompleteScheduleError(
+            f"schedule {tuple(schedule)} does not minimally cover {tf_steps} steps"
+        )
+    by_id = {m.id: m for m in methods}
+    elapsed = 0
+    total = 0.0
+    for pid in schedule:
+        method = by_id[pid]
+        d_steps = min(method.steps, tf_steps - elapsed)
+        M, c = dyn.step_gram(d_steps)
+        total += lam_alpha * method.penalty + c + float((cov(state) * M).sum())
+        elapsed += method.steps
+        if elapsed < tf_steps:
+            state = step(state, method)
+    return total / tf
+
+
 def evaluate_schedule(
     P0: np.ndarray,
     schedule: Schedule,
@@ -91,24 +120,9 @@ def evaluate_schedule(
     dyn: DiscretizedDynamics,
 ) -> float:
     """Window cost of a minimal covering schedule from initial covariance P0."""
-    tf_steps = window_steps(tf, dyn.dt_s)
-    if not schedule.minimally_covers(tf_steps, methods):
-        raise IncompleteScheduleError(
-            f"schedule {tuple(schedule)} does not minimally cover {tf_steps} steps"
-        )
-    by_id = {m.id: m for m in methods}
-    P = np.asarray(P0, dtype=float)
-    elapsed = 0
-    total = 0.0
-    for pid in schedule:
-        method = by_id[pid]
-        d_steps = min(method.steps, tf_steps - elapsed)
-        M, c = dyn.step_gram(d_steps)
-        total += lam_alpha * method.penalty + c + float((P * M).sum())
-        elapsed += method.steps
-        if elapsed < tf_steps:
-            P = riccati_step(P, method, dyn)
-    return total / tf
+    return window_cost(np.asarray(P0, dtype=float),
+                       lambda P, method: riccati_step(P, method, dyn),
+                       lambda P: P, schedule, tf, lam_alpha, methods, dyn)
 
 
 def enumerate_covering_schedules(tf_steps: int, methods) -> Iterator[tuple]:

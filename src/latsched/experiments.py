@@ -39,7 +39,7 @@ from .exact import (
     window_steps,
 )
 from .horizon import run_loop
-from .qdp import attach_policy, make_workspace, qdp
+from .qdp import attach_policy, qdp
 from .sim import GridMeasurementSource, metrics, simulate_sde
 
 
@@ -85,18 +85,13 @@ def _prepare_cost_histogram(cfg: ScenarioConfig) -> dict:
     dyn = build_dynamics(cfg.model, cfg.methods)
     sizes = cfg.experiment.graph_sizes
     seeds = np.random.SeedSequence(cfg.graph.seed).spawn(len(sizes))
-    graphs = {}
-    workspaces = {}
-    for size, seed in zip(sizes, seeds):
-        graph = _build_graph(cfg, dyn, size, seed)
-        graphs[size] = graph
-        workspaces[size] = make_workspace(graph, cfg.methods, dyn)
+    graphs = {size: _build_graph(cfg, dyn, size, seed) for size, seed in zip(sizes, seeds)}
     statics = {m.id: static_schedule(m.id, cfg.tf, cfg.methods, dyn) for m in cfg.methods}
     all_schedules = None
     if cfg.experiment.oracle == "exhaustive":
         tf_steps = window_steps(cfg.tf, dyn.dt_s)
         all_schedules = [Schedule(s) for s in enumerate_covering_schedules(tf_steps, cfg.methods)]
-    return {"cfg": cfg, "dyn": dyn, "graphs": graphs, "workspaces": workspaces,
+    return {"cfg": cfg, "dyn": dyn, "graphs": graphs,
             "statics": statics, "all_schedules": all_schedules}
 
 
@@ -130,8 +125,7 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
         row[f"j_static_{mid}"] = evaluate_schedule(
             P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
     for size, graph in ctx["graphs"].items():
-        sched, _ = qdp(quantize(P0, graph), cfg.tf, cfg.lam_alpha, graph,
-                       cfg.methods, dyn, ctx["workspaces"][size])
+        sched, _ = qdp(quantize(P0, graph), cfg.tf, cfg.lam_alpha, graph, cfg.methods, dyn)
         row[f"j_qdp_{size}"] = evaluate_schedule(
             P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
         row[f"cpu_qdp_{size}"] = schedule_cpu_load(sched, cfg.tf, cfg.methods, dyn)

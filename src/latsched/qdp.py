@@ -7,12 +7,12 @@ costs
     (1/Tf) [ lam_alpha * r_rho + c(d) + tr(P_q @ M(d)) ],
     d = (min(l + m_rho, alpha_max) - l) * dt_s
 
-so every window-covering arrival aggregates in the final stage column.
-`qdp_matrices` runs the forward cost-to-arrive relaxation and `qdp` traces the
-optimal schedule back from the best terminal cell. `backward_tables` runs the
-dual cost-to-go pass, which yields the optimal first decision from *every*
-node in one sweep; `precompute_policy` uses it to build the lookup table the
-moving-horizon controller consults at run time.
+so every window-covering path ends in the final stage. `backward_tables` is
+the one DP sweep: it runs the cost-to-go recursion from the last stage back to
+stage 0 and records the optimal decision of every (node, stage) cell. `qdp`
+follows those decisions from one start node, and `attach_policy` keeps the
+stage-0 decisions as the lookup table the moving-horizon controller consults
+at run time, so a query's first method is the policy entry of its start node.
 """
 
 from __future__ import annotations
@@ -23,53 +23,59 @@ import numpy as np
 
 from .covgraph import CovarianceGraph
 from .dynamics import DiscretizedDynamics
-from .errors import IncompleteScheduleError
-from .exact import Schedule, window_steps
+from .exact import Schedule, window_cost, window_steps
 
 
-@dataclass
-class QdpWorkspace:
-    """Stage costs shared by every DP run on one (graph, methods, dyn) triple.
+def backward_tables(
+    tf: float,
+    lam_alpha: float,
+    graph: CovarianceGraph,
+    methods,
+    dyn: DiscretizedDynamics,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-0 cost-to-go V (Q,) and optimal decisions PI (Q, alpha_max).
 
-    cost_table[q, j-1] holds c(j dt_s) + tr(P_q @ M(j dt_s)) for j = 1..max m;
-    the lam_alpha penalty and the 1/Tf scaling are applied per call.
+    PI[q, l] is the 1-based id of the method to run from node q at stage l;
+    ties prefer the lower method id. V[q] is the optimal window cost from q
+    and PI[:, 0] is the policy table.
     """
-
-    graph: CovarianceGraph
-    steps: np.ndarray
-    penalties: np.ndarray
-    cost_table: np.ndarray
-
-    @property
-    def n_methods(self) -> int:
-        return self.steps.shape[0]
-
-
-def make_workspace(graph: CovarianceGraph, methods, dyn: DiscretizedDynamics) -> QdpWorkspace:
-    steps = np.array([m.steps for m in methods], dtype=np.int64)
-    penalties = np.array([m.penalty for m in methods], dtype=float)
-    max_steps = int(steps.max())
-    flat = graph.reps.reshape(graph.size, -1)
-    table = np.empty((graph.size, max_steps))
-    for j in range(1, max_steps + 1):
-        M, c = dyn.step_gram(j)
-        table[:, j - 1] = flat @ M.reshape(-1) + c
-    return QdpWorkspace(graph=graph, steps=steps, penalties=penalties, cost_table=table)
+    alpha_max = window_steps(tf, dyn.dt_s)
+    Q = graph.size
+    steps = [m.steps for m in methods]
+    # table[j-1, q] = c(j dt_s) + tr(P_q @ M(j dt_s)); edge_cost[col][d-1] adds
+    # the penalty and the 1/Tf scaling for an epoch of d <= m_col steps.
+    flat = graph.reps.reshape(Q, -1)
+    table = np.array([flat @ M.reshape(-1) + c
+                      for M, c in map(dyn.step_gram, range(1, max(steps) + 1))])
+    edge_cost = [(lam_alpha * m.penalty + table[:m.steps]) / tf for m in methods]
+    succ = np.ascontiguousarray(graph.succ.T)
+    # Cost-to-go rows of the max(steps) + 1 stages a stage can land on, in a
+    # ring; the terminal stage's row stays zero.
+    ring = max(steps) + 1
+    V = np.zeros((ring, Q))
+    PI = np.empty((alpha_max, Q), dtype=np.int64)
+    for stage in range(alpha_max - 1, -1, -1):
+        lands = [min(stage + m, alpha_max) for m in steps]
+        cands = [edge_cost[col][land - stage - 1] + V[land % ring][succ[col]]
+                 for col, land in enumerate(lands)]
+        best, PI[stage] = cands[0], 1
+        for rho, cand in enumerate(cands[1:], start=2):
+            take = cand < best
+            best = np.where(take, cand, best)
+            PI[stage, take] = rho
+        V[stage % ring] = best
+    return V[0].copy(), PI.T
 
 
 @dataclass
 class DPTables:
-    """Forward DP state: best cost-to-arrive per (node, stage) with trace-back.
+    """The tables of one backward sweep, for a query from q0.
 
-    MJ[q, l] is the best cost from the start cell to node q at stage l (inf if
-    unreached). MQ / MP / MS record the predecessor node, the 1-based method id
-    on the arriving edge, and the actual source stage; -1 marks unset cells.
+    relaxations counts the sweep's edge relaxations, alpha_max * Q * D.
     """
 
-    MQ: np.ndarray
-    MP: np.ndarray
-    MJ: np.ndarray
-    MS: np.ndarray
+    V: np.ndarray
+    PI: np.ndarray
     q0: int
     alpha_max: int
     relaxations: int
@@ -82,56 +88,13 @@ def qdp_matrices(
     graph: CovarianceGraph,
     methods,
     dyn: DiscretizedDynamics,
-    workspace: QdpWorkspace | None = None,
 ) -> DPTables:
-    """Forward relaxation over all stages, nodes, and methods.
-
-    Exactly alpha_max * Q * D edge relaxations are performed. Ties prefer the
-    lower method id (methods are swept in ascending order with strict
-    improvement), then the lowest predecessor node.
-    """
-    ws = workspace if workspace is not None else make_workspace(graph, methods, dyn)
-    alpha_max = window_steps(tf, dyn.dt_s)
-    Q = graph.size
-    if not (0 <= q0 < Q):
-        raise ValueError(f"q0={q0} outside 0..{Q - 1}")
-
-    MJ = np.full((Q, alpha_max + 1), np.inf)
-    MQ = np.full((Q, alpha_max + 1), -1, dtype=np.int64)
-    MP = np.full((Q, alpha_max + 1), -1, dtype=np.int64)
-    MS = np.full((Q, alpha_max + 1), -1, dtype=np.int64)
-    MJ[q0, 0] = 0.0
-    node_ids = np.arange(Q)
-    relaxations = 0
-
-    for stage in range(alpha_max):
-        src = MJ[:, stage]
-        relaxations += Q * ws.n_methods
-        if not np.any(np.isfinite(src)):
-            continue
-        for col in range(ws.n_methods):
-            m = int(ws.steps[col])
-            land = min(stage + m, alpha_max)
-            d_steps = land - stage
-            cand = src + (lam_alpha * ws.penalties[col] + ws.cost_table[:, d_steps - 1]) / tf
-            targets = ws.graph.succ[:, col]
-            best = np.full(Q, np.inf)
-            np.minimum.at(best, targets, cand)
-            improved = best < MJ[:, land]
-            if not improved.any():
-                continue
-            # Lowest source node among those achieving the per-target minimum.
-            winner = cand <= best[targets]
-            pick = np.where(winner, node_ids, Q)
-            origin = np.full(Q, Q, dtype=np.int64)
-            np.minimum.at(origin, targets, pick)
-            MJ[improved, land] = best[improved]
-            MQ[improved, land] = origin[improved]
-            MP[improved, land] = col + 1
-            MS[improved, land] = stage
-
-    return DPTables(MQ=MQ, MP=MP, MJ=MJ, MS=MS, q0=q0, alpha_max=alpha_max,
-                    relaxations=relaxations)
+    """The backward sweep's tables for a query from node q0."""
+    if not (0 <= q0 < graph.size):
+        raise ValueError(f"q0={q0} outside 0..{graph.size - 1}")
+    V, PI = backward_tables(tf, lam_alpha, graph, methods, dyn)
+    return DPTables(V=V, PI=PI, q0=q0, alpha_max=PI.shape[1],
+                    relaxations=PI.size * len(methods))
 
 
 def qdp(
@@ -141,29 +104,20 @@ def qdp(
     graph: CovarianceGraph,
     methods,
     dyn: DiscretizedDynamics,
-    workspace: QdpWorkspace | None = None,
 ) -> tuple[Schedule, float]:
-    """Best window-covering schedule from node q0 and its graph-trajectory cost."""
-    tables = qdp_matrices(q0, tf, lam_alpha, graph, methods, dyn, workspace)
-    final = tables.MJ[:, tables.alpha_max]
-    q = int(np.argmin(final))
-    cost = float(final[q])
-    if not np.isfinite(cost):
-        raise IncompleteScheduleError(
-            "no window-covering path reached the terminal stage; graph closure is broken"
-        )
+    """Best window-covering schedule from node q0 and its graph-trajectory cost.
+
+    The schedule follows PI from (q0, stage 0) until the window is covered.
+    """
+    tables = qdp_matrices(q0, tf, lam_alpha, graph, methods, dyn)
     seq: list[int] = []
-    stage = tables.alpha_max
-    while stage > 0:
-        rho = int(tables.MP[q, stage])
-        src_stage = int(tables.MS[q, stage])
-        src_node = int(tables.MQ[q, stage])
-        if rho < 0:
-            raise IncompleteScheduleError("trace-back hit an unset cell; tables corrupt")
+    q, stage = q0, 0
+    while stage < tables.alpha_max:
+        rho = int(tables.PI[q, stage])
         seq.append(rho)
-        q, stage = src_node, src_stage
-    seq.reverse()
-    return Schedule(tuple(seq)), cost
+        q = int(graph.succ[q, rho - 1])
+        stage += methods[rho - 1].steps
+    return Schedule(tuple(seq)), float(tables.V[q0])
 
 
 def evaluate_on_graph(
@@ -176,79 +130,8 @@ def evaluate_on_graph(
     dyn: DiscretizedDynamics,
 ) -> float:
     """Cost of a schedule along the quantized trajectory (nodes, not true covariances)."""
-    tf_steps = window_steps(tf, dyn.dt_s)
-    if not schedule.minimally_covers(tf_steps, methods):
-        raise IncompleteScheduleError(
-            f"schedule {tuple(schedule)} does not minimally cover {tf_steps} steps"
-        )
-    by_id = {m.id: m for m in methods}
-    q = q0
-    elapsed = 0
-    total = 0.0
-    for pid in schedule:
-        method = by_id[pid]
-        d_steps = min(method.steps, tf_steps - elapsed)
-        M, c = dyn.step_gram(d_steps)
-        total += lam_alpha * method.penalty + c + float((graph.reps[q] * M).sum())
-        elapsed += method.steps
-        q = int(graph.succ[q, pid - 1])
-    return total / tf
-
-
-def backward_tables(
-    tf: float,
-    lam_alpha: float,
-    graph: CovarianceGraph,
-    methods,
-    dyn: DiscretizedDynamics,
-    workspace: QdpWorkspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cost-to-go V[q, l] and optimal decision PI[q, l] for every cell at once.
-
-    V[q, 0] equals the qdp cost from q; PI[:, 0] is the policy table. Ties
-    prefer the lower method id.
-    """
-    ws = workspace if workspace is not None else make_workspace(graph, methods, dyn)
-    alpha_max = window_steps(tf, dyn.dt_s)
-    Q = graph.size
-    V = np.zeros((Q, alpha_max + 1))
-    PI = np.zeros((Q, alpha_max + 1), dtype=np.int64)
-    for stage in range(alpha_max - 1, -1, -1):
-        best = None
-        best_rho = None
-        for col in range(ws.n_methods):
-            m = int(ws.steps[col])
-            land = min(stage + m, alpha_max)
-            d_steps = land - stage
-            cand = (lam_alpha * ws.penalties[col] + ws.cost_table[:, d_steps - 1]) / tf
-            cand = cand + V[ws.graph.succ[:, col], land]
-            if best is None:
-                best = cand
-                best_rho = np.full(Q, col + 1, dtype=np.int64)
-            else:
-                take = cand < best
-                best = np.where(take, cand, best)
-                best_rho[take] = col + 1
-        V[:, stage] = best
-        PI[:, stage] = best_rho
-    return V, PI
-
-
-def precompute_policy(
-    graph: CovarianceGraph,
-    tf: float,
-    lam_alpha: float,
-    methods,
-    dyn: DiscretizedDynamics,
-) -> np.ndarray:
-    """First optimal decision for every node, as a (Q,) array of 1-based ids.
-
-    One backward sweep costs the same as a single qdp call and covers all
-    start nodes; entry q matches the first element of qdp(q, ...) whenever the
-    optimum from q is unique.
-    """
-    _, PI = backward_tables(tf, lam_alpha, graph, methods, dyn)
-    return PI[:, 0].copy()
+    return window_cost(q0, lambda q, method: int(graph.succ[q, method.id - 1]),
+                       lambda q: graph.reps[q], schedule, tf, lam_alpha, methods, dyn)
 
 
 def attach_policy(
@@ -258,7 +141,11 @@ def attach_policy(
     methods,
     dyn: DiscretizedDynamics,
 ) -> CovarianceGraph:
-    """Store the policy table (and its parameters) on the graph in place."""
-    graph.policy = precompute_policy(graph, tf, lam_alpha, methods, dyn)
+    """Store the policy table (and its parameters) on the graph in place.
+
+    The policy is PI[:, 0]: the first optimal decision from every node, as a
+    (Q,) array of 1-based method ids.
+    """
+    graph.policy = backward_tables(tf, lam_alpha, graph, methods, dyn)[1][:, 0].copy()
     graph.policy_meta = {"tf": tf, "lam_alpha": lam_alpha}
     return graph

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,24 @@ def random_spd(rng, n: int, scale: float = 1.0) -> np.ndarray:
     mat = rng.standard_normal((n, n))
     spd = mat @ mat.T + 0.1 * np.eye(n)
     return spd * (scale / np.linalg.norm(spd, "fro"))
+
+
+def window_time_ratio(run, rounds: int = 7, batch: int = 5) -> float:
+    """Median over interleaved rounds of the time of run(16.0) over run(8.0).
+
+    A round times `batch` back-to-back calls of each window, one window right
+    after the other. A shift in machine speed between rounds cancels in the
+    round's ratio, and the median drops rounds that a stall of a shared
+    machine hit.
+    """
+    run(8.0)  # warm-up
+    ratios = []
+    for _ in range(rounds):
+        elapsed = {}
+        for tf in (8.0, 16.0):
+            start = time.perf_counter()
+            for _ in range(batch):
+                run(tf)
+            elapsed[tf] = time.perf_counter() - start
+        ratios.append(elapsed[16.0] / elapsed[8.0])
+    return float(np.median(ratios))

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 import latsched as ls
 from latsched.sim import sqrt_psd
 
-from conftest import benchmark_model, benchmark_methods
+from conftest import benchmark_model, benchmark_methods, window_time_ratio
 
 TF = 1.0
 LAM = 5.0
@@ -85,12 +85,8 @@ def test_criterion_3_quantization_convergence(bench_mod):
     t0 = time.perf_counter()
     sizes = (50, 500, 5000)
     graph_seeds = np.random.SeedSequence(42).spawn(len(sizes))
-    graphs = {}
-    workspaces = {}
-    for size, seed in zip(sizes, graph_seeds):
-        graph = ls.expand_graph(ls.sample_region(4, 1.0, size, seed), methods, dyn)
-        graphs[size] = graph
-        workspaces[size] = ls.make_workspace(graph, methods, dyn)
+    graphs = {size: ls.expand_graph(ls.sample_region(4, 1.0, size, seed), methods, dyn)
+              for size, seed in zip(sizes, graph_seeds)}
 
     schedules = [ls.Schedule(s) for s in ls.enumerate_covering_schedules(30, methods)]
     statics = [ls.static_schedule(m.id, TF, methods, dyn) for m in methods]
@@ -105,7 +101,7 @@ def test_criterion_3_quantization_convergence(bench_mod):
                        for s in statics)
         for size in sizes:
             sched, _ = ls.qdp(ls.quantize(P0, graphs[size]), TF, LAM,
-                              graphs[size], methods, dyn, workspaces[size])
+                              graphs[size], methods, dyn)
             j_qdp = ls.evaluate_schedule(P0, sched, TF, LAM, methods, dyn)
             gaps[size].append(abs(j_min - j_qdp))
             if size == 50 and j_qdp <= j_static + 1e-12:
@@ -125,7 +121,7 @@ def test_criterion_4_degenerate_penalty_exactness(bench_mod):
     assert graph.size == 1
     sched, _ = ls.qdp(0, TF, 15.0, graph, methods, dyn)
     assert tuple(sched) == (1,) * 10
-    policy = ls.precompute_policy(graph, TF, 15.0, methods, dyn)
+    policy = ls.attach_policy(graph, TF, 15.0, methods, dyn).policy
     assert np.all(policy == 1)
     _passed(4, "single-node graph at high penalty returns the static fast schedule",
             time.perf_counter() - t0, 1.0)
@@ -222,21 +218,11 @@ def test_criterion_7_complexity_scaling(bench_mod):
     model, methods, dyn = bench_mod
     t0 = time.perf_counter()
     graph = ls.expand_graph(ls.sample_region(4, 1.0, 400, seed=8), methods, dyn)
-    ws = ls.make_workspace(graph, methods, dyn)
 
-    tables = ls.qdp_matrices(0, TF, LAM, graph, methods, dyn, ws)
+    tables = ls.qdp_matrices(0, TF, LAM, graph, methods, dyn)
     assert tables.relaxations == 30 * graph.size * len(methods)
 
-    def best_time(tf):
-        best = np.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            ls.qdp_matrices(0, tf, LAM, graph, methods, dyn, ws)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    best_time(8.0)  # warm-up
-    ratio = best_time(16.0) / best_time(8.0)
+    ratio = window_time_ratio(lambda tf: ls.qdp_matrices(0, tf, LAM, graph, methods, dyn))
     assert 1.5 <= ratio <= 2.5, f"doubling the window scaled time by {ratio:.2f}"
     _passed(7, f"relaxations = alpha_max*Q*D exactly; 2x window -> {ratio:.2f}x time",
             time.perf_counter() - t0, 60.0)

@@ -51,6 +51,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cost.Tf"):
             parse_scenario(payload)
 
+    def test_non_finite_number_rejected(self):
+        payload = planar_payload()
+        payload["cost"]["Tf"] = float("nan")
+        with pytest.raises(ConfigError, match="cost.Tf: must be finite"):
+            parse_scenario(payload)
+
+    def test_non_numeric_occlusion_rejected(self):
+        payload = planar_payload(sim={"occlusions": [["a", 1.0]]})
+        with pytest.raises(ConfigError, match="sim.occlusions: expected a number"):
+            parse_scenario(payload)
+
     def test_unknown_experiment_rejected(self):
         payload = planar_payload(experiment={"name": "nope"})
         with pytest.raises(ConfigError, match="experiment.name"):
@@ -185,6 +196,29 @@ class TestCli:
         assert main(["schedule-exact", "-c", cfg_path, "-o",
                      str(tmp_path / "x.json")]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override", [
+        ("schedule-qdp", ["--Tf", "0"]),
+        ("schedule-qdp", ["--Tf", "-1"]),
+        ("schedule-qdp", ["--Tf", "nan"]),
+        ("build-graph", ["--seed", "-1"]),
+        ("mc-eval", ["--runs", "0"]),
+        ("mc-eval", ["--jobs", "0"]),
+    ])
+    def test_bad_override_exits_1(self, tmp_path, capsys, command, override):
+        cfg_path = write_config(tmp_path, planar_payload())
+        out = tmp_path / "out"
+        assert main([command, "-c", cfg_path, "-o", str(out)] + override) == 1
+        assert f"error: {override[0]}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block", ["graph", "sim"])
+    def test_negative_seed_in_file_exits_1(self, tmp_path, capsys, block):
+        cfg_path = write_config(tmp_path, planar_payload(**{block: {"seed": -1}}))
+        out = tmp_path / "graph.json"
+        assert main(["build-graph", "-c", cfg_path, "-o", str(out)]) == 1
+        assert f"error: {block}.seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_graph(self, tmp_path):
         cfg_path = write_config(tmp_path, planar_payload())

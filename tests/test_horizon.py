@@ -7,11 +7,11 @@ from latsched import (
     Measurement,
     SourceExhausted,
     adaptive_R,
+    attach_policy,
     build_dynamics,
     correct,
     expand_graph,
     mh_step,
-    precompute_policy,
     predict,
     qdp,
     quantize,
@@ -34,7 +34,7 @@ def planar():
     ]
     dyn = build_dynamics(model, methods)
     graph = expand_graph(sample_region(2, 2.0, 40, seed=1), methods, dyn, b0=2.0)
-    policy = precompute_policy(graph, 1.0, 5.0, methods, dyn)
+    policy = attach_policy(graph, 1.0, 5.0, methods, dyn).policy
     return model, methods, dyn, graph, policy
 
 

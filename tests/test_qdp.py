@@ -1,24 +1,21 @@
-import time
-
 import numpy as np
 import pytest
 
 from latsched import (
     CovarianceGraph,
+    attach_policy,
     backward_tables,
     build_dynamics,
     dyn_prog_exact,
     evaluate_on_graph,
     expand_graph,
-    make_workspace,
-    precompute_policy,
     qdp,
     qdp_matrices,
     riccati_step,
     sample_region,
     steady_state,
 )
-from conftest import random_spd
+from conftest import random_spd, window_time_ratio
 
 from latsched import ContinuousModel, PerceptionMethod
 
@@ -68,15 +65,16 @@ class TestQdpMatrices:
         P_star, _ = steady_state(only[0], dyn)
         graph = expand_graph(P_star[None], only, dyn)
         tables = qdp_matrices(0, 1.0, 5.0, graph, only, dyn)
-        finite = set(np.nonzero(np.isfinite(tables.MJ[0]))[0].tolist())
-        assert finite == {0, 3, 6, 9, 10}  # multiples of 3, clamped at 10
-        # Telescoped cost at the terminal stage.
+        assert tables.PI.shape == (1, 10)
+        assert np.all(tables.PI == 1)
+        # Epochs start at stages 0, 3, 6, 9; the last is clamped at stage 10.
         expected = 0.0
         for start in (0, 3, 6, 9):
             d = min(3, 10 - start)
             M, c = dyn.step_gram(d)
             expected += 5.0 * 0.24 + c + float((P_star * M).sum())
-        assert np.isclose(tables.MJ[0, 10], expected / 1.0, rtol=1e-12)
+        assert tables.V.shape == (1,)
+        assert np.isclose(tables.V[0], expected / 1.0, rtol=1e-12)
 
     def test_relaxation_count_exact(self, tiny):
         _, methods, dyn = tiny
@@ -88,21 +86,31 @@ class TestQdpMatrices:
         _, methods, dyn = tiny
         graph = expand_graph(sample_region(2, 1.0, 5, seed=2), methods, dyn)
         tables = qdp_matrices(3, 1.0, 5.0, graph, methods, dyn)
-        assert tables.MJ[3, 0] == 0.0
-        assert np.isinf(tables.MJ[0, 0])
+        assert tables.q0 == 3
+        for q0 in (-1, graph.size):
+            with pytest.raises(ValueError, match="outside"):
+                qdp_matrices(q0, 1.0, 5.0, graph, methods, dyn)
+            with pytest.raises(ValueError, match="outside"):
+                qdp(q0, 1.0, 5.0, graph, methods, dyn)
 
 
 class TestQdp:
     def test_matches_brute_force_paths(self, tiny):
+        """Cost and schedule equal the lexicographically first brute-force optimum."""
         _, methods, dyn = tiny
-        rng = np.random.default_rng(3)
         graph = expand_graph(sample_region(2, 1.0, 6, seed=4), methods, dyn)
-        for q0 in range(min(graph.size, 4)):
-            sched, cost = qdp(q0, 0.8, 5.0, graph, methods, dyn)
-            ref_seq, ref_cost = brute_force_paths(graph, q0, 8, 5.0, methods, dyn)
+        # (q0, tf, lam); the last case is a tie a forward trace-back broke
+        # toward (1, 1, 1, 2).
+        cases = [(q0, 0.8, 5.0) for q0 in range(min(graph.size, 4))] + [(9, 0.4, 0.0)]
+        for q0, tf, lam in cases:
+            sched, cost = qdp(q0, tf, lam, graph, methods, dyn)
+            ref_seq, ref_cost = brute_force_paths(graph, q0, round(tf / dyn.dt_s), lam,
+                                                  methods, dyn)
+            assert tuple(sched) == ref_seq
             assert np.isclose(cost, ref_cost, rtol=1e-12)
-            assert evaluate_on_graph(graph, q0, sched, 0.8, 5.0, methods, dyn) == \
+            assert evaluate_on_graph(graph, q0, sched, tf, lam, methods, dyn) == \
                 pytest.approx(cost, rel=1e-10)
+        assert tuple(qdp(9, 0.4, 0.0, graph, methods, dyn)[0]) == (1, 1, 1, 1)
 
     def test_cost_equals_graph_trajectory_eval(self, tiny):
         _, methods, dyn = tiny
@@ -171,18 +179,7 @@ class TestQdp:
     def test_runtime_linear_in_window(self, tiny):
         _, methods, dyn = tiny
         graph = expand_graph(sample_region(2, 1.0, 300, seed=8), methods, dyn)
-        ws = make_workspace(graph, methods, dyn)
-
-        def timed(tf):
-            best = np.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                qdp_matrices(0, tf, 5.0, graph, methods, dyn, ws)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        timed(8.0)  # warm-up
-        ratio = timed(16.0) / timed(8.0)
+        ratio = window_time_ratio(lambda tf: qdp_matrices(0, tf, 5.0, graph, methods, dyn))
         assert 1.5 <= ratio <= 2.5
 
 
@@ -190,17 +187,18 @@ class TestPolicy:
     def test_matches_fresh_qdp_first_elements(self, tiny):
         _, methods, dyn = tiny
         graph = expand_graph(sample_region(2, 1.0, 15, seed=9), methods, dyn)
-        policy = precompute_policy(graph, 1.0, 5.0, methods, dyn)
-        for q in range(graph.size):
-            fresh, _ = qdp(q, 1.0, 5.0, graph, methods, dyn)
-            assert policy[q] == fresh.methods[0]
+        for lam in (5.0, 0.0):
+            policy = attach_policy(graph, 1.0, lam, methods, dyn).policy
+            for q in range(graph.size):
+                fresh, _ = qdp(q, 1.0, lam, graph, methods, dyn)
+                assert policy[q] == fresh.methods[0]
 
     def test_single_node_policy(self, tiny):
         _, methods, dyn = tiny
         only = [methods[0]]
         P_star, _ = steady_state(only[0], dyn)
         graph = expand_graph(P_star[None], only, dyn)
-        policy = precompute_policy(graph, 1.0, 5.0, only, dyn)
+        policy = attach_policy(graph, 1.0, 5.0, only, dyn).policy
         assert policy.shape == (1,)
         assert policy[0] == 1
 
@@ -210,7 +208,7 @@ class TestPolicy:
         V, _ = backward_tables(1.0, 5.0, graph, methods, dyn)
         for q in (0, 3, 7):
             _, cost = qdp(q, 1.0, 5.0, graph, methods, dyn)
-            assert np.isclose(V[q, 0], cost, rtol=1e-10)
+            assert np.isclose(V[q], cost, rtol=1e-10)
 
 
 class TestDegeneratePenaltyRegime:
@@ -221,5 +219,5 @@ class TestDegeneratePenaltyRegime:
         assert graph.size == 1
         sched, _ = qdp(0, 1.0, lam, graph, methods, dyn)
         assert tuple(sched) == (1,) * 10
-        policy = precompute_policy(graph, 1.0, lam, methods, dyn)
+        policy = attach_policy(graph, 1.0, lam, methods, dyn).policy
         assert np.all(policy == 1)
