@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .bounds import bound_bs, gbar, lmi_feasible, synthesize_certificate
-from .config import ScenarioConfig, _number, _seed, load_scenario
+from .config import ScenarioConfig, _number, _seed, _tf, load_scenario
 from .covgraph import CovarianceGraph, expand_graph, quantize, sample_region
 from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
@@ -37,10 +37,7 @@ from .sim import GridMeasurementSource, metrics, simulate_sde
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "tf", None) is not None:
-        tf = _number(args.tf, "--Tf", positive=True)
-        if abs(tf / cfg.model.dt_s - round(tf / cfg.model.dt_s)) > 1e-6:
-            raise ConfigError("--Tf must be an integer multiple of model.dt_s")
-        cfg.tf = tf
+        cfg.tf = _tf(args.tf, cfg.model.dt_s, "--Tf")
     if getattr(args, "seed", None) is not None:
         cfg.sim.seed = cfg.graph.seed = _seed(args.seed, "--seed")
     if getattr(args, "runs", None) is not None:
@@ -78,11 +75,10 @@ def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None) -> CovarianceGraph:
 def _schedule_payload(cfg, dyn, schedule, cost) -> dict:
     epochs = []
     t_steps = 0
-    by_id = {m.id: m for m in cfg.methods}
     for k, pid in enumerate(schedule):
         epochs.append({"k": k, "t": t_steps * dyn.dt_s, "method": pid})
-        t_steps += by_id[pid].steps
-    penalty_term = cfg.lam_alpha * sum(by_id[pid].penalty for pid in schedule) / cfg.tf
+        t_steps += cfg.methods[pid - 1].steps
+    penalty_term = cfg.lam_alpha * sum(cfg.methods[pid - 1].penalty for pid in schedule) / cfg.tf
     return {
         "methods": list(schedule),
         "cost": cost,

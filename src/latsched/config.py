@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import LyapunovCertificate
 from .dynamics import ContinuousModel, PerceptionMethod, validate_methods
 from .errors import ConfigError, InvalidModelError
+from .exact import window_steps
 
 
 def _require(block: dict, key: str, path: str):
@@ -43,6 +44,19 @@ def _seed(value, path: str) -> int:
     if _number(value, path) < 0:
         raise ConfigError(f"{path}: must be >= 0")
     return int(value)
+
+
+def _tf(value, dt_s: float, path: str) -> float:
+    tf = _number(value, path, positive=True)
+    _grid_steps(tf, dt_s, 1e-6, f"{path}: must be an integer multiple of model.dt_s")
+    return tf
+
+
+def _grid_steps(length: float, step: float, tol: float, message: str) -> int:
+    try:
+        return window_steps(length, step, tol)
+    except ValueError:
+        raise ConfigError(message) from None
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -161,10 +175,8 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     validate_methods(methods)
 
     cblock = _require(payload, "cost", "")
-    tf = _number(_require(cblock, "Tf", "cost"), "cost.Tf", positive=True)
+    tf = _tf(_require(cblock, "Tf", "cost"), dt_s, "cost.Tf")
     lam = _number(_require(cblock, "lambda_alpha", "cost"), "cost.lambda_alpha")
-    if abs(tf / dt_s - round(tf / dt_s)) > 1e-6:
-        raise ConfigError("cost.Tf: must be an integer multiple of model.dt_s")
 
     graph = GraphConfig()
     if "graph" in payload:
@@ -185,13 +197,16 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             not isinstance(w, list) or len(w) != 2 for w in occl
         ):
             raise ConfigError("sim.occlusions: expected an array of [start, stop] pairs")
+        adaptive = s.get("adaptive_R", sim.adaptive)
+        if not isinstance(adaptive, bool):
+            raise ConfigError(f"sim.adaptive_R: expected true or false, got {adaptive!r}")
         true_R = {}
         for key, mat in (s.get("true_R") or {}).items():
             try:
                 mid = int(key)
             except ValueError:
                 raise ConfigError(f"sim.true_R.{key}: keys must be method ids") from None
-            if not any(m.id == mid for m in methods):
+            if not 1 <= mid <= len(methods):
                 raise ConfigError(f"sim.true_R.{key}: no such method id")
             R = _matrix(mat, f"sim.true_R.{key}")
             if R.shape != (model.n_z, model.n_z):
@@ -205,11 +220,15 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             true_R=true_R,
             seed=_seed(s.get("seed", sim.seed), "sim.seed"),
             runs=int(_number(s.get("runs", sim.runs), "sim.runs", positive=True)),
-            adaptive=bool(s.get("adaptive_R", sim.adaptive)),
+            adaptive=adaptive,
             window=int(_number(s.get("window", sim.window), "sim.window", positive=True)),
         )
-        if grid_mismatch(dt_s, sim.dt):
-            raise ConfigError("sim.dt: must divide model.dt_s exactly")
+        _grid_steps(dt_s, sim.dt, 1e-9, "sim.dt: must divide model.dt_s exactly")
+        # The tolerances of run_loop (in model.dt_s) and simulate_ensemble (in sim.dt).
+        _grid_steps(sim.horizon, dt_s, 1e-6,
+                    "sim.horizon: must be an integer multiple of model.dt_s")
+        _grid_steps(sim.horizon, sim.dt, 1e-9,
+                    "sim.horizon: must be an integer multiple of sim.dt")
 
     gamma = 0.98
     certificate = None
@@ -270,11 +289,6 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         gamma=gamma,
         certificate=certificate,
     )
-
-
-def grid_mismatch(dt_s: float, dt: float) -> bool:
-    ratio = dt_s / dt
-    return abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1
 
 
 def load_scenario(path) -> ScenarioConfig:

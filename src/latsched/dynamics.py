@@ -43,6 +43,25 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
+def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None) -> np.ndarray:
+    """Symmetrize `mat` and clamp its round-off negative eigenvalues to zero.
+
+    Raises `error` when an eigenvalue lies below -1e-10 * scale, which is real
+    negativity rather than round-off; `scale` defaults to the Frobenius norm of
+    the symmetrized matrix.
+    """
+    sym = 0.5 * (mat + mat.T)
+    if scale is None:
+        scale = np.linalg.norm(sym, "fro")
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    if eigvals[0] < -PSD_RTOL * max(scale, 1e-300):
+        raise error(f"{name} has eigenvalue {eigvals[0]:.3e} below the PSD tolerance")
+    if eigvals[0] < 0.0:
+        sym = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+        sym = 0.5 * (sym + sym.T)
+    return sym
+
+
 def check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
     """Validate symmetry (1e-12 relative) and PSD-ness (eigenvalues >= -1e-10 * ||.||_F).
 
@@ -54,18 +73,7 @@ def check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
     scale = np.linalg.norm(mat, "fro")
     if scale > 0 and np.linalg.norm(mat - mat.T, "fro") > SYM_RTOL * scale * 10:
         raise InvalidModelError(f"{name} is not symmetric within tolerance")
-    sym = 0.5 * (mat + mat.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    floor = -PSD_RTOL * max(scale, 1e-300)
-    if eigvals.min() < floor:
-        raise InvalidModelError(
-            f"{name} has eigenvalue {eigvals.min():.3e} below the PSD tolerance"
-        )
-    if eigvals.min() < 0.0:
-        eigvals = np.clip(eigvals, 0.0, None)
-        sym = (eigvecs * eigvals) @ eigvecs.T
-        sym = 0.5 * (sym + sym.T)
-    return sym
+    return clamp_psd(mat, name, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ class PerceptionMethod:
     """One perception configuration: latency, accuracy, CPU fraction, penalty.
 
     Attributes:
-        id: 1-based method identifier.
+        id: 1-based method identifier; in a method list, method rho is methods[rho - 1].
         steps: latency as a positive count of sensor periods.
         R: nominal measurement covariance (n_z, n_z), symmetric PSD.
         cpu: fraction of the latency the computing unit is busy, in (0, 1].
@@ -178,7 +186,7 @@ class PerceptionMethod:
 
 
 def validate_methods(methods) -> list:
-    """Check that method ids are exactly 1..D in list order."""
+    """Check that method ids are 1..D in list order, so method rho is methods[rho - 1]."""
     methods = list(methods)
     if not methods:
         raise InvalidModelError("at least one perception method is required")
@@ -303,5 +311,5 @@ class DiscretizedDynamics:
 
 
 def build_dynamics(model: ContinuousModel, methods) -> DiscretizedDynamics:
-    """Dynamics tables covering every method latency."""
-    return DiscretizedDynamics(model, max(m.steps for m in methods))
+    """Dynamics tables covering every method latency; checks the id rule first."""
+    return DiscretizedDynamics(model, max(m.steps for m in validate_methods(methods)))

@@ -14,7 +14,8 @@ class SingularUpdateError(LatschedError):
 
 
 class IncompleteScheduleError(LatschedError):
-    """A schedule does not minimally cover the requested window."""
+    """A schedule does not minimally cover the requested window, or names a
+    method id outside 1..D."""
 
 
 class ExplosionGuardError(LatschedError):

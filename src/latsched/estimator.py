@@ -20,27 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiscretizedDynamics, PerceptionMethod
+from .dynamics import DiscretizedDynamics, PerceptionMethod, clamp_psd
 from .errors import SingularUpdateError
 
 _COND_LIMIT = 1e12
-
-
-def _clean_covariance(P: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Symmetrize and clamp tiny negative eigenvalues; reject real negativity."""
-    P = np.asarray(P, dtype=float)
-    P = 0.5 * (P + P.T)
-    eigvals, eigvecs = np.linalg.eigh(P)
-    scale = max(np.linalg.norm(P, "fro"), 1e-300)
-    if eigvals.min() < -1e-10 * scale:
-        raise ValueError(
-            f"{name} has eigenvalue {eigvals.min():.3e}; beyond round-off negativity"
-        )
-    if eigvals.min() < 0.0:
-        eigvals = np.clip(eigvals, 0.0, None)
-        P = (eigvecs * eigvals) @ eigvecs.T
-        P = 0.5 * (P + P.T)
-    return P
 
 
 @dataclass(frozen=True)
@@ -53,7 +36,8 @@ class BeliefState:
 
     def __post_init__(self):
         xhat = np.asarray(self.xhat, dtype=float).reshape(-1)
-        Phat = _clean_covariance(self.Phat, "Phat")
+        # No input checks here: beliefs are built several times per epoch.
+        Phat = clamp_psd(np.asarray(self.Phat, dtype=float), "Phat", ValueError)
         xhat.setflags(write=False)
         Phat.setflags(write=False)
         object.__setattr__(self, "xhat", xhat)

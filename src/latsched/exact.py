@@ -42,40 +42,48 @@ class Schedule:
         return iter(self.methods)
 
     def minimally_covers(self, tf_steps: int, methods) -> bool:
-        steps = {m.id: m.steps for m in methods}
+        _check_ids(self.methods, methods)
         total = 0
         for idx, pid in enumerate(self.methods):
-            total += steps[pid]
+            total += methods[pid - 1].steps
             if total >= tf_steps:
                 return idx == len(self.methods) - 1
         return False
 
 
-def window_steps(tf: float, dt_s: float) -> int:
-    """Window length as an exact count of sensor periods."""
+def _check_ids(ids, methods) -> None:
+    """Raise IncompleteScheduleError unless every id names a method, 1..D."""
+    for pid in ids:
+        if not 1 <= pid <= len(methods):
+            raise IncompleteScheduleError(
+                f"method id {pid} is outside 1..{len(methods)}")
+
+
+def window_steps(tf: float, dt_s: float, tol: float = 1e-6) -> int:
+    """`tf` as a positive whole count of `dt_s` steps; ValueError if off the grid by over `tol`."""
     steps = tf / dt_s
     rounded = int(round(steps))
-    if rounded < 1 or abs(steps - rounded) > 1e-6:
-        raise ValueError(f"Tf={tf} is not a positive multiple of dt_s={dt_s}")
+    if rounded < 1 or abs(steps - rounded) > tol:
+        raise ValueError(f"{tf} is not a positive multiple of {dt_s}")
     return rounded
 
 
 def static_schedule(method_id: int, tf: float, methods, dyn: DiscretizedDynamics) -> Schedule:
     """The minimal covering repetition of a single method."""
-    steps = {m.id: m.steps for m in methods}[method_id]
+    _check_ids((method_id,), methods)
     tf_steps = window_steps(tf, dyn.dt_s)
-    count = -(-tf_steps // steps)
+    count = -(-tf_steps // methods[method_id - 1].steps)
     return Schedule((method_id,) * count)
 
 
 def schedule_cpu_load(schedule: Schedule, tf: float, methods, dyn: DiscretizedDynamics) -> float:
     """Busy fraction of the window: sum of cpu * epoch length, truncated at Tf."""
+    _check_ids(schedule, methods)
     tf_steps = window_steps(tf, dyn.dt_s)
-    by_id = {m.id: m for m in methods}
     busy = 0.0
     elapsed = 0
     for pid in schedule:
-        method = by_id[pid]
+        method = methods[pid - 1]
         if elapsed >= tf_steps:
             break
         busy += method.cpu * (min(elapsed + method.steps, tf_steps) - elapsed)
@@ -97,11 +105,10 @@ def window_cost(state, step, cov, schedule: Schedule, tf: float, lam_alpha: floa
         raise IncompleteScheduleError(
             f"schedule {tuple(schedule)} does not minimally cover {tf_steps} steps"
         )
-    by_id = {m.id: m for m in methods}
     elapsed = 0
     total = 0.0
     for pid in schedule:
-        method = by_id[pid]
+        method = methods[pid - 1]
         d_steps = min(method.steps, tf_steps - elapsed)
         M, c = dyn.step_gram(d_steps)
         total += lam_alpha * method.penalty + c + float((cov(state) * M).sum())
@@ -127,16 +134,13 @@ def evaluate_schedule(
 
 def enumerate_covering_schedules(tf_steps: int, methods) -> Iterator[tuple]:
     """All minimal covering schedules of a window, in lexicographic method order."""
-    ids = [m.id for m in methods]
-    steps = {m.id: m.steps for m in methods}
-
     def rec(remaining: int, prefix: tuple):
-        for pid in ids:
-            nxt = remaining - steps[pid]
+        for m in methods:
+            nxt = remaining - m.steps
             if nxt <= 0:
-                yield prefix + (pid,)
+                yield prefix + (m.id,)
             else:
-                yield from rec(nxt, prefix + (pid,))
+                yield from rec(nxt, prefix + (m.id,))
 
     yield from rec(tf_steps, ())
 

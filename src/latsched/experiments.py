@@ -108,7 +108,6 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
         )
     else:
         ids = [m.id for m in cfg.methods]
-        steps = {m.id: m.steps for m in cfg.methods}
         j_min = np.inf
         for _ in range(cfg.experiment.oracle_samples):
             seq = []
@@ -116,7 +115,7 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
             while total < tf_steps:
                 pid = int(rng.choice(ids))
                 seq.append(pid)
-                total += steps[pid]
+                total += cfg.methods[pid - 1].steps
             j_min = min(j_min, evaluate_schedule(
                 P0, Schedule(tuple(seq)), cfg.tf, cfg.lam_alpha, cfg.methods, dyn))
 

@@ -26,6 +26,7 @@ from .covgraph import CovarianceGraph, quantize
 from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod
 from .errors import SourceExhausted
 from .estimator import BeliefState, Measurement, correct, predict
+from .exact import window_steps
 
 
 class InnovationWindow:
@@ -86,7 +87,6 @@ def mh_step(
     policy,
     graph: CovarianceGraph,
     window: InnovationWindow,
-    methods,
     dyn: DiscretizedDynamics,
     use_adaptive: bool = False,
 ) -> tuple[BeliefState, int]:
@@ -172,11 +172,10 @@ def run_loop(
         policy = graph.policy
     if policy is None:
         raise ValueError("no policy supplied and the graph carries none")
-    horizon_steps = int(round(horizon / dyn.dt_s))
-    if horizon_steps < 1 or abs(horizon / dyn.dt_s - horizon_steps) > 1e-6:
-        raise ValueError(f"horizon={horizon} is not a positive multiple of dt_s")
+    if np.min(policy) < 1 or np.max(policy) > len(methods):
+        raise ValueError(f"policy holds method ids outside 1..{len(methods)}")
+    horizon_steps = window_steps(horizon, dyn.dt_s)
 
-    by_id = {m.id: m for m in methods}
     window = InnovationWindow(window_length)
     belief = BeliefState(0.0, model.x0, model.P0)
     pid = int(policy[quantize(belief.Phat, graph)])
@@ -191,7 +190,7 @@ def run_loop(
     k = 0
     t_steps = 0
     while t_steps < horizon_steps:
-        method = by_id[pid]
+        method = methods[pid - 1]
         try:
             meas = source(k, t_steps, method)
         except SourceExhausted:
@@ -209,7 +208,7 @@ def run_loop(
             rec_method.append(method.id)
             rec_measured.append(int(measured))
         belief, pid = mh_step(
-            belief, meas, method, policy, graph, window, methods, dyn, use_adaptive
+            belief, meas, method, policy, graph, window, dyn, use_adaptive
         )
         t_steps += method.steps
         k += 1

@@ -14,6 +14,7 @@ import numpy as np
 from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod
 from .errors import SourceExhausted
 from .estimator import Measurement
+from .exact import window_steps
 from .horizon import TrackingTrace
 
 
@@ -25,11 +26,7 @@ def sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 def grid_ratio(dt_s: float, dt: float) -> int:
     """Sensor period as an exact multiple of the simulation step."""
-    ratio = dt_s / dt
-    rounded = int(round(ratio))
-    if rounded < 1 or abs(ratio - rounded) > 1e-9:
-        raise ValueError(f"dt={dt} must divide the sensor period dt_s={dt_s}")
-    return rounded
+    return window_steps(dt_s, dt, 1e-9)
 
 
 def simulate_sde(
@@ -60,9 +57,7 @@ def simulate_ensemble(
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
-    n_steps = int(round(horizon / dt))
-    if abs(horizon / dt - n_steps) > 1e-9:
-        raise ValueError(f"horizon={horizon} is not a multiple of dt={dt}")
+    n_steps = window_steps(horizon, dt, 1e-9)
     rng = np.random.default_rng(seed)
     n = model.n_x
     if record_steps is None:
@@ -174,14 +169,13 @@ def empirical_cost(
 ) -> float:
     """Trapezoid integral of tr(P(t)) on the dt grid over [0, tf] plus penalties."""
     ratio = grid_ratio(dyn.dt_s, dt)
-    tf_steps = int(round(tf / dyn.dt_s))
-    by_id = {m.id: m for m in methods}
+    tf_steps = window_steps(tf, dyn.dt_s)
     covered = 0
     total = 0.0
     for epoch in trace.epochs:
         if epoch.t_steps >= tf_steps:
             break
-        method = by_id[epoch.method_id]
+        method = methods[epoch.method_id - 1]
         total += lam_alpha * method.penalty
         start = epoch.t_steps * ratio
         stop = min((epoch.t_steps + method.steps) * ratio, tf_steps * ratio)
@@ -215,14 +209,13 @@ def metrics(
     window; the CPU load truncates the final epoch at the window edge; the MSE
     averages squared estimate error over the sensor-grid points of the trace.
     """
-    by_id = {m.id: m for m in methods}
-    tf_steps = int(round(tf / dyn.dt_s))
+    tf_steps = window_steps(tf, dyn.dt_s)
     attention = 0
     busy = 0.0
     for epoch in trace.epochs:
         if epoch.t_steps >= tf_steps:
             break
-        method = by_id[epoch.method_id]
+        method = methods[epoch.method_id - 1]
         end = epoch.t_steps + method.steps
         if epoch.measured and end <= tf_steps:
             attention += 1

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from latsched.cli import main
 from latsched.config import load_scenario, parse_scenario
 
 from test_experiments import planar_payload
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestConfigParsing:
@@ -79,12 +82,24 @@ class TestConfigParsing:
         assert cfg.certificate.gamma == 0.9
 
     def test_true_R_validation(self):
-        payload = planar_payload(
-            sim={"dt": 0.01, "horizon": 2.0, "seed": 7, "runs": 1,
-                 "true_R": {"9": [[1, 0], [0, 1]]}},
-        )
-        with pytest.raises(ConfigError, match="true_R"):
+        for key in ("9", "0", "3"):
+            payload = planar_payload(
+                sim={"dt": 0.01, "horizon": 2.0, "seed": 7, "runs": 1,
+                     "true_R": {key: [[1, 0], [0, 1]]}},
+            )
+            with pytest.raises(ConfigError, match=f"true_R.{key}: no such method id"):
+                parse_scenario(payload)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_adaptive_R_rejected(self, value):
+        payload = planar_payload(sim={"adaptive_R": value})
+        with pytest.raises(ConfigError, match="sim.adaptive_R: expected true or false"):
             parse_scenario(payload)
+
+    @pytest.mark.parametrize("horizon", [2.05, 0.04])
+    def test_horizon_grid_check(self, horizon):
+        with pytest.raises(ConfigError, match="sim.horizon: must be an integer multiple"):
+            parse_scenario(planar_payload(sim={"horizon": horizon}))
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -218,6 +233,20 @@ class TestCli:
         out = tmp_path / "graph.json"
         assert main(["build-graph", "-c", cfg_path, "-o", str(out)]) == 1
         assert f"error: {block}.seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-eval"])
+    @pytest.mark.parametrize("sim, message", [
+        ({"adaptive_R": "false"}, "sim.adaptive_R: expected true or false"),
+        ({"horizon": 10.05}, "sim.horizon: must be an integer multiple of model.dt_s"),
+    ])
+    def test_bad_sim_block_exits_1(self, tmp_path, capsys, command, sim, message):
+        payload = json.loads((CONFIGS / "noise_mismatch.json").read_text())
+        payload["sim"].update(sim)
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "-c", cfg_path, "-o", str(out), "--runs", "2"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_graph(self, tmp_path):

@@ -7,6 +7,7 @@ from latsched import (
     ContinuousModel,
     InvalidModelError,
     PerceptionMethod,
+    build_dynamics,
     cost_gram,
     discretize,
 )
@@ -58,6 +59,16 @@ class TestModelValidation:
         good = PerceptionMethod(id=1, steps=3, R=[[1.0]], cpu=0.5, penalty=0.0)
         with pytest.raises(InvalidModelError):
             validate_methods([good, good])  # ids must be 1, 2
+
+    def test_build_dynamics_checks_id_rule(self):
+        model = ContinuousModel(A=[[0.0]], B=[[1.0]], W=[[1.0]], C=[[1.0]],
+                                x0=[0.0], P0=[[1.0]], dt_s=0.1)
+        first = PerceptionMethod(id=1, steps=1, R=[[1.0]], cpu=0.5, penalty=0.0)
+        second = PerceptionMethod(id=2, steps=3, R=[[1.0]], cpu=0.5, penalty=0.0)
+        for bank in ([second, first], [second], [first, first], []):
+            with pytest.raises(InvalidModelError):
+                build_dynamics(model, bank)
+        assert build_dynamics(model, [first, second]).max_steps == 3
 
 
 class TestDiscretize:

@@ -117,6 +117,29 @@ class TestEvaluateSchedule:
         assert np.isclose(cost, total / 1.0, rtol=1e-6)
 
 
+class TestMethodIdRange:
+    """Ids outside 1..D raise instead of indexing past either end of the bank."""
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_evaluate_schedule(self, small_setup, bad):
+        _, methods, dyn = small_setup
+        sched = Schedule((bad,) + (1,) * 9)
+        with pytest.raises(IncompleteScheduleError, match=f"method id {bad} is outside"):
+            evaluate_schedule(np.eye(2), sched, 1.0, 5.0, methods, dyn)
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_schedule_cpu_load(self, small_setup, bad):
+        _, methods, dyn = small_setup
+        with pytest.raises(IncompleteScheduleError, match=f"method id {bad} is outside"):
+            schedule_cpu_load(Schedule((1, bad)), 1.0, methods, dyn)
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_static_schedule(self, small_setup, bad):
+        _, methods, dyn = small_setup
+        with pytest.raises(IncompleteScheduleError, match=f"method id {bad} is outside"):
+            static_schedule(bad, 1.0, methods, dyn)
+
+
 class TestCpuLoad:
     def test_static_loads(self, small_setup):
         _, methods, dyn = small_setup

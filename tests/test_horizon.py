@@ -118,8 +118,7 @@ class TestMhStep:
         z = np.array([0.4, -0.2])
         meas = Measurement(k=0, z=z, produced_at=0.1, method_id=1)
         win = InnovationWindow(10)
-        out, nid = mh_step(belief, meas, methods[0], policy, graph, win,
-                           methods, dyn)
+        out, nid = mh_step(belief, meas, methods[0], policy, graph, win, dyn)
         ref = correct(belief, meas, methods[0], dyn)
         assert np.allclose(out.Phat, ref.Phat)
         assert np.allclose(out.xhat, ref.xhat)
@@ -129,8 +128,7 @@ class TestMhStep:
         model, methods, dyn, graph, policy = planar
         belief = BeliefState(0.0, np.zeros(2), np.eye(2))
         win = InnovationWindow(10)
-        out, _ = mh_step(belief, None, methods[1], policy, graph, win,
-                         methods, dyn)
+        out, _ = mh_step(belief, None, methods[1], policy, graph, win, dyn)
         assert np.trace(out.Phat) > np.trace(belief.Phat)
         ref = predict(belief, methods[1].latency(dyn.dt_s), dyn)
         assert np.allclose(out.Phat, ref.Phat)
@@ -163,6 +161,14 @@ class TestRunLoop:
         assert [e.method_id for e in trace.epochs] == [2, 2, 2]
         expected = static_schedule(2, 0.9, methods, dyn)
         assert len(trace.epochs) == len(expected)
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_policy_ids_out_of_range_rejected(self, planar, bad):
+        model, methods, dyn, graph, _ = planar
+        policy = np.full(graph.size, 1, dtype=np.int64)
+        policy[-1] = bad
+        with pytest.raises(ValueError, match="policy holds method ids outside"):
+            run_loop(model, methods, graph, policy, 0.9, FixedSource(model, 100), dyn)
 
     def test_decisions_match_fresh_qdp(self, planar):
         model, methods, dyn, graph, policy = planar

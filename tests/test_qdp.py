@@ -17,7 +17,7 @@ from latsched import (
 )
 from conftest import random_spd, window_time_ratio
 
-from latsched import ContinuousModel, PerceptionMethod
+from latsched import ContinuousModel, IncompleteScheduleError, PerceptionMethod, Schedule
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,14 @@ class TestQdp:
         sched, cost = qdp(2, 1.0, 5.0, graph, methods, dyn)
         again = evaluate_on_graph(graph, 2, sched, 1.0, 5.0, methods, dyn)
         assert np.isclose(cost, again, rtol=1e-10)
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_evaluate_on_graph_rejects_unknown_id(self, tiny, bad):
+        _, methods, dyn = tiny
+        graph = expand_graph(sample_region(2, 1.0, 6, seed=4), methods, dyn)
+        with pytest.raises(IncompleteScheduleError, match=f"method id {bad} is outside"):
+            evaluate_on_graph(graph, 0, Schedule((1,) * 9 + (bad,)), 1.0, 5.0,
+                              methods, dyn)
 
     def test_exact_equivalence_on_reachable_graph(self, tiny):
         """Graph whose nodes are the exact reachable covariances: qdp == exact DP."""
