@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .bounds import bound_bs, gbar, lmi_feasible, synthesize_certificate
-from .config import ScenarioConfig, _number, _seed, _tf, load_scenario
+from .config import ScenarioConfig, _number, _seed, _tf, check_sim_grid, load_scenario
 from .covgraph import CovarianceGraph, expand_graph, quantize, sample_region
 from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
@@ -156,6 +156,7 @@ def _cmd_bound_check(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
+    check_sim_grid(cfg.sim, cfg.model.dt_s)
     dyn = build_dynamics(cfg.model, cfg.methods)
     graph = _built_graph(cfg, dyn, args.graph)
     truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)

@@ -59,6 +59,20 @@ def _grid_steps(length: float, step: float, tol: float, message: str) -> int:
         raise ConfigError(message) from None
 
 
+def check_sim_grid(sim: SimConfig, dt_s: float) -> None:
+    """ConfigError unless sim.dt divides dt_s and sim.horizon lies on both grids.
+
+    A file without a `sim` block keeps the SimConfig defaults, so the tracking
+    subcommands check them here before they simulate.
+    """
+    _grid_steps(dt_s, sim.dt, 1e-9, "sim.dt: must divide model.dt_s exactly")
+    # The tolerances of run_loop (in model.dt_s) and simulate_ensemble (in sim.dt).
+    _grid_steps(sim.horizon, dt_s, 1e-6,
+                "sim.horizon: must be an integer multiple of model.dt_s")
+    _grid_steps(sim.horizon, sim.dt, 1e-9,
+                "sim.horizon: must be an integer multiple of sim.dt")
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
@@ -223,12 +237,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             adaptive=adaptive,
             window=int(_number(s.get("window", sim.window), "sim.window", positive=True)),
         )
-        _grid_steps(dt_s, sim.dt, 1e-9, "sim.dt: must divide model.dt_s exactly")
-        # The tolerances of run_loop (in model.dt_s) and simulate_ensemble (in sim.dt).
-        _grid_steps(sim.horizon, dt_s, 1e-6,
-                    "sim.horizon: must be an integer multiple of model.dt_s")
-        _grid_steps(sim.horizon, sim.dt, 1e-9,
-                    "sim.horizon: must be an integer multiple of sim.dt")
+        check_sim_grid(sim, dt_s)
 
     gamma = 0.98
     certificate = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiscretizedDynamics
+from .dynamics import PSD_RTOL, DiscretizedDynamics
 from .config import _matrix, _number, _require
 from .errors import ConfigError, GraphExpansionError
 from .estimator import riccati_step
@@ -168,6 +168,14 @@ def _parse_graph(payload) -> dict:
     if not np.all(np.isfinite(reps)):
         raise ConfigError("graph.reps: non-finite value")
     Q = reps.shape[0]
+    # The PSD rule of clamp_psd, for every rep in one stacked eigvalsh.
+    square = reps.reshape(Q, n, n)
+    lowest = np.linalg.eigvalsh(0.5 * (square + square.mT))[:, 0]
+    negative = np.flatnonzero(lowest < -PSD_RTOL * np.linalg.norm(reps, axis=1))
+    if negative.size:
+        q = int(negative[0])
+        raise ConfigError(
+            f"graph.reps[{q}]: eigenvalue {lowest[q]:.3e} below the PSD tolerance")
 
     edges = _int_array(_require(payload, "edges", "graph"), "graph.edges", 3)
     nodes, rhos, targets = edges.T
@@ -191,7 +199,7 @@ def _parse_graph(payload) -> dict:
     if meta is not None and not isinstance(meta, dict):
         raise ConfigError("graph.policy_meta: expected an object")
     return {
-        "reps": reps.reshape(Q, n, n),
+        "reps": square,
         "succ": succ,
         "delta": _number(_require(payload, "delta", "graph"), "graph.delta"),
         "b0": _number(_require(payload, "b0", "graph"), "graph.b0"),

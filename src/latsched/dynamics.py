@@ -267,6 +267,7 @@ class DiscretizedDynamics:
     _M: np.ndarray = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)
     _pair_cache: dict = field(init=False, repr=False, default_factory=dict)
+    _subgrid_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -307,6 +308,22 @@ class DiscretizedDynamics:
         if cached is None:
             cached = discretize(self.model, duration)
             self._pair_cache[duration] = cached
+        return cached
+
+    def subgrid(self, dt: float, ratio: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stacks (Ad, tr Wd) at offsets o = 0..max_steps * ratio of a step dt.
+
+        `ratio` is dt_s / dt. Entry o is read from `pair(o * dt)`, so it is
+        exactly the pair a per-offset lookup returns. Memoized per dt.
+        """
+        cached = self._subgrid_cache.get(dt)
+        if cached is None:
+            pairs = [self.pair(o * dt) for o in range(self.max_steps * ratio + 1)]
+            Ad = np.array([a for a, _ in pairs])
+            trWd = np.array([np.trace(w) for _, w in pairs])
+            for arr in (Ad, trWd):
+                arr.setflags(write=False)
+            cached = self._subgrid_cache[dt] = (Ad, trWd)
         return cached
 
 

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bounds import bound_bs, synthesize_certificate
-from .config import ScenarioConfig
+from .config import ScenarioConfig, check_sim_grid
 from .covgraph import expand_graph, quantize, sample_region
 from .dynamics import build_dynamics
 from .errors import ConfigError
@@ -132,6 +132,7 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
 
 
 def _prepare_moving_horizon(cfg: ScenarioConfig) -> dict:
+    check_sim_grid(cfg.sim, cfg.model.dt_s)
     dyn = build_dynamics(cfg.model, cfg.methods)
     graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
     attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
@@ -168,6 +169,7 @@ def _run_moving_horizon(ctx: dict, run: int, seed) -> dict:
 
 
 def _prepare_adaptive_R(cfg: ScenarioConfig) -> dict:
+    check_sim_grid(cfg.sim, cfg.model.dt_s)
     dyn = build_dynamics(cfg.model, cfg.methods)
     graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
     attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)

@@ -17,6 +17,9 @@ from .estimator import Measurement
 from .exact import window_steps
 from .horizon import TrackingTrace
 
+# Normals drawn per block of Euler-Maruyama steps; bounds the kick buffer.
+_BLOCK_NORMALS = 1 << 14
+
 
 def sqrt_psd(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition (handles singular input)."""
@@ -73,12 +76,18 @@ def simulate_ensemble(
     out = np.empty((runs, record_steps.size, n))
     if 0 in record_at:
         out[:, record_at[0]] = x
-    for j in range(1, n_steps + 1):
-        drift = x @ model.A.T
-        kicks = rng.standard_normal((runs, model.n_w)) @ noise_map.T
-        x = x + drift * dt + kicks
-        if j in record_at:
-            out[:, record_at[j]] = x
+    # One draw per block of steps reads the generator's stream in the same
+    # order as one draw per step. The stacked matmul multiplies each step's
+    # (runs, n_w) slice as the per-step product did, so the kicks are bitwise
+    # the same; a flattened (block * runs, n_w) product is not when runs = 1.
+    block = max(1, _BLOCK_NORMALS // max(1, runs * model.n_w))
+    for first in range(1, n_steps + 1, block):
+        count = min(block, n_steps + 1 - first)
+        kicks = rng.standard_normal((count, runs, model.n_w)) @ noise_map.T
+        for i in range(count):
+            x = x + (x @ model.A.T) * dt + kicks[i]
+            if first + i in record_at:
+                out[:, record_at[first + i]] = x
     return record_steps * dt, out
 
 
@@ -98,8 +107,13 @@ def synth_measurement(
     reflects the capture step plus the method latency.
     """
     R = method.R if true_R is None else np.asarray(true_R, dtype=float)
+    return _detection(x_true, k, t_steps, method, rng, model, sqrt_psd(R))
+
+
+def _detection(x_true, k, t_steps, method, rng, model, noise_root) -> Measurement:
+    """z = C x + noise_root @ (standard normals), stamped as synth_measurement does."""
     z = model.C @ np.asarray(x_true, dtype=float) + \
-        sqrt_psd(R) @ rng.standard_normal(R.shape[0])
+        noise_root @ rng.standard_normal(noise_root.shape[0])
     return Measurement(
         k=k,
         z=z,
@@ -113,7 +127,8 @@ class GridMeasurementSource:
 
     Captures at epoch start steps, applies per-method true noise overrides,
     drops measurements whose capture time falls in an occlusion window, and
-    raises SourceExhausted past the end of the path.
+    raises SourceExhausted past the end of the path. Each method id's noise
+    root is computed on its first measurement and reused.
     """
 
     def __init__(
@@ -132,6 +147,7 @@ class GridMeasurementSource:
         self.ratio = grid_ratio(model.dt_s, dt)
         self.occlusions = [(float(a), float(b)) for a, b in occlusions]
         self.true_R = dict(true_R or {})
+        self._roots: dict = {}
 
     def _occluded(self, t: float) -> bool:
         return any(a <= t < b for a, b in self.occlusions)
@@ -143,10 +159,11 @@ class GridMeasurementSource:
         t = t_steps * self.model.dt_s
         if self._occluded(t):
             return None
-        return synth_measurement(
-            self.path[idx], k, t_steps, method, self.rng, self.model,
-            true_R=self.true_R.get(method.id),
-        )
+        root = self._roots.get(method.id)
+        if root is None:
+            R = np.asarray(self.true_R.get(method.id, method.R), dtype=float)
+            root = self._roots[method.id] = sqrt_psd(R)
+        return _detection(self.path[idx], k, t_steps, method, self.rng, self.model, root)
 
 
 @dataclass
@@ -170,6 +187,7 @@ def empirical_cost(
     """Trapezoid integral of tr(P(t)) on the dt grid over [0, tf] plus penalties."""
     ratio = grid_ratio(dyn.dt_s, dt)
     tf_steps = window_steps(tf, dyn.dt_s)
+    Ad, trWd = dyn.subgrid(dt, ratio)
     covered = 0
     total = 0.0
     for epoch in trace.epochs:
@@ -181,11 +199,11 @@ def empirical_cost(
         stop = min((epoch.t_steps + method.steps) * ratio, tf_steps * ratio)
         # The covariance jumps at corrections, so each epoch integrates its own
         # closed interval from its start belief (left limit at the far edge).
-        P = epoch.belief.Phat
-        values = np.empty(stop - start + 1)
-        for j in range(start, stop + 1):
-            Ad, Wd = dyn.pair((j - start) * dt)
-            values[j - start] = float(((Ad @ P) * Ad).sum() + np.trace(Wd))
+        # Point o of the epoch is tr(Ad(o dt) P Ad(o dt)') + tr(Wd(o dt)).
+        points = stop - start + 1
+        Ado = Ad[:points]
+        values = ((Ado @ epoch.belief.Phat) * Ado).reshape(points, -1).sum(axis=1) \
+            + trWd[:points]
         total += float(np.trapezoid(values, dx=dt))
         covered = max(covered, stop)
     if covered < tf_steps * ratio:

@@ -249,6 +249,31 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, experiment", [
+        ("simulate", None), ("mc-eval", "moving-horizon"), ("mc-eval", "adaptive-R"),
+    ])
+    def test_default_sim_grid_checked_exits_1(self, tmp_path, capsys, command, experiment):
+        # Without a sim block, sim.dt defaults to 1e-3, which does not divide 1/30.
+        payload = json.loads((CONFIGS / "double_integrator.json").read_text())
+        del payload["sim"]
+        if experiment:
+            payload["experiment"] = {"name": experiment}
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "-c", cfg_path, "-o", str(out)]) == 1
+        assert "error: sim.dt: must divide model.dt_s exactly" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-graph", "schedule-exact", "schedule-qdp"])
+    def test_no_sim_block_needed_without_simulation(self, tmp_path, command):
+        payload = json.loads((CONFIGS / "double_integrator.json").read_text())
+        del payload["sim"]
+        payload["graph"]["count"] = 50
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "-c", cfg_path, "-o", str(out), "--Tf", "0.5"]) == 0
+        assert out.exists()
+
     def test_seed_override_changes_graph(self, tmp_path):
         cfg_path = write_config(tmp_path, planar_payload())
         g1 = str(tmp_path / "g1.json")
@@ -318,6 +343,10 @@ class TestGraphFile:
         (_drop(("edges", 0, -1)), "graph.edges"),
         (_put(("policy",), ["1"] * 3), "graph.policy"),
         (_put(("policy_meta",), [1.0, 5.0]), "graph.policy_meta"),
+        (_put(("reps", 0), [1.0, 0.0, 0.0, -1.0]),
+         r"graph.reps\[0\]: eigenvalue -1.000e\+00 below the PSD tolerance"),
+        (_put(("reps", 1), [1.0, 0.0, 0.0, -1e-9]), r"graph.reps\[1\]: eigenvalue"),
+        (_put(("reps", 2), [1.0, 2.0, 2.0, 1.0]), r"graph.reps\[2\]: eigenvalue"),
     ])
     def test_malformed_graph_exits_1(self, built, tmp_path, capsys, edit, match):
         cfg_path, payload = built
@@ -349,6 +378,16 @@ class TestGraphFile:
         assert main(["simulate", "-c", cfg_path, "-o", str(tmp_path / "t.csv"),
                      "--graph", str(graph_path)]) == 1
         assert "2 methods; the scenario has n=2 and 3" in capsys.readouterr().err
+
+    def test_round_off_negative_rep_loads(self, built, tmp_path):
+        # -1e-12 lies within 1e-10 of the rep's Frobenius norm (about 1).
+        cfg_path, payload = built
+        payload = json.loads(json.dumps(payload))
+        payload["reps"][1] = [1.0, 0.0, 0.0, -1e-12]
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(payload))
+        assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
+                     "--graph", str(graph_path)]) == 0
 
     def test_untouched_graph_still_loads(self, built, tmp_path):
         cfg_path, payload = built

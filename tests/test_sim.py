@@ -19,7 +19,7 @@ from latsched import (
     synth_measurement,
 )
 from latsched import ContinuousModel, PerceptionMethod
-from latsched.sim import empirical_cost, grid_ratio
+from latsched.sim import empirical_cost, grid_ratio, sqrt_psd
 
 
 class TestSimulateSde:
@@ -124,6 +124,32 @@ class TestMeasurementSource:
         assert src(6, 6, method) is not None  # t=0.6 is past the window
         with pytest.raises(SourceExhausted):
             src(0, 100, method)
+
+
+    def test_noise_root_computed_once_per_method(self, bench, monkeypatch):
+        model, methods, _ = bench
+        _, path = simulate_sde(model, 1.0, model.dt_s, seed=1)
+        true_R = {2: 3.0 * np.asarray(methods[1].R) + 0.01}
+        rng = np.random.default_rng(4)
+        refs = [synth_measurement(path[k], k, k, methods[k % 2], rng, model,
+                                  true_R=true_R.get(k % 2 + 1)) for k in range(12)]
+        roots = []
+
+        def counting_sqrt_psd(mat):
+            roots.append(mat)
+            return sqrt_psd(mat)
+
+        monkeypatch.setattr("latsched.sim.sqrt_psd", counting_sqrt_psd)
+        src = GridMeasurementSource(model, path, model.dt_s, np.random.default_rng(4),
+                                    true_R=true_R)
+        for k, ref in enumerate(refs):
+            meas = src(k, k, methods[k % 2])
+            assert np.array_equal(meas.z, ref.z)
+            assert meas.produced_at == ref.produced_at
+        # One root per method: the nominal R of method 1, the override of method 2.
+        assert len(roots) == 2
+        assert np.array_equal(roots[0], methods[0].R)
+        assert np.array_equal(roots[1], true_R[2])
 
 
 @pytest.fixture(scope="module")

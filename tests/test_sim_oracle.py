@@ -1,0 +1,269 @@
+"""The stacked simulation kernels against per-step and per-point reference loops.
+
+`simulate_ensemble` draws its Euler-Maruyama normals in blocks and
+`empirical_cost` reads each epoch's integrand from a sub-grid table; both
+must reproduce the loops below bit for bit.
+"""
+
+from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latsched import (
+    BeliefState,
+    ContinuousModel,
+    GridMeasurementSource,
+    PerceptionMethod,
+    attach_policy,
+    build_dynamics,
+    expand_graph,
+    run_loop,
+    sample_region,
+    simulate_ensemble,
+    simulate_sde,
+)
+from latsched import sim
+from latsched.config import load_scenario
+from latsched.exact import window_steps
+from latsched.horizon import EpochRecord
+from latsched.sim import empirical_cost, grid_ratio, sqrt_psd
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def per_step_ensemble(model, horizon, dt, runs, seed, record_steps=None):
+    """Euler-Maruyama with one generator call and one kick product per step."""
+    n_steps = window_steps(horizon, dt, 1e-9)
+    rng = np.random.default_rng(seed)
+    n = model.n_x
+    if record_steps is None:
+        record_steps = np.arange(n_steps + 1)
+    else:
+        record_steps = np.asarray(sorted(set(int(s) for s in record_steps)), dtype=np.int64)
+    record_at = {int(s): i for i, s in enumerate(record_steps)}
+
+    x = model.x0 + rng.standard_normal((runs, n)) @ sqrt_psd(model.P0).T
+    noise_map = (model.B @ sqrt_psd(model.W)) * np.sqrt(dt)
+    out = np.empty((runs, record_steps.size, n))
+    if 0 in record_at:
+        out[:, record_at[0]] = x
+    for j in range(1, n_steps + 1):
+        drift = x @ model.A.T
+        kicks = rng.standard_normal((runs, model.n_w)) @ noise_map.T
+        x = x + drift * dt + kicks
+        if j in record_at:
+            out[:, record_at[j]] = x
+    return record_steps * dt, out
+
+
+def per_point_empirical_cost(trace, lam_alpha, methods, tf, dyn, dt):
+    """Window cost with one dyn.pair lookup and one trace per sim-grid point."""
+    ratio = grid_ratio(dyn.dt_s, dt)
+    tf_steps = window_steps(tf, dyn.dt_s)
+    covered = 0
+    total = 0.0
+    for epoch in trace.epochs:
+        if epoch.t_steps >= tf_steps:
+            break
+        method = methods[epoch.method_id - 1]
+        total += lam_alpha * method.penalty
+        start = epoch.t_steps * ratio
+        stop = min((epoch.t_steps + method.steps) * ratio, tf_steps * ratio)
+        P = epoch.belief.Phat
+        values = np.empty(stop - start + 1)
+        for j in range(start, stop + 1):
+            Ad, Wd = dyn.pair((j - start) * dt)
+            values[j - start] = float(((Ad @ P) * Ad).sum() + np.trace(Wd))
+        total += float(np.trapezoid(values, dx=dt))
+        covered = max(covered, stop)
+    if covered < tf_steps * ratio:
+        raise ValueError("trace does not cover the requested window")
+    return total / tf
+
+
+def assert_same_ensemble(model, horizon, dt, runs, seed, record_steps=None):
+    t, paths = simulate_ensemble(model, horizon, dt, runs, seed, record_steps=record_steps)
+    t_ref, ref = per_step_ensemble(model, horizon, dt, runs, seed, record_steps)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(paths, ref)
+
+
+class TestEnsembleMatchesPerStepLoop:
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_full_path(self, bench, runs):
+        model, _, _ = bench
+        assert_same_ensemble(model, 0.5, 1e-3, runs, seed=4)
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_dense_noise_map(self, runs):
+        # Every kick entry sums several products, so a different product
+        # routine (gemm for gemv at runs = 1) shows in the last bits.
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((3, 3))
+        model = ContinuousModel(A=0.3 * rng.standard_normal((3, 3)), B=B, W=B @ B.T,
+                                C=np.eye(3), x0=np.ones(3), P0=np.eye(3), dt_s=0.1)
+        assert_same_ensemble(model, 0.5, 1e-3, runs, seed=3)
+
+    @pytest.mark.parametrize("record_steps", [[0, 3, 250, 499, 500], [7, 1, 400]])
+    def test_record_steps_subset(self, bench, record_steps):
+        model, _, _ = bench
+        assert_same_ensemble(model, 0.5, 1e-3, 2, seed=5, record_steps=record_steps)
+
+    @pytest.mark.parametrize("runs, cap", [(1, 14), (3, 30), (2, 3)])
+    def test_across_block_boundaries(self, bench, monkeypatch, runs, cap):
+        # Blocks of 7, 5 and 1 steps; 503 steps is a multiple of none but 1.
+        monkeypatch.setattr(sim, "_BLOCK_NORMALS", cap)
+        model, _, _ = bench
+        assert_same_ensemble(model, 0.503, 1e-3, runs, seed=6)
+
+    def test_shipped_occlusion_path(self):
+        cfg = load_scenario(CONFIGS / "occlusion_run.json")
+        _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, seed=8)
+        _, ref = per_step_ensemble(cfg.model, cfg.sim.horizon, cfg.sim.dt, 1, 8)
+        assert np.array_equal(path, ref[0])
+
+
+def tracked(model, methods, dyn, dt, horizon, policy_id=None, seed=9):
+    """A run_loop trace on a small graph over a simulated truth path."""
+    graph = expand_graph(sample_region(model.n_x, 1.0, 10, seed=3), methods, dyn)
+    if policy_id is None:
+        policy = attach_policy(graph, 1.0, 5.0, methods, dyn).policy
+    else:
+        policy = np.full(graph.size, policy_id, dtype=np.int64)
+    _, path = simulate_sde(model, horizon, dt, seed=seed)
+    source = GridMeasurementSource(model, path, dt, np.random.default_rng(seed))
+    return run_loop(model, methods, graph, policy, horizon, source, dyn)
+
+
+class TestEmpiricalCostMatchesPerPointLoop:
+    @pytest.mark.parametrize("policy_id", [None, 1, 2])
+    @pytest.mark.parametrize("tf", [1.0, 0.5])
+    def test_bench_runs(self, bench, policy_id, tf):
+        # At tf = 0.5 (15 periods) the slow method's epoch at step 9 is cut at 15.
+        model, methods, dyn = bench
+        dt = model.dt_s / 20
+        trace = tracked(model, methods, dyn, dt, 1.0, policy_id)
+        cost = empirical_cost(trace, 5.0, methods, tf, dyn, dt)
+        assert cost == per_point_empirical_cost(trace, 5.0, methods, tf, dyn, dt)
+
+    def test_truncated_last_epoch_is_exercised(self, bench):
+        model, methods, dyn = bench
+        trace = tracked(model, methods, dyn, model.dt_s / 20, 1.0, policy_id=2)
+        tf_steps = window_steps(0.5, dyn.dt_s)
+        inside = [e for e in trace.epochs if e.t_steps < tf_steps]
+        assert inside[-1].t_steps + methods[1].steps > tf_steps
+
+    def test_ratio_one(self, bench):
+        model, methods, dyn = bench
+        trace = tracked(model, methods, dyn, model.dt_s, 1.0)
+        for tf in (1.0, 0.5):
+            cost = empirical_cost(trace, 5.0, methods, tf, dyn, model.dt_s)
+            assert cost == per_point_empirical_cost(trace, 5.0, methods, tf, dyn, model.dt_s)
+
+    def test_shipped_occlusion_run(self):
+        cfg = load_scenario(CONFIGS / "occlusion_run.json")
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        graph = expand_graph(sample_region(cfg.model.n_x, cfg.graph.b0, 100, 1),
+                             cfg.methods, dyn)
+        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+        _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, seed=2)
+        source = GridMeasurementSource(cfg.model, path, cfg.sim.dt, np.random.default_rng(2),
+                                       occlusions=cfg.sim.occlusions)
+        trace = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon,
+                         source, dyn)
+        for tf in (cfg.tf, 0.5, cfg.sim.horizon):
+            args = (trace, cfg.lam_alpha, cfg.methods, tf, dyn, cfg.sim.dt)
+            assert empirical_cost(*args) == per_point_empirical_cost(*args)
+
+    def test_incomplete_trace_rejected(self, bench):
+        model, methods, dyn = bench
+        trace = tracked(model, methods, dyn, model.dt_s / 20, 1.0, policy_id=1)
+        with pytest.raises(ValueError, match="does not cover"):
+            empirical_cost(trace, 5.0, methods, 2.0, dyn, model.dt_s / 20)
+
+
+class TestSubgridTable:
+    @pytest.mark.parametrize("ratio", [1, 20])
+    def test_entries_are_the_pairs(self, bench, ratio):
+        model, _, dyn = bench
+        dt = model.dt_s / ratio
+        Ad, trWd = dyn.subgrid(dt, ratio)
+        assert Ad.shape == (dyn.max_steps * ratio + 1, model.n_x, model.n_x)
+        assert trWd.shape == (dyn.max_steps * ratio + 1,)
+        for o in range(dyn.max_steps * ratio + 1):
+            A_o, W_o = dyn.pair(o * dt)
+            assert np.array_equal(Ad[o], A_o)
+            assert trWd[o] == np.trace(W_o)
+
+    def test_memoized_per_dt(self, bench):
+        model, _, dyn = bench
+        first = dyn.subgrid(model.dt_s / 4, 4)
+        assert dyn.subgrid(model.dt_s / 4, 4) is first
+        assert dyn.subgrid(model.dt_s / 5, 5)[0].shape[0] == dyn.max_steps * 5 + 1
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+
+
+def _spd(values, n):
+    G = np.asarray(values).reshape(n, n)
+    return G @ G.T
+
+
+@st.composite
+def small_models(draw):
+    """Random models with n_x <= 3, half of them with an unstable drift."""
+    n = draw(st.integers(1, 3))
+    n_w = draw(st.integers(1, 2))
+    floats = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    A = np.array(draw(st.lists(floats, min_size=n * n, max_size=n * n))).reshape(n, n)
+    # Shift the spectrum so that the largest real part lands in [-2, 2].
+    shift = draw(st.floats(-2.0, 2.0)) - np.linalg.eigvals(A).real.max()
+    model = ContinuousModel(
+        A=A + shift * np.eye(n),
+        B=np.array(draw(st.lists(floats, min_size=n * n_w, max_size=n * n_w))).reshape(n, n_w),
+        W=_spd(draw(st.lists(floats, min_size=n_w * n_w, max_size=n_w * n_w)), n_w),
+        C=np.eye(n),
+        x0=draw(st.lists(floats, min_size=n, max_size=n)),
+        P0=_spd(draw(st.lists(floats, min_size=n * n, max_size=n * n)), n),
+        dt_s=0.1,
+    )
+    steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    methods = [PerceptionMethod(id=i + 1, steps=s, R=np.eye(n), cpu=0.5, penalty=0.1 * s)
+               for i, s in enumerate(steps)]
+    return model, methods
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=small_models(),
+    ratio=st.integers(1, 6),
+    periods=st.integers(1, 8),
+    runs=st.integers(1, 3),
+    cap=st.sampled_from([1, 5, 1 << 14]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_random_models_match_reference_loops(problem, ratio, periods, runs, cap, seed, data):
+    model, methods = problem
+    dyn = build_dynamics(model, methods)
+    dt = model.dt_s / ratio
+    horizon = periods * model.dt_s
+    with patch.object(sim, "_BLOCK_NORMALS", cap):
+        assert_same_ensemble(model, horizon, dt, runs, seed)
+
+    # Epochs covering the horizon, each starting from an arbitrary covariance.
+    rng = np.random.default_rng(seed)
+    epochs, t_steps = [], 0
+    while t_steps < periods:
+        pid = data.draw(st.integers(1, len(methods)))
+        P = _spd(rng.standard_normal(model.n_x ** 2), model.n_x)
+        epochs.append(EpochRecord(len(epochs), t_steps, pid, True,
+                                  BeliefState(t_steps * model.dt_s, model.x0, P)))
+        t_steps += methods[pid - 1].steps
+    trace = SimpleNamespace(epochs=epochs)
+    tf = data.draw(st.integers(1, periods)) * model.dt_s
+    args = (trace, 0.7, methods, tf, dyn, dt)
+    assert empirical_cost(*args) == per_point_empirical_cost(*args)
