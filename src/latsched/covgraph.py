@@ -26,6 +26,9 @@ FORMAT_VERSION = 1
 # matrix, in expand_graph; together they bound its temporaries.
 _CHUNK = 2048
 _BLOCK = 1 << 18
+# Up to this many rep entries (Q * n * n), `nearest` scans every node: below
+# it the scan takes fewer numpy calls than scoring by norms, and is faster.
+_SCAN_ENTRIES = 4096
 
 
 def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
@@ -87,6 +90,8 @@ class CovarianceGraph:
         self.reps = np.ascontiguousarray(np.asarray(self.reps, dtype=float))
         self.succ = np.ascontiguousarray(np.asarray(self.succ, dtype=np.int64))
         self._flat = self.reps.reshape(self.reps.shape[0], -1)
+        self._sq = np.einsum("ij,ij->i", self._flat, self._flat)
+        self._scale = 1.0 + float(self._sq.max(initial=0.0))
 
     @property
     def size(self) -> int:
@@ -97,13 +102,22 @@ class CovarianceGraph:
         return self.succ.shape[1]
 
     def nearest(self, P: np.ndarray) -> tuple[int, float]:
-        """Nearest representative by Frobenius distance; ties go to the lowest id."""
+        """Nearest representative and its Frobenius distance; ties go to the lowest id.
+
+        A small graph is scanned node by node. A larger one is scored with the
+        squared norms |k|^2 cached when the graph was constructed, so a graph
+        whose `reps` are written into afterwards must be rebuilt (for example
+        with `dataclasses.replace`) before this call.
+        """
         if self.size == 0:
             raise ValueError("graph has no representatives")
-        diff = self._flat - np.asarray(P, dtype=float).reshape(-1)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        idx = int(np.argmin(d2))
-        return idx, float(np.sqrt(d2[idx]))
+        x = np.asarray(P, dtype=float).reshape(1, -1)
+        if self._flat.size <= _SCAN_ENTRIES:
+            d2 = _sq_dist(self._flat, x)
+            idx = int(np.argmin(d2))
+            return idx, float(np.sqrt(d2[idx]))
+        idx = int(_nearest_rows(self._flat, self._sq, self._scale, x)[0])
+        return idx, float(np.sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0]))
 
     def save(self, path) -> None:
         payload = {
@@ -243,32 +257,44 @@ def default_admit_tol(reps: np.ndarray) -> float:
     return max(float(np.median(nearest)), floor)
 
 
+def _sq_dist(known: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distance from every row of `known` to the point `x`."""
+    diff = known - x
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _nearest_rows(known: np.ndarray, sq: np.ndarray, scale: float, points: np.ndarray):
+    """Nearest row of `known` for each row of `points`; ties go to the lowest id.
+
+    `sq` holds |k|^2 for each known row and `scale` is 1 + max |k|^2. Rows are
+    scored as |k|^2 - 2 k.x with one product. Where another row scores within
+    1e-9 * (scale + |x|^2) of the best, far above the round-off of the score,
+    an exact `_sq_dist` scan decides.
+    """
+    d2 = points @ known.T
+    d2 *= -2.0
+    d2 += sq
+    best = d2.argmin(axis=1)
+    band = 1e-9 * (scale + np.vecdot(points, points))
+    near = d2 <= (d2.min(axis=1) + band)[:, None]
+    # Each row's best is in its own band; more hits mean a near tie somewhere.
+    if np.count_nonzero(near) > len(points):
+        for i in np.flatnonzero(near.sum(axis=1) > 1):
+            best[i] = np.argmin(_sq_dist(known, points[i]))
+    return best
+
+
 def _nearest_known(known: np.ndarray, points: np.ndarray):
     """Nearest known node and its squared distance for each row of `points`.
 
-    Candidates come from |k|^2 - 2 k.x over blocks of points. Where the two
-    best are within round-off of each other, an einsum scan over every known
-    node decides, so ties go to the lowest id as in `CovarianceGraph.nearest`.
+    Works over blocks of points so that the score matrix stays bounded.
     """
     sq = np.einsum("ij,ij->i", known, known)
     scale = 1.0 + sq.max()
     j = np.empty(len(points), dtype=np.int64)
     step = max(1, _BLOCK // len(known))
     for start in range(0, len(points), step):
-        block = points[start:start + step]
-        d2 = block @ known.T
-        d2 *= -2.0
-        d2 += sq
-        best = np.argmin(d2, axis=1)
-        rows = np.arange(len(block))
-        low = d2[rows, best]
-        d2[rows, best] = np.inf
-        # Round-off in |k|^2 - 2 k.x stays far below this band.
-        band = 1e-9 * (scale + np.einsum("ij,ij->i", block, block))
-        for i in np.flatnonzero(d2.min(axis=1) - low <= band):
-            diff = known - block[i]
-            best[i] = np.argmin(np.einsum("ij,ij->i", diff, diff))
-        j[start:start + step] = best
+        j[start:start + step] = _nearest_rows(known, sq, scale, points[start:start + step])
     diff = known[j] - points
     return j, np.einsum("ij,ij->i", diff, diff)
 

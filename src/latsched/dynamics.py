@@ -290,8 +290,8 @@ class DiscretizedDynamics:
     def dt_s(self) -> float:
         return self.model.dt_s
 
-    def step_pair(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Ad, Wd) for an integer number of sensor periods."""
+    def step_pair(self, steps: int | slice) -> tuple[np.ndarray, np.ndarray]:
+        """(Ad, Wd) for an integer number of sensor periods; a slice gives stacks."""
         return self._Ad[steps], self._Wd[steps]
 
     def step_gram(self, steps: int) -> tuple[np.ndarray, float]:

@@ -66,7 +66,9 @@ def adaptive_R(
     if not entries:
         return method.R
     C = model.C
-    raw = sum(np.outer(e, e) for e in entries) / len(entries)
+    E = np.array(entries)
+    # Python's sum adds the outer products in window order, as a loop would.
+    raw = sum(E[:, :, None] * E[:, None, :]) / len(entries)
     raw = raw - C @ belief_pre.Phat @ C.T
     raw = 0.5 * (raw + raw.T)
     floor = 1e-6 * np.trace(method.R) / model.n_z
@@ -109,6 +111,30 @@ def mh_step(
         belief = predict(belief, prev_method.latency(dyn.dt_s), dyn)
     next_id = int(policy[quantize(belief.Phat, graph)])
     return belief, next_id
+
+
+def _interior_points(belief: BeliefState, count: int, dyn: DiscretizedDynamics):
+    """xhat and tr P of `predict(belief, j * dt_s)` for j = 1..count-1.
+
+    One stacked product over the step tables. It equals `predict` bit for bit
+    unless BeliefState's PSD clamp would act: symmetrizing leaves the trace
+    as it is. So when any point's least eigenvalue is not above 1e-12 * tr P,
+    a margin far wider than the round-off asymmetry, the points come from
+    `_predicted_points` instead.
+    """
+    Ad, Wd = dyn.step_pair(slice(1, count))
+    xhat = Ad @ belief.xhat
+    P = Ad @ belief.Phat @ Ad.mT + Wd
+    trP = np.trace(P, axis1=1, axis2=2)
+    if np.all(np.linalg.eigvalsh(P)[:, 0] > 1e-12 * trP):
+        return xhat, trP.tolist()
+    return _predicted_points(belief, count, dyn)
+
+
+def _predicted_points(belief: BeliefState, count: int, dyn: DiscretizedDynamics):
+    """The records of `_interior_points`, from one validating `predict` per point."""
+    points = [predict(belief, j * dyn.dt_s, dyn) for j in range(1, count)]
+    return [p.xhat for p in points], [float(np.trace(p.Phat)) for p in points]
 
 
 @dataclass
@@ -197,16 +223,17 @@ def run_loop(
             break
         measured = meas is not None
         epochs.append(EpochRecord(k, t_steps, method.id, measured, belief))
-        for j in range(method.steps):
-            step = t_steps + j
-            if step > horizon_steps:
-                break
-            interior = predict(belief, j * dyn.dt_s, dyn) if j else belief
-            rec_steps.append(step)
-            rec_xhat.append(interior.xhat)
-            rec_trP.append(float(np.trace(interior.Phat)))
-            rec_method.append(method.id)
-            rec_measured.append(int(measured))
+        # Sensor steps j = 0..count-1 of the epoch that lie on the horizon.
+        count = min(method.steps, horizon_steps - t_steps + 1)
+        rec_steps.extend(range(t_steps, t_steps + count))
+        rec_xhat.append(belief.xhat)
+        rec_trP.append(float(np.trace(belief.Phat)))
+        if count > 1:
+            xhat, trP = _interior_points(belief, count, dyn)
+            rec_xhat.extend(xhat)
+            rec_trP.extend(trP)
+        rec_method.extend([method.id] * count)
+        rec_measured.extend([int(measured)] * count)
         belief, pid = mh_step(
             belief, meas, method, policy, graph, window, dyn, use_adaptive
         )
@@ -214,7 +241,7 @@ def run_loop(
         k += 1
 
     # A final epoch ending exactly on the horizon leaves the endpoint
-    # unrecorded (the inner loop stops one step short); the belief sits there.
+    # unrecorded (an epoch records its steps 0..steps-1); the belief sits there.
     if t_steps == horizon_steps and (not rec_steps or rec_steps[-1] < horizon_steps):
         rec_steps.append(horizon_steps)
         rec_xhat.append(belief.xhat)

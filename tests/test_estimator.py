@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latsched import (
     BeliefState,
@@ -230,3 +231,24 @@ class TestStackedKernel:
         riccati_step(stack[[0, 1, 2, 4, 5]], methods[0], dyn, R=R)
         with pytest.raises(SingularUpdateError, match="condition"):
             riccati_step(stack, methods[0], dyn, R=R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.integers(1, 6),
+    rank=st.integers(0, 4),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_riccati_stack_stays_psd_and_matches_members(bench, members, rank, log_scale, seed):
+    # Random PSD stacks, singular members included: every stepped member is
+    # PSD and equals the step of that member alone, bit for bit.
+    _, methods, dyn = bench
+    G = np.random.default_rng(seed).standard_normal((members, 4, rank))
+    stack = (G @ G.mT) * 10.0 ** log_scale
+    for method in methods:
+        stepped = riccati_step(stack, method, dyn)
+        assert np.array_equal(stepped, stepped.mT)
+        assert np.all(np.linalg.eigvalsh(stepped)[:, 0] > 0.0)
+        for P, P_next in zip(stack, stepped):
+            assert np.array_equal(P_next, riccati_step(P, method, dyn))
