@@ -2,12 +2,16 @@
 
 Truth paths are Euler-Maruyama discretizations of the target SDE on a grid of
 step dt that must divide the sensor period, so every capture epoch lands on a
-grid point and measurements are read off the path with no interpolation.
+grid point and measurements are read off the path with no interpolation. The
+EM recurrence is evaluated a block of steps at a time with stacked products;
+a seed gives the same normals and the same scheme as a per-step loop, so the
+paths agree with it up to round-off, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -17,8 +21,10 @@ from .estimator import Measurement
 from .exact import window_steps
 from .horizon import TrackingTrace
 
-# Normals drawn per block of Euler-Maruyama steps; bounds the kick buffer.
+# Normals drawn per super-block of Euler-Maruyama steps; bounds the temporaries.
 _BLOCK_NORMALS = 1 << 14
+# Entries of a chunk's kick table (L n_w, L n_x); sets the chunk length L.
+_CHUNK_TABLE_ENTRIES = 1 << 9
 
 
 def sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -54,41 +60,102 @@ def simulate_ensemble(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Euler-Maruyama paths for `runs` independent targets.
 
-    `record_steps` limits which grid indices are stored (all by default),
-    keeping memory flat for large ensembles. Returns (t, x) with x of shape
-    (runs, len(record_steps), n_x).
+    Step k is x[k+1] = x[k] + A x[k] dt + B W^(1/2) sqrt(dt) n[k], with the
+    normals n[k] read from the generator one step after another (all runs of
+    a step together), as a per-step loop reads them. The steps are evaluated
+    in chunks by `_advance`, so a path equals that loop's up to round-off, not
+    bit for bit. Normals are drawn in super-blocks of at most
+    `_BLOCK_NORMALS`, which keeps temporaries flat for large ensembles, and
+    `record_steps` limits which grid indices are stored (all by default).
+    Returns (t, x) with x of shape (runs, len(record_steps), n_x).
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
     n_steps = window_steps(horizon, dt, 1e-9)
     rng = np.random.default_rng(seed)
-    n = model.n_x
+    n, n_w = model.n_x, model.n_w
     if record_steps is None:
         record_steps = np.arange(n_steps + 1)
     else:
         record_steps = np.asarray(sorted(set(int(s) for s in record_steps)), dtype=np.int64)
         if record_steps.size and (record_steps[0] < 0 or record_steps[-1] > n_steps):
             raise ValueError("record_steps outside the simulated grid")
-    record_at = {int(s): i for i, s in enumerate(record_steps)}
 
     x = model.x0 + rng.standard_normal((runs, n)) @ sqrt_psd(model.P0).T
-    noise_map = (model.B @ sqrt_psd(model.W)) * np.sqrt(dt)
     out = np.empty((runs, record_steps.size, n))
-    if 0 in record_at:
-        out[:, record_at[0]] = x
-    # One draw per block of steps reads the generator's stream in the same
-    # order as one draw per step. The stacked matmul multiplies each step's
-    # (runs, n_w) slice as the per-step product did, so the kicks are bitwise
-    # the same; a flattened (block * runs, n_w) product is not when runs = 1.
-    block = max(1, _BLOCK_NORMALS // max(1, runs * model.n_w))
+    if record_steps.size and record_steps[0] == 0:
+        out[:, 0] = x
+    L, block = _chunking(runs, n, n_w)
+    levels = [_chunk_tables(np.eye(n) + model.A * dt,
+                            (model.B @ sqrt_psd(model.W)) * np.sqrt(dt), L)]
+    while L ** len(levels) < min(block, n_steps):
+        levels.append(_chunk_tables(levels[-1][2], np.eye(n), L))
     for first in range(1, n_steps + 1, block):
         count = min(block, n_steps + 1 - first)
-        kicks = rng.standard_normal((count, runs, model.n_w)) @ noise_map.T
-        for i in range(count):
-            x = x + (x @ model.A.T) * dt + kicks[i]
-            if first + i in record_at:
-                out[:, record_at[first + i]] = x
+        normals = rng.standard_normal((count, runs, n_w)).transpose(1, 0, 2)
+        states = _advance(x, normals, levels)
+        lo, hi = np.searchsorted(record_steps, [first, first + count])
+        out[:, lo:hi] = states.take(record_steps[lo:hi] - first, axis=1)
+        x = states[:, -1]
     return record_steps * dt, out
+
+
+def _chunking(runs: int, n: int, n_w: int) -> tuple[int, int]:
+    """(chunk length L, steps per super-block) of `simulate_ensemble`.
+
+    Large ensembles get short super-blocks, so L shrinks toward one step; at
+    L = 1 `_advance` is the per-step stacked recurrence.
+    """
+    block = max(1, _BLOCK_NORMALS // max(1, runs * n_w))
+    return min(block, max(2, isqrt(_CHUNK_TABLE_ENTRIES // (n * n_w)))), block
+
+
+def _chunk_tables(F: np.ndarray, M: np.ndarray, L: int):
+    """Tables that advance x[k+1] = x[k] F' + u[k] M' by a chunk of L steps.
+
+    From a chunk's start state s, step i = 1..L of the chunk is
+    s (F^i)' + sum_{j<i} u[j] (F^(i-1-j) M)'. Returns the block Toeplitz kick
+    table (L m, L n), whose block (j, i-1) is (F^(i-1-j) M)' for j < i and 0
+    otherwise, the stacked powers [F', (F^2)', ..., (F^L)'] (n, L n), and F^L.
+    Their leading L' m x L' n and n x L' n blocks are the tables of L' < L.
+    """
+    n, m = M.shape
+    powers = [np.eye(n)]
+    for _ in range(L):
+        powers.append(F @ powers[-1])
+    powers = np.array(powers)
+    blocks = np.concatenate([(powers[:L] @ M).transpose(0, 2, 1), np.zeros((1, m, n))])
+    lag = np.arange(L) - np.arange(L)[:, None]
+    kicks = blocks[np.where(lag >= 0, lag, L)].transpose(0, 2, 1, 3).reshape(L * m, L * n)
+    return kicks, powers[1:].transpose(2, 0, 1).reshape(n, L * n), powers[L]
+
+
+def _advance(start: np.ndarray, inputs: np.ndarray, levels) -> np.ndarray:
+    """States 1..S of x[k+1] = x[k] F' + u[k] M' from x[0] = `start`.
+
+    `inputs` (runs, S, m) holds u; `levels[0]` holds the `_chunk_tables` of
+    (F, M, L) and `levels[l]` those of (F^(L^l), I, L). The chunks' zero-start
+    responses come from one product with the kick table. Their start states
+    follow the same recurrence one level up, with F^L and the chunks' last
+    zero-start states as inputs, so each level takes two products and no step
+    loop.
+    """
+    kicks, powers, _ = levels[0]
+    runs, S, m = inputs.shape
+    n = start.shape[1]
+    L = min(powers.shape[1] // n, S)
+    chunks = -(-S // L)
+    if chunks * L > S:
+        inputs = np.concatenate([inputs, np.zeros((runs, chunks * L - S, m))], axis=1)
+    zero_start = (inputs.reshape(runs * chunks, L * m) @ kicks[:L * m, :L * n]) \
+        .reshape(runs, chunks, L * n)
+    starts = start[:, None]
+    if chunks > 1:
+        starts = np.concatenate(
+            [starts, _advance(start, zero_start[:, :-1, -n:], levels[1:])], axis=1)
+    states = (starts.reshape(runs * chunks, n) @ powers[:, :L * n]).reshape(runs, chunks, L * n)
+    states += zero_start
+    return states.reshape(runs, chunks * L, n)[:, :S]
 
 
 def synth_measurement(
@@ -222,7 +289,8 @@ def metrics(
 ) -> RunMetrics:
     """Cost, attention, CPU load, and MSE of a completed run.
 
-    `truth` is the dt-grid path the measurements were generated from. The
+    `truth` is the dt-grid path the measurements were generated from; a path
+    that ends before the trace's last grid point is a ValueError. The
     attention counts measurements actually processed and delivered inside the
     window; the CPU load truncates the final epoch at the window edge; the MSE
     averages squared estimate error over the sensor-grid points of the trace.
@@ -240,10 +308,11 @@ def metrics(
         busy += method.cpu * (min(end, tf_steps) - epoch.t_steps) * dyn.dt_s
     cpu_load = busy / tf
 
-    ratio = grid_ratio(dyn.dt_s, dt)
-    idx = trace.grid_steps * ratio
-    keep = idx < truth.shape[0]
-    err = trace.grid_xhat[keep] - truth[idx[keep]]
+    idx = trace.grid_steps * grid_ratio(dyn.dt_s, dt)
+    if truth.shape[0] <= idx[-1]:
+        raise ValueError(f"truth path has {truth.shape[0]} points; the trace reads "
+                         f"{idx[-1] + 1}")
+    err = trace.grid_xhat - truth[idx]
     mse = float(np.mean(np.sum(err * err, axis=1)))
 
     return RunMetrics(

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latsched import (
     ConfigError,
@@ -205,3 +209,41 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             CovarianceGraph.load(path)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1-6 nodes with PSD reps, any successors, and maybe a policy."""
+    Q, n, D = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    G = np.array(draw(st.lists(floats, min_size=Q * n * n, max_size=Q * n * n)))
+    G = G.reshape(Q, n, n)
+    succ = draw(st.lists(st.integers(0, Q - 1), min_size=Q * D, max_size=Q * D))
+    graph = CovarianceGraph(
+        reps=G @ G.mT, succ=np.array(succ).reshape(Q, D),
+        delta=draw(floats), b0=draw(floats), bound=draw(floats),
+    )
+    if draw(st.booleans()):
+        graph.policy = np.array(draw(st.lists(st.integers(1, D), min_size=Q, max_size=Q)))
+        graph.policy_meta = {"tf": draw(floats), "lam_alpha": draw(floats)}
+    return graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs())
+def test_save_load_round_trip(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        graph.save(path)
+        loaded = CovarianceGraph.load(path)
+    assert loaded.reps.shape == graph.reps.shape
+    assert loaded.reps.tobytes() == graph.reps.tobytes()
+    assert np.array_equal(loaded.succ, graph.succ)
+    for name in ("delta", "b0", "bound"):
+        assert np.float64(getattr(loaded, name)).tobytes() == \
+            np.float64(getattr(graph, name)).tobytes()
+    if graph.policy is None:
+        assert loaded.policy is None
+    else:
+        assert np.array_equal(loaded.policy, graph.policy)
+        assert loaded.policy_meta == graph.policy_meta

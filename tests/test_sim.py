@@ -200,6 +200,16 @@ class TestMetrics:
         with pytest.raises(ValueError):
             empirical_cost(trace, 5.0, methods, 2.0, dyn, dt)
 
+    @pytest.mark.parametrize("points", ["half", 1, 0])
+    def test_short_truth_path_rejected(self, run_setup, points):
+        model, methods, dyn, graph, dt, path = run_setup
+        trace = self._run_static(run_setup, 1)
+        keep = path.shape[0] // 2 if points == "half" else points
+        reads = trace.grid_steps[-1] * grid_ratio(dyn.dt_s, dt) + 1
+        assert reads == path.shape[0]
+        with pytest.raises(ValueError, match=f"has {keep} points; the trace reads {reads}"):
+            metrics(trace, path[:keep], 5.0, methods, 1.0, dyn, dt)
+
     def test_mse_zero_noise(self, bench):
         model_ref, methods, _ = bench
         model = ContinuousModel(
