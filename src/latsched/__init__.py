@@ -63,7 +63,6 @@ from .sim import (
     metrics,
     simulate_ensemble,
     simulate_sde,
-    synth_measurement,
 )
 
 __version__ = "0.1.0"

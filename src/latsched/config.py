@@ -40,6 +40,19 @@ def _number(value, path: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _count(value, path: str) -> int:
+    """A JSON integer >= 1 (a float such as 2.0 or 0.5 is not a count)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{path}: expected a positive integer")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    return value
+
+
 def _seed(value, path: str) -> int:
     if _number(value, path) < 0:
         raise ConfigError(f"{path}: must be >= 0")
@@ -140,9 +153,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     if not isinstance(payload, dict):
         raise ConfigError("top level: expected a JSON object")
 
-    mblock = _require(payload, "model", "")
-    if not isinstance(mblock, dict):
-        raise ConfigError("model: expected an object")
+    mblock = _object(_require(payload, "model", ""), "model")
     dt_s = _number(_require(mblock, "dt_s", "model"), "model.dt_s", positive=True)
     try:
         model = ContinuousModel(
@@ -163,11 +174,8 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     methods = []
     for i, entry in enumerate(raw_methods):
         path = f"methods[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object")
-        steps = _require(entry, "steps", path)
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            raise ConfigError(f"{path}.steps: expected a positive integer")
+        entry = _object(entry, path)
+        steps = _count(_require(entry, "steps", path), f"{path}.steps")
         R = _matrix(_require(entry, "R", path), f"{path}.R")
         if R.shape != (model.n_z, model.n_z):
             raise ConfigError(
@@ -188,16 +196,16 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             raise ConfigError(f"{path}: {exc}") from exc
     validate_methods(methods)
 
-    cblock = _require(payload, "cost", "")
+    cblock = _object(_require(payload, "cost", ""), "cost")
     tf = _tf(_require(cblock, "Tf", "cost"), dt_s, "cost.Tf")
     lam = _number(_require(cblock, "lambda_alpha", "cost"), "cost.lambda_alpha")
 
     graph = GraphConfig()
     if "graph" in payload:
-        g = payload["graph"]
+        g = _object(payload["graph"], "graph")
         graph = GraphConfig(
             b0=_number(g.get("B0", graph.b0), "graph.B0", positive=True),
-            count=int(_number(g.get("count", graph.count), "graph.count", positive=True)),
+            count=_count(g.get("count", graph.count), "graph.count"),
             seed=_seed(g.get("seed", graph.seed), "graph.seed"),
             admit_tol=None if g.get("admit_tol") is None
             else _number(g["admit_tol"], "graph.admit_tol", positive=True),
@@ -205,7 +213,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
 
     sim = SimConfig()
     if "sim" in payload:
-        s = payload["sim"]
+        s = _object(payload["sim"], "sim")
         occl = s.get("occlusions", [])
         if not isinstance(occl, list) or any(
             not isinstance(w, list) or len(w) != 2 for w in occl
@@ -215,7 +223,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         if not isinstance(adaptive, bool):
             raise ConfigError(f"sim.adaptive_R: expected true or false, got {adaptive!r}")
         true_R = {}
-        for key, mat in (s.get("true_R") or {}).items():
+        for key, mat in _object(s.get("true_R", {}), "sim.true_R").items():
             try:
                 mid = int(key)
             except ValueError:
@@ -233,16 +241,16 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
                         for a, b in occl],
             true_R=true_R,
             seed=_seed(s.get("seed", sim.seed), "sim.seed"),
-            runs=int(_number(s.get("runs", sim.runs), "sim.runs", positive=True)),
+            runs=_count(s.get("runs", sim.runs), "sim.runs"),
             adaptive=adaptive,
-            window=int(_number(s.get("window", sim.window), "sim.window", positive=True)),
+            window=_count(s.get("window", sim.window), "sim.window"),
         )
         check_sim_grid(sim, dt_s)
 
     gamma = 0.98
     certificate = None
     if "certificate" in payload:
-        cert = payload["certificate"]
+        cert = _object(payload["certificate"], "certificate")
         gamma = _number(cert.get("gamma", gamma), "certificate.gamma")
         if not (0.0 < gamma < 1.0):
             raise ConfigError("certificate.gamma: must lie strictly in (0, 1)")
@@ -264,24 +272,25 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
 
     experiment = ExperimentConfig()
     if "experiment" in payload:
-        e = payload["experiment"]
+        e = _object(payload["experiment"], "experiment")
         name = e.get("name", experiment.name)
-        known = {"bound-validation", "cost-histogram", "moving-horizon", "adaptive-R"}
+        known = ("bound-validation", "cost-histogram", "moving-horizon", "adaptive-R")
         if name not in known:
             raise ConfigError(f"experiment.name: expected one of {sorted(known)}")
         oracle = e.get("oracle", experiment.oracle)
         if oracle not in ("exhaustive", "random"):
             raise ConfigError("experiment.oracle: expected 'exhaustive' or 'random'")
+        sizes = e.get("graph_sizes", experiment.graph_sizes)
+        if not isinstance(sizes, list):
+            raise ConfigError("experiment.graph_sizes: expected an array")
         experiment = ExperimentConfig(
             name=name,
-            graph_sizes=[int(v) for v in e.get("graph_sizes", experiment.graph_sizes)],
+            graph_sizes=[_count(v, f"experiment.graph_sizes[{i}]") for i, v in enumerate(sizes)],
             oracle=oracle,
-            oracle_samples=int(_number(
-                e.get("oracle_samples", experiment.oracle_samples),
-                "experiment.oracle_samples", positive=True)),
-            schedule_steps=int(_number(
-                e.get("schedule_steps", experiment.schedule_steps),
-                "experiment.schedule_steps", positive=True)),
+            oracle_samples=_count(e.get("oracle_samples", experiment.oracle_samples),
+                                  "experiment.oracle_samples"),
+            schedule_steps=_count(e.get("schedule_steps", experiment.schedule_steps),
+                                  "experiment.schedule_steps"),
             true_R_factor=_number(
                 e.get("true_R_factor", experiment.true_R_factor),
                 "experiment.true_R_factor", positive=True),

@@ -16,6 +16,11 @@ int tr(P(t)) dt over one epoch into the closed form tr(P @ M(d)) + c(d):
 
     M(d) = int_0^d Ad(s)' Ad(s) ds
     c(d) = int_0^d tr(Wd(s)) ds
+
+Both the pair and the Grams are read off block matrix exponentials (Van Loan
+1978), so no quadrature enters the filter or the cost. tr(P @ M(d)) + c(d) is
+the one evaluation of the epoch cost: the schedulers and the run metrics both
+reach it through `exact.window_cost`.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from .errors import InvalidModelError
 # Symmetry / PSD tolerances used when validating covariance-like inputs.
 SYM_RTOL = 1e-12
 PSD_RTOL = 1e-10
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -224,29 +227,27 @@ def discretize(model: ContinuousModel, duration: float) -> tuple[np.ndarray, np.
 def cost_gram(model: ContinuousModel, duration: float) -> tuple[np.ndarray, float]:
     """Gram integrals (M, c) for the per-epoch estimation cost.
 
-    M = int_0^d Ad(s)'Ad(s) ds and c = int_0^d tr(Wd(s)) ds, computed with
-    8-point Gauss-Legendre quadrature on subintervals no longer than dt_s.
-    The integrands are entire in s, so this is accurate far beyond the 1e-10
-    absolute target.
+    M = int_0^d Ad(s)'Ad(s) ds and c = int_0^d tr(Wd(s)) ds, read off one block
+    exponential E = exp([[-A', I, 0], [0, -A', I], [0, 0, A]] * d) (Van Loan
+    1978, Thm. 1). With Ad = E[2n:, 2n:], M = Ad' E[n:2n, 2n:] and
+    N = Ad' E[:n, 2n:] = int_0^d int_0^s Ad(r)'Ad(r) dr ds; since
+    tr Wd(s) = tr(B W B' M(s)), c = tr(B W B' N).
     """
     if not np.isfinite(duration) or duration < 0:
         raise InvalidModelError(f"duration must be finite and >= 0, got {duration}")
     n = model.n_x
     if duration == 0.0:
         return np.zeros((n, n)), 0.0
-    pieces = max(1, int(np.ceil(duration / model.dt_s - 1e-12)))
-    edges = np.linspace(0.0, duration, pieces + 1)
-    M = np.zeros((n, n))
-    c = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            s = mid + half * node
-            Ad, Wd = discretize(model, s)
-            M += (weight * half) * (Ad.T @ Ad)
-            c += (weight * half) * np.trace(Wd)
-    return 0.5 * (M + M.T), float(c)
+    block = np.zeros((3 * n, 3 * n))
+    block[:n, :n] = block[n:2 * n, n:2 * n] = -model.A.T
+    block[:n, n:2 * n] = block[n:2 * n, 2 * n:] = np.eye(n)
+    block[2 * n:, 2 * n:] = model.A
+    big = expm(block * duration)
+    AdT = big[2 * n:, 2 * n:].T
+    M = AdT @ big[n:2 * n, 2 * n:]
+    N = AdT @ big[:n, 2 * n:]
+    c = float((model.B @ model.W @ model.B.T * N).sum())
+    return 0.5 * (M + M.T), c
 
 
 @dataclass
@@ -267,7 +268,6 @@ class DiscretizedDynamics:
     _M: np.ndarray = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)
     _pair_cache: dict = field(init=False, repr=False, default_factory=dict)
-    _subgrid_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -308,22 +308,6 @@ class DiscretizedDynamics:
         if cached is None:
             cached = discretize(self.model, duration)
             self._pair_cache[duration] = cached
-        return cached
-
-    def subgrid(self, dt: float, ratio: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacks (Ad, tr Wd) at offsets o = 0..max_steps * ratio of a step dt.
-
-        `ratio` is dt_s / dt. Entry o is read from `pair(o * dt)`, so it is
-        exactly the pair a per-offset lookup returns. Memoized per dt.
-        """
-        cached = self._subgrid_cache.get(dt)
-        if cached is None:
-            pairs = [self.pair(o * dt) for o in range(self.max_steps * ratio + 1)]
-            Ad = np.array([a for a, _ in pairs])
-            trWd = np.array([np.trace(w) for _, w in pairs])
-            for arr in (Ad, trWd):
-                arr.setflags(write=False)
-            cached = self._subgrid_cache[dt] = (Ad, trWd)
         return cached
 
 

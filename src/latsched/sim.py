@@ -6,6 +6,11 @@ grid point and measurements are read off the path with no interpolation. The
 EM recurrence is evaluated a block of steps at a time with stacked products;
 a seed gives the same normals and the same scheme as a per-step loop, so the
 paths agree with it up to round-off, not bit for bit.
+
+The path is read only at sensor epochs: by the measurement source and by the
+MSE of `metrics`. The run's window cost reads no path: it is the exact
+integral of tr(P(t)) from each epoch's start belief, evaluated by
+`exact.window_cost` as the schedulers evaluate it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod
 from .errors import SourceExhausted
 from .estimator import Measurement
-from .exact import window_steps
+from .exact import Schedule, window_cost, window_steps
 from .horizon import TrackingTrace
 
 # Normals drawn per super-block of Euler-Maruyama steps; bounds the temporaries.
@@ -158,44 +163,14 @@ def _advance(start: np.ndarray, inputs: np.ndarray, levels) -> np.ndarray:
     return states.reshape(runs, chunks * L, n)[:, :S]
 
 
-def synth_measurement(
-    x_true: np.ndarray,
-    k: int,
-    t_steps: int,
-    method: PerceptionMethod,
-    rng,
-    model: ContinuousModel,
-    true_R: np.ndarray | None = None,
-) -> Measurement:
-    """Synthetic detection z = C x + v of the state captured at epoch k.
-
-    The noise is drawn from `true_R` when given (to exercise noise-mismatch
-    scenarios) and from the method's nominal R otherwise; `produced_at`
-    reflects the capture step plus the method latency.
-    """
-    R = method.R if true_R is None else np.asarray(true_R, dtype=float)
-    return _detection(x_true, k, t_steps, method, rng, model, sqrt_psd(R))
-
-
-def _detection(x_true, k, t_steps, method, rng, model, noise_root) -> Measurement:
-    """z = C x + noise_root @ (standard normals), stamped as synth_measurement does."""
-    z = model.C @ np.asarray(x_true, dtype=float) + \
-        noise_root @ rng.standard_normal(noise_root.shape[0])
-    return Measurement(
-        k=k,
-        z=z,
-        produced_at=(t_steps + method.steps) * model.dt_s,
-        method_id=method.id,
-    )
-
-
 class GridMeasurementSource:
     """Measurement source backed by a simulated truth path on the dt grid.
 
-    Captures at epoch start steps, applies per-method true noise overrides,
-    drops measurements whose capture time falls in an occlusion window, and
-    raises SourceExhausted past the end of the path. Each method id's noise
-    root is computed on its first measurement and reused.
+    Detects z = C x + v from the path's state at each epoch's start step, with
+    v drawn from the method's R or its true noise override; drops measurements
+    whose capture time falls in an occlusion window, and raises
+    SourceExhausted past the end of the path. Each method id's noise root is
+    computed on its first measurement and reused.
     """
 
     def __init__(
@@ -230,7 +205,9 @@ class GridMeasurementSource:
         if root is None:
             R = np.asarray(self.true_R.get(method.id, method.R), dtype=float)
             root = self._roots[method.id] = sqrt_psd(R)
-        return _detection(self.path[idx], k, t_steps, method, self.rng, self.model, root)
+        z = self.model.C @ self.path[idx] + root @ self.rng.standard_normal(root.shape[0])
+        return Measurement(k=k, z=z, produced_at=(t_steps + method.steps) * self.model.dt_s,
+                           method_id=method.id)
 
 
 @dataclass
@@ -249,33 +226,18 @@ def empirical_cost(
     methods,
     tf: float,
     dyn: DiscretizedDynamics,
-    dt: float,
 ) -> float:
-    """Trapezoid integral of tr(P(t)) on the dt grid over [0, tf] plus penalties."""
-    ratio = grid_ratio(dyn.dt_s, dt)
+    """Window cost of the trace's epochs over [0, tf], each from its start belief.
+
+    The covariance jumps at corrections, so epoch i integrates tr(P(t)) from
+    trace.epochs[i].belief.Phat; `window_cost` gives that integral in closed
+    form and cuts a last epoch at the window edge. A trace that does not cover
+    the window raises IncompleteScheduleError.
+    """
     tf_steps = window_steps(tf, dyn.dt_s)
-    Ad, trWd = dyn.subgrid(dt, ratio)
-    covered = 0
-    total = 0.0
-    for epoch in trace.epochs:
-        if epoch.t_steps >= tf_steps:
-            break
-        method = methods[epoch.method_id - 1]
-        total += lam_alpha * method.penalty
-        start = epoch.t_steps * ratio
-        stop = min((epoch.t_steps + method.steps) * ratio, tf_steps * ratio)
-        # The covariance jumps at corrections, so each epoch integrates its own
-        # closed interval from its start belief (left limit at the far edge).
-        # Point o of the epoch is tr(Ad(o dt) P Ad(o dt)') + tr(Wd(o dt)).
-        points = stop - start + 1
-        Ado = Ad[:points]
-        values = ((Ado @ epoch.belief.Phat) * Ado).reshape(points, -1).sum(axis=1) \
-            + trWd[:points]
-        total += float(np.trapezoid(values, dx=dt))
-        covered = max(covered, stop)
-    if covered < tf_steps * ratio:
-        raise ValueError("trace does not cover the requested window")
-    return total / tf
+    schedule = Schedule(e.method_id for e in trace.epochs if e.t_steps < tf_steps)
+    return window_cost(0, lambda i, method: i + 1, lambda i: trace.epochs[i].belief.Phat,
+                       schedule, tf, lam_alpha, methods, dyn)
 
 
 def metrics(
@@ -290,7 +252,8 @@ def metrics(
     """Cost, attention, CPU load, and MSE of a completed run.
 
     `truth` is the dt-grid path the measurements were generated from; a path
-    that ends before the trace's last grid point is a ValueError. The
+    that ends before the trace's last grid point is a ValueError. The cost is
+    `empirical_cost`, which needs the trace to cover the window. The
     attention counts measurements actually processed and delivered inside the
     window; the CPU load truncates the final epoch at the window edge; the MSE
     averages squared estimate error over the sensor-grid points of the trace.
@@ -316,7 +279,7 @@ def metrics(
     mse = float(np.mean(np.sum(err * err, axis=1)))
 
     return RunMetrics(
-        j_empirical=empirical_cost(trace, lam_alpha, methods, tf, dyn, dt),
+        j_empirical=empirical_cost(trace, lam_alpha, methods, tf, dyn),
         attention=attention,
         cpu_load=cpu_load,
         mse=mse,

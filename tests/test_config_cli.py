@@ -235,10 +235,40 @@ class TestCli:
         assert f"error: {block}.seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tweak, message", [
+        ({"cost": 5}, "cost: expected an object"),
+        ({"graph": [1]}, "graph: expected an object"),
+        ({"graph": None}, "graph: expected an object"),
+        ({"sim": 3}, "sim: expected an object"),
+        ({"certificate": "x"}, "certificate: expected an object"),
+        ({"experiment": []}, "experiment: expected an object"),
+        ({"experiment": {"name": []}}, "experiment.name: expected one of"),
+        ({"experiment": {"graph_sizes": 5}}, "experiment.graph_sizes: expected an array"),
+        ({"experiment": {"graph_sizes": [50, "a"]}},
+         r"experiment.graph_sizes\[1\]: expected a positive integer"),
+        ({"experiment": {"graph_sizes": [0]}},
+         r"experiment.graph_sizes\[0\]: expected a positive integer"),
+        ({"experiment": {"oracle_samples": 1.5}},
+         "experiment.oracle_samples: expected a positive integer"),
+        ({"experiment": {"schedule_steps": True}},
+         "experiment.schedule_steps: expected a positive integer"),
+        ({"graph": {"count": 0.5}}, "graph.count: expected a positive integer"),
+        ({"graph": {"count": 500.0}}, "graph.count: expected a positive integer"),
+    ])
+    def test_malformed_block_in_file_exits_1(self, tmp_path, capsys, tweak, message):
+        cfg_path = write_config(tmp_path, planar_payload(**tweak))
+        out = tmp_path / "graph.json"
+        assert main(["build-graph", "-c", cfg_path, "-o", str(out)]) == 1
+        assert re.match(f"error: {message}", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "mc-eval"])
     @pytest.mark.parametrize("sim, message", [
         ({"adaptive_R": "false"}, "sim.adaptive_R: expected true or false"),
         ({"horizon": 10.05}, "sim.horizon: must be an integer multiple of model.dt_s"),
+        ({"window": 0.5}, "sim.window: expected a positive integer"),
+        ({"runs": 2.0}, "sim.runs: expected a positive integer"),
+        ({"true_R": [1]}, "sim.true_R: expected an object"),
     ])
     def test_bad_sim_block_exits_1(self, tmp_path, capsys, command, sim, message):
         payload = json.loads((CONFIGS / "noise_mismatch.json").read_text())

@@ -5,7 +5,7 @@ from scipy.stats import chi2
 
 from latsched import (
     GridMeasurementSource,
-    Measurement,
+    IncompleteScheduleError,
     SourceExhausted,
     build_dynamics,
     evaluate_schedule,
@@ -16,7 +16,6 @@ from latsched import (
     simulate_ensemble,
     simulate_sde,
     static_schedule,
-    synth_measurement,
 )
 from latsched import ContinuousModel, PerceptionMethod
 from latsched.sim import empirical_cost, grid_ratio, sqrt_psd
@@ -76,35 +75,34 @@ class TestSimulateSde:
 
 
 class TestSynthMeasurement:
+    """The detections GridMeasurementSource draws from a one-point path."""
+
+    @staticmethod
+    def _source(model, x, seed, true_R=None):
+        path = np.asarray(x, dtype=float)[None]
+        return GridMeasurementSource(model, path, model.dt_s, np.random.default_rng(seed),
+                                     true_R=true_R)
+
     def test_zero_noise_is_exact(self, bench):
         model, methods, _ = bench
-        rng = np.random.default_rng(0)
         x = np.array([1.0, 0.5, 2.0, -0.5])
-        meas = synth_measurement(x, 0, 0, methods[0], rng, model,
-                                 true_R=np.zeros((2, 2)))
+        meas = self._source(model, x, 0, true_R={1: np.zeros((2, 2))})(0, 0, methods[0])
         assert np.array_equal(meas.z, model.C @ x)
         assert meas.produced_at == pytest.approx(3 * model.dt_s)
 
     def test_sample_covariance_matches_R(self, bench):
         model, methods, _ = bench
-        rng = np.random.default_rng(1)
-        draws = np.array([
-            synth_measurement(np.zeros(4), 0, 0, methods[0], rng, model).z
-            for _ in range(10000)
-        ])
+        src = self._source(model, np.zeros(4), 1)
+        draws = np.array([src(0, 0, methods[0]).z for _ in range(10000)])
         cov = np.cov(draws.T)
         assert np.linalg.norm(cov - methods[0].R, "fro") < 0.05 * np.linalg.norm(
             methods[0].R, "fro") + 0.02
 
     def test_true_R_override(self, bench):
         model, methods, _ = bench
-        rng = np.random.default_rng(2)
         true_R = 4.0 * np.asarray(methods[0].R)
-        draws = np.array([
-            synth_measurement(np.zeros(4), 0, 0, methods[0], rng, model,
-                              true_R=true_R).z
-            for _ in range(10000)
-        ])
+        src = self._source(model, np.zeros(4), 2, true_R={1: true_R})
+        draws = np.array([src(0, 0, methods[0]).z for _ in range(10000)])
         assert np.allclose(np.cov(draws.T), true_R, rtol=0.1, atol=0.05)
 
 
@@ -131,8 +129,11 @@ class TestMeasurementSource:
         _, path = simulate_sde(model, 1.0, model.dt_s, seed=1)
         true_R = {2: 3.0 * np.asarray(methods[1].R) + 0.01}
         rng = np.random.default_rng(4)
-        refs = [synth_measurement(path[k], k, k, methods[k % 2], rng, model,
-                                  true_R=true_R.get(k % 2 + 1)) for k in range(12)]
+        refs = []
+        for k in range(12):
+            method = methods[k % 2]
+            root = sqrt_psd(true_R.get(method.id, method.R))
+            refs.append(model.C @ path[k] + root @ rng.standard_normal(model.n_z))
         roots = []
 
         def counting_sqrt_psd(mat):
@@ -144,8 +145,8 @@ class TestMeasurementSource:
                                     true_R=true_R)
         for k, ref in enumerate(refs):
             meas = src(k, k, methods[k % 2])
-            assert np.array_equal(meas.z, ref.z)
-            assert meas.produced_at == ref.produced_at
+            assert np.array_equal(meas.z, ref)
+            assert meas.produced_at == (k + methods[k % 2].steps) * model.dt_s
         # One root per method: the nominal R of method 1, the override of method 2.
         assert len(roots) == 2
         assert np.array_equal(roots[0], methods[0].R)
@@ -189,16 +190,16 @@ class TestMetrics:
         model, methods, dyn, graph, dt, path = run_setup
         for mid in (1, 2):
             trace = self._run_static(run_setup, mid)
-            j_emp = empirical_cost(trace, 5.0, methods, 1.0, dyn, dt)
+            j_emp = empirical_cost(trace, 5.0, methods, 1.0, dyn)
             sched = static_schedule(mid, 1.0, methods, dyn)
             j_ref = evaluate_schedule(model.P0, sched, 1.0, 5.0, methods, dyn)
-            assert abs(j_emp - j_ref) < 1e-4 * max(1.0, abs(j_ref))
+            assert abs(j_emp - j_ref) <= 1e-12 * abs(j_ref)
 
     def test_incomplete_trace_rejected(self, run_setup):
         model, methods, dyn, graph, dt, path = run_setup
         trace = self._run_static(run_setup, 1)
-        with pytest.raises(ValueError):
-            empirical_cost(trace, 5.0, methods, 2.0, dyn, dt)
+        with pytest.raises(IncompleteScheduleError, match="does not minimally cover"):
+            empirical_cost(trace, 5.0, methods, 2.0, dyn)
 
     @pytest.mark.parametrize("points", ["half", 1, 0])
     def test_short_truth_path_rejected(self, run_setup, points):
