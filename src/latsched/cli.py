@@ -25,14 +25,13 @@ import numpy as np
 
 from .bounds import bound_bs, gbar, lmi_feasible, synthesize_certificate
 from .config import ScenarioConfig, _number, _seed, _tf, check_sim_grid, load_scenario
-from .covgraph import CovarianceGraph, expand_graph, quantize, sample_region
+from .covgraph import CovarianceGraph, quantize
 from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
 from .exact import dyn_prog_exact, evaluate_schedule, schedule_cpu_load
-from .experiments import monte_carlo, rows_to_csv
-from .horizon import run_loop
+from .experiments import _build_graph, monte_carlo, rows_to_csv, track
 from .qdp import attach_policy, qdp
-from .sim import GridMeasurementSource, metrics, simulate_sde
+from .sim import simulate_sde
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
@@ -65,9 +64,7 @@ def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None) -> CovarianceGraph:
         if stale:
             attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
         return graph
-    reps = sample_region(cfg.model.n_x, cfg.graph.b0, cfg.graph.count, cfg.graph.seed)
-    graph = expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
-                         b0=cfg.graph.b0)
+    graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
     attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
     return graph
 
@@ -161,16 +158,8 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
     graph = _built_graph(cfg, dyn, args.graph)
     truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
     _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-    source = GridMeasurementSource(
-        cfg.model, path, cfg.sim.dt, np.random.default_rng(meas_seed),
-        occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R,
-    )
-    trace = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon,
-                     source, dyn, use_adaptive=cfg.sim.adaptive,
-                     window_length=cfg.sim.window)
+    trace, m = track(cfg, dyn, graph, path, meas_seed)
     trace.write_csv(args.output)
-    m = metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon, dyn,
-                cfg.sim.dt)
     print(f"simulate: J={m.j_empirical:.6g} cpu={m.cpu_load:.3f} "
           f"attention={m.attention} mse={m.mse:.6g} -> {args.output}")
     return 0

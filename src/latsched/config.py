@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import LyapunovCertificate
-from .dynamics import ContinuousModel, PerceptionMethod, validate_methods
+from .dynamics import ContinuousModel, PerceptionMethod, check_symmetric_psd, validate_methods
 from .errors import ConfigError, InvalidModelError
 from .exact import window_steps
 
@@ -54,9 +54,12 @@ def _object(value, path: str) -> dict:
 
 
 def _seed(value, path: str) -> int:
-    if _number(value, path) < 0:
+    """A JSON integer >= 0 (a float such as 1.5 is not a seed)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got {type(value).__name__}")
+    if value < 0:
         raise ConfigError(f"{path}: must be >= 0")
-    return int(value)
+    return value
 
 
 def _tf(value, dt_s: float, path: str) -> float:
@@ -233,12 +236,19 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             R = _matrix(mat, f"sim.true_R.{key}")
             if R.shape != (model.n_z, model.n_z):
                 raise ConfigError(f"sim.true_R.{key}: shape mismatch")
-            true_R[mid] = R
+            try:
+                true_R[mid] = check_symmetric_psd(R, "R")
+            except InvalidModelError as exc:
+                raise ConfigError(f"sim.true_R.{key}: {exc}") from None
+        occlusions = [(_number(a, "sim.occlusions"), _number(b, "sim.occlusions"))
+                      for a, b in occl]
+        for i, (start, stop) in enumerate(occlusions):
+            if not start < stop:
+                raise ConfigError(f"sim.occlusions[{i}]: start must be < stop")
         sim = SimConfig(
             dt=_number(s.get("dt", sim.dt), "sim.dt", positive=True),
             horizon=_number(s.get("horizon", sim.horizon), "sim.horizon", positive=True),
-            occlusions=[(_number(a, "sim.occlusions"), _number(b, "sim.occlusions"))
-                        for a, b in occl],
+            occlusions=occlusions,
             true_R=true_R,
             seed=_seed(s.get("seed", sim.seed), "sim.seed"),
             runs=_count(s.get("runs", sim.runs), "sim.runs"),

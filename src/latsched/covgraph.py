@@ -22,8 +22,8 @@ from .errors import ConfigError, GraphExpansionError
 from .estimator import riccati_step
 
 FORMAT_VERSION = 1
-# Nodes stepped per kernel call, and entries per block of the distance
-# matrix, in expand_graph; together they bound its temporaries.
+# Nodes stepped per kernel call in expand_graph, and entries per block of the
+# score matrix in _nearest_known; together they bound the temporaries.
 _CHUNK = 2048
 _BLOCK = 1 << 18
 # Up to this many rep entries (Q * n * n), `nearest` scans every node: below
@@ -238,23 +238,16 @@ def default_admit_tol(reps: np.ndarray) -> float:
     everything), so its tolerance is infinite. With two or more, the result is
     floored at a small multiple of the representative scale so duplicated or
     fixed-point representatives map to themselves instead of spawning endless
-    chains of nearly identical nodes.
+    chains of nearly identical nodes. Distances are exact, from the scorer
+    `expand_graph` matches successors with.
     """
-    reps = np.asarray(reps, dtype=float)
-    count = reps.shape[0]
-    flat = reps.reshape(count, -1)
+    flat = np.asarray(reps, dtype=float).reshape(len(reps), -1)
+    count = len(flat)
     if count < 2:
         return np.inf
     floor = 1e-9 * (1.0 + float(np.linalg.norm(flat, axis=1).max(initial=0.0)))
-    sq = np.einsum("ij,ij->i", flat, flat)
-    nearest = np.empty(count)
-    chunk = max(1, min(count, 4_000_000 // max(count, 1)))
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (flat[start:stop] @ flat.T)
-        d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        nearest[start:stop] = np.sqrt(np.clip(d2.min(axis=1), 0.0, None))
-    return max(float(np.median(nearest)), floor)
+    _, d2 = _nearest_known(flat, flat, exclude=np.arange(count))
+    return max(float(np.median(np.sqrt(d2))), floor)
 
 
 def _sq_dist(known: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -263,38 +256,46 @@ def _sq_dist(known: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _nearest_rows(known: np.ndarray, sq: np.ndarray, scale: float, points: np.ndarray):
+def _nearest_rows(known: np.ndarray, sq: np.ndarray, scale: float, points: np.ndarray,
+                  exclude=None):
     """Nearest row of `known` for each row of `points`; ties go to the lowest id.
 
     `sq` holds |k|^2 for each known row and `scale` is 1 + max |k|^2. Rows are
-    scored as |k|^2 - 2 k.x with one product. Where another row scores within
+    scored as |k|^2 - 2 k.x with one product. Where other rows score within
     1e-9 * (scale + |x|^2) of the best, far above the round-off of the score,
-    an exact `_sq_dist` scan decides.
+    an exact `_sq_dist` scan of those rows decides. Given `exclude`, point i
+    never matches row exclude[i].
     """
     d2 = points @ known.T
     d2 *= -2.0
     d2 += sq
+    if exclude is not None:
+        d2[np.arange(len(points)), exclude] = np.inf
     best = d2.argmin(axis=1)
     band = 1e-9 * (scale + np.vecdot(points, points))
     near = d2 <= (d2.min(axis=1) + band)[:, None]
     # Each row's best is in its own band; more hits mean a near tie somewhere.
     if np.count_nonzero(near) > len(points):
         for i in np.flatnonzero(near.sum(axis=1) > 1):
-            best[i] = np.argmin(_sq_dist(known, points[i]))
+            rows = np.flatnonzero(near[i])
+            best[i] = rows[np.argmin(_sq_dist(known[rows], points[i]))]
     return best
 
 
-def _nearest_known(known: np.ndarray, points: np.ndarray):
+def _nearest_known(known: np.ndarray, points: np.ndarray, exclude=None):
     """Nearest known node and its squared distance for each row of `points`.
 
-    Works over blocks of points so that the score matrix stays bounded.
+    Works over blocks of points so that the score matrix stays bounded; given
+    `exclude`, point i never matches node exclude[i].
     """
     sq = np.einsum("ij,ij->i", known, known)
     scale = 1.0 + sq.max()
     j = np.empty(len(points), dtype=np.int64)
     step = max(1, _BLOCK // len(known))
     for start in range(0, len(points), step):
-        j[start:start + step] = _nearest_rows(known, sq, scale, points[start:start + step])
+        block = slice(start, start + step)
+        j[block] = _nearest_rows(known, sq, scale, points[block],
+                                 None if exclude is None else exclude[block])
     diff = known[j] - points
     return j, np.einsum("ij,ij->i", diff, diff)
 
@@ -316,11 +317,11 @@ def expand_graph(
     the initial count, which a valid boundedness certificate rules out.
 
     Successors are computed in batches: all known, unexpanded nodes are
-    stepped with one `riccati_step` call per method and chunk, and matched
-    against the nodes known when the batch starts. Admission follows the
-    (node, method) order: each node admitted in a batch becomes a candidate
-    for every later successor of the batch, so the graph equals the one a
-    node-by-node expansion builds.
+    stepped with one `riccati_step` call per method and chunk, and each
+    chunk's successors are matched against every node known when the chunk
+    starts. Admission follows the (node, method) order: each node admitted in
+    a chunk becomes a candidate for every later successor, so the graph equals
+    the one a node-by-node expansion builds.
     """
     reps = np.asarray(reps, dtype=float)
     if reps.ndim != 3 or reps.shape[0] == 0:
@@ -348,12 +349,7 @@ def expand_graph(
             # Rows in (node, method) order, the order of admission.
             nxt = np.stack([riccati_step(P, m, dyn) for m in methods], axis=1)
             nxt = nxt.reshape(-1, n * n)
-            j, d2 = _nearest_known(store[:known], nxt)
-            if count > known:
-                # Nodes admitted by earlier chunks of this batch; ties keep the lower id.
-                j_new, d2_new = _nearest_known(store[known:count], nxt)
-                closer = d2_new < d2
-                j[closer], d2[closer] = known + j_new[closer], d2_new[closer]
+            j, d2 = _nearest_known(store[:count], nxt)
             dist = np.sqrt(d2)
             pos = 0
             while True:

@@ -253,12 +253,11 @@ def cost_gram(model: ContinuousModel, duration: float) -> tuple[np.ndarray, floa
 @dataclass
 class DiscretizedDynamics:
     """Read-only tables of (Ad, Wd, M, c) on the dt_s grid, with a cache for
-    interior evaluation times.
+    other durations.
 
-    Tables are precomputed for j = 0..max_steps sensor periods; arbitrary
-    non-grid durations (needed when sampling the belief between epochs) are
-    computed on demand and memoized. Instances are safe to share across
-    workers once built.
+    Tables are precomputed for j = 0..max_steps sensor periods; `pair` serves
+    `predict` for any duration, computing a non-grid one on demand and
+    memoizing it. Instances are safe to share across workers once built.
     """
 
     model: ContinuousModel

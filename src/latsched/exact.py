@@ -102,8 +102,10 @@ def window_cost(state, step, cov, schedule: Schedule, tf: float, lam_alpha: floa
     """
     tf_steps = window_steps(tf, dyn.dt_s)
     if not schedule.minimally_covers(tf_steps, methods):
+        covered = sum(methods[pid - 1].steps for pid in schedule)
         raise IncompleteScheduleError(
-            f"schedule {tuple(schedule)} does not minimally cover {tf_steps} steps"
+            f"schedule of {len(schedule)} epochs ({covered} steps) does not minimally "
+            f"cover {tf_steps} steps"
         )
     elapsed = 0
     total = 0.0

@@ -45,9 +45,8 @@ from .sim import GridMeasurementSource, metrics, simulate_sde
 
 def _build_graph(cfg: ScenarioConfig, dyn, count: int, seed):
     reps = sample_region(cfg.model.n_x, cfg.graph.b0, count, seed)
-    graph = expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
-                         b0=cfg.graph.b0)
-    return graph
+    return expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
+                        b0=cfg.graph.b0)
 
 
 def _prepare_bound_validation(cfg: ScenarioConfig) -> dict:
@@ -131,7 +130,26 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
     return row
 
 
-def _prepare_moving_horizon(cfg: ScenarioConfig) -> dict:
+def track(cfg: ScenarioConfig, dyn, graph, path, meas_seed, policy=None, adaptive=None,
+          true_R=None):
+    """One tracking run over cfg.sim.horizon against the truth `path`.
+
+    Measurements are detected from `path` with noise drawn from `meas_seed`.
+    `policy`, `adaptive` and `true_R` default to the graph's policy,
+    cfg.sim.adaptive and cfg.sim.true_R. Returns the trace and its metrics.
+    """
+    source = GridMeasurementSource(
+        cfg.model, path, cfg.sim.dt, np.random.default_rng(meas_seed),
+        occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R if true_R is None else true_R,
+    )
+    trace = run_loop(cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn,
+                     use_adaptive=cfg.sim.adaptive if adaptive is None else adaptive,
+                     window_length=cfg.sim.window)
+    return trace, metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon, dyn,
+                          cfg.sim.dt)
+
+
+def _prepare_tracking(cfg: ScenarioConfig) -> dict:
     check_sim_grid(cfg.sim, cfg.model.dt_s)
     dyn = build_dynamics(cfg.model, cfg.methods)
     graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
@@ -143,67 +161,39 @@ def _run_moving_horizon(ctx: dict, run: int, seed) -> dict:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
     truth_seed, meas_seed = seed.spawn(2)
     _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-
-    def fresh_source():
-        return GridMeasurementSource(
-            cfg.model, path, cfg.sim.dt, np.random.default_rng(meas_seed),
-            occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R,
-        )
-
-    row = {"run": run}
-    trace = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon,
-                     fresh_source(), dyn, use_adaptive=cfg.sim.adaptive,
-                     window_length=cfg.sim.window)
-    mh = metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon, dyn, cfg.sim.dt)
-    row.update({"j_mh": mh.j_empirical, "cpu_mh": mh.cpu_load,
-                "attention_mh": mh.attention, "mse_mh": mh.mse})
+    _, mh = track(cfg, dyn, graph, path, meas_seed)
+    row = {"run": run, "j_mh": mh.j_empirical, "cpu_mh": mh.cpu_load,
+           "attention_mh": mh.attention, "mse_mh": mh.mse}
     for m in cfg.methods:
         policy = np.full(graph.size, m.id, dtype=np.int64)
-        strace = run_loop(cfg.model, cfg.methods, graph, policy, cfg.sim.horizon,
-                          fresh_source(), dyn, use_adaptive=False)
-        sm = metrics(strace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon,
-                     dyn, cfg.sim.dt)
+        _, sm = track(cfg, dyn, graph, path, meas_seed, policy=policy, adaptive=False)
         row.update({f"j_static_{m.id}": sm.j_empirical, f"cpu_static_{m.id}": sm.cpu_load,
                     f"attention_static_{m.id}": sm.attention, f"mse_static_{m.id}": sm.mse})
     return row
 
 
 def _prepare_adaptive_R(cfg: ScenarioConfig) -> dict:
-    check_sim_grid(cfg.sim, cfg.model.dt_s)
-    dyn = build_dynamics(cfg.model, cfg.methods)
-    graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
-    attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-    true_R = dict(cfg.sim.true_R)
-    if not true_R:
-        true_R = {m.id: cfg.experiment.true_R_factor * m.R for m in cfg.methods}
-    return {"cfg": cfg, "dyn": dyn, "graph": graph, "true_R": true_R}
+    ctx = _prepare_tracking(cfg)
+    ctx["true_R"] = dict(cfg.sim.true_R) or {
+        m.id: cfg.experiment.true_R_factor * m.R for m in cfg.methods}
+    return ctx
 
 
 def _run_adaptive_R(ctx: dict, run: int, seed) -> dict:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
     truth_seed, meas_seed = seed.spawn(2)
     _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-    results = {}
-    for mode, adaptive in (("adaptive", True), ("nominal", False)):
-        source = GridMeasurementSource(
-            cfg.model, path, cfg.sim.dt, np.random.default_rng(meas_seed),
-            occlusions=cfg.sim.occlusions, true_R=ctx["true_R"],
-        )
-        trace = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon,
-                         source, dyn, use_adaptive=adaptive,
-                         window_length=cfg.sim.window)
-        m = metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon,
-                    dyn, cfg.sim.dt)
-        results[mode] = m.mse
-    return {"run": run, "mse_adaptive": results["adaptive"],
-            "mse_nominal": results["nominal"],
-            "improved": int(results["adaptive"] < results["nominal"])}
+    mse_adaptive, mse_nominal = (
+        track(cfg, dyn, graph, path, meas_seed, adaptive=adaptive, true_R=ctx["true_R"])[1].mse
+        for adaptive in (True, False))
+    return {"run": run, "mse_adaptive": mse_adaptive, "mse_nominal": mse_nominal,
+            "improved": int(mse_adaptive < mse_nominal)}
 
 
 _EXPERIMENTS = {
     "bound-validation": (_prepare_bound_validation, _run_bound_validation),
     "cost-histogram": (_prepare_cost_histogram, _run_cost_histogram),
-    "moving-horizon": (_prepare_moving_horizon, _run_moving_horizon),
+    "moving-horizon": (_prepare_tracking, _run_moving_horizon),
     "adaptive-R": (_prepare_adaptive_R, _run_adaptive_R),
 }
 

@@ -82,12 +82,19 @@ class TestConfigParsing:
         assert cfg.certificate.gamma == 0.9
 
     def test_true_R_validation(self):
-        for key in ("9", "0", "3"):
+        for key, R, message in [
+            ("9", [[1, 0], [0, 1]], "no such method id"),
+            ("0", [[1, 0], [0, 1]], "no such method id"),
+            ("3", [[1, 0], [0, 1]], "no such method id"),
+            ("1", [[-1, 0], [0, 1]], r"R has eigenvalue -1.000e\+00 below the PSD tolerance"),
+            ("2", [[float("nan"), 0], [0, 1]], "R contains non-finite entries"),
+            ("2", [[1, 0.5], [0, 1]], "R is not symmetric"),
+        ]:
             payload = planar_payload(
                 sim={"dt": 0.01, "horizon": 2.0, "seed": 7, "runs": 1,
-                     "true_R": {key: [[1, 0], [0, 1]]}},
+                     "true_R": {key: R}},
             )
-            with pytest.raises(ConfigError, match=f"true_R.{key}: no such method id"):
+            with pytest.raises(ConfigError, match=f"true_R.{key}: {message}"):
                 parse_scenario(payload)
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
@@ -131,8 +138,8 @@ class TestCli:
         assert main(["schedule-qdp", "-c", cfg_path, "-o", out_a,
                      "--graph", graph_path]) == 0
         assert main(["schedule-qdp", "-c", cfg_path, "-o", out_b]) == 0
-        a = json.loads(open(out_a).read())
-        b = json.loads(open(out_b).read())
+        a = json.loads(Path(out_a).read_text())
+        b = json.loads(Path(out_b).read_text())
         assert a["methods"] == b["methods"]
         assert a["cost"] == pytest.approx(b["cost"], rel=1e-12)
 
@@ -140,7 +147,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, planar_payload())
         out = str(tmp_path / "exact.json")
         assert main(["schedule-exact", "-c", cfg_path, "-o", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["methods"]
         assert payload["cost"] > 0
         assert np.isclose(payload["penalty_term"] + payload["covariance_term"],
@@ -152,7 +159,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, base)
         out = str(tmp_path / "qdp.json")
         assert main(["schedule-qdp", "-c", cfg_path, "-o", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["methods"] == [1] * 10
 
     def test_bound_check_scalar_toy(self, tmp_path):
@@ -168,7 +175,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, payload)
         out = str(tmp_path / "bound.json")
         assert main(["bound-check", "-c", cfg_path, "-o", out]) == 0
-        result = json.loads(open(out).read())
+        result = json.loads(Path(out).read_text())
         assert result["feasible"] is True
         assert np.isclose(result["margin"], 0.05)
 
@@ -182,7 +189,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, payload)
         out = str(tmp_path / "trace.csv")
         assert main(["simulate", "-c", cfg_path, "-o", out]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0].startswith("t,xhat_0")
         assert len(lines) == 12  # 11 sensor-grid points + header
 
@@ -192,7 +199,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, payload)
         out = str(tmp_path / "mc.csv")
         assert main(["mc-eval", "-c", cfg_path, "-o", out, "--runs", "2"]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "run"
         assert len(lines) == 3
 
@@ -227,12 +234,17 @@ class TestCli:
         assert f"error: {override[0]}: must be" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("block", ["graph", "sim"])
-    def test_negative_seed_in_file_exits_1(self, tmp_path, capsys, block):
-        cfg_path = write_config(tmp_path, planar_payload(**{block: {"seed": -1}}))
+    @pytest.mark.parametrize("block, seed, message", [
+        pytest.param("graph", -1, "must be >= 0", id="graph"),
+        pytest.param("sim", -1, "must be >= 0", id="sim"),
+        pytest.param("graph", 1.5, "expected an integer, got float", id="graph-1.5"),
+        pytest.param("sim", 2.7, "expected an integer, got float", id="sim-2.7"),
+    ])
+    def test_negative_seed_in_file_exits_1(self, tmp_path, capsys, block, seed, message):
+        cfg_path = write_config(tmp_path, planar_payload(**{block: {"seed": seed}}))
         out = tmp_path / "graph.json"
         assert main(["build-graph", "-c", cfg_path, "-o", str(out)]) == 1
-        assert f"error: {block}.seed: must be >= 0" in capsys.readouterr().err
+        assert f"error: {block}.seed: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tweak, message", [
@@ -269,6 +281,11 @@ class TestCli:
         ({"window": 0.5}, "sim.window: expected a positive integer"),
         ({"runs": 2.0}, "sim.runs: expected a positive integer"),
         ({"true_R": [1]}, "sim.true_R: expected an object"),
+        ({"occlusions": [[6.0, 4.0]]}, "sim.occlusions[0]: start must be < stop"),
+        ({"occlusions": [[1.0, 2.0], [3.0, 3.0]]}, "sim.occlusions[1]: start must be < stop"),
+        ({"true_R": {"1": [[-1, 0], [0, 1]]}}, "sim.true_R.1: R has eigenvalue"),
+        ({"true_R": {"1": [[float("nan"), 0], [0, 1]]}},
+         "sim.true_R.1: R contains non-finite entries"),
     ])
     def test_bad_sim_block_exits_1(self, tmp_path, capsys, command, sim, message):
         payload = json.loads((CONFIGS / "noise_mismatch.json").read_text())

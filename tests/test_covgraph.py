@@ -170,14 +170,26 @@ class TestAdmitTol:
         assert default_admit_tol(np.eye(3)[None, :, :]) == np.inf
 
     def test_matches_pairwise_scan(self):
-        rng = np.random.default_rng(8)
-        reps = sample_region(3, 1.0, 30, rng)
-        flat = reps.reshape(30, -1)
-        nn = [
-            min(np.linalg.norm(flat[i] - flat[j]) for j in range(30) if j != i)
-            for i in range(30)
+        base = sample_region(3, 1.0, 30, np.random.default_rng(8))
+        cases = [
+            base,
+            # Nodes 1 and 2 tie between two neighbors at distance 1, so the
+            # exact rescan decides, and it must skip the node itself.
+            np.arange(4.0).reshape(4, 1, 1),
+            # Every rep has a copy at distance 0: the floor applies.
+            np.concatenate([base, base]),
+            base[:2],
         ]
-        assert np.isclose(default_admit_tol(reps), np.median(nn), rtol=1e-12)
+        for reps in cases:
+            Q = len(reps)
+            flat = reps.reshape(Q, -1)
+            nn = [min(np.linalg.norm(flat[i] - flat[j]) for j in range(Q) if j != i)
+                  for i in range(Q)]
+            floor = 1e-9 * (1.0 + np.linalg.norm(flat, axis=1).max())
+            assert np.isclose(default_admit_tol(reps), max(np.median(nn), floor), rtol=1e-12)
+        assert default_admit_tol(cases[1]) == 1.0
+        base_norm = np.linalg.norm(base.reshape(30, -1), axis=1).max()
+        assert default_admit_tol(cases[2]) == 1e-9 * (1.0 + base_norm)
 
 
 class TestSerialization:

@@ -81,6 +81,12 @@ class TestEvaluateSchedule:
         with pytest.raises(IncompleteScheduleError):
             evaluate_schedule(np.eye(2), sched, 1.0, 5.0, methods, dyn)
 
+    def test_overlong_message_stays_short(self, small_setup):
+        _, methods, dyn = small_setup
+        with pytest.raises(IncompleteScheduleError, match="does not minimally cover") as info:
+            evaluate_schedule(np.eye(2), Schedule((1,) * 2000), 1.0, 5.0, methods, dyn)
+        assert len(str(info.value)) < 200
+
     def test_zero_everything_costs_zero(self):
         model = ContinuousModel(
             A=np.zeros((2, 2)), B=np.eye(2), W=np.zeros((2, 2)), C=np.eye(2),

@@ -1,4 +1,17 @@
-from latsched import monte_carlo, rows_to_csv
+import numpy as np
+
+from latsched import (
+    GridMeasurementSource,
+    attach_policy,
+    build_dynamics,
+    expand_graph,
+    metrics,
+    monte_carlo,
+    rows_to_csv,
+    run_loop,
+    sample_region,
+    simulate_sde,
+)
 from latsched.config import parse_scenario
 
 
@@ -85,6 +98,59 @@ class TestAdaptiveR:
             assert "error" not in row, row
             assert row["improved"] in (0, 1)
             assert row["mse_adaptive"] > 0 and row["mse_nominal"] > 0
+
+
+class TestTrackingRowsMatchExplicitRuns:
+    """Rows of the tracking experiments against runs wired call by call."""
+
+    @staticmethod
+    def explicit_runs(cfg, seed):
+        """A run(policy, adaptive, true_R) -> RunMetrics closure for run 0 of `seed`."""
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        reps = sample_region(cfg.model.n_x, cfg.graph.b0, cfg.graph.count, cfg.graph.seed)
+        graph = expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
+                             b0=cfg.graph.b0)
+        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+        child = np.random.SeedSequence(np.random.SeedSequence(seed).entropy, spawn_key=(0,))
+        truth_seed, meas_seed = child.spawn(2)
+        _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
+
+        def run(policy, adaptive, true_R):
+            source = GridMeasurementSource(cfg.model, path, cfg.sim.dt,
+                                           np.random.default_rng(meas_seed),
+                                           occlusions=cfg.sim.occlusions, true_R=true_R)
+            trace = run_loop(cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source,
+                             dyn, use_adaptive=adaptive, window_length=cfg.sim.window)
+            return metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon, dyn,
+                           cfg.sim.dt)
+
+        return graph, run
+
+    def test_moving_horizon(self):
+        cfg = parse_scenario(planar_payload(sim={
+            "adaptive_R": True, "window": 4, "occlusions": [[0.5, 0.9]],
+            "true_R": {"2": [[0.2, 0.0], [0.0, 0.2]]}}))
+        graph, run = self.explicit_runs(cfg, 21)
+        mh = run(graph.policy, True, cfg.sim.true_R)
+        want = {"run": 0, "j_mh": mh.j_empirical, "cpu_mh": mh.cpu_load,
+                "attention_mh": mh.attention, "mse_mh": mh.mse}
+        for m in cfg.methods:
+            sm = run(np.full(graph.size, m.id), False, cfg.sim.true_R)
+            want.update({f"j_static_{m.id}": sm.j_empirical, f"cpu_static_{m.id}": sm.cpu_load,
+                         f"attention_static_{m.id}": sm.attention,
+                         f"mse_static_{m.id}": sm.mse})
+        assert monte_carlo(cfg, runs=1, seed=21) == [want]
+
+    def test_adaptive_R(self):
+        cfg = parse_scenario(planar_payload(experiment={"name": "adaptive-R",
+                                                        "true_R_factor": 4.0}))
+        graph, run = self.explicit_runs(cfg, 22)
+        true_R = {m.id: 4.0 * m.R for m in cfg.methods}
+        adaptive = run(graph.policy, True, true_R).mse
+        nominal = run(graph.policy, False, true_R).mse
+        assert monte_carlo(cfg, runs=1, seed=22) == [{
+            "run": 0, "mse_adaptive": adaptive, "mse_nominal": nominal,
+            "improved": int(adaptive < nominal)}]
 
 
 class TestReproducibility:

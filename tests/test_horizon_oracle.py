@@ -325,13 +325,29 @@ def graphs_and_points(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=graphs_and_points(), threshold=st.sampled_from([0, covgraph._SCAN_ENTRIES]))
-def test_nearest_matches_scan(case, threshold):
+@given(case=graphs_and_points(), threshold=st.sampled_from([0, covgraph._SCAN_ENTRIES]),
+       skip=st.integers(0, 19))
+def test_nearest_matches_scan(case, threshold, skip):
     reps, P = case
     graph = CovarianceGraph(reps=reps, succ=np.zeros((len(reps), 1)), delta=0.0, b0=1.0,
                             bound=1.0)
     with patch.object(covgraph, "_SCAN_ENTRIES", threshold):
         assert graph.nearest(P) == scan_nearest(graph, P)
+    if len(reps) < 2:
+        return
+    # Every rep skips itself, as in default_admit_tol, and P skips one rep.
+    flat = reps.reshape(len(reps), -1)
+    points = np.vstack([flat, P.reshape(1, -1)])
+    exclude = np.append(np.arange(len(reps)), skip % len(reps))
+    for block in (1, covgraph._BLOCK):
+        with patch.object(covgraph, "_BLOCK", block):
+            j, d2 = covgraph._nearest_known(flat, points, exclude=exclude)
+        for i, x in enumerate(points):
+            exact = np.einsum("ij,ij->i", flat - x, flat - x)
+            exact[exclude[i]] = np.inf
+            # The lowest id among exact ties, never the excluded row.
+            assert j[i] == np.flatnonzero(exact == exact.min())[0]
+            assert d2[i] == exact[j[i]]
 
 
 @settings(max_examples=60, deadline=None)
