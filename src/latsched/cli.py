@@ -4,7 +4,7 @@ Subcommands map one-to-one onto library operations:
 
   build-graph     sample and expand a covariance graph, attach the policy
                   table, and write both to a JSON container.
-  schedule-exact  run the exact recursive scheduler from the model's P0.
+  schedule-exact  run the exact scheduler from the model's P0.
   schedule-qdp    run the quantized scheduler (building or loading a graph).
   bound-check     verify a certificate (or synthesize one) and report B_s.
   simulate        one full tracking run; writes the trace CSV.

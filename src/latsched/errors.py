@@ -19,7 +19,7 @@ class IncompleteScheduleError(LatschedError):
 
 
 class ExplosionGuardError(LatschedError):
-    """Exact scheduler recursion depth exceeds the combinatorial guard."""
+    """Exact scheduler search tree exceeds its depth or size guard."""
 
 
 class GraphExpansionError(LatschedError):

@@ -92,7 +92,11 @@ def _gain_and_next_cov(
     low, high = eig[..., 0], eig[..., -1]
     bad = (low <= 0.0) | (high > _COND_LIMIT * low)
     if np.any(bad):
-        cond = np.max(high[bad] / np.maximum(low[bad], 1e-300))
+        if np.any(low <= 0.0):
+            raise SingularUpdateError(
+                f"innovation covariance is not positive definite "
+                f"(least eigenvalue {np.min(low):.3e})")
+        cond = np.max(high[bad] / low[bad])
         raise SingularUpdateError(f"innovation covariance condition {cond:.3e} exceeds limit")
     # L = Ad P C' S^-1 with S^-1 = G' G, G the inverse of the Cholesky factor.
     G = np.linalg.inv(np.linalg.cholesky(S))

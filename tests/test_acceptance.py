@@ -304,3 +304,39 @@ def test_criterion_9_adaptive_R_direction():
     _passed(9, f"adaptive R beat nominal in {improved}/200 runs "
             f"(mean MSE improvement {mean_gain:+.1%}) at 9x noise mismatch",
             time.perf_counter() - t0, 120.0)
+
+
+def test_criterion_10_qdp_against_p0_dependent_exact_optima(bench_mod):
+    # Criterion 3's exhaustive optimum is static-fast from every start, so its
+    # gaps are all 0. At Tf = 2 s and lambda_alpha = 0.5 (the benchmark's
+    # exact query) the optimum depends on P0, so the oracle tells schedules apart.
+    model, methods, dyn = bench_mod
+    t0 = time.perf_counter()
+    tf, lam = 2.0, 0.5
+    sizes = (50, 500, 5000)
+    graph_seeds = np.random.SeedSequence(42).spawn(len(sizes))
+    graphs = {size: ls.expand_graph(ls.sample_region(4, 1.0, size, seed), methods, dyn)
+              for size, seed in zip(sizes, graph_seeds)}
+    statics = [ls.static_schedule(m.id, tf, methods, dyn) for m in methods]
+    optima = set()
+    static_gain = 0.0
+    gaps = {size: [] for size in sizes}
+    for P0 in ls.sample_region(4, 1.0, 40, seed=2026):
+        sched, j_exact = ls.dyn_prog_exact(P0, tf, lam, methods, dyn)
+        optima.add(tuple(sched))
+        j_static = min(ls.evaluate_schedule(P0, s, tf, lam, methods, dyn) for s in statics)
+        static_gain = max(static_gain, (j_static - j_exact) / j_exact)
+        for size, graph in graphs.items():
+            sched_q, _ = ls.qdp(ls.quantize(P0, graph), tf, lam, graph, methods, dyn)
+            j_qdp = ls.evaluate_schedule(P0, sched_q, tf, lam, methods, dyn)
+            assert j_qdp >= j_exact - 1e-10 * abs(j_exact), (size, j_qdp, j_exact)
+            gaps[size].append(j_qdp - j_exact)
+    assert len(optima) >= 2, optima
+    assert static_gain > 1e-10, static_gain
+    quantiles = "; ".join(
+        f"Q={graphs[size].size} delta={graphs[size].delta:.3f} gap q50/q90/max "
+        + "/".join(f"{q:.1e}" for q in np.quantile(gaps[size], [0.5, 0.9, 1.0]))
+        for size in sizes)
+    _passed(10, f"{len(optima)} distinct exact optima over 40 starts, best static "
+            f"beaten by up to {static_gain:.1%}; no qdp schedule beats exact; {quantiles}",
+            time.perf_counter() - t0, 60.0)

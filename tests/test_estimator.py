@@ -112,7 +112,7 @@ class TestCorrect:
         _, method, dyn = scalar_setup(ad=1.0, r=0.0, w=0.0)
         b = BeliefState(0.0, [0.0], [[0.0]])
         meas = Measurement(k=0, z=[1.0], produced_at=1.0, method_id=1)
-        with pytest.raises(SingularUpdateError):
+        with pytest.raises(SingularUpdateError, match=r"least eigenvalue 0\.000e\+00"):
             correct(b, meas, method, dyn)
 
     def test_r_actual_overrides_nominal(self, bench):
@@ -231,6 +231,15 @@ class TestStackedKernel:
         riccati_step(stack[[0, 1, 2, 4, 5]], methods[0], dyn, R=R)
         with pytest.raises(SingularUpdateError, match="condition"):
             riccati_step(stack, methods[0], dyn, R=R)
+
+    def test_not_positive_definite_names_least_eigenvalue(self, bench):
+        # S = C P C' + R = -0.5 I for the member P = -I: no condition number to report.
+        _, methods, dyn = bench
+        stack = np.stack([np.eye(4), -np.eye(4)])
+        with pytest.raises(SingularUpdateError) as info:
+            riccati_step(stack, methods[0], dyn)
+        assert str(info.value) == (
+            "innovation covariance is not positive definite (least eigenvalue -5.000e-01)")
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,15 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latsched import (
     ContinuousModel,
     ExplosionGuardError,
     IncompleteScheduleError,
+    InvalidModelError,
     PerceptionMethod,
     Schedule,
     build_dynamics,
@@ -14,11 +17,64 @@ from latsched import (
     enumerate_covering_schedules,
     evaluate_schedule,
     riccati_step,
+    sample_region,
     schedule_cpu_load,
     static_schedule,
 )
+from latsched.config import load_scenario
+from latsched.exact import window_steps
 
 from conftest import random_spd
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def recursive_exact(P0, tf, lam_alpha, methods, dyn):
+    """Depth-first reference search: (schedule tuple, cost, node count).
+
+    One node per call, each method costed and then its subtree searched, so
+    `cost = local; cost += tail` and strict `<` keep the lowest id on ties.
+    """
+    tf_steps = window_steps(tf, dyn.dt_s)
+    calls = [0]
+
+    def search(elapsed: int, P: np.ndarray) -> tuple[tuple, float]:
+        calls[0] += 1
+        best_cost = np.inf
+        best_tail: tuple = ()
+        for method in methods:
+            nxt = elapsed + method.steps
+            d_steps = min(method.steps, tf_steps - elapsed)
+            M, c = dyn.step_gram(d_steps)
+            cost = lam_alpha * method.penalty + c + float((P * M).sum())
+            tail: tuple = ()
+            if nxt < tf_steps:
+                tail, tail_cost = search(nxt, riccati_step(P, method, dyn))
+                cost += tail_cost
+            if cost < best_cost:
+                best_cost = cost
+                best_tail = (method.id,) + tail
+        return best_tail, best_cost
+
+    seq, cost = search(0, np.asarray(P0, dtype=float))
+    return seq, cost / tf, calls[0]
+
+
+def tree_nodes(tf_steps: int, steps) -> int:
+    """Node count of the search tree over a window: prefixes that do not cover it."""
+    nodes = [0] * (tf_steps + 1)
+    for remaining in range(1, tf_steps + 1):
+        nodes[remaining] = 1 + sum(nodes[remaining - s] for s in steps if s < remaining)
+    return nodes[tf_steps]
+
+
+def assert_matches_reference(P0, tf, lam, methods, dyn):
+    stats = {}
+    sched, cost = dyn_prog_exact(P0, tf, lam, methods, dyn, stats=stats)
+    ref_seq, ref_cost, ref_calls = recursive_exact(P0, tf, lam, methods, dyn)
+    assert tuple(sched) == ref_seq
+    assert cost == ref_cost
+    assert stats["calls"] == ref_calls
 
 
 def flat_enumeration_min(P0, tf, lam, methods, dyn):
@@ -206,6 +262,41 @@ class TestDynProgExact:
         with pytest.raises(ExplosionGuardError):
             dyn_prog_exact(np.eye(2), 10.0, 5.0, methods, dyn, max_depth=24)
 
+    @pytest.mark.parametrize("P0", [
+        np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.eye(3), np.ones(2),
+    ], ids=["nan", "inf", "3x3", "vector"])
+    def test_rejects_bad_P0(self, small_setup, P0):
+        _, methods, dyn = small_setup
+        with pytest.raises(ValueError, match="P0 must be a finite 2x2 array"):
+            dyn_prog_exact(P0, 1.0, 5.0, methods, dyn)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lam_alpha(self, small_setup, lam):
+        _, methods, dyn = small_setup
+        with pytest.raises(ValueError, match="lam_alpha must be finite"):
+            dyn_prog_exact(np.eye(2), 1.0, lam, methods, dyn)
+
+    def test_matches_recursive_reference_on_shipped_model(self):
+        # The benchmark's exact query: double_integrator at Tf = 2 s, lambda 0.5.
+        cfg = load_scenario(CONFIGS / "double_integrator.json")
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        for P0 in sample_region(cfg.model.n_x, cfg.graph.b0, 20, seed=5):
+            assert_matches_reference(P0, 2.0, 0.5, cfg.methods, dyn)
+
+    def test_tree_size_guard(self, small_setup):
+        # Within the depth cap, 1-step twins grow a 2^24-node tree; a (1, 2)
+        # pair at the cap stays under the covariance budget.
+        model, methods, _ = small_setup
+        twins = [PerceptionMethod(id=i, steps=1, R=[[0.5]], cpu=0.5, penalty=0.05)
+                 for i in (1, 2)]
+        dyn = build_dynamics(model, twins)
+        with pytest.raises(ExplosionGuardError, match="tree of 16777215 nodes of 2x2"):
+            dyn_prog_exact(np.eye(2), 2.4, 5.0, twins, dyn)
+        pair = [methods[0], PerceptionMethod(id=2, steps=2, R=[[0.05]], cpu=0.8, penalty=0.24)]
+        stats = {}
+        dyn_prog_exact(np.eye(2), 2.4, 5.0, pair, build_dynamics(model, pair), stats=stats)
+        assert stats["calls"] == 121_392
+
     def test_determinism(self, small_setup):
         _, methods, dyn = small_setup
         rng = np.random.default_rng(23)
@@ -223,3 +314,41 @@ class TestEnumeration:
         assert len(set(seqs)) == 60
         for seq in seqs:
             assert Schedule(seq).minimally_covers(30, methods)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 3),
+    steps=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    shared=st.booleans(),
+    lam=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_recursive_reference(data, n, steps, shared, lam, seed):
+    # Random models and method banks; `shared` gives every method the same
+    # R and penalty, so equal-step methods tie exactly. The window runs up to
+    # the depth cap, or to the longest one whose tree the reference searches
+    # in 2,000 nodes.
+    rng = np.random.default_rng(seed)
+    n_z = int(rng.integers(1, n + 1))
+    try:
+        model = ContinuousModel(
+            A=0.5 * rng.standard_normal((n, n)), B=np.eye(n), W=random_spd(rng, n),
+            C=rng.standard_normal((n_z, n)), x0=np.zeros(n), P0=np.eye(n), dt_s=0.1)
+    except InvalidModelError:
+        assume(False)
+    R, penalty = random_spd(rng, n_z, rng.uniform(0.05, 2.0)), rng.uniform(0.0, 0.3)
+    methods = []
+    for pid, s in enumerate(steps, start=1):
+        if not shared:
+            R, penalty = random_spd(rng, n_z, rng.uniform(0.05, 2.0)), rng.uniform(0.0, 0.3)
+        methods.append(PerceptionMethod(id=pid, steps=s, R=R, cpu=0.5, penalty=penalty))
+    dyn = build_dynamics(model, methods)
+    cap = 1
+    while (cap + 1) // min(steps) <= 24 and tree_nodes(cap + 1, steps) <= 2000:
+        cap += 1
+    tf = data.draw(st.integers(1, cap), label="tf_steps") * dyn.dt_s
+    G = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+    P0 = G @ G.T * rng.uniform(0.1, 5.0)
+    assert_matches_reference(P0, tf, lam, methods, dyn)
