@@ -5,7 +5,8 @@ Subcommands map one-to-one onto library operations:
   build-graph     sample and expand a covariance graph, attach the policy
                   table, and write both to a JSON container.
   schedule-exact  run the exact scheduler from the model's P0.
-  schedule-qdp    run the quantized scheduler (building or loading a graph).
+  schedule-qdp    run the quantized scheduler (building or loading a graph;
+                  the graph's policy table is not used).
   bound-check     verify a certificate (or synthesize one) and report B_s.
   simulate        one full tracking run; writes the trace CSV.
   mc-eval         a Monte-Carlo experiment sweep; writes the aggregate CSV.
@@ -30,7 +31,7 @@ from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
 from .exact import dyn_prog_exact, evaluate_schedule, schedule_cpu_load
 from .experiments import _build_graph, monte_carlo, rows_to_csv, track
-from .qdp import attach_policy, qdp
+from .qdp import attach_policy, policy_meta, qdp
 from .sim import simulate_sde
 
 
@@ -48,7 +49,14 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     return cfg
 
 
-def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None) -> CovarianceGraph:
+def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None,
+                 with_policy: bool = True) -> CovarianceGraph:
+    """The scenario's graph, loaded from `graph_path` or built from its seeds.
+
+    With `with_policy`, the policy is (re)attached unless the graph holds one
+    swept for the scenario's `policy_meta`; a loaded file whose `policy_meta`
+    lacks the method entry is recomputed too.
+    """
     if graph_path:
         graph = CovarianceGraph.load(graph_path)
         if graph.reps.shape[1] != cfg.model.n_x or graph.n_methods != len(cfg.methods):
@@ -57,15 +65,11 @@ def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None) -> CovarianceGraph:
                 f"{graph.n_methods} methods; the scenario has n={cfg.model.n_x} "
                 f"and {len(cfg.methods)}"
             )
-        meta = graph.policy_meta or {}
-        stale = (graph.policy is None
-                 or meta.get("tf") != cfg.tf
-                 or meta.get("lam_alpha") != cfg.lam_alpha)
-        if stale:
-            attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-        return graph
-    graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
-    attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+    else:
+        graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
+    if with_policy and (graph.policy is None or graph.policy_meta
+                        != policy_meta(cfg.tf, cfg.lam_alpha, cfg.methods)):
+        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
     return graph
 
 
@@ -107,7 +111,8 @@ def _cmd_schedule_exact(cfg: ScenarioConfig, args) -> int:
 
 def _cmd_schedule_qdp(cfg: ScenarioConfig, args) -> int:
     dyn = build_dynamics(cfg.model, cfg.methods)
-    graph = _built_graph(cfg, dyn, args.graph)
+    # The query reads its own sweep, not the policy table.
+    graph = _built_graph(cfg, dyn, args.graph, with_policy=False)
     q0 = quantize(cfg.model.P0, graph)
     schedule, graph_cost = qdp(q0, cfg.tf, cfg.lam_alpha, graph, cfg.methods, dyn)
     payload = _schedule_payload(cfg, dyn, schedule, graph_cost)

@@ -12,7 +12,7 @@ representative) is measured a posteriori and reported on the graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +46,15 @@ def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
     eigvals = np.empty((count, n))
     gauss = np.empty((count, n, n))
     targets = np.empty(count)
+    # random() draws what uniform(0, 1) does, bit for bit: uniform returns
+    # 0 + 1 * u from the same stream.
     for i in range(count):
-        eigvals[i] = rng.uniform(0.0, 1.0, size=n)
-        gauss[i] = rng.standard_normal((n, n))
-        target = rng.uniform(0.0, 1.0)
+        rng.random(out=eigvals[i])
+        rng.standard_normal(out=gauss[i])
+        target = rng.random()
         # Uniform target norm on (0, b0]; resample the rare exact zero.
         while target == 0.0:
-            target = rng.uniform(0.0, 1.0)
+            target = rng.random()
         targets[i] = target
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
@@ -75,7 +77,12 @@ class CovarianceGraph:
         b0: Frobenius bound of the initial sampling region.
         bound: max representative norm after expansion.
         policy: optional per-node first-decision table (1-based method ids).
-        policy_meta: parameters the policy was computed for (tf, lam_alpha).
+        policy_meta: parameters the policy was computed for (`qdp.policy_meta`).
+
+    `qdp` and `qdp_matrices` keep the tables of the graph's last backward
+    sweep in `_sweep`. Construction starts it empty (so `dataclasses.replace`
+    and `load` do too) and `save` never writes it. A graph whose `reps` or
+    `succ` are written into must be rebuilt before its next query.
     """
 
     reps: np.ndarray
@@ -85,6 +92,7 @@ class CovarianceGraph:
     bound: float
     policy: np.ndarray | None = None
     policy_meta: dict | None = None
+    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.reps = np.ascontiguousarray(np.asarray(self.reps, dtype=float))

@@ -13,6 +13,10 @@ stage 0 and records the optimal decision of every (node, stage) cell. `qdp`
 follows those decisions from one start node, and `attach_policy` keeps the
 stage-0 decisions as the lookup table the moving-horizon controller consults
 at run time, so a query's first method is the policy entry of its start node.
+
+The sweep does not depend on the start node, so queries read a memo of the
+graph's last sweep, keyed on tf, lam_alpha, each method's (steps, penalty) and
+the dynamics object: one sweep per graph and window serves every start node.
 """
 
 from __future__ import annotations
@@ -26,6 +30,20 @@ from .dynamics import DiscretizedDynamics
 from .exact import Schedule, window_cost, window_steps
 
 
+def _sweep_key(tf: float, lam_alpha: float, methods) -> tuple:
+    """The inputs of a backward sweep besides the graph and the dynamics.
+
+    That is tf, lam_alpha and each method's (steps, penalty) in list order.
+    """
+    return tf, lam_alpha, tuple((m.steps, m.penalty) for m in methods)
+
+
+def policy_meta(tf: float, lam_alpha: float, methods) -> dict:
+    """The `policy_meta` of a policy swept for these inputs, as a graph file holds it."""
+    tf, lam_alpha, steps_penalty = _sweep_key(tf, lam_alpha, methods)
+    return {"tf": tf, "lam_alpha": lam_alpha, "methods": [list(m) for m in steps_penalty]}
+
+
 def backward_tables(
     tf: float,
     lam_alpha: float,
@@ -35,9 +53,10 @@ def backward_tables(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-0 cost-to-go V (Q,) and optimal decisions PI (Q, alpha_max).
 
-    PI[q, l] is the 1-based id of the method to run from node q at stage l;
-    ties prefer the lower method id. V[q] is the optimal window cost from q
-    and PI[:, 0] is the policy table.
+    PI[q, l] is the 1-based id of the method to run from node q at stage l,
+    in the smallest unsigned dtype that holds D; ties prefer the lower method
+    id. V[q] is the optimal window cost from q and PI[:, 0] is the policy
+    table. Every call sweeps; `qdp` and `qdp_matrices` read the memo instead.
     """
     alpha_max = window_steps(tf, dyn.dt_s)
     Q = graph.size
@@ -53,7 +72,7 @@ def backward_tables(
     # ring; the terminal stage's row stays zero.
     ring = max(steps) + 1
     V = np.zeros((ring, Q))
-    PI = np.empty((alpha_max, Q), dtype=np.int64)
+    PI = np.empty((alpha_max, Q), dtype=np.min_scalar_type(len(methods)))
     for stage in range(alpha_max - 1, -1, -1):
         lands = [min(stage + m, alpha_max) for m in steps]
         cands = [edge_cost[col][land - stage - 1] + V[land % ring][succ[col]]
@@ -65,6 +84,29 @@ def backward_tables(
             PI[stage, take] = rho
         V[stage % ring] = best
     return V[0].copy(), PI.T
+
+
+def _memo_tables(
+    tf: float,
+    lam_alpha: float,
+    graph: CovarianceGraph,
+    methods,
+    dyn: DiscretizedDynamics,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`backward_tables` for these inputs, swept only if the graph's memo misses.
+
+    The memo holds one entry, keyed on `_sweep_key` and on `dyn` by identity;
+    the entry keeps `dyn` alive, so its id is never reused. V and PI are
+    read-only, so no caller can corrupt the entry.
+    """
+    key = _sweep_key(tf, lam_alpha, methods)
+    memo = graph._sweep
+    if memo is None or memo[1] is not dyn or memo[0] != key:
+        V, PI = backward_tables(tf, lam_alpha, graph, methods, dyn)
+        V.setflags(write=False)
+        PI.setflags(write=False)
+        memo = graph._sweep = (key, dyn, V, PI)
+    return memo[2], memo[3]
 
 
 @dataclass
@@ -89,10 +131,10 @@ def qdp_matrices(
     methods,
     dyn: DiscretizedDynamics,
 ) -> DPTables:
-    """The backward sweep's tables for a query from node q0."""
+    """The backward sweep's tables, read-only from the graph's memo, for a query from q0."""
     if not (0 <= q0 < graph.size):
         raise ValueError(f"q0={q0} outside 0..{graph.size - 1}")
-    V, PI = backward_tables(tf, lam_alpha, graph, methods, dyn)
+    V, PI = _memo_tables(tf, lam_alpha, graph, methods, dyn)
     return DPTables(V=V, PI=PI, q0=q0, alpha_max=PI.shape[1],
                     relaxations=PI.size * len(methods))
 
@@ -141,11 +183,12 @@ def attach_policy(
     methods,
     dyn: DiscretizedDynamics,
 ) -> CovarianceGraph:
-    """Store the policy table (and its parameters) on the graph in place.
+    """Store the policy table (and its `policy_meta` parameters) on the graph in place.
 
     The policy is PI[:, 0]: the first optimal decision from every node, as a
-    (Q,) array of 1-based method ids.
+    (Q,) int64 array of 1-based method ids. The sweep bypasses the graph's
+    memo, so the graph keeps no sweep tables.
     """
-    graph.policy = backward_tables(tf, lam_alpha, graph, methods, dyn)[1][:, 0].copy()
-    graph.policy_meta = {"tf": tf, "lam_alpha": lam_alpha}
+    graph.policy = backward_tables(tf, lam_alpha, graph, methods, dyn)[1][:, 0].astype(np.int64)
+    graph.policy_meta = policy_meta(tf, lam_alpha, methods)
     return graph

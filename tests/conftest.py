@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from latsched import ContinuousModel, PerceptionMethod, build_dynamics
 
@@ -56,6 +57,16 @@ def random_spd(rng, n: int, scale: float = 1.0) -> np.ndarray:
     mat = rng.standard_normal((n, n))
     spd = mat @ mat.T + 0.1 * np.eye(n)
     return spd * (scale / np.linalg.norm(spd, "fro"))
+
+
+@st.composite
+def exact_spd(draw, n: int) -> np.ndarray:
+    """Exactly symmetric positive-definite (n, n) matrices, which symmetrizing
+    and the PSD clamp leave bit for bit unchanged."""
+    entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))
+    G = np.array(entries).reshape(n, n)
+    S = G @ G.T + np.eye(n)
+    return 0.5 * (S + S.T)
 
 
 def window_time_ratio(run, rounds: int = 7, batch: int = 5) -> float:

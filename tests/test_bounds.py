@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latsched import (
     ContinuousModel,
@@ -16,7 +20,7 @@ from latsched import (
 )
 from latsched.bounds import gbar, lmi_margin
 
-from conftest import scalar_setup
+from conftest import exact_spd, scalar_setup
 
 
 class TestFeasibility:
@@ -150,3 +154,27 @@ class TestSerialization:
             LyapunovCertificate(omega=[[1.0]], ys=([[0.0]],), gamma=1.0)
         with pytest.raises(ValueError):
             LyapunovCertificate(omega=[[-1.0]], ys=([[0.0]],), gamma=0.5)
+
+
+@st.composite
+def certificates(draw):
+    """Certificates with n <= 4, n_z <= 3 and one to three gains."""
+    n, n_z, D = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    floats = st.floats(-1e3, 1e3)
+    ys = tuple(np.array(draw(st.lists(floats, min_size=n * n_z, max_size=n * n_z)))
+               .reshape(n, n_z) for _ in range(D))
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return LyapunovCertificate(omega=draw(exact_spd(n)), ys=ys, gamma=gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cert=certificates())
+def test_certificate_json_round_trip(cert):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        cert.save(path)
+        loaded = LyapunovCertificate.load(path)
+    for a, b in zip((loaded.omega, *loaded.ys), (cert.omega, *cert.ys), strict=True):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert np.float64(loaded.gamma).tobytes() == np.float64(cert.gamma).tobytes()

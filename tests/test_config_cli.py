@@ -4,12 +4,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latsched import CovarianceGraph, ConfigError
-from latsched.cli import main
-from latsched.config import load_scenario, parse_scenario
+from latsched import CovarianceGraph, ConfigError, attach_policy, build_dynamics
+from latsched.cli import _built_graph, main
+from latsched.config import (
+    ExperimentConfig,
+    GraphConfig,
+    SimConfig,
+    load_scenario,
+    parse_scenario,
+)
+from latsched.qdp import policy_meta
 
+from conftest import exact_spd
 from test_experiments import planar_payload
+from test_qdp import count_sweeps
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,6 +142,8 @@ class TestCli:
         assert main(["build-graph", "-c", cfg_path, "-o", graph_path]) == 0
         loaded = CovarianceGraph.load(graph_path)
         assert loaded.policy is not None
+        assert loaded.policy_meta == {"tf": 1.0, "lam_alpha": 5.0,
+                                      "methods": [[1, 0.05], [3, 0.24]]}
 
         out_a = str(tmp_path / "qdp_a.json")
         out_b = str(tmp_path / "qdp_b.json")
@@ -142,6 +154,52 @@ class TestCli:
         b = json.loads(Path(out_b).read_text())
         assert a["methods"] == b["methods"]
         assert a["cost"] == pytest.approx(b["cost"], rel=1e-12)
+
+    def test_schedule_qdp_sweeps_once(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, planar_payload())
+        graph_path = str(tmp_path / "graph.json")
+        assert main(["build-graph", "-c", cfg_path, "-o", graph_path]) == 0
+        calls = count_sweeps(monkeypatch)
+        for extra in ([], ["--graph", graph_path]):
+            calls.clear()
+            assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json")]
+                        + extra) == 0
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("edits", [({"penalty": 5.0}, {"penalty": 0.0}),
+                                       ({"steps": 10}, {})])
+    def test_policy_for_other_methods_is_recomputed(self, tmp_path, edits):
+        graph_path = str(tmp_path / "graph.json")
+        assert main(["build-graph", "-c", write_config(tmp_path, planar_payload()),
+                     "-o", graph_path]) == 0
+        payload = planar_payload()
+        for method, edit in zip(payload["methods"], edits):
+            method.update(edit)
+        cfg = parse_scenario(payload)
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        graph = _built_graph(cfg, dyn, graph_path)
+        stored = CovarianceGraph.load(graph_path)
+        assert not np.array_equal(graph.policy, stored.policy)
+        fresh = attach_policy(stored, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+        assert np.array_equal(graph.policy, fresh.policy)
+        assert graph.policy_meta == policy_meta(cfg.tf, cfg.lam_alpha, cfg.methods)
+
+    def test_current_policy_is_reused_and_old_meta_recomputed(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, planar_payload())
+        graph_path = tmp_path / "graph.json"
+        assert main(["build-graph", "-c", cfg_path, "-o", str(graph_path)]) == 0
+        cfg = load_scenario(cfg_path)
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        calls = count_sweeps(monkeypatch)
+        _built_graph(cfg, dyn, graph_path)
+        assert calls == []
+        # A file whose policy_meta has no method entry holds a policy of unknown methods.
+        payload = json.loads(graph_path.read_text())
+        del payload["policy_meta"]["methods"]
+        graph_path.write_text(json.dumps(payload))
+        graph = _built_graph(cfg, dyn, graph_path)
+        assert len(calls) == 1
+        assert graph.policy_meta == policy_meta(cfg.tf, cfg.lam_alpha, cfg.methods)
 
     def test_schedule_exact(self, tmp_path):
         cfg_path = write_config(tmp_path, planar_payload())
@@ -442,3 +500,130 @@ class TestGraphFile:
         graph_path.write_text(json.dumps(payload))
         assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
                      "--graph", str(graph_path)]) == 0
+
+
+@st.composite
+def scenario_payloads(draw):
+    """Valid scenario JSON objects; each optional block is present or not.
+
+    C is diagonally dominant, so (A, C) is observable, and every covariance is
+    exactly symmetric positive definite, so validation keeps it as written.
+    """
+    n, n_w, D = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    floats = st.floats(-2.0, 2.0)
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(floats, min_size=rows * cols, max_size=rows * cols))
+                        ).reshape(rows, cols).tolist()
+
+    def spd(size):
+        return draw(exact_spd(size)).tolist()
+
+    dt_s = draw(st.floats(1e-3, 1.0))
+    positive = st.floats(1e-3, 1e3)
+    counts = st.integers(1, 10**4)
+    payload = {
+        "model": {
+            "A": matrix(n, n), "B": matrix(n, n_w), "W": spd(n_w),
+            "C": (np.array(matrix(n, n)) + 10.0 * np.eye(n)).tolist(),
+            "x0": draw(st.lists(floats, min_size=n, max_size=n)), "P0": spd(n), "dt_s": dt_s,
+        },
+        "methods": [{"steps": draw(st.integers(1, 20)), "R": spd(n),
+                     "cpu": draw(st.floats(0.0, 1.0, exclude_min=True)),
+                     "penalty": draw(st.floats(0.0, 10.0))} for _ in range(D)],
+        "cost": {"Tf": draw(st.integers(1, 600)) * dt_s,
+                 "lambda_alpha": draw(st.floats(0.0, 100.0))},
+    }
+    if draw(st.booleans()):
+        payload["graph"] = {"B0": draw(positive), "count": draw(counts),
+                            "seed": draw(st.integers(0, 2**32)),
+                            "admit_tol": draw(st.none() | positive)}
+    if draw(st.booleans()):
+        sim_dt = dt_s / draw(st.integers(1, 20))
+        starts = draw(st.lists(st.floats(0.0, 10.0), max_size=3))
+        payload["sim"] = {
+            "dt": sim_dt, "horizon": draw(st.integers(1, 50)) * dt_s,
+            "occlusions": [[a, a + draw(st.floats(1e-3, 5.0))] for a in starts],
+            "true_R": {str(i): spd(n) for i in draw(st.sets(st.integers(1, D)))},
+            "seed": draw(st.integers(0, 2**32)), "runs": draw(counts),
+            "adaptive_R": draw(st.booleans()), "window": draw(counts),
+        }
+    if draw(st.booleans()):
+        cert = {"gamma": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))}
+        if draw(st.booleans()):
+            cert.update(Omega=spd(n), Y=[matrix(n, n) for _ in range(D)])
+        payload["certificate"] = cert
+    if draw(st.booleans()):
+        payload["experiment"] = {
+            "name": draw(st.sampled_from(
+                ["bound-validation", "cost-histogram", "moving-horizon", "adaptive-R"])),
+            "graph_sizes": draw(st.lists(counts, max_size=4)),
+            "oracle": draw(st.sampled_from(["exhaustive", "random"])),
+            "oracle_samples": draw(counts), "schedule_steps": draw(counts),
+            "true_R_factor": draw(positive),
+        }
+    return payload
+
+
+def same(value, array) -> bool:
+    """A JSON number or nested list equals the array bit for bit, shape included."""
+    expected = np.array(value, dtype=float)
+    return expected.shape == np.shape(array) and expected.tobytes() == \
+        np.asarray(array, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=scenario_payloads())
+def test_config_json_round_trip(payload, tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "scenario.json"
+    path.write_text(json.dumps(payload))
+    cfg = load_scenario(path)
+    model = payload["model"]
+    for name in ("A", "B", "W", "C", "x0", "P0", "dt_s"):
+        assert same(model[name], getattr(cfg.model, name))
+    assert len(cfg.methods) == len(payload["methods"])
+    for i, (method, entry) in enumerate(zip(cfg.methods, payload["methods"]), start=1):
+        assert (method.id, method.steps) == (i, entry["steps"])
+        assert same(entry["R"], method.R)
+        assert same(entry["cpu"], method.cpu) and same(entry["penalty"], method.penalty)
+    assert same(payload["cost"]["Tf"], cfg.tf)
+    assert same(payload["cost"]["lambda_alpha"], cfg.lam_alpha)
+
+    graph = payload.get("graph")
+    if graph is None:
+        assert cfg.graph == GraphConfig()
+    else:
+        assert same(graph["B0"], cfg.graph.b0)
+        assert (cfg.graph.count, cfg.graph.seed) == (graph["count"], graph["seed"])
+        assert cfg.graph.admit_tol is None if graph["admit_tol"] is None \
+            else same(graph["admit_tol"], cfg.graph.admit_tol)
+
+    sim = payload.get("sim")
+    if sim is None:
+        assert cfg.sim == SimConfig()
+    else:
+        assert same(sim["dt"], cfg.sim.dt) and same(sim["horizon"], cfg.sim.horizon)
+        assert same(sim["occlusions"], cfg.sim.occlusions)
+        assert sorted(cfg.sim.true_R) == sorted(int(k) for k in sim["true_R"])
+        assert all(same(R, cfg.sim.true_R[int(k)]) for k, R in sim["true_R"].items())
+        assert (cfg.sim.seed, cfg.sim.runs, cfg.sim.adaptive, cfg.sim.window) == \
+            (sim["seed"], sim["runs"], sim["adaptive_R"], sim["window"])
+
+    cert = payload.get("certificate", {})
+    assert same(cert.get("gamma", 0.98), cfg.gamma)
+    if "Omega" in cert:
+        assert same(cert["Omega"], cfg.certificate.omega)
+        assert same(cert["Y"], cfg.certificate.ys)
+        assert same(cert["gamma"], cfg.certificate.gamma)
+    else:
+        assert cfg.certificate is None
+
+    experiment = payload.get("experiment")
+    if experiment is None:
+        assert cfg.experiment == ExperimentConfig()
+    else:
+        e = cfg.experiment
+        assert (e.name, e.graph_sizes, e.oracle, e.oracle_samples, e.schedule_steps) == \
+            tuple(experiment[key] for key in ("name", "graph_sizes", "oracle",
+                                              "oracle_samples", "schedule_steps"))
+        assert same(experiment["true_R_factor"], e.true_R_factor)

@@ -40,20 +40,24 @@ class TestSampleRegion:
         b = sample_region(4, 1.0, 10, seed=42)
         assert np.array_equal(a, b)
 
-    def test_matches_per_sample_loop(self):
-        rng = np.random.default_rng(21)
-        expected = np.empty((50, 3, 3))
-        for i in range(50):
-            eigvals = rng.uniform(0.0, 1.0, size=3)
-            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    @pytest.mark.parametrize("n,b0,count,seed", [
+        (3, 2.0, 50, 21), (1, 1.0, 7, 0), (2, 5.0, 40, 3), (4, 5.0, 300, 15), (5, 0.3, 20, 99),
+    ])
+    def test_matches_per_sample_loop(self, n, b0, count, seed):
+        rng = np.random.default_rng(seed)
+        expected = np.empty((count, n, n))
+        for i in range(count):
+            eigvals = rng.uniform(0.0, 1.0, size=n)
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
             q = q * np.sign(np.diag(r))
             P = (q * eigvals) @ q.T
             P = 0.5 * (P + P.T)
             target = rng.uniform(0.0, 1.0)
             while target == 0.0:
                 target = rng.uniform(0.0, 1.0)
-            expected[i] = P * (target * 2.0 / np.linalg.norm(P, "fro"))
-        assert np.array_equal(sample_region(3, 2.0, 50, np.random.default_rng(21)), expected)
+            expected[i] = P * (target * b0 / np.linalg.norm(P, "fro"))
+        assert np.array_equal(sample_region(n, b0, count, np.random.default_rng(seed)),
+                              expected)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latsched import (
     CovarianceGraph,
+    DiscretizedDynamics,
     attach_policy,
     backward_tables,
     build_dynamics,
@@ -19,6 +24,8 @@ from conftest import random_spd, window_time_ratio
 
 from latsched import ContinuousModel, IncompleteScheduleError, PerceptionMethod, Schedule
 
+qdp_module = importlib.import_module("latsched.qdp")
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -32,6 +39,30 @@ def tiny():
     ]
     dyn = build_dynamics(model, methods)
     return model, methods, dyn
+
+
+def follow(PI, graph, q0, methods):
+    """The schedule a forward pass over the decision table PI takes from q0."""
+    seq, q, stage = [], q0, 0
+    while stage < PI.shape[1]:
+        rho = int(PI[q, stage])
+        seq.append(rho)
+        q = int(graph.succ[q, rho - 1])
+        stage += methods[rho - 1].steps
+    return tuple(seq)
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Record every `backward_tables` call made through the qdp module."""
+    calls = []
+    sweep = qdp_module.backward_tables
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(qdp_module, "backward_tables", counted)
+    return calls
 
 
 def brute_force_paths(graph, q0, tf_steps, lam, methods, dyn):
@@ -185,9 +216,10 @@ class TestQdp:
         assert sched.minimally_covers(10, methods)
 
     def test_runtime_linear_in_window(self, tiny):
+        # qdp_matrices reads a memo after its first call, so time the sweep itself.
         _, methods, dyn = tiny
         graph = expand_graph(sample_region(2, 1.0, 300, seed=8), methods, dyn)
-        ratio = window_time_ratio(lambda tf: qdp_matrices(0, tf, 5.0, graph, methods, dyn))
+        ratio = window_time_ratio(lambda tf: backward_tables(tf, 5.0, graph, methods, dyn))
         assert 1.5 <= ratio <= 2.5
 
 
@@ -229,3 +261,92 @@ class TestDegeneratePenaltyRegime:
         assert tuple(sched) == (1,) * 10
         policy = attach_policy(graph, 1.0, lam, methods, dyn).policy
         assert np.all(policy == 1)
+
+
+class TestSweepMemo:
+    def test_one_sweep_per_graph_and_window(self, tiny, monkeypatch):
+        _, methods, dyn = tiny
+        graph = expand_graph(sample_region(2, 1.0, 8, seed=1), methods, dyn)
+        calls = count_sweeps(monkeypatch)
+        attach_policy(graph, 1.0, 5.0, methods, dyn)
+        assert len(calls) == 1
+        assert graph._sweep is None
+        for q0 in range(graph.size):
+            qdp(q0, 1.0, 5.0, graph, methods, dyn)
+        tables = qdp_matrices(0, 1.0, 5.0, graph, methods, dyn)
+        assert len(calls) == 2
+        # One entry: another window evicts the first.
+        qdp(0, 1.0, 0.0, graph, methods, dyn)
+        qdp(0, 1.0, 5.0, graph, methods, dyn)
+        assert len(calls) == 4
+        assert tables.PI.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            tables.PI[0, 0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            tables.V[0] = 0.0
+        assert dataclasses.replace(graph)._sweep is None
+
+
+@pytest.fixture(scope="module")
+def two_dyns():
+    """Two distinct dynamics objects with tables up to 4 steps."""
+    dyns = []
+    for w in (0.5, 2.0):
+        model = ContinuousModel(A=[[0, 1], [0, 0]], B=[[0], [1]], W=[[w]], C=[[1, 0]],
+                                x0=[0, 0], P0=np.eye(2), dt_s=0.1)
+        dyns.append(DiscretizedDynamics(model, 4))
+    return dyns
+
+
+@st.composite
+def memo_cases(draw):
+    """A small graph, a second successor table, method variants and a query list.
+
+    Each query changes one input of the one before it (start node, window,
+    lambda, method variant or dynamics), so every key input is seen to change
+    alone, and a query that changes only the start node hits the memo.
+    """
+    Q, D = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    floats = st.floats(-2.0, 2.0, allow_nan=False)
+    G = np.array(draw(st.lists(floats, min_size=4 * Q, max_size=4 * Q))).reshape(Q, 2, 2)
+    succs = [np.array(draw(st.lists(st.integers(0, Q - 1), min_size=Q * D, max_size=Q * D)))
+             .reshape(Q, D) for _ in range(2)]
+    steps = draw(st.lists(st.integers(1, 4), min_size=D, max_size=D))
+    penalty_sets = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=D, max_size=D),
+                                 min_size=1, max_size=3))
+    variants = [[PerceptionMethod(id=i + 1, steps=s, R=[[0.5]], cpu=0.5, penalty=p)
+                 for i, (s, p) in enumerate(zip(steps, penalties))]
+                for penalties in penalty_sets]
+    windows, lams = (1, 5, 12), (0.0, 0.5, 7.0)
+    sizes = (Q, len(windows), len(lams), len(variants), 2)
+    state, queries = [0] * 5, []
+    for which, value in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7)),
+                                      min_size=1, max_size=10)):
+        state[which] = value % sizes[which]
+        queries.append((state[0], windows[state[1]], lams[state[2]], state[3], state[4]))
+    graph = CovarianceGraph(reps=G @ G.mT, succ=succs[0], delta=0.0, b0=1.0, bound=1.0)
+    return graph, succs[1], variants, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=memo_cases())
+def test_memoized_queries_equal_fresh_sweeps(two_dyns, case):
+    graph, other_succ, variants, queries = case
+
+    def check(graph, q0, tf, lam, methods, dyn):
+        V, PI = backward_tables(tf, lam, graph, methods, dyn)
+        schedule, cost = qdp(q0, tf, lam, graph, methods, dyn)
+        assert tuple(schedule) == follow(PI, graph, q0, methods)
+        assert cost == V[q0]
+        tables = qdp_matrices(q0, tf, lam, graph, methods, dyn)
+        assert np.array_equal(tables.V, V)
+        assert np.array_equal(tables.PI, PI)
+        assert not tables.V.flags.writeable and not tables.PI.flags.writeable
+
+    for q0, tf_steps, lam, variant, which in queries:
+        dyn = two_dyns[which]
+        check(graph, q0, tf_steps * dyn.dt_s, lam, variants[variant], dyn)
+    # The copy shares every key input with the last query but not its successors.
+    copy = dataclasses.replace(graph, succ=other_succ)
+    for q0 in range(copy.size):
+        check(copy, q0, tf_steps * dyn.dt_s, lam, variants[variant], dyn)
