@@ -37,7 +37,6 @@ from .estimator import (
     predict,
     riccati_step,
     steady_state,
-    switched_step,
 )
 from .exact import (
     Schedule,

@@ -22,12 +22,15 @@ from .errors import ConfigError, GraphExpansionError
 from .estimator import riccati_step
 
 FORMAT_VERSION = 1
-# Nodes stepped per kernel call in expand_graph, and entries per block of the
-# score matrix in _nearest_known; together they bound the temporaries.
+# Nodes stepped per kernel call in expand_graph.
 _CHUNK = 2048
-_BLOCK = 1 << 18
+# Scores per block in _nearest_rows: 320 KB of float64, so a block stays in
+# L2 from the product that writes it to the passes that read it. Of 2^15 to
+# 2^18 entries this was about the fastest on the 10,000 x 5,000 occlusion
+# match, 2 MB blocks (2^18) the slowest.
+_BLOCK = 5 << 13
 # Up to this many rep entries (Q * n * n), `nearest` scans every node: below
-# it the scan takes fewer numpy calls than scoring by norms, and is faster.
+# it the scan takes fewer numpy calls than `_nearest_rows`, and is faster.
 _SCAN_ENTRIES = 4096
 
 
@@ -98,8 +101,7 @@ class CovarianceGraph:
         self.reps = np.ascontiguousarray(np.asarray(self.reps, dtype=float))
         self.succ = np.ascontiguousarray(np.asarray(self.succ, dtype=np.int64))
         self._flat = self.reps.reshape(self.reps.shape[0], -1)
-        self._sq = np.einsum("ij,ij->i", self._flat, self._flat)
-        self._scale = 1.0 + float(self._sq.max(initial=0.0))
+        self._scorer = _augmented(self._flat)
 
     @property
     def size(self) -> int:
@@ -112,10 +114,11 @@ class CovarianceGraph:
     def nearest(self, P: np.ndarray) -> tuple[int, float]:
         """Nearest representative and its Frobenius distance; ties go to the lowest id.
 
-        A small graph is scanned node by node. A larger one is scored with the
-        squared norms |k|^2 cached when the graph was constructed, so a graph
-        whose `reps` are written into afterwards must be rebuilt (for example
-        with `dataclasses.replace`) before this call.
+        A small graph is scanned node by node. A larger one is scored by
+        `_nearest_rows` with the `_augmented` operands cached when the graph
+        was constructed, so a graph whose `reps` are written into afterwards
+        must be rebuilt (for example with `dataclasses.replace`) before this
+        call.
         """
         if self.size == 0:
             raise ValueError("graph has no representatives")
@@ -124,8 +127,8 @@ class CovarianceGraph:
             d2 = _sq_dist(self._flat, x)
             idx = int(np.argmin(d2))
             return idx, float(np.sqrt(d2[idx]))
-        idx = int(_nearest_rows(self._flat, self._sq, self._scale, x)[0])
-        return idx, float(np.sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0]))
+        j, d2 = _nearest_rows(self._flat, self._scorer, x)
+        return int(j[0]), float(np.sqrt(d2[0]))
 
     def save(self, path) -> None:
         payload = {
@@ -264,48 +267,67 @@ def _sq_dist(known: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _nearest_rows(known: np.ndarray, sq: np.ndarray, scale: float, points: np.ndarray,
-                  exclude=None):
-    """Nearest row of `known` for each row of `points`; ties go to the lowest id.
+def _augmented(known: np.ndarray) -> tuple[np.ndarray, float]:
+    """The score operands (aug, scale) of the rows k of `known`.
 
-    `sq` holds |k|^2 for each known row and `scale` is 1 + max |k|^2. Rows are
-    scored as |k|^2 - 2 k.x with one product. Where other rows score within
-    1e-9 * (scale + |x|^2) of the best, far above the round-off of the score,
-    an exact `_sq_dist` scan of those rows decides. Given `exclude`, point i
-    never matches row exclude[i].
+    aug is `[-2 k^T; |k|^2]`, so `[x, 1] @ aug` is |k|^2 - 2 k.x for every
+    row k at once, and scale is 1 + max |k|^2.
     """
-    d2 = points @ known.T
-    d2 *= -2.0
-    d2 += sq
-    if exclude is not None:
-        d2[np.arange(len(points)), exclude] = np.inf
-    best = d2.argmin(axis=1)
+    aug = np.empty((known.shape[1] + 1, known.shape[0]))
+    np.multiply(known.T, -2.0, out=aug[:-1])
+    aug[-1] = np.einsum("ij,ij->i", known, known)
+    return aug, 1.0 + float(aug[-1].max(initial=0.0))
+
+
+def _nearest_rows(known: np.ndarray, scorer, points: np.ndarray,
+                  exclude=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of `known` for each row of `points` and its squared distance.
+
+    Ties go to the lowest id, and distances are exact (`_sq_dist`'s einsum).
+    `scorer` is `_augmented(known)`. Points are scored about `_BLOCK` scores
+    at a time, each block with one product `[x, 1] @ aug` and no pass
+    to scale or shift it, then read by one argmin, a gather of each best
+    score and one comparison. Where other rows score within
+    1e-9 * (scale + |x|^2) of the best, far above the round-off of the
+    score, an exact `_sq_dist` scan of those rows decides. Given `exclude`,
+    point i never matches row exclude[i]. This one kernel serves
+    `expand_graph`, `default_admit_tol` and `CovarianceGraph.nearest`.
+    """
+    aug, scale = scorer
+    count, Q = len(points), aug.shape[1]
+    lifted = np.empty((count, aug.shape[0]))
+    lifted[:, :-1] = points
+    lifted[:, -1] = 1.0
     band = 1e-9 * (scale + np.vecdot(points, points))
-    near = d2 <= (d2.min(axis=1) + band)[:, None]
-    # Each row's best is in its own band; more hits mean a near tie somewhere.
-    if np.count_nonzero(near) > len(points):
-        for i in np.flatnonzero(near.sum(axis=1) > 1):
-            rows = np.flatnonzero(near[i])
-            best[i] = rows[np.argmin(_sq_dist(known[rows], points[i]))]
-    return best
+    step = max(1, min(count, _BLOCK // Q))
+    scores = np.empty((step, Q))
+    near = np.empty((step, Q), dtype=bool)
+    # Flat offset of each block row, to gather and scatter one entry per row.
+    offsets = np.arange(0, step * Q, Q)
+    best = np.empty(count, dtype=np.int64)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        rows = stop - start
+        block = np.matmul(lifted[start:stop], aug, out=scores[:rows])
+        flat = block.reshape(-1)
+        if exclude is not None:
+            flat[offsets[:rows] + exclude[start:stop]] = np.inf
+        j = block.argmin(axis=1)
+        hits = np.less_equal(block, (flat[offsets[:rows] + j] + band[start:stop])[:, None],
+                             out=near[:rows])
+        # Each row's best is in its own band; more hits mean a near tie somewhere.
+        if np.count_nonzero(hits) > rows:
+            for i in np.flatnonzero(np.count_nonzero(hits, axis=1) > 1):
+                cand = np.flatnonzero(hits[i])
+                j[i] = cand[np.argmin(_sq_dist(known[cand], points[start + i]))]
+        best[start:stop] = j
+    diff = known[best] - points
+    return best, np.einsum("ij,ij->i", diff, diff)
 
 
 def _nearest_known(known: np.ndarray, points: np.ndarray, exclude=None):
-    """Nearest known node and its squared distance for each row of `points`.
-
-    Works over blocks of points so that the score matrix stays bounded; given
-    `exclude`, point i never matches node exclude[i].
-    """
-    sq = np.einsum("ij,ij->i", known, known)
-    scale = 1.0 + sq.max()
-    j = np.empty(len(points), dtype=np.int64)
-    step = max(1, _BLOCK // len(known))
-    for start in range(0, len(points), step):
-        block = slice(start, start + step)
-        j[block] = _nearest_rows(known, sq, scale, points[block],
-                                 None if exclude is None else exclude[block])
-    diff = known[j] - points
-    return j, np.einsum("ij,ij->i", diff, diff)
+    """`_nearest_rows` against `known`, its score operands built for this call."""
+    return _nearest_rows(known, _augmented(known), points, exclude)
 
 
 def expand_graph(

@@ -9,9 +9,8 @@ to tau_{k+1} in a single step:
     x[k+1] = Ad x[k] + L (z[k] - C x[k])
     P[k+1] = (Ad - L C) P (Ad - L C)' + L R L' + Wd          (Joseph form)
 
-`switched_step` is the same covariance recursion with a fixed, externally
-supplied gain per method; it exists to validate the boundedness certificate
-empirically (the optimal filter can never beat it in trace).
+`riccati_step` is the covariance part of that step alone (nominal R), and
+`steady_state` iterates that recursion to the fixed point of one method.
 """
 
 from __future__ import annotations
@@ -139,24 +138,6 @@ def correct(
     L, P_next = _gain_and_next_cov(belief.Phat, Ad, Wd, C, R)
     xhat = Ad @ belief.xhat + L @ (meas.z - C @ belief.xhat)
     return BeliefState(belief.t + method.latency(dyn.dt_s), xhat, P_next)
-
-
-def switched_step(
-    P: np.ndarray,
-    method: PerceptionMethod,
-    gains: dict,
-    dyn: DiscretizedDynamics,
-) -> np.ndarray:
-    """Fixed-gain covariance recursion P -> Lam P Lam' + L R L' + Wd.
-
-    `gains` maps method id to its fixed gain L; Lam = Ad - L C. Used to check
-    the certificate-based bound against the optimal filter.
-    """
-    Ad, Wd = dyn.step_pair(method.steps)
-    L = np.asarray(gains[method.id], dtype=float)
-    Lam = Ad - L @ dyn.model.C
-    P_next = Lam @ P @ Lam.T + L @ method.R @ L.T + Wd
-    return 0.5 * (P_next + P_next.T)
 
 
 def steady_state(

@@ -15,12 +15,11 @@ from latsched import (
     lmi_feasible,
     riccati_step,
     sample_region,
-    switched_step,
     synthesize_certificate,
 )
 from latsched.bounds import gbar, lmi_margin
 
-from conftest import exact_spd, scalar_setup
+from conftest import exact_spd, scalar_setup, switched_step
 
 
 class TestFeasibility:

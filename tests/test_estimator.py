@@ -13,11 +13,10 @@ from latsched import (
     predict,
     riccati_step,
     steady_state,
-    switched_step,
 )
 from latsched.estimator import _gain_and_next_cov
 
-from conftest import random_spd, scalar_setup
+from conftest import random_spd, scalar_setup, switched_step
 
 
 def longdouble_update(P, Ad, Wd, C, R):

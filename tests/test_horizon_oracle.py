@@ -1,9 +1,10 @@
 """The lean controller epoch against per-point and per-node reference loops.
 
 `run_loop` records an epoch's interior sensor points from one stacked product
-over the step tables, `CovarianceGraph.nearest` scores large graphs with
-cached norms, and `adaptive_R` sums its outer products from one stack. The
-loops below are the references; every output must equal theirs bit for bit.
+over the step tables, `CovarianceGraph.nearest` scores large graphs with one
+product against cached operands, and `adaptive_R` sums its outer products
+from one stack. The loops below are the references; every output must equal
+theirs bit for bit.
 """
 
 from dataclasses import replace
@@ -181,7 +182,7 @@ def planar():
 
 @pytest.fixture(params=["default", "scored"])
 def scoring(request):
-    """Run at the shipped scan threshold, then with every graph scored by norms."""
+    """Run at the shipped scan threshold, then with every graph scored by product."""
     if request.param == "default":
         yield
     else:
