@@ -24,13 +24,13 @@ import sys
 
 import numpy as np
 
-from .bounds import bound_bs, gbar, lmi_feasible, synthesize_certificate
+from .bounds import bound_bs, gbar, lmi_feasible
 from .config import ScenarioConfig, _number, _seed, _tf, check_sim_grid, load_scenario
 from .covgraph import CovarianceGraph, quantize
 from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
 from .exact import dyn_prog_exact, evaluate_schedule, schedule_cpu_load
-from .experiments import _build_graph, monte_carlo, rows_to_csv, track
+from .experiments import _build_graph, certificate, monte_carlo, rows_to_csv, track
 from .qdp import attach_policy, policy_meta, qdp
 from .sim import simulate_sde
 
@@ -128,21 +128,13 @@ def _cmd_schedule_qdp(cfg: ScenarioConfig, args) -> int:
 
 def _cmd_bound_check(cfg: ScenarioConfig, args) -> int:
     dyn = build_dynamics(cfg.model, cfg.methods)
-    cert = cfg.certificate
-    synthesized = False
-    if cert is None:
-        cert = synthesize_certificate(cfg.model, cfg.methods, dyn, cfg.gamma)
-        synthesized = True
-        if cert is None:
-            print("certificate synthesis failed; supply Omega/Y in the "
-                  "certificate block", file=sys.stderr)
-            return 2
+    cert = certificate(cfg, dyn)
     feasible, margin = lmi_feasible(cert, cfg.methods, dyn)
     payload = {
         "feasible": feasible,
         "margin": margin,
         "gamma": cert.gamma,
-        "synthesized": synthesized,
+        "synthesized": cfg.certificate is None,
         "gbar": gbar(cert, cfg.methods, dyn),
     }
     if feasible:

@@ -7,7 +7,9 @@ and attention weights as
 
     penalty = lambda_load * cpu * latency + lambda_att
 
-Validation errors name the offending JSON path.
+Validation errors name the offending JSON path. Keys the schema does not
+name are ignored, so a file that still sets the removed `experiment.oracle`
+or `experiment.oracle_samples` parses as if it did not.
 """
 
 from __future__ import annotations
@@ -133,8 +135,6 @@ class SimConfig:
 class ExperimentConfig:
     name: str = "moving-horizon"
     graph_sizes: list = field(default_factory=lambda: [50, 500, 5000])
-    oracle: str = "exhaustive"
-    oracle_samples: int = 10000
     schedule_steps: int = 100
     true_R_factor: float = 4.0
 
@@ -287,18 +287,12 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         known = ("bound-validation", "cost-histogram", "moving-horizon", "adaptive-R")
         if name not in known:
             raise ConfigError(f"experiment.name: expected one of {sorted(known)}")
-        oracle = e.get("oracle", experiment.oracle)
-        if oracle not in ("exhaustive", "random"):
-            raise ConfigError("experiment.oracle: expected 'exhaustive' or 'random'")
         sizes = e.get("graph_sizes", experiment.graph_sizes)
         if not isinstance(sizes, list):
             raise ConfigError("experiment.graph_sizes: expected an array")
         experiment = ExperimentConfig(
             name=name,
             graph_sizes=[_count(v, f"experiment.graph_sizes[{i}]") for i, v in enumerate(sizes)],
-            oracle=oracle,
-            oracle_samples=_count(e.get("oracle_samples", experiment.oracle_samples),
-                                  "experiment.oracle_samples"),
             schedule_steps=_count(e.get("schedule_steps", experiment.schedule_steps),
                                   "experiment.schedule_steps"),
             true_R_factor=_number(

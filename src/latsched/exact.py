@@ -11,8 +11,9 @@ loop, `window_cost`, takes the covariance step as a callback, so graph
 trajectories are costed by the same code. `dyn_prog_exact` searches all
 minimal covering schedules, one tree depth at a time with stacked Riccati
 steps. Exact search is exponential in the window length, so it is guarded by
-depth and tree-size caps and intended as a ground-truth oracle, not a runtime
-component.
+depth and tree-size caps (`guard_search`) and serves as the ground-truth
+oracle: `schedule-exact` and the cost-histogram experiment's `j_min` read it,
+the runtime controller does not.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .dynamics import DiscretizedDynamics
 from .errors import ExplosionGuardError, IncompleteScheduleError
 from .estimator import riccati_step
 
+_MAX_DEPTH = 24  # default cap on the search depth Tf / min latency
 # Bound on tree nodes times n_x^2, which sets the exact search's memory: a
 # 2^20-node search over 4x4 covariances peaks at about 370 MB RSS.
 _MAX_TREE_ENTRIES = 2**24
@@ -152,38 +154,15 @@ def enumerate_covering_schedules(tf_steps: int, methods) -> Iterator[tuple]:
     yield from rec(tf_steps, ())
 
 
-def dyn_prog_exact(
-    P0: np.ndarray,
-    tf: float,
-    lam_alpha: float,
-    methods,
-    dyn: DiscretizedDynamics,
-    max_depth: int = 24,
-    stats: dict | None = None,
-) -> tuple[Schedule, float]:
-    """Globally optimal minimal covering schedule by level-batched search.
+def guard_search(tf: float, methods, dyn: DiscretizedDynamics,
+                 max_depth: int = _MAX_DEPTH) -> int:
+    """The window's step count, once the exact search over it is within its caps.
 
-    The search tree has one node per schedule prefix that does not yet cover
-    the window. A forward pass builds it one depth at a time: the live nodes
-    are one covariance stack, costed against each method's Gram and stepped
-    by one stacked `riccati_step` per method. A backward pass gives each node
-    the value `local + child value` of its best method, ties breaking toward
-    the lower id. Memory is the covariances of one level and its successors
-    plus O(calls * D) scalars; for a (1, 2)-step method pair at the default
-    depth cap the tree has 121,392 nodes and its widest level 26,333.
-
-    Raises ValueError unless P0 is a finite (n_x, n_x) array and `lam_alpha`
-    is finite, and ExplosionGuardError when the worst-case depth
-    Tf / min latency exceeds `max_depth` or the tree's covariances would
-    exceed `_MAX_TREE_ENTRIES` entries; the quantized scheduler handles long
-    windows. `stats["calls"]` receives the node count.
+    Raises ExplosionGuardError when the worst-case depth Tf / min latency
+    exceeds `max_depth` or the tree's covariances would exceed
+    `_MAX_TREE_ENTRIES` entries.
     """
     n = dyn.model.n_x
-    P = np.asarray(P0, dtype=float)
-    if P.shape != (n, n) or not np.all(np.isfinite(P)):
-        raise ValueError(f"P0 must be a finite {n}x{n} array, got shape {P.shape}")
-    if not np.isfinite(lam_alpha):
-        raise ValueError(f"lam_alpha must be finite, got {lam_alpha}")
     tf_steps = window_steps(tf, dyn.dt_s)
     min_steps = min(m.steps for m in methods)
     if tf_steps // min_steps > max_depth:
@@ -199,6 +178,41 @@ def dyn_prog_exact(
             f"exact search tree of {nodes[tf_steps]} nodes of {n}x{n} covariances "
             f"exceeds {_MAX_TREE_ENTRIES} entries; use the quantized scheduler"
         )
+    return tf_steps
+
+
+def dyn_prog_exact(
+    P0: np.ndarray,
+    tf: float,
+    lam_alpha: float,
+    methods,
+    dyn: DiscretizedDynamics,
+    max_depth: int = _MAX_DEPTH,
+    stats: dict | None = None,
+) -> tuple[Schedule, float]:
+    """Globally optimal minimal covering schedule by level-batched search.
+
+    The search tree has one node per schedule prefix that does not yet cover
+    the window. A forward pass builds it one depth at a time: the live nodes
+    are one covariance stack, costed against each method's Gram and stepped
+    by one stacked `riccati_step` per method. A backward pass gives each node
+    the value `local + child value` of its best method, ties breaking toward
+    the lower id. Memory is the covariances of one level and its successors
+    plus O(calls * D) scalars; for a (1, 2)-step method pair at the default
+    depth cap the tree has 121,392 nodes and its widest level 26,333.
+
+    Raises ValueError unless P0 is a finite (n_x, n_x) array and `lam_alpha`
+    is finite, and ExplosionGuardError past `guard_search`'s caps; the
+    quantized scheduler handles long windows. `stats["calls"]` receives the
+    node count.
+    """
+    n = dyn.model.n_x
+    P = np.asarray(P0, dtype=float)
+    if P.shape != (n, n) or not np.all(np.isfinite(P)):
+        raise ValueError(f"P0 must be a finite {n}x{n} array, got shape {P.shape}")
+    if not np.isfinite(lam_alpha):
+        raise ValueError(f"lam_alpha must be finite, got {lam_alpha}")
+    tf_steps = guard_search(tf, methods, dyn, max_depth)
     # Forward: per level, local[i, j] costs method i at node j and
     # child[i, j] indexes the node it leads to on the next level (-1: none).
     levels = []

@@ -5,8 +5,9 @@ Four experiments are available, selected by name:
   bound-validation  random initial covariances and random schedules checked
                     against the certificate bound B_s.
   cost-histogram    window-cost gap between the quantized scheduler (at
-                    several graph sizes), the static schedules, and the best
-                    enumerable schedule.
+                    several graph sizes), the static schedules, and the
+                    exact optimum of `dyn_prog_exact`; a window past the
+                    exact search's caps fails before the first run.
   moving-horizon    full tracking loop with occlusions versus the static
                     baselines.
   adaptive-R        paired runs with mismatched measurement noise, with and
@@ -24,19 +25,18 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bounds import bound_bs, synthesize_certificate
+from .bounds import LyapunovCertificate, bound_bs, synthesize_certificate
 from .config import ScenarioConfig, check_sim_grid
 from .covgraph import expand_graph, quantize, sample_region
 from .dynamics import build_dynamics
-from .errors import ConfigError
+from .errors import ConfigError, LatschedError
 from .estimator import riccati_step
 from .exact import (
-    Schedule,
-    enumerate_covering_schedules,
+    dyn_prog_exact,
     evaluate_schedule,
+    guard_search,
     schedule_cpu_load,
     static_schedule,
-    window_steps,
 )
 from .horizon import run_loop
 from .qdp import attach_policy, qdp
@@ -49,16 +49,18 @@ def _build_graph(cfg: ScenarioConfig, dyn, count: int, seed):
                         b0=cfg.graph.b0)
 
 
+def certificate(cfg: ScenarioConfig, dyn) -> LyapunovCertificate:
+    """The configured certificate, else a synthesized one; LatschedError if synthesis fails."""
+    cert = cfg.certificate or synthesize_certificate(cfg.model, cfg.methods, dyn, cfg.gamma)
+    if cert is None:
+        raise LatschedError(
+            "certificate synthesis failed; supply Omega/Y in the certificate block")
+    return cert
+
+
 def _prepare_bound_validation(cfg: ScenarioConfig) -> dict:
     dyn = build_dynamics(cfg.model, cfg.methods)
-    cert = cfg.certificate
-    if cert is None:
-        cert = synthesize_certificate(cfg.model, cfg.methods, dyn, cfg.gamma)
-        if cert is None:
-            raise ConfigError(
-                "certificate synthesis failed; supply one in the certificate block"
-            )
-    bs = bound_bs(cert, cfg.graph.b0, cfg.methods, dyn)
+    bs = bound_bs(certificate(cfg, dyn), cfg.graph.b0, cfg.methods, dyn)
     return {"cfg": cfg, "dyn": dyn, "bs": bs}
 
 
@@ -82,43 +84,19 @@ def _run_bound_validation(ctx: dict, run: int, seed) -> dict:
 
 def _prepare_cost_histogram(cfg: ScenarioConfig) -> dict:
     dyn = build_dynamics(cfg.model, cfg.methods)
+    guard_search(cfg.tf, cfg.methods, dyn)  # fail once here, not in every run
     sizes = cfg.experiment.graph_sizes
     seeds = np.random.SeedSequence(cfg.graph.seed).spawn(len(sizes))
     graphs = {size: _build_graph(cfg, dyn, size, seed) for size, seed in zip(sizes, seeds)}
     statics = {m.id: static_schedule(m.id, cfg.tf, cfg.methods, dyn) for m in cfg.methods}
-    all_schedules = None
-    if cfg.experiment.oracle == "exhaustive":
-        tf_steps = window_steps(cfg.tf, dyn.dt_s)
-        all_schedules = [Schedule(s) for s in enumerate_covering_schedules(tf_steps, cfg.methods)]
-    return {"cfg": cfg, "dyn": dyn, "graphs": graphs,
-            "statics": statics, "all_schedules": all_schedules}
+    return {"cfg": cfg, "dyn": dyn, "graphs": graphs, "statics": statics}
 
 
 def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
     cfg, dyn = ctx["cfg"], ctx["dyn"]
-    rng = np.random.default_rng(seed)
-    P0 = sample_region(cfg.model.n_x, cfg.graph.b0, 1, rng)[0]
-    tf_steps = window_steps(cfg.tf, dyn.dt_s)
-
-    if ctx["all_schedules"] is not None:
-        j_min = min(
-            evaluate_schedule(P0, s, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-            for s in ctx["all_schedules"]
-        )
-    else:
-        ids = [m.id for m in cfg.methods]
-        j_min = np.inf
-        for _ in range(cfg.experiment.oracle_samples):
-            seq = []
-            total = 0
-            while total < tf_steps:
-                pid = int(rng.choice(ids))
-                seq.append(pid)
-                total += cfg.methods[pid - 1].steps
-            j_min = min(j_min, evaluate_schedule(
-                P0, Schedule(tuple(seq)), cfg.tf, cfg.lam_alpha, cfg.methods, dyn))
-
-    row = {"run": run, "j_min": float(j_min)}
+    P0 = sample_region(cfg.model.n_x, cfg.graph.b0, 1, seed)[0]
+    _, j_min = dyn_prog_exact(P0, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+    row = {"run": run, "j_min": j_min}
     for mid, sched in ctx["statics"].items():
         row[f"j_static_{mid}"] = evaluate_schedule(
             P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)

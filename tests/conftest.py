@@ -91,8 +91,7 @@ def window_time_ratio(run, rounds: int = 11, batch: int = 5) -> float:
     speed, and a shared machine stalls at random; both only add time, so the
     four rounds of most total time are dropped and the median ratio of the
     rest is the result. The warm-up runs the window timed last, so every
-    batch, the first one too, follows a batch of the other window: a `run`
-    that memoizes its last window recomputes once in every batch.
+    batch, the first one too, follows a batch of the other window.
     """
     run(16.0)  # warm-up
     times = np.empty((rounds, 2))

@@ -222,7 +222,8 @@ def test_criterion_7_complexity_scaling(bench_mod):
     tables = ls.qdp_matrices(0, TF, LAM, graph, methods, dyn)
     assert tables.relaxations == 30 * graph.size * len(methods)
 
-    ratio = window_time_ratio(lambda tf: ls.qdp_matrices(0, tf, LAM, graph, methods, dyn))
+    # qdp_matrices reads the graph's sweep memo, so time the sweep itself.
+    ratio = window_time_ratio(lambda tf: ls.backward_tables(tf, LAM, graph, methods, dyn))
     assert 1.5 <= ratio <= 2.5, f"doubling the window scaled time by {ratio:.2f}"
     _passed(7, f"relaxations = alpha_max*Q*D exactly; 2x window -> {ratio:.2f}x time",
             time.perf_counter() - t0, 60.0)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latsched import CovarianceGraph, ConfigError, attach_policy, build_dynamics
+from latsched import (
+    CovarianceGraph,
+    ConfigError,
+    attach_policy,
+    build_dynamics,
+    experiments,
+    monte_carlo,
+)
 from latsched.cli import _built_graph, main
 from latsched.config import (
     ExperimentConfig,
@@ -79,6 +86,14 @@ class TestConfigParsing:
         payload = planar_payload(experiment={"name": "nope"})
         with pytest.raises(ConfigError, match="experiment.name"):
             parse_scenario(payload)
+
+    def test_removed_oracle_keys_are_ignored(self):
+        experiment = {"name": "cost-histogram", "graph_sizes": [10]}
+        old = parse_scenario(planar_payload(
+            experiment={**experiment, "oracle": "random", "oracle_samples": 50}))
+        new = parse_scenario(planar_payload(experiment=experiment))
+        assert old.experiment == new.experiment == ExperimentConfig(**experiment)
+        assert monte_carlo(old, runs=2, seed=3) == monte_carlo(new, runs=2, seed=3)
 
     def test_certificate_block(self):
         payload = planar_payload()
@@ -269,6 +284,28 @@ class TestCli:
                      str(tmp_path / "x.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_cost_histogram_past_exact_caps_exits_2(self, tmp_path, capsys):
+        payload = planar_payload(cost={"Tf": 2.5, "lambda_alpha": 5.0},
+                                 experiment={"name": "cost-histogram", "graph_sizes": [10]})
+        out = tmp_path / "mc.csv"
+        assert main(["mc-eval", "-c", write_config(tmp_path, payload), "-o", str(out)]) == 2
+        assert "recursion depth 25 > 24" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, experiment", [
+        ("bound-check", "moving-horizon"),
+        ("mc-eval", "bound-validation"),
+    ])
+    def test_failed_certificate_synthesis_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  command, experiment):
+        monkeypatch.setattr(experiments, "synthesize_certificate", lambda *args: None)
+        cfg_path = write_config(tmp_path, planar_payload(experiment={"name": experiment}))
+        out = tmp_path / "out"
+        assert main([command, "-c", cfg_path, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("runtime error: certificate synthesis failed; "
+                                           "supply Omega/Y in the certificate block\n")
+        assert not out.exists()
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         payload = planar_payload()
         payload["cost"]["Tf"] = 40.0  # depth guard in the exact scheduler
@@ -318,8 +355,7 @@ class TestCli:
          r"experiment.graph_sizes\[1\]: expected a positive integer"),
         ({"experiment": {"graph_sizes": [0]}},
          r"experiment.graph_sizes\[0\]: expected a positive integer"),
-        ({"experiment": {"oracle_samples": 1.5}},
-         "experiment.oracle_samples: expected a positive integer"),
+        ({"experiment": {"true_R_factor": 0}}, "experiment.true_R_factor: must be > 0"),
         ({"experiment": {"schedule_steps": True}},
          "experiment.schedule_steps: expected a positive integer"),
         ({"graph": {"count": 0.5}}, "graph.count: expected a positive integer"),
@@ -558,8 +594,7 @@ def scenario_payloads(draw):
             "name": draw(st.sampled_from(
                 ["bound-validation", "cost-histogram", "moving-horizon", "adaptive-R"])),
             "graph_sizes": draw(st.lists(counts, max_size=4)),
-            "oracle": draw(st.sampled_from(["exhaustive", "random"])),
-            "oracle_samples": draw(counts), "schedule_steps": draw(counts),
+            "schedule_steps": draw(counts),
             "true_R_factor": draw(positive),
         }
     return payload
@@ -623,7 +658,6 @@ def test_config_json_round_trip(payload, tmp_path_factory):
         assert cfg.experiment == ExperimentConfig()
     else:
         e = cfg.experiment
-        assert (e.name, e.graph_sizes, e.oracle, e.oracle_samples, e.schedule_steps) == \
-            tuple(experiment[key] for key in ("name", "graph_sizes", "oracle",
-                                              "oracle_samples", "schedule_steps"))
+        assert (e.name, e.graph_sizes, e.schedule_steps) == \
+            tuple(experiment[key] for key in ("name", "graph_sizes", "schedule_steps"))
         assert same(experiment["true_R_factor"], e.true_R_factor)

@@ -1,9 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from latsched import (
     GridMeasurementSource,
+    Schedule,
     attach_policy,
     build_dynamics,
+    enumerate_covering_schedules,
+    evaluate_schedule,
     expand_graph,
     metrics,
     monte_carlo,
@@ -13,6 +20,9 @@ from latsched import (
     simulate_sde,
 )
 from latsched.config import parse_scenario
+from latsched.exact import window_steps
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def planar_payload(**tweaks):
@@ -41,6 +51,15 @@ def planar_payload(**tweaks):
     return payload
 
 
+def double_integrator_payload(lam_alpha=None, graph_sizes=(50,)):
+    """The shipped cost-histogram scenario, optionally at another lambda_alpha."""
+    payload = json.loads((CONFIGS / "double_integrator.json").read_text())
+    if lam_alpha is not None:
+        payload["cost"]["lambda_alpha"] = lam_alpha
+    payload["experiment"]["graph_sizes"] = list(graph_sizes)
+    return payload
+
+
 class TestBoundValidation:
     def test_rows_and_soundness(self):
         cfg = parse_scenario(planar_payload(
@@ -58,8 +77,7 @@ class TestBoundValidation:
 class TestCostHistogram:
     def test_columns_and_ordering(self):
         cfg = parse_scenario(planar_payload(
-            experiment={"name": "cost-histogram", "graph_sizes": [10, 40],
-                        "oracle": "exhaustive"},
+            experiment={"name": "cost-histogram", "graph_sizes": [10, 40]},
         ))
         rows = monte_carlo(cfg, runs=3, seed=2)
         for row in rows:
@@ -68,13 +86,44 @@ class TestCostHistogram:
             assert row["j_min"] <= row["j_static_1"] + 1e-12
             assert row["j_min"] <= row["j_static_2"] + 1e-12
 
-    def test_random_oracle_mode(self):
-        cfg = parse_scenario(planar_payload(
-            experiment={"name": "cost-histogram", "graph_sizes": [10],
-                        "oracle": "random", "oracle_samples": 50},
-        ))
-        rows = monte_carlo(cfg, runs=2, seed=3)
-        assert all("error" not in row for row in rows)
+    @pytest.mark.parametrize("payload", [
+        pytest.param(planar_payload(experiment={"name": "cost-histogram", "graph_sizes": [10]}),
+                     id="planar"),
+        pytest.param(double_integrator_payload(), id="double_integrator"),
+        # At lambda_alpha = 0.1 the optimum mixes methods in some runs.
+        pytest.param(double_integrator_payload(0.1), id="double_integrator-0.1"),
+    ])
+    def test_j_min_is_the_enumerated_minimum(self, payload):
+        cfg = parse_scenario(payload)
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        schedules = [Schedule(s) for s in enumerate_covering_schedules(
+            window_steps(cfg.tf, dyn.dt_s), cfg.methods)]
+        entropy = np.random.SeedSequence(9).entropy
+        for run, row in enumerate(monte_carlo(cfg, runs=20, seed=9)):
+            child = np.random.SeedSequence(entropy, spawn_key=(run,))
+            P0 = sample_region(cfg.model.n_x, cfg.graph.b0, 1, child)[0]
+            want = min(evaluate_schedule(P0, s, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+                       for s in schedules)
+            assert abs(row["j_min"] - want) <= 1e-14 * want, (run, row["j_min"], want)
+
+    def test_other_columns_match_the_enumerating_oracle(self):
+        # Rows written when j_min came from enumerating every covering schedule;
+        # only j_min may move, by round-off.
+        before = [
+            (1.1310030115543563, 1.1310030115543563, 1.2097245381168522,
+             1.1378033915433456, 0.59, 1.1378033915433456, 0.59),
+            (0.8985066135843629, 0.9078991564681735, 0.9563471459489881,
+             0.9078991564681735, 0.5, 0.9078991564681735, 0.5),
+            (1.0297179485665864, 1.0297179485665864, 1.1186931031288299,
+             1.0297179485665864, 0.5, 1.0599971957405145, 0.59),
+        ]
+        cfg = parse_scenario(double_integrator_payload(0.1, graph_sizes=[50, 500]))
+        rows = monte_carlo(cfg, runs=3, seed=4)
+        for run, (row, (j_min, *rest)) in enumerate(zip(rows, before)):
+            assert list(row) == ["run", "j_min", "j_static_1", "j_static_2", "j_qdp_50",
+                                 "cpu_qdp_50", "j_qdp_500", "cpu_qdp_500"]
+            assert row["run"] == run and list(row.values())[2:] == rest
+            assert abs(row["j_min"] - j_min) <= 1e-14 * j_min
 
 
 class TestMovingHorizon:
