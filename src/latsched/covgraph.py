@@ -82,10 +82,20 @@ class CovarianceGraph:
         policy: optional per-node first-decision table (1-based method ids).
         policy_meta: parameters the policy was computed for (`qdp.policy_meta`).
 
-    `qdp` and `qdp_matrices` keep the tables of the graph's last backward
-    sweep in `_sweep`. Construction starts it empty (so `dataclasses.replace`
-    and `load` do too) and `save` never writes it. A graph whose `reps` or
-    `succ` are written into must be rebuilt before its next query.
+    Two private memos ride on the graph. `qdp` and `qdp_matrices` keep the
+    tables of the graph's last backward sweep in `_sweep`. `run_loop` keeps
+    the covariance half of the epochs it has run in `_epochs`: the gain, the
+    next covariance and node, and the interior traces, keyed on the start
+    covariance's bytes, the method, whether it measured and the recorded
+    step count, for one method list (each method's steps and R bytes) and
+    one dynamics object (by identity); adaptive-R runs bypass it. Its hits
+    come from repeated runs on one graph, such as `mc-eval` sweeps and the
+    benchmark, not from one `simulate` run, and it holds at most
+    `horizon._MEMO_ENTRIES` entries. Construction starts both memos empty
+    (so `dataclasses.replace` and `load` do too) and `save` never writes
+    them. A graph whose `reps` or `succ` are written into must be rebuilt
+    before its next query or run, since both memos go stale, as do the
+    cached score operands of `nearest`.
     """
 
     reps: np.ndarray
@@ -96,6 +106,7 @@ class CovarianceGraph:
     policy: np.ndarray | None = None
     policy_meta: dict | None = None
     _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _epochs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.reps = np.ascontiguousarray(np.asarray(self.reps, dtype=float))

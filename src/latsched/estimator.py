@@ -11,6 +11,9 @@ to tau_{k+1} in a single step:
 
 `riccati_step` is the covariance part of that step alone (nominal R), and
 `steady_state` iterates that recursion to the fixed point of one method.
+`correct` is `epoch_covariance` (L and the clamped P[k+1], or P[k+1] alone
+for a dropped measurement) then `epoch_mean` (x[k+1]); the moving-horizon
+loop calls the two halves itself so that it can reuse a covariance half.
 """
 
 from __future__ import annotations
@@ -121,6 +124,54 @@ def riccati_step(
     return P_next
 
 
+def epoch_covariance(
+    Phat: np.ndarray,
+    method: PerceptionMethod,
+    dyn: DiscretizedDynamics,
+    R: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The covariance half of one epoch: gain L and the next covariance.
+
+    `R` is the covariance of the epoch's measurement, or None when it was
+    dropped, and then L is None and the covariance is only predicted. The
+    next covariance has been through BeliefState's PSD clamp and is
+    read-only, so `epoch_mean` builds the next belief from it as it is.
+    """
+    Ad, Wd = dyn.step_pair(method.steps)
+    if R is None:
+        L, P_next = None, Ad @ Phat @ Ad.T + Wd
+    else:
+        L, P_next = _gain_and_next_cov(Phat, Ad, Wd, dyn.model.C, R)
+    P_next = clamp_psd(P_next, "Phat", ValueError)
+    P_next.setflags(write=False)
+    return L, P_next
+
+
+def epoch_mean(
+    belief: BeliefState,
+    method: PerceptionMethod,
+    dyn: DiscretizedDynamics,
+    L: np.ndarray | None,
+    Phat: np.ndarray,
+    z: np.ndarray | None = None,
+) -> BeliefState:
+    """The belief one latency after `belief`, from the epoch's `epoch_covariance`.
+
+    The mean is `Ad x + L (z - C x)`, or `Ad x` when L is None. `Phat` is
+    taken as it is, unclamped and unchecked.
+    """
+    Ad = dyn.step_pair(method.steps)[0]
+    xhat = Ad @ belief.xhat
+    if L is not None:
+        xhat = xhat + L @ (z - dyn.model.C @ belief.xhat)
+    xhat.setflags(write=False)
+    out = object.__new__(BeliefState)
+    object.__setattr__(out, "t", belief.t + method.latency(dyn.dt_s))
+    object.__setattr__(out, "xhat", xhat)
+    object.__setattr__(out, "Phat", Phat)
+    return out
+
+
 def correct(
     belief: BeliefState,
     meas: Measurement,
@@ -132,12 +183,9 @@ def correct(
     `belief` must sit at the capture epoch of `meas`; the returned belief sits
     one latency later, with the measurement folded in.
     """
-    Ad, Wd = dyn.step_pair(method.steps)
-    C = dyn.model.C
     R = method.R if meas.R_actual is None else np.asarray(meas.R_actual, dtype=float)
-    L, P_next = _gain_and_next_cov(belief.Phat, Ad, Wd, C, R)
-    xhat = Ad @ belief.xhat + L @ (meas.z - C @ belief.xhat)
-    return BeliefState(belief.t + method.latency(dyn.dt_s), xhat, P_next)
+    L, Phat = epoch_covariance(belief.Phat, method, dyn, R)
+    return epoch_mean(belief, method, dyn, L, Phat, meas.z)
 
 
 def steady_state(

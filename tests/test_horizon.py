@@ -170,6 +170,26 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="policy holds method ids outside"):
             run_loop(model, methods, graph, policy, 0.9, FixedSource(model, 100), dyn)
 
+    @pytest.mark.parametrize("make", [
+        lambda size: np.ones(2, dtype=np.int64),
+        lambda size: np.ones(size + 1, dtype=np.int64),
+        lambda size: np.full(size, 1.7),
+        lambda size: np.ones((size, 1), dtype=np.int64),
+        lambda size: np.ones((1, size), dtype=np.int64),
+    ], ids=["short", "long", "float", "column", "row"])
+    def test_policy_of_wrong_shape_or_dtype_rejected(self, planar, make):
+        # Checked before the first source call, as a loaded graph's policy is.
+        model, methods, dyn, graph, _ = planar
+        calls = []
+
+        def source(k, t_steps, method):
+            calls.append(k)
+            return None
+
+        with pytest.raises(ValueError, match=f"policy must be {graph.size} integer"):
+            run_loop(model, methods, graph, make(graph.size), 0.9, source, dyn)
+        assert calls == []
+
     def test_decisions_match_fresh_qdp(self, planar):
         model, methods, dyn, graph, policy = planar
         trace = run_loop(model, methods, graph, policy, 1.0,

@@ -369,7 +369,8 @@ def test_interior_points_match_predict(n, steps, seed, rank, noise):
                                                   penalty=0.0)])
     G = rng.standard_normal((n, min(rank, n)))
     belief = BeliefState(0.0, rng.standard_normal(n), G @ G.T)
-    xhat, trP = horizon._interior_points(belief, steps, dyn)
+    xhat, trP = horizon._points(belief, horizon._epoch_traces(belief.Phat, steps, dyn),
+                                steps, dyn)
     want_x, want_tr = horizon._predicted_points(belief, steps, dyn)
     assert np.array_equal(np.asarray(xhat).reshape(-1, n), np.asarray(want_x).reshape(-1, n))
     assert list(trP) == want_tr
