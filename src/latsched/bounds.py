@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ContinuousModel, DiscretizedDynamics
+from .dynamics import ContinuousModel, DiscretizedDynamics, _lapack
 from .errors import InfeasibleCertificateError
 from .estimator import steady_state
 
@@ -46,7 +46,7 @@ class LyapunovCertificate:
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
         omega = 0.5 * (omega + omega.T)
-        if np.linalg.eigvalsh(omega)[0] <= 0.0:
+        if _lapack("eigvalsh", omega)[0] <= 0.0:
             raise ValueError("Omega must be positive definite")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie strictly in (0, 1)")
@@ -100,7 +100,7 @@ def _lmi_scan(omega: np.ndarray, lams, gamma: float) -> tuple[bool, float]:
     for lam in lams:
         gap = gamma * omega - lam.T @ omega @ lam
         gap = 0.5 * (gap + gap.T)
-        low = float(np.linalg.eigvalsh(gap)[0])
+        low = float(_lapack("eigvalsh", gap)[0])
         margin = min(margin, low)
         if low < -PSD_MARGIN_RTOL * np.linalg.norm(gap, "fro"):
             feasible = False
@@ -138,7 +138,7 @@ def bound_bs(
         raise InfeasibleCertificateError(
             f"certificate infeasible (margin {margin:.3e}); B_s is meaningless"
         )
-    eigs = np.linalg.eigvalsh(cert.omega)
+    eigs = _lapack("eigvalsh", cert.omega)
     n = cert.omega.shape[0]
     return float(
         np.sqrt(n) * (eigs[-1] / eigs[0]) * (b0 + gbar(cert, methods, dyn) / (1.0 - cert.gamma))
@@ -177,7 +177,7 @@ def synthesize_certificate(
         nxt = sum(lam.T @ omega @ lam for lam in lams) / gamma + np.eye(n)
         nxt = 0.5 * (nxt + nxt.T)
         nxt *= n / np.linalg.norm(nxt, "fro")
-        eigs = np.linalg.eigvalsh(nxt)
+        eigs = _lapack("eigvalsh", nxt)
         if eigs[0] > 0 and lmi_margin(nxt, lams, gamma) >= 0.0:
             cond = eigs[-1] / eigs[0]
             if cond < best_cond:

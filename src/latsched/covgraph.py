@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
-from .dynamics import PSD_RTOL, DiscretizedDynamics
+from .dynamics import PSD_RTOL, DiscretizedDynamics, _lapack
 from .config import _matrix, _number, _require
 from .errors import ConfigError, GraphExpansionError
 from .estimator import riccati_step
@@ -30,8 +31,10 @@ _CHUNK = 2048
 # match, 2 MB blocks (2^18) the slowest.
 _BLOCK = 5 << 13
 # Up to this many rep entries (Q * n * n), `nearest` scans every node: below
-# it the scan takes fewer numpy calls than `_nearest_rows`, and is faster.
+# it the scan takes fewer numpy calls than scoring, and is faster.
 _SCAN_ENTRIES = 4096
+# The constant column of the lifted point [x, 1] that `nearest` scores.
+_ONE = np.ones(1)
 
 
 def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
@@ -125,21 +128,27 @@ class CovarianceGraph:
     def nearest(self, P: np.ndarray) -> tuple[int, float]:
         """Nearest representative and its Frobenius distance; ties go to the lowest id.
 
-        A small graph is scanned node by node. A larger one is scored by
-        `_nearest_rows` with the `_augmented` operands cached when the graph
-        was constructed, so a graph whose `reps` are written into afterwards
-        must be rebuilt (for example with `dataclasses.replace`) before this
-        call.
+        A small graph is scanned node by node. A larger one is scored as
+        `_nearest_rows` scores one point, with 1-D operands and a Python-float
+        band, from the `_augmented` operands cached when the graph was
+        constructed, so a graph whose `reps` are written into afterwards must
+        be rebuilt (for example with `dataclasses.replace`) before this call.
         """
         if self.size == 0:
             raise ValueError("graph has no representatives")
-        x = np.asarray(P, dtype=float).reshape(1, -1)
+        x = np.asarray(P, dtype=float).reshape(-1)
         if self._flat.size <= _SCAN_ENTRIES:
             d2 = _sq_dist(self._flat, x)
-            idx = int(np.argmin(d2))
-            return idx, float(np.sqrt(d2[idx]))
-        j, d2 = _nearest_rows(self._flat, self._scorer, x)
-        return int(j[0]), float(np.sqrt(d2[0]))
+            idx = int(d2.argmin())
+            return idx, sqrt(d2[idx])
+        aug, scale = self._scorer
+        score = np.concatenate((x, _ONE)) @ aug
+        idx = int(score.argmin())
+        band = 1e-9 * (scale + float(np.vecdot(x, x)))
+        near = np.flatnonzero(score <= score[idx] + band)
+        if len(near) > 1:
+            idx = int(near[np.argmin(_sq_dist(self._flat[near], x))])
+        return idx, sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0])
 
     def save(self, path) -> None:
         payload = {
@@ -206,7 +215,7 @@ def _parse_graph(payload) -> dict:
     Q = reps.shape[0]
     # The PSD rule of clamp_psd, for every rep in one stacked eigvalsh.
     square = reps.reshape(Q, n, n)
-    lowest = np.linalg.eigvalsh(0.5 * (square + square.mT))[:, 0]
+    lowest = _lapack("eigvalsh", 0.5 * (square + square.mT))[:, 0]
     negative = np.flatnonzero(lowest < -PSD_RTOL * np.linalg.norm(reps, axis=1))
     if negative.size:
         q = int(negative[0])
@@ -301,8 +310,9 @@ def _nearest_rows(known: np.ndarray, scorer, points: np.ndarray,
     score and one comparison. Where other rows score within
     1e-9 * (scale + |x|^2) of the best, far above the round-off of the
     score, an exact `_sq_dist` scan of those rows decides. Given `exclude`,
-    point i never matches row exclude[i]. This one kernel serves
-    `expand_graph`, `default_admit_tol` and `CovarianceGraph.nearest`.
+    point i never matches row exclude[i]. This kernel serves `expand_graph`
+    and `default_admit_tol`; `CovarianceGraph.nearest` applies the same rule
+    to its one point with 1-D operands.
     """
     aug, scale = scorer
     count, Q = len(points), aug.shape[1]

@@ -26,8 +26,10 @@ reach it through `exact.window_cost`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import expm
 
 from .errors import InvalidModelError
@@ -35,6 +37,46 @@ from .errors import InvalidModelError
 # Symmetry / PSD tolerances used when validating covariance-like inputs.
 SYM_RTOL = 1e-12
 PSD_RTOL = 1e-10
+
+# The gufuncs (and float64 signatures) that numpy.linalg's public functions
+# call for float64 input; a numpy without them fails here, at import.
+_GUFUNCS = {
+    "eigh": (_umath_linalg.eigh_lo, "d->dd"),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d"),
+    "cholesky": (_umath_linalg.cholesky_lo, "d->d"),
+    "inv": (_umath_linalg.inv, "d->d"),
+}
+
+
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _call_gufunc(gufunc, signature: str, a):
+    return gufunc(a, signature=signature)
+
+
+def _lapack(name: str, a: np.ndarray):
+    """`numpy.linalg.<name>(a)` for float64 `a`, one matrix or a stack.
+
+    `name` is "eigh", "eigvalsh", "cholesky" or "inv". The public functions
+    spend more on argument checks and their error-state context than on a
+    small matrix, so this calls their gufunc directly, under their error state
+    except that a failure signal raises FloatingPointError. A failure or a
+    non-finite result is then handed to the public function, which raises its
+    own LinAlgError or returns the same result. The finiteness test sums
+    squares, so a result above about 1e154 also takes that path. `eigh`
+    returns a plain `(eigenvalues, eigenvectors)` tuple.
+    """
+    gufunc, signature = _GUFUNCS[name]
+    try:
+        out = _call_gufunc(gufunc, signature, a)
+    except FloatingPointError:
+        return getattr(np.linalg, name)(a)
+    if type(out) is tuple:
+        squares = np.vdot(out[0], out[0]) + np.vdot(out[1], out[1])
+    else:
+        squares = np.vdot(out, out)
+    if not isfinite(squares):
+        return getattr(np.linalg, name)(a)
+    return out
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -51,15 +93,15 @@ def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None) -
 
     Raises `error` when an eigenvalue lies below -1e-10 * scale, which is real
     negativity rather than round-off; `scale` defaults to the Frobenius norm of
-    the symmetrized matrix.
+    the symmetrized matrix, computed only when an eigenvalue is negative.
     """
     sym = 0.5 * (mat + mat.T)
-    if scale is None:
-        scale = np.linalg.norm(sym, "fro")
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals[0] < -PSD_RTOL * max(scale, 1e-300):
-        raise error(f"{name} has eigenvalue {eigvals[0]:.3e} below the PSD tolerance")
+    eigvals, eigvecs = _lapack("eigh", sym)
     if eigvals[0] < 0.0:
+        if scale is None:
+            scale = np.linalg.norm(sym, "fro")
+        if eigvals[0] < -PSD_RTOL * max(scale, 1e-300):
+            raise error(f"{name} has eigenvalue {eigvals[0]:.3e} below the PSD tolerance")
         sym = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
         sym = 0.5 * (sym + sym.T)
     return sym

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiscretizedDynamics, PerceptionMethod, clamp_psd
+from .dynamics import DiscretizedDynamics, PerceptionMethod, _lapack, clamp_psd
 from .errors import SingularUpdateError
 
 _COND_LIMIT = 1e12
@@ -90,18 +90,25 @@ def _gain_and_next_cov(
     PCt = P @ C.T
     S = C @ PCt + R
     S = 0.5 * (S + S.mT)
-    eig = np.linalg.eigvalsh(S)
-    low, high = eig[..., 0], eig[..., -1]
-    bad = (low <= 0.0) | (high > _COND_LIMIT * low)
-    if np.any(bad):
-        if np.any(low <= 0.0):
-            raise SingularUpdateError(
-                f"innovation covariance is not positive definite "
-                f"(least eigenvalue {np.min(low):.3e})")
-        cond = np.max(high[bad] / low[bad])
-        raise SingularUpdateError(f"innovation covariance condition {cond:.3e} exceeds limit")
+    eig = _lapack("eigvalsh", S)
+    passed = False
+    if eig.ndim == 1:
+        # A single matrix is read from Python floats. A stack, or a matrix
+        # that does not pass, takes the array test, which words the error.
+        low, high = float(eig[0]), float(eig[-1])
+        passed = low > 0.0 and high <= _COND_LIMIT * low
+    if not passed:
+        low, high = eig[..., 0], eig[..., -1]
+        bad = (low <= 0.0) | (high > _COND_LIMIT * low)
+        if np.any(bad):
+            if np.any(low <= 0.0):
+                raise SingularUpdateError(
+                    f"innovation covariance is not positive definite "
+                    f"(least eigenvalue {np.min(low):.3e})")
+            cond = np.max(high[bad] / low[bad])
+            raise SingularUpdateError(f"innovation covariance condition {cond:.3e} exceeds limit")
     # L = Ad P C' S^-1 with S^-1 = G' G, G the inverse of the Cholesky factor.
-    G = np.linalg.inv(np.linalg.cholesky(S))
+    G = _lapack("inv", _lapack("cholesky", S))
     L = Ad @ PCt @ G.mT @ G
     F = Ad - L @ C
     P_next = F @ P @ F.mT + L @ R @ L.mT + Wd

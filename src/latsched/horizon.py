@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covgraph import CovarianceGraph, quantize
-from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod
+from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack
 from .errors import SourceExhausted
 from .estimator import BeliefState, Measurement, epoch_covariance, epoch_mean, predict
 from .exact import window_steps
@@ -85,16 +85,21 @@ def adaptive_R(
         return method.R
     C = model.C
     E = np.array(entries)
-    # Python's sum adds the outer products in window order, as a loop would.
-    raw = sum(E[:, :, None] * E[:, None, :]) / len(entries)
+    # The outer products are added in window order, left to right from +0.0,
+    # as Python's sum over them adds: add.accumulate along the window is that
+    # sequence, and adding its last partial sum to +0.0 turns a -0.0 into the
+    # +0.0 that sum would give. np.add.reduce is not used: along a
+    # contiguous axis it sums pairwise in blocks of 8 and rounds otherwise.
+    outer = E[:, :, None] * E[:, None, :]
+    raw = (0.0 + np.add.accumulate(outer)[-1]) / len(entries)
     raw = raw - C @ belief_pre.Phat @ C.T
     raw = 0.5 * (raw + raw.T)
+    eigvals, eigvecs = _lapack("eigh", raw)
+    if eigvals[0] >= 0.0 and eigvals[-1] > 0.0:
+        return raw
     floor = 1e-6 * np.trace(method.R) / model.n_z
-    eigvals, eigvecs = np.linalg.eigh(raw)
     if eigvals[-1] <= 0.0:
         return floor * np.eye(model.n_z)
-    if eigvals[0] >= 0.0:
-        return raw
     eigvals = np.where(eigvals < 0.0, floor, eigvals)
     clipped = (eigvecs * eigvals) @ eigvecs.T
     return 0.5 * (clipped + clipped.T)
@@ -134,12 +139,12 @@ def _epoch_traces(Phat: np.ndarray, count: int, dyn: DiscretizedDynamics):
     round-off asymmetry, the result is None and the epoch's points come from
     `_predicted_points`.
     """
-    trP = [float(np.trace(Phat))]
+    trP = [float(Phat.trace())]
     if count > 1:
         Ad, Wd = dyn.step_pair(slice(1, count))
         P = Ad @ Phat @ Ad.mT + Wd
-        interior = np.trace(P, axis1=1, axis2=2)
-        if not np.all(np.linalg.eigvalsh(P)[:, 0] > 1e-12 * interior):
+        interior = P.trace(axis1=1, axis2=2)
+        if not (_lapack("eigvalsh", P)[:, 0] > 1e-12 * interior).all():
             return None
         trP.extend(interior.tolist())
     return trP

@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod
+from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack
 from .errors import SourceExhausted
 from .estimator import Measurement
 from .exact import Schedule, window_cost, window_steps
@@ -34,7 +34,7 @@ _CHUNK_TABLE_ENTRIES = 1 << 9
 
 def sqrt_psd(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition (handles singular input)."""
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    eigvals, eigvecs = _lapack("eigh", 0.5 * (mat + mat.T))
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 

@@ -190,29 +190,60 @@ def scoring(request):
             yield
 
 
+def shipped_run(name, mismatched=False):
+    """A shipped config's graph with its policy, and fresh sources over one truth path.
+
+    `mismatched` measures under the adaptive-R experiment's noise,
+    `true_R_factor` times each method's nominal R.
+    """
+    cfg = load_scenario(CONFIGS / f"{name}.json")
+    true_R = cfg.sim.true_R
+    if mismatched:
+        true_R = {m.id: cfg.experiment.true_R_factor * m.R for m in cfg.methods}
+    dyn = build_dynamics(cfg.model, cfg.methods)
+    reps = sample_region(cfg.model.n_x, cfg.graph.b0, cfg.graph.count, cfg.graph.seed)
+    graph = expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
+                         b0=cfg.graph.b0)
+    attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+    truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
+    _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
+
+    def make_source():
+        return GridMeasurementSource(cfg.model, path, cfg.sim.dt,
+                                     np.random.default_rng(meas_seed),
+                                     occlusions=cfg.sim.occlusions, true_R=true_R)
+
+    return cfg, dyn, graph, make_source
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a public numpy.linalg function was called")
+
+
 class TestShippedRuns:
     @pytest.mark.parametrize("name", ["occlusion_run", "double_integrator", "noise_mismatch"])
     def test_simulate_pipeline(self, name):
-        cfg = load_scenario(CONFIGS / f"{name}.json")
-        dyn = build_dynamics(cfg.model, cfg.methods)
-        reps = sample_region(cfg.model.n_x, cfg.graph.b0, cfg.graph.count, cfg.graph.seed)
-        graph = expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
-                             b0=cfg.graph.b0)
-        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-        truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
-        _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-
-        def make_source():
-            return GridMeasurementSource(cfg.model, path, cfg.sim.dt,
-                                         np.random.default_rng(meas_seed),
-                                         occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R)
-
+        cfg, dyn, graph, make_source = shipped_run(name)
         trace, reference, fallbacks = run_both(
             cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon, make_source, dyn,
             use_adaptive=cfg.sim.adaptive, window_length=cfg.sim.window)
         assert_same_run(trace, reference)
         assert max(m.steps for m in cfg.methods) > 1  # interior points are recorded
         assert fallbacks == 0
+
+    def test_adaptive_run_calls_no_public_linalg(self):
+        # An adaptive epoch's eigh, eigvalsh, cholesky and inv all go through
+        # dynamics._lapack, never through the public numpy.linalg wrappers.
+        cfg, dyn, graph, make_source = shipped_run("noise_mismatch", mismatched=True)
+        args = (cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon)
+        reference = reference_run_loop(*args, make_source(), dyn, use_adaptive=True,
+                                       window_length=cfg.sim.window)
+        with patch.multiple(np.linalg, eigh=refuse, eigvalsh=refuse, cholesky=refuse,
+                            inv=refuse):
+            trace = run_loop(*args, make_source(), dyn, use_adaptive=True,
+                             window_length=cfg.sim.window)
+        assert_same_run(trace, reference)
+        assert sum(e.measured for e in trace.epochs) > cfg.sim.window
 
 
 class TestSmallRuns:
