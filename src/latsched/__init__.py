@@ -47,7 +47,7 @@ from .exact import (
     static_schedule,
 )
 from .experiments import monte_carlo, rows_to_csv
-from .horizon import InnovationWindow, TrackingTrace, adaptive_R, mh_step, run_loop
+from .horizon import InnovationWindow, TrackingTrace, adaptive_R, run_loop
 from .qdp import (
     DPTables,
     attach_policy,

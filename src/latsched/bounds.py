@@ -17,13 +17,12 @@ the scalar form of the inequality (equivalent to the block form by Schur
 complement, at half the matrix size), `bound_bs` evaluates B_s, and
 `synthesize_certificate` is a best-effort search: gains are frozen at each
 method's steady-state value and a common Omega is sought by iterating the
-weighted sum map. Certificates from an external solver can be loaded from
-JSON instead.
+weighted sum map. A certificate from an external solver enters instead
+through a scenario config's `certificate` block (`Omega`, `Y`, `gamma`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,30 +56,6 @@ class LyapunovCertificate:
     def gains(self) -> list:
         """Per-method gains L_i = Omega^-1 Y_i, in method order."""
         return [np.linalg.solve(self.omega, y) for y in self.ys]
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "omega": self.omega.tolist(),
-            "ys": [y.tolist() for y in self.ys],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "LyapunovCertificate":
-        return cls(
-            omega=np.array(payload["omega"], dtype=float),
-            ys=tuple(np.array(y, dtype=float) for y in payload["ys"]),
-            gamma=float(payload["gamma"]),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "LyapunovCertificate":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _closed_loop_maps(gains, methods, dyn: DiscretizedDynamics) -> list:
@@ -150,7 +125,6 @@ def synthesize_certificate(
     methods,
     dyn: DiscretizedDynamics,
     gamma: float,
-    max_iter: int = 500,
 ) -> LyapunovCertificate | None:
     """Best-effort certificate search; returns None when the heuristic fails.
 
@@ -159,7 +133,7 @@ def synthesize_certificate(
 
         Omega <- sum_i Lam_i' Omega Lam_i / gamma + I   (then normalized)
 
-    is run up to `max_iter` times with a feasibility test each step; among the
+    is run up to 500 times with a feasibility test each step; among the
     feasible iterates the one with the smallest condition number (hence the
     smallest B_s for these gains) is kept. Failure is expected for some
     configurations; an externally solved certificate can be supplied instead.
@@ -173,7 +147,7 @@ def synthesize_certificate(
     best_omega = None
     best_cond = np.inf
     omega = np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(500):
         nxt = sum(lam.T @ omega @ lam for lam in lams) / gamma + np.eye(n)
         nxt = 0.5 * (nxt + nxt.T)
         nxt *= n / np.linalg.norm(nxt, "fro")

@@ -26,7 +26,6 @@ reach it through `exact.window_cost`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -59,24 +58,17 @@ def _lapack(name: str, a: np.ndarray):
     `name` is "eigh", "eigvalsh", "cholesky" or "inv". The public functions
     spend more on argument checks and their error-state context than on a
     small matrix, so this calls their gufunc directly, under their error state
-    except that a failure signal raises FloatingPointError. A failure or a
-    non-finite result is then handed to the public function, which raises its
-    own LinAlgError or returns the same result. The finiteness test sums
-    squares, so a result above about 1e154 also takes that path. `eigh`
-    returns a plain `(eigenvalues, eigenvectors)` tuple.
+    except that a failure signal raises FloatingPointError. The gufuncs raise
+    that signal exactly when LAPACK fails; only then is the call handed to the
+    public function, which raises its own LinAlgError or returns the same
+    result. A non-finite input gives the same non-finite result either way.
+    `eigh` returns a plain `(eigenvalues, eigenvectors)` tuple.
     """
     gufunc, signature = _GUFUNCS[name]
     try:
-        out = _call_gufunc(gufunc, signature, a)
+        return _call_gufunc(gufunc, signature, a)
     except FloatingPointError:
         return getattr(np.linalg, name)(a)
-    if type(out) is tuple:
-        squares = np.vdot(out[0], out[0]) + np.vdot(out[1], out[1])
-    else:
-        squares = np.vdot(out, out)
-    if not isfinite(squares):
-        return getattr(np.linalg, name)(a)
-    return out
 
 
 def _as_matrix(value, name: str) -> np.ndarray:

@@ -195,19 +195,19 @@ def correct(
     return epoch_mean(belief, method, dyn, L, Phat, meas.z)
 
 
-def steady_state(
-    method: PerceptionMethod,
-    dyn: DiscretizedDynamics,
-    tol: float = 1e-13,
-    max_iter: int = 200000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point (P*, L*) of the single-method covariance recursion."""
+def steady_state(method: PerceptionMethod,
+                 dyn: DiscretizedDynamics) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed point (P*, L*) of the single-method covariance recursion.
+
+    Iterates from the identity until a step moves P by at most 1e-13 of
+    max(1, ||P||_F), for up to 200,000 steps.
+    """
     P = np.eye(dyn.model.n_x)
     Ad, Wd = dyn.step_pair(method.steps)
     C = dyn.model.C
-    for _ in range(max_iter):
+    for _ in range(200000):
         L, P_next = _gain_and_next_cov(P, Ad, Wd, C, method.R)
-        if np.linalg.norm(P_next - P, "fro") <= tol * max(1.0, np.linalg.norm(P, "fro")):
+        if np.linalg.norm(P_next - P, "fro") <= 1e-13 * max(1.0, np.linalg.norm(P, "fro")):
             return P_next, L
         P = P_next
     raise RuntimeError("steady-state covariance iteration did not converge")

@@ -27,7 +27,7 @@ from .dynamics import DiscretizedDynamics
 from .errors import ExplosionGuardError, IncompleteScheduleError
 from .estimator import riccati_step
 
-_MAX_DEPTH = 24  # default cap on the search depth Tf / min latency
+_MAX_DEPTH = 24  # cap on the search depth Tf / min latency
 # Bound on tree nodes times n_x^2, which sets the exact search's memory: a
 # 2^20-node search over 4x4 covariances peaks at about 370 MB RSS.
 _MAX_TREE_ENTRIES = 2**24
@@ -154,21 +154,20 @@ def enumerate_covering_schedules(tf_steps: int, methods) -> Iterator[tuple]:
     yield from rec(tf_steps, ())
 
 
-def guard_search(tf: float, methods, dyn: DiscretizedDynamics,
-                 max_depth: int = _MAX_DEPTH) -> int:
+def guard_search(tf: float, methods, dyn: DiscretizedDynamics) -> int:
     """The window's step count, once the exact search over it is within its caps.
 
     Raises ExplosionGuardError when the worst-case depth Tf / min latency
-    exceeds `max_depth` or the tree's covariances would exceed
+    exceeds `_MAX_DEPTH` or the tree's covariances would exceed
     `_MAX_TREE_ENTRIES` entries.
     """
     n = dyn.model.n_x
     tf_steps = window_steps(tf, dyn.dt_s)
     min_steps = min(m.steps for m in methods)
-    if tf_steps // min_steps > max_depth:
+    if tf_steps // min_steps > _MAX_DEPTH:
         raise ExplosionGuardError(
             f"window of {tf_steps} steps needs recursion depth "
-            f"{tf_steps // min_steps} > {max_depth}; use the quantized scheduler"
+            f"{tf_steps // min_steps} > {_MAX_DEPTH}; use the quantized scheduler"
         )
     nodes = [0] * (tf_steps + 1)  # nodes[r]: tree size with r steps left
     for r in range(1, tf_steps + 1):
@@ -187,7 +186,6 @@ def dyn_prog_exact(
     lam_alpha: float,
     methods,
     dyn: DiscretizedDynamics,
-    max_depth: int = _MAX_DEPTH,
     stats: dict | None = None,
 ) -> tuple[Schedule, float]:
     """Globally optimal minimal covering schedule by level-batched search.
@@ -198,8 +196,8 @@ def dyn_prog_exact(
     by one stacked `riccati_step` per method. A backward pass gives each node
     the value `local + child value` of its best method, ties breaking toward
     the lower id. Memory is the covariances of one level and its successors
-    plus O(calls * D) scalars; for a (1, 2)-step method pair at the default
-    depth cap the tree has 121,392 nodes and its widest level 26,333.
+    plus O(calls * D) scalars; for a (1, 2)-step method pair at the depth
+    cap the tree has 121,392 nodes and its widest level 26,333.
 
     Raises ValueError unless P0 is a finite (n_x, n_x) array and `lam_alpha`
     is finite, and ExplosionGuardError past `guard_search`'s caps; the
@@ -212,7 +210,7 @@ def dyn_prog_exact(
         raise ValueError(f"P0 must be a finite {n}x{n} array, got shape {P.shape}")
     if not np.isfinite(lam_alpha):
         raise ValueError(f"lam_alpha must be finite, got {lam_alpha}")
-    tf_steps = guard_search(tf, methods, dyn, max_depth)
+    tf_steps = guard_search(tf, methods, dyn)
     # Forward: per level, local[i, j] costs method i at node j and
     # child[i, j] indexes the node it leads to on the next level (-1: none).
     levels = []

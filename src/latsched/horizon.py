@@ -22,8 +22,8 @@ the number of recorded steps, for one method list (each method's steps and
 R) and one dynamics object. The mean half runs every epoch. Hits come from
 repeated runs on one graph (`mc-eval` sweeps, the benchmark), not from one
 `simulate` run. Adaptive runs and measurements with their own `R_actual`
-bypass the memo, and `mh_step` reads none. Like the graph's sweep memo it
-goes stale when `reps` or `succ` are written into.
+bypass the memo. Like the graph's sweep memo it goes stale when `reps` or
+`succ` are written into.
 """
 
 from __future__ import annotations
@@ -201,21 +201,21 @@ def _remember(memo: dict | None, key, make):
 
 def _epoch(belief: BeliefState, incoming: Measurement | None, method: PerceptionMethod,
            count: int, graph: CovarianceGraph, window: InnovationWindow | None,
-           dyn: DiscretizedDynamics, use_adaptive: bool, memo: dict | None):
+           dyn: DiscretizedDynamics, memo: dict | None):
     """One epoch: its `_Transition` and the belief one latency later.
 
-    `count` is the number of the epoch's sensor steps to record. The
-    innovation goes into `window` unless it is None. The transition is read
-    from `memo` (when given) unless the measurement's R is not the method's
-    nominal one: an adaptive estimate or a source's `R_actual`.
+    `count` is the number of the epoch's sensor steps to record. A `window`
+    means adaptive R: the innovation goes into it and R is estimated from it.
+    The transition is read from `memo` (when given) unless the measurement's
+    R is not the method's nominal one: an adaptive estimate or a source's
+    `R_actual`.
     """
     measured = incoming is not None
     R = method.R if measured else None
     if measured:
+        # An R other than the nominal one is not in the memo's key.
         if window is not None:
             window.push(method.id, incoming.k, dyn.model.C @ belief.xhat - incoming.z)
-        # An R other than the nominal one is not in the memo's key.
-        if use_adaptive:
             R, memo = adaptive_R(window, method, incoming.k, belief, dyn.model), None
         elif incoming.R_actual is not None:
             R, memo = np.asarray(incoming.R_actual, dtype=float), None
@@ -223,28 +223,6 @@ def _epoch(belief: BeliefState, incoming: Measurement | None, method: Perception
                      lambda: _transition(belief.Phat, method, R, count, graph, dyn))
     z = incoming.z if measured else None
     return step, epoch_mean(belief, method, dyn, step.gain, step.Phat, z)
-
-
-def mh_step(
-    belief: BeliefState,
-    incoming: Measurement | None,
-    prev_method: PerceptionMethod,
-    policy,
-    graph: CovarianceGraph,
-    window: InnovationWindow,
-    dyn: DiscretizedDynamics,
-    use_adaptive: bool = False,
-) -> tuple[BeliefState, int]:
-    """One epoch transition: correct-or-predict, then the next policy decision.
-
-    `belief` sits at the epoch where `prev_method` captured its raw frame; the
-    returned belief sits one latency later. `incoming` is None when the
-    measurement was dropped (occlusion), in which case the belief is advanced
-    by prediction alone. It reads no memo.
-    """
-    step, belief = _epoch(belief, incoming, prev_method, 1, graph, window, dyn,
-                          use_adaptive, None)
-    return belief, int(policy[step.node])
 
 
 @dataclass
@@ -345,8 +323,7 @@ def run_loop(
         epochs.append(EpochRecord(k, t_steps, method.id, measured, belief))
         # Sensor steps j = 0..count-1 of the epoch that lie on the horizon.
         count = min(method.steps, horizon_steps - t_steps + 1)
-        step, next_belief = _epoch(belief, meas, method, count, graph, window, dyn,
-                                   use_adaptive, memo)
+        step, next_belief = _epoch(belief, meas, method, count, graph, window, dyn, memo)
         rec_steps.extend(range(t_steps, t_steps + count))
         xhat, trP = _points(belief, step.trP, count, dyn)
         rec_xhat.extend(xhat)

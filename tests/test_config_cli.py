@@ -329,6 +329,20 @@ class TestCli:
         assert f"error: {override[0]}: must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["--runs", "x"], "argument --runs: invalid int value: 'x'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_malformed_argument_exits_2_before_config(self, tmp_path, capsys, argv, message):
+        # argparse rejects these before any config is read: usage exit 2, not 1.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["build-graph", "-c", str(tmp_path / "missing.json"), "-o", str(out)] + argv)
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block, seed, message", [
         pytest.param("graph", -1, "must be >= 0", id="graph"),
         pytest.param("sim", -1, "must be >= 0", id="sim"),

@@ -259,8 +259,8 @@ class TestDynProgExact:
 
     def test_explosion_guard(self, small_setup):
         _, methods, dyn = small_setup
-        with pytest.raises(ExplosionGuardError):
-            dyn_prog_exact(np.eye(2), 10.0, 5.0, methods, dyn, max_depth=24)
+        with pytest.raises(ExplosionGuardError, match="recursion depth 25 > 24"):
+            dyn_prog_exact(np.eye(2), 2.5, 5.0, methods, dyn)
 
     @pytest.mark.parametrize("P0", [
         np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.eye(3), np.ones(2),

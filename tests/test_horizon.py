@@ -9,10 +9,7 @@ from latsched import (
     adaptive_R,
     attach_policy,
     build_dynamics,
-    correct,
     expand_graph,
-    mh_step,
-    predict,
     qdp,
     quantize,
     run_loop,
@@ -109,29 +106,6 @@ class TestAdaptiveR:
         belief = BeliefState(0.0, np.zeros(2), P)
         out = adaptive_R(win, methods[0], 199, belief, model)
         assert np.linalg.norm(out - true_R, "fro") < 0.6
-
-
-class TestMhStep:
-    def test_measurement_path_matches_correct(self, planar):
-        model, methods, dyn, graph, policy = planar
-        belief = BeliefState(0.0, np.zeros(2), np.eye(2))
-        z = np.array([0.4, -0.2])
-        meas = Measurement(k=0, z=z, produced_at=0.1, method_id=1)
-        win = InnovationWindow(10)
-        out, nid = mh_step(belief, meas, methods[0], policy, graph, win, dyn)
-        ref = correct(belief, meas, methods[0], dyn)
-        assert np.allclose(out.Phat, ref.Phat)
-        assert np.allclose(out.xhat, ref.xhat)
-        assert nid == policy[quantize(out.Phat, graph)]
-
-    def test_occlusion_path_grows_trace(self, planar):
-        model, methods, dyn, graph, policy = planar
-        belief = BeliefState(0.0, np.zeros(2), np.eye(2))
-        win = InnovationWindow(10)
-        out, _ = mh_step(belief, None, methods[1], policy, graph, win, dyn)
-        assert np.trace(out.Phat) > np.trace(belief.Phat)
-        ref = predict(belief, methods[1].latency(dyn.dt_s), dyn)
-        assert np.allclose(out.Phat, ref.Phat)
 
 
 class FixedSource:
