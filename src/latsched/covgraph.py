@@ -86,17 +86,16 @@ class CovarianceGraph:
         policy_meta: parameters the policy was computed for (`qdp.policy_meta`).
 
     Two private memos ride on the graph. `qdp` and `qdp_matrices` keep the
-    tables of the graph's last backward sweep in `_sweep`. `run_loop` keeps
-    the covariance half of the epochs it has run in `_epochs`: the gain, the
-    next covariance and node, and the interior traces, keyed on the start
-    covariance's bytes, the method, whether it measured and the recorded
-    step count, for one method list (each method's steps and R bytes) and
-    one dynamics object (by identity); adaptive-R runs bypass it. Its hits
-    come from repeated runs on one graph, such as `mc-eval` sweeps and the
-    benchmark, not from one `simulate` run, and it holds at most
-    `horizon._MEMO_ENTRIES` entries. Construction starts both memos empty
-    (so `dataclasses.replace` and `load` do too) and `save` never writes
-    them. A graph whose `reps` or `succ` are written into must be rebuilt
+    tables of the graph's last backward sweep in `_sweep`. `run_loop` and
+    `run_lockstep` keep the covariance half of the epochs they have run in
+    `_epochs`: the gain, the next covariance and node, and the interior
+    traces, keyed on the start covariance's bytes, the method, whether it
+    measured and the recorded step count, for one method list (each method's
+    steps and R bytes) and one dynamics object (by identity); adaptive-R runs
+    bypass it. Its hits come from repeated runs on one graph (see `horizon`),
+    and it holds at most `horizon._MEMO_ENTRIES` entries. Construction
+    starts both memos empty (so `dataclasses.replace` and `load` do too) and
+    `save` never writes them. A graph whose `reps` or `succ` are written into must be rebuilt
     before its next query or run, since both memos go stale, as do the
     cached score operands of `nearest`.
     """
@@ -149,6 +148,19 @@ class CovarianceGraph:
         if len(near) > 1:
             idx = int(near[np.argmin(_sq_dist(self._flat[near], x))])
         return idx, sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0])
+
+    def nearest_ids(self, P: np.ndarray) -> np.ndarray:
+        """`nearest`'s node id for every member of a stack `(G, n, n)`.
+
+        A small graph is scanned as `nearest` scans it, one row per member and
+        node; a larger one is scored by `_nearest_rows`, whose band and exact
+        re-rank pick the node `nearest` picks.
+        """
+        points = P.reshape(len(P), -1)
+        if self._flat.size > _SCAN_ENTRIES:
+            return _nearest_rows(self._flat, self._scorer, points)[0]
+        diff = (self._flat - points[:, None]).reshape(-1, points.shape[1])
+        return np.einsum("ij,ij->i", diff, diff).reshape(len(points), -1).argmin(axis=1)
 
     def save(self, path) -> None:
         payload = {
@@ -254,9 +266,9 @@ def _parse_graph(payload) -> dict:
     }
 
 
-def quantize(P: np.ndarray, graph: CovarianceGraph) -> int:
-    """Node id of the nearest representative."""
-    return graph.nearest(P)[0]
+def quantize(P: np.ndarray, graph: CovarianceGraph):
+    """Node id of the nearest representative; an id array for a stack `(G, n, n)`."""
+    return graph.nearest_ids(P) if P.ndim == 3 else graph.nearest(P)[0]
 
 
 def default_admit_tol(reps: np.ndarray) -> float:

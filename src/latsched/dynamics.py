@@ -83,20 +83,27 @@ def _as_matrix(value, name: str) -> np.ndarray:
 def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None) -> np.ndarray:
     """Symmetrize `mat` and clamp its round-off negative eigenvalues to zero.
 
+    `mat` is one matrix or a stack `(..., n, n)`, clamped member by member.
     Raises `error` when an eigenvalue lies below -1e-10 * scale, which is real
-    negativity rather than round-off; `scale` defaults to the Frobenius norm of
-    the symmetrized matrix, computed only when an eigenvalue is negative.
+    negativity rather than round-off, quoting the first such member's least
+    eigenvalue; `scale` defaults to each member's Frobenius norm, computed only
+    when an eigenvalue is negative.
     """
-    sym = 0.5 * (mat + mat.T)
+    sym = 0.5 * (mat + mat.mT)
     eigvals, eigvecs = _lapack("eigh", sym)
-    if eigvals[0] < 0.0:
-        if scale is None:
-            scale = np.linalg.norm(sym, "fro")
-        if eigvals[0] < -PSD_RTOL * max(scale, 1e-300):
-            raise error(f"{name} has eigenvalue {eigvals[0]:.3e} below the PSD tolerance")
-        sym = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-        sym = 0.5 * (sym + sym.T)
-    return sym
+    # One matrix is tested on a numpy scalar, a stack with one array pass.
+    if not (eigvals[0] < 0.0 if eigvals.ndim == 1 else (eigvals[..., 0] < 0.0).any()):
+        return sym
+    low = eigvals[..., 0]
+    if scale is None:
+        flat = sym.reshape(*sym.shape[:-2], -1)
+        scale = np.sqrt(np.vecdot(flat, flat))  # norm(sym, "fro") of one member
+    bad = low < -PSD_RTOL * np.maximum(scale, 1e-300)
+    if bad.any():
+        first = low.flat[np.argmax(bad)]
+        raise error(f"{name} has eigenvalue {first:.3e} below the PSD tolerance")
+    clipped = (eigvecs * np.clip(eigvals, 0.0, None)[..., None, :]) @ eigvecs.mT
+    return np.where((low < 0.0)[..., None, None], 0.5 * (clipped + clipped.mT), sym)
 
 
 def check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
@@ -327,8 +334,10 @@ class DiscretizedDynamics:
         """(Ad, Wd) for an integer number of sensor periods; a slice gives stacks."""
         return self._Ad[steps], self._Wd[steps]
 
-    def step_gram(self, steps: int) -> tuple[np.ndarray, float]:
-        """(M, c) for an integer number of sensor periods."""
+    def step_gram(self, steps):
+        """(M, c) for an integer number of sensor periods; an integer array gives stacks."""
+        if isinstance(steps, np.ndarray):
+            return self._M[steps], self._c[steps]
         return self._M[steps], float(self._c[steps])
 
     def pair(self, duration: float) -> tuple[np.ndarray, np.ndarray]:

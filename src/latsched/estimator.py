@@ -46,6 +46,16 @@ class BeliefState:
         object.__setattr__(self, "Phat", Phat)
 
 
+def _trusted_belief(t: float, xhat: np.ndarray, Phat: np.ndarray) -> BeliefState:
+    """A BeliefState of arrays taken as they are: no copy, clamp or check."""
+    out = object.__new__(BeliefState)
+    # The frozen dataclass guards setattr, not its __dict__; three item
+    # writes cost half of three object.__setattr__ calls.
+    fields = out.__dict__
+    fields["t"], fields["xhat"], fields["Phat"] = t, xhat, Phat
+    return out
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One processed measurement.
@@ -100,8 +110,8 @@ def _gain_and_next_cov(
     if not passed:
         low, high = eig[..., 0], eig[..., -1]
         bad = (low <= 0.0) | (high > _COND_LIMIT * low)
-        if np.any(bad):
-            if np.any(low <= 0.0):
+        if bad.any():
+            if (low <= 0.0).any():
                 raise SingularUpdateError(
                     f"innovation covariance is not positive definite "
                     f"(least eigenvalue {np.min(low):.3e})")
@@ -139,10 +149,11 @@ def epoch_covariance(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The covariance half of one epoch: gain L and the next covariance.
 
-    `R` is the covariance of the epoch's measurement, or None when it was
-    dropped, and then L is None and the covariance is only predicted. The
-    next covariance has been through BeliefState's PSD clamp and is
-    read-only, so `epoch_mean` builds the next belief from it as it is.
+    `Phat` is one covariance or a stack of them, stepped together. `R` is
+    the covariance of the epoch's measurement (one, or one per member), or
+    None when it was dropped, and then L is None and the covariance is only
+    predicted. The next covariance has been through BeliefState's PSD clamp
+    and is read-only, so `epoch_mean` builds the next belief from it as it is.
     """
     Ad, Wd = dyn.step_pair(method.steps)
     if R is None:
@@ -172,11 +183,7 @@ def epoch_mean(
     if L is not None:
         xhat = xhat + L @ (z - dyn.model.C @ belief.xhat)
     xhat.setflags(write=False)
-    out = object.__new__(BeliefState)
-    object.__setattr__(out, "t", belief.t + method.latency(dyn.dt_s))
-    object.__setattr__(out, "xhat", xhat)
-    object.__setattr__(out, "Phat", Phat)
-    return out
+    return _trusted_belief(belief.t + method.latency(dyn.dt_s), xhat, Phat)
 
 
 def correct(

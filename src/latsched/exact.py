@@ -114,16 +114,24 @@ def window_cost(state, step, cov, schedule: Schedule, tf: float, lam_alpha: floa
             f"schedule of {len(schedule)} epochs ({covered} steps) does not minimally "
             f"cover {tf_steps} steps"
         )
+    covs, d_steps, penalties = [], [], []
     elapsed = 0
-    total = 0.0
     for pid in schedule:
         method = methods[pid - 1]
-        d_steps = min(method.steps, tf_steps - elapsed)
-        M, c = dyn.step_gram(d_steps)
-        total += lam_alpha * method.penalty + c + float((cov(state) * M).sum())
+        covs.append(cov(state))
+        d_steps.append(min(method.steps, tf_steps - elapsed))
+        penalties.append(method.penalty)
         elapsed += method.steps
         if elapsed < tf_steps:
             state = step(state, method)
+    # Each epoch's term is rounded as lam_alpha * r + c + (P * M).sum() of
+    # its own matrices rounds it (a member's sum over both axes is that sum),
+    # and the terms are added in epoch order.
+    M, c = dyn.step_gram(np.array(d_steps))
+    terms = lam_alpha * np.array(penalties) + c + (np.array(covs) * M).sum(axis=(1, 2))
+    total = 0.0
+    for term in terms.tolist():
+        total += term
     return total / tf
 
 

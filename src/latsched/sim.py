@@ -171,6 +171,11 @@ class GridMeasurementSource:
     whose capture time falls in an occlusion window, and raises
     SourceExhausted past the end of the path. Each method id's noise root is
     computed on its first measurement and reused.
+
+    `path` is one path `(N, n_x)` with one generator `rng`, read by calling
+    the source, or a stack `(runs, N, n_x)` with a list of generators, one per
+    run, read by `draw`. Each run draws from its own generator in its own
+    epoch order, so its measurements are those of a one-path source.
     """
 
     def __init__(
@@ -194,20 +199,44 @@ class GridMeasurementSource:
     def _occluded(self, t: float) -> bool:
         return any(a <= t < b for a, b in self.occlusions)
 
-    def __call__(self, k: int, t_steps: int, method: PerceptionMethod):
+    def _index(self, t_steps: int) -> int | None:
+        """Path index of sensor step t_steps, or None when it is occluded."""
         idx = t_steps * self.ratio
-        if idx >= self.path.shape[0]:
+        if idx >= self.path.shape[-2]:
             raise SourceExhausted(f"truth path ends before step {t_steps}")
-        t = t_steps * self.model.dt_s
-        if self._occluded(t):
-            return None
+        return None if self._occluded(t_steps * self.model.dt_s) else idx
+
+    def _root(self, method: PerceptionMethod) -> np.ndarray:
         root = self._roots.get(method.id)
         if root is None:
             R = np.asarray(self.true_R.get(method.id, method.R), dtype=float)
             root = self._roots[method.id] = sqrt_psd(R)
+        return root
+
+    def __call__(self, k: int, t_steps: int, method: PerceptionMethod):
+        idx = self._index(t_steps)
+        if idx is None:
+            return None
+        root = self._root(method)
         z = self.model.C @ self.path[idx] + root @ self.rng.standard_normal(root.shape[0])
         return Measurement(k=k, z=z, produced_at=(t_steps + method.steps) * self.model.dt_s,
                            method_id=method.id)
+
+    def draw(self, runs: np.ndarray, t_steps: int, method: PerceptionMethod):
+        """z `(len(runs), n_z)` of the stacked paths `runs` at step t_steps, or None.
+
+        Row i is what a one-path source over path runs[i] with generator
+        rng[runs[i]] returns as its z, bit for bit: the products are the same
+        matrix-vector products, stacked.
+        """
+        idx = self._index(t_steps)
+        if idx is None:
+            return None
+        root = self._root(method)
+        noise = np.empty((len(runs), root.shape[0]))
+        for row, run in zip(noise, runs.tolist()):
+            self.rng[run].standard_normal(out=row)
+        return (self.model.C @ self.path[runs, idx, :, None] + root @ noise[..., None])[..., 0]
 
 
 @dataclass

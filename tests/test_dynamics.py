@@ -11,7 +11,7 @@ from latsched import (
     cost_gram,
     discretize,
 )
-from latsched.dynamics import validate_methods
+from latsched.dynamics import clamp_psd, validate_methods
 
 from conftest import benchmark_model
 
@@ -218,3 +218,35 @@ class TestDiscretizedDynamics:
         Ad, _ = dyn.step_pair(1)
         with pytest.raises(ValueError):
             Ad[0, 0] = 5.0
+
+
+class TestClampPsd:
+    """`clamp_psd` on a stack is `clamp_psd` on each member, bit for bit."""
+
+    @staticmethod
+    def stack(rng, count=40, n=3):
+        G = rng.standard_normal((count, n, n))
+        P = G @ G.mT
+        # Members with round-off negative eigenvalues, so some members clamp.
+        V = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        low = -1e-14 * rng.random(count) * (rng.random(count) < 0.5)
+        w = np.concatenate([low[:, None], rng.random((count, n - 1))], axis=1)
+        P[::2] = ((V * w[:, None, :]) @ V.mT)[::2]
+        return P + 1e-17 * rng.standard_normal(P.shape)
+
+    def test_stack_equals_members(self):
+        P = self.stack(np.random.default_rng(2))
+        got = clamp_psd(P, "P", ValueError)
+        for member, want in zip(got, (clamp_psd(p, "P", ValueError) for p in P)):
+            assert member.tobytes() == want.tobytes()
+        assert any(not np.array_equal(g, 0.5 * (p + p.T)) for g, p in zip(got, P))
+
+    def test_error_quotes_the_first_offending_member(self):
+        P = self.stack(np.random.default_rng(3))
+        P[7] -= 0.5 * np.eye(3)
+        P[21] -= 2.0 * np.eye(3)
+        with pytest.raises(ValueError) as single:
+            clamp_psd(P[7], "P", ValueError)
+        with pytest.raises(ValueError) as stacked:
+            clamp_psd(P, "P", ValueError)
+        assert str(stacked.value) == str(single.value)

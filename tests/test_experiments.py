@@ -228,15 +228,16 @@ class TestErrorRecording:
     def test_failed_run_recorded_not_raised(self, monkeypatch):
         from latsched import experiments
 
-        prepare = experiments._EXPERIMENTS["moving-horizon"][0]
+        prepare, _, block = experiments._EXPERIMENTS["moving-horizon"]
 
-        def flaky(ctx, run, seed):
-            if run == 1:
+        # A block holding run 1 raises; its other runs are re-run on their own.
+        def flaky(ctx, runs, seeds):
+            if 1 in runs:
                 raise RuntimeError("boom")
-            return {"run": run, "ok": 1}
+            return [{"run": run, "ok": 1} for run in runs]
 
         monkeypatch.setitem(experiments._EXPERIMENTS, "moving-horizon",
-                            (prepare, flaky))
+                            (prepare, flaky, block))
         cfg = parse_scenario(planar_payload())
         rows = monte_carlo(cfg, runs=3, seed=14)
         assert rows[0] == {"run": 0, "ok": 1}
