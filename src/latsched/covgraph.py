@@ -116,6 +116,19 @@ class CovarianceGraph:
         self._flat = self.reps.reshape(self.reps.shape[0], -1)
         self._scorer = _augmented(self._flat)
 
+    def _memo(self, slot: str, key, dyn, make):
+        """The value of memo `slot` (`_sweep` or `_epochs`) for `key` and `dyn`.
+
+        A memo holds one entry `(key, dyn, value)`, matched on an equal key
+        and on `dyn` by identity; the entry keeps `dyn` alive, so its id is
+        never reused. A miss replaces the entry with `make()`'s value.
+        """
+        entry = getattr(self, slot)
+        if entry is None or entry[1] is not dyn or entry[0] != key:
+            entry = (key, dyn, make())
+            setattr(self, slot, entry)
+        return entry[2]
+
     @property
     def size(self) -> int:
         return self.reps.shape[0]

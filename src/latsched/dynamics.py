@@ -293,12 +293,11 @@ def cost_gram(model: ContinuousModel, duration: float) -> tuple[np.ndarray, floa
 
 @dataclass
 class DiscretizedDynamics:
-    """Read-only tables of (Ad, Wd, M, c) on the dt_s grid, with a cache for
-    other durations.
+    """Read-only tables of (Ad, Wd, M, c) on the dt_s grid.
 
     Tables are precomputed for j = 0..max_steps sensor periods; `pair` serves
-    `predict` for any duration, computing a non-grid one on demand and
-    memoizing it. Instances are safe to share across workers once built.
+    `predict` for any duration, discretizing a non-grid one on each call.
+    Instances are safe to share across workers once built.
     """
 
     model: ContinuousModel
@@ -307,7 +306,6 @@ class DiscretizedDynamics:
     _Wd: np.ndarray = field(init=False, repr=False)
     _M: np.ndarray = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)
-    _pair_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -341,16 +339,12 @@ class DiscretizedDynamics:
         return self._M[steps], float(self._c[steps])
 
     def pair(self, duration: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Ad, Wd) for an arbitrary duration; grid multiples hit the tables."""
+        """(Ad, Wd) for an arbitrary duration; grid multiples read the tables."""
         steps = duration / self.model.dt_s
         rounded = int(round(steps))
         if abs(steps - rounded) < 1e-9 and 0 <= rounded <= self.max_steps:
             return self.step_pair(rounded)
-        cached = self._pair_cache.get(duration)
-        if cached is None:
-            cached = discretize(self.model, duration)
-            self._pair_cache[duration] = cached
-        return cached
+        return discretize(self.model, duration)
 
 
 def build_dynamics(model: ContinuousModel, methods) -> DiscretizedDynamics:

@@ -12,8 +12,9 @@ to tau_{k+1} in a single step:
 `riccati_step` is the covariance part of that step alone (nominal R), and
 `steady_state` iterates that recursion to the fixed point of one method.
 `correct` is `epoch_covariance` (L and the clamped P[k+1], or P[k+1] alone
-for a dropped measurement) then `epoch_mean` (x[k+1]); the moving-horizon
-loop calls the two halves itself so that it can reuse a covariance half.
+for a dropped measurement) then `epoch_mean` (x[k+1]) under the method's R;
+the moving-horizon loop calls the two halves itself so that it can reuse a
+covariance half or correct under an adaptive-R estimate.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ class Measurement:
     """One processed measurement.
 
     `produced_at` is when the detection became available (capture time plus
-    the method latency); `R_actual` optionally carries an online covariance
-    estimate that overrides the method's nominal R in the correction.
+    the method latency). A correction weighs it with its method's R.
     """
 
     k: int
     z: np.ndarray
     produced_at: float
     method_id: int
-    R_actual: np.ndarray | None = None
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float).reshape(-1)
@@ -195,10 +194,9 @@ def correct(
     """Combined predict-and-update over the method latency.
 
     `belief` must sit at the capture epoch of `meas`; the returned belief sits
-    one latency later, with the measurement folded in.
+    one latency later, with the measurement folded in under the method's R.
     """
-    R = method.R if meas.R_actual is None else np.asarray(meas.R_actual, dtype=float)
-    L, Phat = epoch_covariance(belief.Phat, method, dyn, R)
+    L, Phat = epoch_covariance(belief.Phat, method, dyn, method.R)
     return epoch_mean(belief, method, dyn, L, Phat, meas.z)
 
 

@@ -19,8 +19,10 @@ Runs are stepped in blocks of consecutive runs. The tracking experiments
 (moving-horizon, adaptive-R) step a block's runs together, each tracking
 variant as one `run_lockstep` call whose traces equal `run_loop`'s run by run,
 so no row depends on the blocking; the other experiments take one run per
-block. At jobs = 1 the sweep is cut into blocks of up to `_BLOCK_RUNS` runs.
-At jobs > 1 a fork-based process pool gives each worker one contiguous range
+block. A tracking run reads its truth path at the sensor steps only, as
+`simulate` does, and a path that is not finite there fails its run. At
+jobs = 1 the sweep is cut into blocks of up to `_BLOCK_RUNS` runs. At
+jobs > 1 a fork-based process pool gives each worker one contiguous range
 of runs, which it cuts the same way. A block that raises is re-run one run at
 a time, as blocks of one through `run_loop`, so a failing run's row records
 its own error and every other row is unchanged.
@@ -118,26 +120,28 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
 
 def track(cfg: ScenarioConfig, dyn, graph, path, meas_seed, policy=None, adaptive=None,
           true_R=None):
-    """One tracking run over cfg.sim.horizon against the truth `path`.
+    """One tracking run over cfg.sim.horizon against the truth `path` on the cfg.sim.dt grid.
 
-    Measurements are detected from `path` with noise drawn from `meas_seed`.
-    `policy`, `adaptive` and `true_R` default to the graph's policy,
-    cfg.sim.adaptive and cfg.sim.true_R. Returns the trace and its metrics.
+    The path is read at the sensor steps (`_sensor_path`), and measurements
+    are detected there with noise drawn from `meas_seed`. `policy`,
+    `adaptive` and `true_R` default to the graph's policy, cfg.sim.adaptive
+    and cfg.sim.true_R. Returns the trace and its metrics.
     """
-    traces, run_metrics = _tracks(cfg, dyn, graph, np.asarray(path)[None], [meas_seed],
-                                  cfg.sim.dt, policy, adaptive, true_R)
+    traces, run_metrics = _tracks(cfg, dyn, graph, _sensor_path(cfg, path)[None], [meas_seed],
+                                  policy, adaptive, true_R)
     return traces[0], run_metrics[0]
 
 
-def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, dt, policy=None,
-            adaptive=None, true_R=None) -> tuple[list, list]:
-    """`track` for each truth path of a stack `(runs, N, n_x)` on the `dt` grid.
+def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, adaptive=None,
+            true_R=None) -> tuple[list, list]:
+    """`track` for each truth path of a stack `(runs, N, n_x)` on the sensor grid.
 
     Returns the traces and their metrics. One path runs `run_loop`. More are
     stepped together by `run_lockstep`, whose traces are `run_loop`'s bit for
     bit; its per-step overhead is several times a warm one-run epoch, so a
     lone run does not take it.
     """
+    dt = cfg.model.dt_s
     rngs = [np.random.default_rng(seed) for seed in meas_seeds]
     single = len(rngs) == 1
     source = GridMeasurementSource(
@@ -151,25 +155,31 @@ def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, dt, policy=None,
                     for trace, path in zip(traces, paths)]
 
 
-def _truths(cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, list]:
-    """Each run's truth path at the sensor steps, stacked, and its measurement seeds.
+def _sensor_path(cfg: ScenarioConfig, path) -> np.ndarray:
+    """A truth path on the cfg.sim.dt grid, kept at the sensor steps.
 
-    A run's path is `simulate_sde`'s from the run's first child seed, kept
-    only where the source and the MSE read it: on the `dt_s` grid.
+    The source and the MSE read it only there. A state there that is not
+    finite is a LatschedError naming its first sensor step.
     """
-    ratio = grid_ratio(cfg.model.dt_s, cfg.sim.dt)
+    sampled = np.asarray(path)[::grid_ratio(cfg.model.dt_s, cfg.sim.dt)]
+    bad = ~np.isfinite(sampled).all(axis=1)
+    if bad.any():
+        raise LatschedError(f"truth path is not finite at sensor step {int(bad.argmax())}")
+    return sampled
+
+
+def _truths(cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, list]:
+    """Each run's `_sensor_path`, stacked, and its measurement seeds.
+
+    A run's path is `simulate_sde`'s from the run's first child seed.
+    """
     paths, meas_seeds = [], []
     for seed in seeds:
         truth_seed, meas_seed = seed.spawn(2)
         _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-        paths.append(path[::ratio].copy())
+        paths.append(_sensor_path(cfg, path))
         meas_seeds.append(meas_seed)
     return np.stack(paths), meas_seeds
-
-
-def _sensor_tracks(cfg: ScenarioConfig, dyn, graph, truth, **kwargs) -> list:
-    """The metrics of `_tracks` over a block's `_truths`."""
-    return _tracks(cfg, dyn, graph, *truth, cfg.model.dt_s, **kwargs)[1]
 
 
 def _prepare_tracking(cfg: ScenarioConfig) -> dict:
@@ -185,11 +195,11 @@ def _rows_moving_horizon(ctx: dict, runs, seeds) -> list:
     truth = _truths(cfg, seeds)
     rows = [{"run": run, "j_mh": mh.j_empirical, "cpu_mh": mh.cpu_load,
              "attention_mh": mh.attention, "mse_mh": mh.mse}
-            for run, mh in zip(runs, _sensor_tracks(cfg, dyn, graph, truth))]
+            for run, mh in zip(runs, _tracks(cfg, dyn, graph, *truth)[1])]
     for m in cfg.methods:
         policy = np.full(graph.size, m.id, dtype=np.int64)
-        for row, sm in zip(rows, _sensor_tracks(cfg, dyn, graph, truth, policy=policy,
-                                                adaptive=False)):
+        for row, sm in zip(rows, _tracks(cfg, dyn, graph, *truth, policy=policy,
+                                         adaptive=False)[1]):
             row.update({f"j_static_{m.id}": sm.j_empirical, f"cpu_static_{m.id}": sm.cpu_load,
                         f"attention_static_{m.id}": sm.attention, f"mse_static_{m.id}": sm.mse})
     return rows
@@ -206,8 +216,8 @@ def _rows_adaptive_R(ctx: dict, runs, seeds) -> list:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
     truth = _truths(cfg, seeds)
     adaptive, nominal = (
-        [m.mse for m in _sensor_tracks(cfg, dyn, graph, truth, adaptive=a,
-                                       true_R=ctx["true_R"])]
+        [m.mse for m in _tracks(cfg, dyn, graph, *truth, adaptive=a,
+                                true_R=ctx["true_R"])[1]]
         for a in (True, False))
     return [{"run": run, "mse_adaptive": a, "mse_nominal": b, "improved": int(a < b)}
             for run, a, b in zip(runs, adaptive, nominal)]

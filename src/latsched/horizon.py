@@ -20,7 +20,7 @@ its node, the interior traces) does not depend on the measured values, so
 keyed on the start covariance's bytes, the method, whether it measured and
 the number of recorded steps, for one method list (each method's steps and
 R) and one dynamics object. The mean half runs every epoch. Adaptive runs
-and measurements with their own `R_actual` bypass the memo. Like the graph's
+bypass the memo: their R is an estimate, not the method's. Like the graph's
 sweep memo it goes stale when `reps` or `succ` are written into.
 
 `run_lockstep` runs a stack of runs as one loop: the runs starting an epoch
@@ -31,7 +31,9 @@ per run. Hits therefore come from repeated runs on one graph: the
 benchmark's tracking run, `run_loop` on one graph again and again; the other
 tracking variants and later blocks of an `mc-eval` sweep; a covariance path
 that repeats itself once it has converged. One `simulate` run gets only the
-last kind.
+last kind. The two loops differ only in how they schedule epochs: both write
+an epoch's sensor steps into preallocated arrays with `_record` and build
+their traces with `_trace`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _l
 from .errors import SourceExhausted
 from .estimator import (
     BeliefState,
-    Measurement,
     _trusted_belief,
     epoch_covariance,
     epoch_mean,
@@ -150,35 +151,28 @@ class _Transition(NamedTuple):
     gain: np.ndarray | None
     Phat: np.ndarray
     node: int
-    trP: list | None
+    trP: np.ndarray | None
 
 
 def _transition(Phat, method, R, count: int, graph: CovarianceGraph,
                 dyn: DiscretizedDynamics) -> _Transition:
     """The covariance half of an epoch; `R` is None for a dropped measurement."""
     L, P_next = epoch_covariance(Phat, method, dyn, R)
-    return _Transition(L, P_next, quantize(P_next, graph), _epoch_traces(Phat, count, dyn))
-
-
-def _epoch_traces(Phat: np.ndarray, count: int, dyn: DiscretizedDynamics):
-    """tr P of `predict` from Phat over j * dt_s for j = 0..count-1, or None.
-
-    The list of `_stacked_traces`, or None where they do not stand.
-    """
     trP, stand = _stacked_traces(Phat, count, dyn)
-    return trP.tolist() if stand else None
+    return _Transition(L, P_next, quantize(P_next, graph), trP if stand else None)
 
 
 def _stacked_traces(Phat: np.ndarray, count: int, dyn: DiscretizedDynamics):
-    """`_epoch_traces` of one covariance or a stack `(..., n, n)`: traces and a mask.
+    """tr P of `predict` from Phat over j * dt_s for j = 0..count-1: traces and a mask.
 
-    Returns the traces `(..., count)` and where they stand (`(...)`, or one
-    numpy bool for all). Points j >= 1 come from one stacked product over the
-    step tables. Their traces equal `predict`'s bit for bit unless
-    BeliefState's PSD clamp would act: symmetrizing leaves the trace as it
-    is. So where any point's least eigenvalue is not above 1e-12 * tr P, a
-    margin far wider than the round-off asymmetry, the traces do not stand
-    and the epoch's points come from `_predicted_points`.
+    `Phat` is one covariance or a stack `(..., n, n)`. Returns the traces
+    `(..., count)` and where they stand (`(...)`, or one numpy bool for all).
+    Points j >= 1 come from one stacked product over the step tables. Their
+    traces equal `predict`'s bit for bit unless BeliefState's PSD clamp would
+    act: symmetrizing leaves the trace as it is. So where any point's least
+    eigenvalue is not above 1e-12 * tr P, a margin far wider than the
+    round-off asymmetry, the traces do not stand and the epoch's points come
+    from `_predicted_points`.
     """
     trP = Phat.trace(axis1=-2, axis2=-1)[..., None]
     if count == 1:
@@ -190,20 +184,6 @@ def _stacked_traces(Phat: np.ndarray, count: int, dyn: DiscretizedDynamics):
     return np.concatenate((trP, interior), axis=-1), stand
 
 
-def _points(belief: BeliefState, trP, count: int, dyn: DiscretizedDynamics):
-    """xhat and tr P at steps j = 0..count-1 of an epoch, given its `_epoch_traces`.
-
-    Interior xhat come from one stacked product over the step tables, the
-    mean half of `predict`; a None `trP` hands the epoch to `_predicted_points`.
-    """
-    if trP is None:
-        return _predicted_points(belief, count, dyn)
-    xhat = [belief.xhat]
-    if count > 1:
-        xhat.extend(dyn.step_pair(slice(1, count))[0] @ belief.xhat)
-    return xhat, trP
-
-
 def _predicted_points(belief: BeliefState, count: int, dyn: DiscretizedDynamics):
     """xhat and tr P at steps j = 0..count-1, from one validating `predict` per point."""
     points = [predict(belief, j * dyn.dt_s, dyn) for j in range(count)]
@@ -213,15 +193,10 @@ def _predicted_points(belief: BeliefState, count: int, dyn: DiscretizedDynamics)
 def _epoch_memo(graph: CovarianceGraph, methods, dyn: DiscretizedDynamics) -> dict:
     """The graph's table of epoch transitions for these methods and `dyn`.
 
-    The entry holds `dyn`, so its id is never reused. The table maps
-    `(Phat bytes, method id, measured, count)` to a `_Transition`, and a
-    run's start covariance bytes to its node.
+    The table maps `(Phat bytes, method id, measured, count)` to a
+    `_Transition`, and a run's start covariance bytes to its node.
     """
-    key = tuple((m.steps, m.R.tobytes()) for m in methods)
-    memo = graph._epochs
-    if memo is None or memo[1] is not dyn or memo[0] != key:
-        memo = graph._epochs = (key, dyn, {})
-    return memo[2]
+    return graph._memo("_epochs", tuple((m.steps, m.R.tobytes()) for m in methods), dyn, dict)
 
 
 def _remember(memo: dict | None, key, make):
@@ -237,32 +212,6 @@ def _remember(memo: dict | None, key, make):
             memo.clear()
         value = memo[key] = make()
     return value
-
-
-def _epoch(belief: BeliefState, incoming: Measurement | None, method: PerceptionMethod,
-           count: int, graph: CovarianceGraph, window: InnovationWindow | None,
-           dyn: DiscretizedDynamics, memo: dict | None):
-    """One epoch: its `_Transition` and the belief one latency later.
-
-    `count` is the number of the epoch's sensor steps to record. A `window`
-    means adaptive R: the innovation goes into it and R is estimated from it.
-    The transition is read from `memo` (when given) unless the measurement's
-    R is not the method's nominal one: an adaptive estimate or a source's
-    `R_actual`.
-    """
-    measured = incoming is not None
-    R = method.R if measured else None
-    if measured:
-        # An R other than the nominal one is not in the memo's key.
-        if window is not None:
-            window.push(method.id, incoming.k, dyn.model.C @ belief.xhat - incoming.z)
-            R, memo = adaptive_R(window, method, incoming.k, belief, dyn.model), None
-        elif incoming.R_actual is not None:
-            R, memo = np.asarray(incoming.R_actual, dtype=float), None
-    step = _remember(memo, (belief.Phat.tobytes(), method.id, measured, count),
-                     lambda: _transition(belief.Phat, method, R, count, graph, dyn))
-    z = incoming.z if measured else None
-    return step, epoch_mean(belief, method, dyn, step.gain, step.Phat, z)
 
 
 @dataclass
@@ -319,6 +268,68 @@ def _checked_policy(policy, graph: CovarianceGraph, methods) -> np.ndarray:
     return policy
 
 
+def _grids(runs: int, horizon_steps: int, n: int) -> tuple:
+    """Sensor-grid records of `runs` runs at steps 0..horizon_steps.
+
+    xhat `(runs, steps, n)`, tr P, method id and measured flag `(runs, steps)`.
+    """
+    size = horizon_steps + 1
+    return (np.empty((runs, size, n)), np.empty((runs, size)),
+            np.zeros((runs, size), dtype=np.int64), np.zeros((runs, size), dtype=np.int64))
+
+
+def _record(grids, rows, t: int, count: int, X: np.ndarray, trP, method_id: int,
+            measured: bool, dyn: DiscretizedDynamics, fallback=()) -> None:
+    """Write an epoch's sensor steps t..t+count-1 into `rows` of `grids`.
+
+    `X` holds the rows' start means and `trP` their `_stacked_traces`, or
+    None. Interior means come from one stacked product over the step tables,
+    the mean half of `predict`. Each `(row, belief)` of `fallback` takes its
+    points from `_predicted_points` instead.
+    """
+    xhat, trPs, method, meas = grids
+    stop = t + count
+    xhat[rows, t] = X
+    if count > 1:
+        Ad = dyn.step_pair(slice(1, count))[0]
+        xhat[rows, t + 1:stop] = (Ad @ X[..., None, :, None])[..., 0]
+    if trP is not None:
+        trPs[rows, t:stop] = trP
+    method[rows, t:stop] = method_id
+    meas[rows, t:stop] = measured
+    for row, belief in fallback:
+        xhat[row, t:stop], trPs[row, t:stop] = _predicted_points(belief, count, dyn)
+
+
+def _trace(dyn: DiscretizedDynamics, horizon_steps: int, grids, row: int, t_next: int,
+           epochs: list, final: BeliefState) -> TrackingTrace:
+    """The TrackingTrace of grid row `row`, whose next epoch would start at `t_next`.
+
+    A run whose source ran out at an epoch start has that start as `t_next`,
+    and its trace ends there. A final epoch ending exactly on the horizon
+    leaves the endpoint unrecorded (an epoch records its steps
+    0..steps-1); the final belief sits there, under the last epoch's method.
+    """
+    xhat, trP, method, measured = (grid[row] for grid in grids)
+    if t_next == horizon_steps:
+        xhat[t_next] = final.xhat
+        trP[t_next] = float(np.trace(final.Phat))
+        if epochs:
+            method[t_next], measured[t_next] = epochs[-1].method_id, epochs[-1].measured
+    end = t_next if t_next < horizon_steps else horizon_steps + 1
+    return TrackingTrace(
+        dt_s=dyn.dt_s,
+        horizon_steps=horizon_steps,
+        epochs=epochs,
+        final_belief=final,
+        grid_steps=np.arange(end, dtype=np.int64),
+        grid_xhat=xhat[:end],
+        grid_trP=trP[:end],
+        grid_method=method[:end],
+        grid_measured=measured[:end],
+    )
+
+
 def run_loop(
     model: ContinuousModel,
     methods,
@@ -349,13 +360,8 @@ def run_loop(
     belief = BeliefState(0.0, model.x0, model.P0)
     pid = int(policy[_remember(memo, belief.Phat.tobytes(),
                                lambda: quantize(belief.Phat, graph))])
-
+    grids = _grids(1, horizon_steps, model.n_x)
     epochs: list[EpochRecord] = []
-    rec_steps: list[int] = []
-    rec_xhat: list[np.ndarray] = []
-    rec_trP: list[float] = []
-    rec_method: list[int] = []
-    rec_measured: list[int] = []
 
     k = 0
     t_steps = 0
@@ -369,38 +375,20 @@ def run_loop(
         epochs.append(EpochRecord(k, t_steps, method.id, measured, belief))
         # Sensor steps j = 0..count-1 of the epoch that lie on the horizon.
         count = min(method.steps, horizon_steps - t_steps + 1)
-        step, next_belief = _epoch(belief, meas, method, count, graph, window, dyn, memo)
-        rec_steps.extend(range(t_steps, t_steps + count))
-        xhat, trP = _points(belief, step.trP, count, dyn)
-        rec_xhat.extend(xhat)
-        rec_trP.extend(trP)
-        rec_method.extend([method.id] * count)
-        rec_measured.extend([int(measured)] * count)
-        belief = next_belief
+        R = method.R if measured else None
+        if measured and window is not None:
+            window.push(method.id, meas.k, dyn.model.C @ belief.xhat - meas.z)
+            R = adaptive_R(window, method, meas.k, belief, dyn.model)
+        step = _remember(memo, (belief.Phat.tobytes(), method.id, measured, count),
+                         lambda: _transition(belief.Phat, method, R, count, graph, dyn))
+        _record(grids, 0, t_steps, count, belief.xhat, step.trP, method.id, measured, dyn,
+                () if step.trP is not None else ((0, belief),))
+        belief = epoch_mean(belief, method, dyn, step.gain, step.Phat,
+                            meas.z if measured else None)
         pid = int(policy[step.node])
         t_steps += method.steps
         k += 1
-
-    # A final epoch ending exactly on the horizon leaves the endpoint
-    # unrecorded (an epoch records its steps 0..steps-1); the belief sits there.
-    if t_steps == horizon_steps and (not rec_steps or rec_steps[-1] < horizon_steps):
-        rec_steps.append(horizon_steps)
-        rec_xhat.append(belief.xhat)
-        rec_trP.append(float(np.trace(belief.Phat)))
-        rec_method.append(epochs[-1].method_id if epochs else 0)
-        rec_measured.append(int(epochs[-1].measured) if epochs else 0)
-
-    return TrackingTrace(
-        dt_s=dyn.dt_s,
-        horizon_steps=horizon_steps,
-        epochs=epochs,
-        final_belief=belief,
-        grid_steps=np.asarray(rec_steps, dtype=np.int64),
-        grid_xhat=np.asarray(rec_xhat, dtype=float),
-        grid_trP=np.asarray(rec_trP, dtype=float),
-        grid_method=np.asarray(rec_method, dtype=np.int64),
-        grid_measured=np.asarray(rec_measured, dtype=np.int64),
-    )
+    return _trace(dyn, horizon_steps, grids, 0, t_steps, epochs, belief)
 
 
 def _push(ring, runs, k: np.ndarray, e: np.ndarray, length: int):
@@ -450,7 +438,7 @@ def run_lockstep(
     if window_length < 1:
         raise ValueError("window length must be >= 1")
     horizon_steps = window_steps(horizon, dyn.dt_s)
-    runs, n, C = len(source.path), model.n_x, model.C
+    runs, C = len(source.path), model.C
     memo = None if use_adaptive else _epoch_memo(graph, methods, dyn)
     start = BeliefState(0.0, model.x0, model.P0)
     node = _remember(memo, start.Phat.tobytes(), lambda: quantize(start.Phat, graph))
@@ -460,15 +448,13 @@ def run_lockstep(
     T = np.zeros(runs)
     k = np.zeros(runs, dtype=np.int64)
     pid = np.full(runs, policy[node])
-    t_next = np.zeros(runs, dtype=np.int64)  # -1 once a run's source has run out
-    recorded = np.full(runs, horizon_steps + 1)
+    # A run whose source runs out keeps that epoch's start, which no later
+    # step matches.
+    t_next = np.zeros(runs, dtype=np.int64)
     # Epoch -(length + 1) is out of every window: an empty slot.
     rings = {m.id: (np.zeros((runs, window_length, model.n_z, model.n_z)),
                     np.full((runs, window_length), -window_length - 1)) for m in methods}
-    grid_xhat = np.empty((runs, horizon_steps + 1, n))
-    grid_trP = np.empty((runs, horizon_steps + 1))
-    grid_method = np.zeros((runs, horizon_steps + 1), dtype=np.int64)
-    grid_measured = np.zeros((runs, horizon_steps + 1), dtype=np.int64)
+    grids = _grids(runs, horizon_steps, model.n_x)
     epochs: list[list] = [[] for _ in range(runs)]
 
     for t in range(horizon_steps):
@@ -485,7 +471,6 @@ def run_lockstep(
             try:
                 z = source.draw(idx, t, method)
             except SourceExhausted:
-                t_next[idx], recorded[idx] = -1, t
                 continue
             # A group of every run reads and writes the state with basic
             # indexing, which costs less than gathering it.
@@ -508,7 +493,7 @@ def run_lockstep(
                                  lambda: _transition(Pg[0], method, method.R if measured else None,
                                                      count, graph, dyn))
                 L, P_next, node, trP = step
-                trP, stand = (trP, np.True_) if trP is not None else (np.nan, np.False_)
+                stand = np.True_ if trP is not None else np.False_
             else:
                 R = None
                 if measured:
@@ -522,21 +507,12 @@ def run_lockstep(
             if measured:
                 X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
 
-            stop = t + count
-            grid_xhat[sel, t] = Xg
-            if count > 1:
-                grid_xhat[sel, t + 1:stop] = \
-                    (dyn.step_pair(slice(1, count))[0] @ Xg[:, None, :, None])[..., 0]
-            grid_trP[sel, t:stop] = trP
-            grid_method[sel, t:stop] = method.id
-            grid_measured[sel, t:stop] = measured
             beliefs = list(map(_trusted_belief, T[sel].tolist(), Xg, Pg))
             for i, epoch, belief in zip(idx.tolist(), kg.tolist(), beliefs):
                 epochs[i].append(EpochRecord(epoch, t, method.id, measured, belief))
-            if not stand.all():
-                for j in np.flatnonzero(~np.broadcast_to(stand, idx.shape)):
-                    grid_xhat[idx[j], t:stop], grid_trP[idx[j], t:stop] = \
-                        _predicted_points(beliefs[j], count, dyn)
+            fallback = () if stand.all() else [
+                (idx[j], beliefs[j]) for j in np.flatnonzero(~np.broadcast_to(stand, idx.shape))]
+            _record(grids, sel, t, count, Xg, trP, method.id, measured, dyn, fallback)
 
             X[sel], P[sel] = X_next, P_next
             T[sel] += method.latency(dyn.dt_s)
@@ -546,26 +522,5 @@ def run_lockstep(
 
     X.setflags(write=False)
     P.setflags(write=False)
-    traces = []
-    for i in range(runs):
-        # A final epoch ending exactly on the horizon leaves the endpoint
-        # unrecorded, as in run_loop; the belief sits there.
-        if t_next[i] == horizon_steps:
-            last = epochs[i][-1] if epochs[i] else None
-            grid_xhat[i, horizon_steps] = X[i]
-            grid_trP[i, horizon_steps] = float(np.trace(P[i]))
-            grid_method[i, horizon_steps] = last.method_id if last else 0
-            grid_measured[i, horizon_steps] = int(last.measured) if last else 0
-        end = recorded[i]
-        traces.append(TrackingTrace(
-            dt_s=dyn.dt_s,
-            horizon_steps=horizon_steps,
-            epochs=epochs[i],
-            final_belief=_trusted_belief(float(T[i]), X[i], P[i]),
-            grid_steps=np.arange(end, dtype=np.int64),
-            grid_xhat=grid_xhat[i, :end],
-            grid_trP=grid_trP[i, :end],
-            grid_method=grid_method[i, :end],
-            grid_measured=grid_measured[i, :end],
-        ))
-    return traces
+    return [_trace(dyn, horizon_steps, grids, i, int(t_next[i]), epochs[i],
+                   _trusted_belief(float(T[i]), X[i], P[i])) for i in range(runs)]

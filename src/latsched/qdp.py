@@ -95,18 +95,16 @@ def _memo_tables(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`backward_tables` for these inputs, swept only if the graph's memo misses.
 
-    The memo holds one entry, keyed on `_sweep_key` and on `dyn` by identity;
-    the entry keeps `dyn` alive, so its id is never reused. V and PI are
-    read-only, so no caller can corrupt the entry.
+    The memo holds one entry, keyed on `_sweep_key` and on `dyn`. V and PI
+    are read-only, so no caller can corrupt the entry.
     """
-    key = _sweep_key(tf, lam_alpha, methods)
-    memo = graph._sweep
-    if memo is None or memo[1] is not dyn or memo[0] != key:
+    def sweep():
         V, PI = backward_tables(tf, lam_alpha, graph, methods, dyn)
         V.setflags(write=False)
         PI.setflags(write=False)
-        memo = graph._sweep = (key, dyn, V, PI)
-    return memo[2], memo[3]
+        return V, PI
+
+    return graph._memo("_sweep", _sweep_key(tf, lam_alpha, methods), dyn, sweep)
 
 
 @dataclass

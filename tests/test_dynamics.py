@@ -205,13 +205,17 @@ class TestDiscretizedDynamics:
             assert np.allclose(M, M_ref)
             assert np.isclose(c, c_ref)
 
-    def test_interior_pair_cached(self, bench):
+    def test_off_grid_pair_is_discretize(self, bench):
         model, methods, dyn = bench
-        Ad1, _ = dyn.pair(0.05)
-        Ad2, _ = dyn.pair(0.05)
-        assert Ad1 is Ad2
-        Ad_grid, _ = dyn.pair(3 * model.dt_s)
-        assert np.shares_memory(Ad_grid, dyn.step_pair(3)[0])
+        for duration in (0.05, 0.05, 0.5 * model.dt_s, (dyn.max_steps + 1) * model.dt_s):
+            for got, want in zip(dyn.pair(duration), discretize(model, duration)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_grid_pairs_share_the_tables(self, bench):
+        model, methods, dyn = bench
+        for j in (0, 1, 3, dyn.max_steps):
+            for got, table in zip(dyn.pair(j * model.dt_s), dyn.step_pair(j)):
+                assert np.shares_memory(got, table)
 
     def test_tables_read_only(self, bench):
         _, _, dyn = bench

@@ -198,20 +198,6 @@ class TestSmallRuns:
                  StepSource(model, lambda t: 10 <= t < 20), dyn, use_adaptive=True)
         assert graph._epochs is None
 
-    def test_source_R_actual_bypasses_the_memo(self, planar):
-        model, methods, dyn, built = planar
-
-        class Overriding(StepSource):
-            def __call__(self, k, t_steps, method):
-                meas = super().__call__(k, t_steps, method)
-                return dataclasses.replace(meas, R_actual=(1 + k % 3) * method.R)
-
-        graph = dataclasses.replace(built)
-        got, want = warm_and_cold(model, methods, graph, graph.policy, 3.0,
-                                  lambda: Overriding(model), dyn)
-        assert_same_trace(got, want)
-        assert list(memo_table(graph)) == [model.P0.tobytes()]
-
     @pytest.mark.parametrize("variant", ["dyn", "R", "steps", "equal dyn"])
     def test_other_dynamics_or_methods_never_read_old_entries(self, planar, variant):
         model, methods, dyn, built = planar

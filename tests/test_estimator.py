@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,9 +85,8 @@ class TestCorrect:
         rng = np.random.default_rng(3)
         P = random_spd(rng, 4, 2.0)
         b = BeliefState(0.0, rng.standard_normal(4), P)
-        meas = Measurement(k=0, z=[5.0, -3.0], produced_at=0.1, method_id=1,
-                           R_actual=1e12 * np.eye(2))
-        out = correct(b, meas, methods[0], dyn)
+        meas = Measurement(k=0, z=[5.0, -3.0], produced_at=0.1, method_id=1)
+        out = correct(b, meas, dataclasses.replace(methods[0], R=1e12 * np.eye(2)), dyn)
         Ad, Wd = dyn.step_pair(3)
         assert np.allclose(out.Phat, Ad @ b.Phat @ Ad.T + Wd, rtol=1e-6, atol=1e-9)
         assert np.allclose(out.xhat, Ad @ b.xhat, rtol=1e-6, atol=1e-9)
@@ -113,15 +114,6 @@ class TestCorrect:
         meas = Measurement(k=0, z=[1.0], produced_at=1.0, method_id=1)
         with pytest.raises(SingularUpdateError, match=r"least eigenvalue 0\.000e\+00"):
             correct(b, meas, method, dyn)
-
-    def test_r_actual_overrides_nominal(self, bench):
-        model, methods, dyn = bench
-        b = BeliefState(0.0, np.zeros(4), np.eye(4))
-        z = np.array([1.0, 1.0])
-        nominal = correct(b, Measurement(0, z, 0.1, 1), methods[0], dyn)
-        override = correct(
-            b, Measurement(0, z, 0.1, 1, R_actual=methods[1].R), methods[0], dyn)
-        assert not np.allclose(nominal.Phat, override.Phat)
 
     def test_covariance_monotone_in_r(self, bench):
         model, methods, dyn = bench

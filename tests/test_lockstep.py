@@ -32,9 +32,11 @@ from latsched import (
     sample_region,
     simulate_sde,
 )
-from latsched import covgraph, experiments, horizon
-from latsched.config import parse_scenario
+from latsched import cli, covgraph, experiments, horizon
+from latsched.config import load_scenario, parse_scenario
+from latsched.exact import window_steps
 from latsched.horizon import run_lockstep
+from latsched.sim import grid_ratio
 from test_epoch_memo import assert_same_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -187,36 +189,79 @@ def test_seed_3_splits_the_adaptive_schedules():
     assert sum(methods == {1, 2} for methods in starts.values()) >= 10
 
 
+# Clean 3-run sweeps of the shipped configs, by config name.
+_CLEAN = {}
+
+
 class TestErrorIsolation:
     """A run that goes wrong changes its own row only, as in the per-run path."""
 
     @staticmethod
-    def sweep_with(monkeypatch, cfg, runs, corrupt):
-        simulate = experiments.simulate_sde
+    def patch_sde(monkeypatch, module, corrupt):
+        """`module.simulate_sde` with each path passed through `corrupt(run, path)`."""
+        simulate = module.simulate_sde
 
         def corrupted(model, horizon_s, dt, seed):
             t, path = simulate(model, horizon_s, dt, seed)
             return t, corrupt(seed.spawn_key[0], path)
 
-        monkeypatch.setattr(experiments, "simulate_sde", corrupted)
+        monkeypatch.setattr(module, "simulate_sde", corrupted)
+
+    def sweep_with(self, monkeypatch, cfg, runs, corrupt):
+        self.patch_sde(monkeypatch, experiments, corrupt)
         return monte_carlo(cfg, runs=runs, seed=4)
+
+    @staticmethod
+    def corrupt_middle(value, column=0):
+        """A `corrupt` that sets run 1's path to `value` from its middle on."""
+        def corrupt(run, path):
+            if run == 1:
+                path = path.copy()
+                path[len(path) // 2:, column] = value
+            return path
+        return corrupt
+
+    @staticmethod
+    def failed_row(cfg, run):
+        """The row of a run whose path turns non-finite from its middle on."""
+        middle = (window_steps(cfg.sim.horizon, cfg.sim.dt, 1e-9) + 1) // 2
+        step = -(-middle // grid_ratio(cfg.model.dt_s, cfg.sim.dt))
+        return {"run": run,
+                "error": f"LatschedError: truth path is not finite at sensor step {step}"}
 
     @pytest.mark.parametrize("name", ["adaptive-R", "moving-horizon"])
     def test_non_finite_truth_path(self, monkeypatch, name):
         cfg = noise_mismatch(name, lam_alpha=0.2, horizon_s=4.0, occlusions=[(1.0, 1.5)])
-
-        def corrupt(run, path):
-            if run == 1:
-                path = path.copy()
-                path[len(path) // 2:, 0] = np.nan
-            return path
-
+        corrupt = self.corrupt_middle(np.nan)
         clean = monte_carlo(cfg, runs=4, seed=4)
         got = self.sweep_with(monkeypatch, cfg, 4, corrupt)
         want = per_run_rows(cfg, 4, 4, corrupt)
-        same_rows(got, want)
+        assert got[1] == self.failed_row(cfg, 1)
+        same_rows([got[0]] + got[2:], [want[0]] + want[2:])
         same_rows([got[0]] + got[2:], [clean[0]] + clean[2:])
-        assert any(isinstance(v, float) and math.isnan(v) for v in got[1].values())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("config", ["noise_mismatch", "occlusion_run"])
+    def test_non_finite_path_fails_its_run_only(self, monkeypatch, config, value):
+        cfg = load_scenario(CONFIGS / f"{config}.json")
+        if config not in _CLEAN:
+            _CLEAN[config] = monte_carlo(cfg, runs=3, seed=4)
+        clean = _CLEAN[config]
+        got = self.sweep_with(monkeypatch, cfg, 3, self.corrupt_middle(value, column=-1))
+        assert got[1] == self.failed_row(cfg, 1)
+        same_rows([got[0], got[2]], [clean[0], clean[2]])
+
+    def test_cli_reports_the_failed_run(self, monkeypatch, tmp_path, capsys):
+        config = CONFIGS / "noise_mismatch.json"
+        message = self.failed_row(load_scenario(config), 1)["error"].split(": ", 1)[1]
+        self.patch_sde(monkeypatch, experiments, self.corrupt_middle(np.nan))
+        assert cli.main(["mc-eval", "-c", str(config), "-o", str(tmp_path / "mc.csv"),
+                         "--runs", "3"]) == 0
+        assert "3 runs (1 failed)" in capsys.readouterr().out
+        corrupt = self.corrupt_middle(np.inf)
+        self.patch_sde(monkeypatch, cli, lambda run, path: corrupt(1, path))
+        assert cli.main(["simulate", "-c", str(config), "-o", str(tmp_path / "sim.csv")]) == 2
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
 
     @pytest.mark.parametrize("name", ["adaptive-R", "moving-horizon"])
     def test_run_that_raises(self, monkeypatch, name):

@@ -9,16 +9,18 @@ checkout this file is in), in a fresh process that imports latsched from
 CHECKOUT's `src/`, writing into a temporary directory. `mc-eval` runs at
 `--runs` 20, 20 and 40 (double_integrator, occlusion_run, noise_mismatch),
 and the two tracking experiments (occlusion_run, noise_mismatch) run once
-more at `--jobs 2`, which splits their runs into one block per worker. One
-line is printed per run:
+more at `--jobs 2`, which splits their runs into one block per worker.
+`schedule-qdp` and `simulate` run once more on each config with `--graph`,
+reading the graph file that config's `build-graph` run wrote. One line is
+printed per run:
 
     <sha256> <exit code> <subcommand> <config>
 
-where a `--jobs 2` run's subcommand reads `mc-eval--jobs2`,
-
-and the hash covers the output file, stdout and stderr, with the
-temporary directory's path replaced by a fixed name. Two checkouts give the
-same outputs when their digests are the same, which one `diff` shows.
+where a `--jobs 2` run's subcommand reads `mc-eval--jobs2` and a `--graph`
+run's reads `schedule-qdp--graph` or `simulate--graph`, and the hash covers
+the output file, stdout and stderr, with the temporary directory's path
+replaced by a fixed name. Two checkouts give the same outputs when their
+digests are the same, which one `diff` shows.
 """
 
 import argparse
@@ -32,17 +34,21 @@ COMMANDS = ("build-graph", "schedule-exact", "schedule-qdp", "bound-check", "sim
             "mc-eval")
 MC_RUNS = {"double_integrator": 20, "occlusion_run": 20, "noise_mismatch": 40}
 POOLED = ("occlusion_run", "noise_mismatch")
+GRAPH_READERS = ("schedule-qdp", "simulate")
 
 
 def digest(root: str, command: str, config: str, workdir: str,
-           jobs: int = 1) -> tuple[str, int]:
-    output = os.path.join(workdir, f"{command}-{config}.out")
+           jobs: int = 1, graph: str | None = None) -> tuple[str, int]:
+    tag = "--graph" if graph else ""
+    output = os.path.join(workdir, f"{command}{tag}-{config}.out")
     argv = [sys.executable, "-m", "latsched.cli", command,
             "-c", os.path.join(root, "configs", f"{config}.json"), "-o", output]
     if command == "mc-eval":
         argv += ["--runs", str(MC_RUNS[config])]
     if jobs > 1:
         argv += ["--jobs", str(jobs)]
+    if graph:
+        argv += ["--graph", graph]
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run(argv, env=env, capture_output=True, check=False)
     sha = hashlib.sha256()
@@ -67,6 +73,10 @@ def main() -> int:
             if config in POOLED:
                 sha, code = digest(root, "mc-eval", config, workdir, jobs=2)
                 print(sha, code, "mc-eval--jobs2", config, flush=True)
+            graph = os.path.join(workdir, f"build-graph-{config}.out")
+            for command in GRAPH_READERS:
+                sha, code = digest(root, command, config, workdir, graph=graph)
+                print(sha, code, f"{command}--graph", config, flush=True)
     return 0
 
 
