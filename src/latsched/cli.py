@@ -156,7 +156,7 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
     truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
     _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
     trace, m = track(cfg, dyn, graph, path, meas_seed)
-    trace.write_csv(args.output)
+    trace.write_csv(args.output, cfg.methods, dyn)
     print(f"simulate: J={m.j_empirical:.6g} cpu={m.cpu_load:.3f} "
           f"attention={m.attention} mse={m.mse:.6g} -> {args.output}")
     return 0

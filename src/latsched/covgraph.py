@@ -88,11 +88,10 @@ class CovarianceGraph:
     Two private memos ride on the graph. `qdp` and `qdp_matrices` keep the
     tables of the graph's last backward sweep in `_sweep`. `run_loop` and
     `run_lockstep` keep the covariance half of the epochs they have run in
-    `_epochs`: the gain, the next covariance and node, and the interior
-    traces, keyed on the start covariance's bytes, the method, whether it
-    measured and the recorded step count, for one method list (each method's
-    steps and R bytes) and one dynamics object (by identity); adaptive-R runs
-    bypass it. Its hits come from repeated runs on one graph (see `horizon`),
+    `_epochs`: the gain and the next covariance and node, keyed on the start
+    covariance's bytes, the method and whether it measured, for one method
+    list (each method's steps and R bytes) and one dynamics object (by
+    identity); adaptive-R runs bypass it. Its hits come from repeated runs on one graph (see `horizon`),
     and it holds at most `horizon._MEMO_ENTRIES` entries. Construction
     starts both memos empty (so `dataclasses.replace` and `load` do too) and
     `save` never writes them. A graph whose `reps` or `succ` are written into must be rebuilt

@@ -14,14 +14,14 @@ e[l] = C xhat[l] - z[l] and estimates the current covariance as
 projected back to PSD, falling back to the nominal R when the window is
 empty.
 
-Without adaptation, the covariance half of an epoch (gain, next covariance,
-its node, the interior traces) does not depend on the measured values, so
-`run_loop` keeps it in a memo on the graph (`CovarianceGraph._epochs`),
-keyed on the start covariance's bytes, the method, whether it measured and
-the number of recorded steps, for one method list (each method's steps and
-R) and one dynamics object. The mean half runs every epoch. Adaptive runs
-bypass the memo: their R is an estimate, not the method's. Like the graph's
-sweep memo it goes stale when `reps` or `succ` are written into.
+Without adaptation, the covariance half of an epoch (gain, next covariance
+and its node) does not depend on the measured values, so `run_loop` keeps it
+in a memo on the graph (`CovarianceGraph._epochs`), keyed on the start
+covariance's bytes, the method and whether it measured, for one method list
+(each method's steps and R) and one dynamics object. The mean half runs
+every epoch. Adaptive runs bypass the memo: their R is an estimate, not the
+method's. Like the graph's sweep memo it goes stale when `reps` or `succ`
+are written into.
 
 `run_lockstep` runs a stack of runs as one loop: the runs starting an epoch
 at a sensor step are grouped by method and each group is stepped with one
@@ -32,8 +32,10 @@ benchmark's tracking run, `run_loop` on one graph again and again; the other
 tracking variants and later blocks of an `mc-eval` sweep; a covariance path
 that repeats itself once it has converged. One `simulate` run gets only the
 last kind. The two loops differ only in how they schedule epochs: both write
-an epoch's sensor steps into preallocated arrays with `_record` and build
-their traces with `_trace`.
+the means of an epoch's sensor steps into a preallocated array with
+`_record` and build their traces with `_trace`. The loops record no
+covariance at the sensor steps: `TrackingTrace.grid` derives tr P, the
+method and the measured flag there from the epochs' start beliefs.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from .estimator import (
 from .exact import window_steps
 
 # Entries a graph's epoch memo holds before it is cleared. On the shipped
-# 4-state model an entry takes 0.75-0.93 KB (tracemalloc) and a gain adds
-# 0.18 KB, so a full memo stays under 0.6 MB; the moving-horizon and
-# adaptive-R experiments fill 204 and 59 entries.
+# 4-state model an entry takes 0.36 KB, 0.52 KB with a gain (tracemalloc of
+# a deep copy), so a full memo stays under 0.3 MB; the moving-horizon and
+# adaptive-R experiments at their shipped run counts fill 204 and 59 entries.
 _MEMO_ENTRIES = 512
 
 
@@ -143,57 +145,24 @@ class _Transition(NamedTuple):
     gain: L of the correction, None for a dropped measurement.
     Phat: the next covariance, clamped and read-only.
     node: quantize(Phat), the node whose policy entry picks the next method.
-    trP: tr P at sensor steps j = 0..count-1 of the epoch, or None where
-        BeliefState's PSD clamp could act on an interior point, so the
-        epoch's points come from `_predicted_points`.
     """
 
     gain: np.ndarray | None
     Phat: np.ndarray
     node: int
-    trP: np.ndarray | None
 
 
-def _transition(Phat, method, R, count: int, graph: CovarianceGraph,
+def _transition(Phat, method, R, graph: CovarianceGraph,
                 dyn: DiscretizedDynamics) -> _Transition:
-    """The covariance half of an epoch; `R` is None for a dropped measurement."""
+    """The covariance half of an epoch from one covariance or a stack; `R` is None when dropped."""
     L, P_next = epoch_covariance(Phat, method, dyn, R)
-    trP, stand = _stacked_traces(Phat, count, dyn)
-    return _Transition(L, P_next, quantize(P_next, graph), trP if stand else None)
-
-
-def _stacked_traces(Phat: np.ndarray, count: int, dyn: DiscretizedDynamics):
-    """tr P of `predict` from Phat over j * dt_s for j = 0..count-1: traces and a mask.
-
-    `Phat` is one covariance or a stack `(..., n, n)`. Returns the traces
-    `(..., count)` and where they stand (`(...)`, or one numpy bool for all).
-    Points j >= 1 come from one stacked product over the step tables. Their
-    traces equal `predict`'s bit for bit unless BeliefState's PSD clamp would
-    act: symmetrizing leaves the trace as it is. So where any point's least
-    eigenvalue is not above 1e-12 * tr P, a margin far wider than the
-    round-off asymmetry, the traces do not stand and the epoch's points come
-    from `_predicted_points`.
-    """
-    trP = Phat.trace(axis1=-2, axis2=-1)[..., None]
-    if count == 1:
-        return trP, np.True_
-    Ad, Wd = dyn.step_pair(slice(1, count))
-    P = Ad @ Phat[..., None, :, :] @ Ad.mT + Wd
-    interior = P.trace(axis1=-2, axis2=-1)
-    stand = (_lapack("eigvalsh", P)[..., 0] > 1e-12 * interior).all(axis=-1)
-    return np.concatenate((trP, interior), axis=-1), stand
-
-
-def _predicted_points(belief: BeliefState, count: int, dyn: DiscretizedDynamics):
-    """xhat and tr P at steps j = 0..count-1, from one validating `predict` per point."""
-    points = [predict(belief, j * dyn.dt_s, dyn) for j in range(count)]
-    return [p.xhat for p in points], [float(np.trace(p.Phat)) for p in points]
+    return _Transition(L, P_next, quantize(P_next, graph))
 
 
 def _epoch_memo(graph: CovarianceGraph, methods, dyn: DiscretizedDynamics) -> dict:
     """The graph's table of epoch transitions for these methods and `dyn`.
 
-    The table maps `(Phat bytes, method id, measured, count)` to a
+    The table maps `(Phat bytes, method id, measured)` to a
     `_Transition`, and a run's start covariance bytes to its node.
     """
     return graph._memo("_epochs", tuple((m.steps, m.R.tobytes()) for m in methods), dyn, dict)
@@ -227,7 +196,10 @@ class EpochRecord:
 
 @dataclass
 class TrackingTrace:
-    """Loop output: per-epoch records plus a sensor-grid belief trace."""
+    """Loop output: per-epoch records plus the estimate means on the sensor grid.
+
+    `grid` derives tr P, the method and the measured flag there from the epochs.
+    """
 
     dt_s: float
     horizon_steps: int
@@ -235,21 +207,42 @@ class TrackingTrace:
     final_belief: BeliefState
     grid_steps: np.ndarray
     grid_xhat: np.ndarray
-    grid_trP: np.ndarray
-    grid_method: np.ndarray
-    grid_measured: np.ndarray
 
-    def write_csv(self, path) -> None:
+    def grid(self, methods, dyn: DiscretizedDynamics) -> tuple:
+        """tr P, method id and measured flag (0/1) at each of `grid_steps`.
+
+        Step t + j of an epoch that starts at step t reads
+        trace(predict(belief, j * dt_s).Phat) of the epoch's start belief.
+        """
+        size = len(self.grid_steps)
+        trP = np.empty(size)
+        method_id = np.zeros(size, dtype=np.int64)
+        measured = np.zeros(size, dtype=np.int64)
+        end = 0
+        for epoch in self.epochs:
+            t = epoch.t_steps
+            end = min(t + methods[epoch.method_id - 1].steps, size)
+            trP[t:end] = [np.trace(predict(epoch.belief, j * dyn.dt_s, dyn).Phat)
+                          for j in range(end - t)]
+            method_id[t:end], measured[t:end] = epoch.method_id, epoch.measured
+        # Past the last epoch's points lies at most the horizon endpoint, which
+        # an epoch ending exactly on the horizon leaves to the final belief,
+        # under that epoch's method.
+        trP[end:] = np.trace(self.final_belief.Phat)
+        if self.epochs:
+            method_id[end:], measured[end:] = epoch.method_id, epoch.measured
+        return trP, method_id, measured
+
+    def write_csv(self, path, methods, dyn: DiscretizedDynamics) -> None:
         n = self.grid_xhat.shape[1]
         header = ["t"] + [f"xhat_{i}" for i in range(n)] + ["trP", "method_id", "measured"]
+        trP, method_id, measured = self.grid(methods, dyn)
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             for i, step in enumerate(self.grid_steps):
                 row = [repr(float(step * self.dt_s))]
                 row += [repr(float(v)) for v in self.grid_xhat[i]]
-                row += [repr(float(self.grid_trP[i])),
-                        str(int(self.grid_method[i])),
-                        str(int(self.grid_measured[i]))]
+                row += [repr(float(trP[i])), str(int(method_id[i])), str(int(measured[i]))]
                 fh.write(",".join(row) + "\n")
 
 
@@ -268,54 +261,32 @@ def _checked_policy(policy, graph: CovarianceGraph, methods) -> np.ndarray:
     return policy
 
 
-def _grids(runs: int, horizon_steps: int, n: int) -> tuple:
-    """Sensor-grid records of `runs` runs at steps 0..horizon_steps.
+def _record(xhat: np.ndarray, rows, t: int, steps: int, X: np.ndarray,
+            dyn: DiscretizedDynamics) -> None:
+    """Write the means of an epoch's sensor steps t..t+steps-1 into `rows` of `xhat`.
 
-    xhat `(runs, steps, n)`, tr P, method id and measured flag `(runs, steps)`.
+    Steps past the grid's end are left out. `X` holds the rows' start means.
+    Interior means come from one stacked product over the step tables, the
+    mean half of `predict`.
     """
-    size = horizon_steps + 1
-    return (np.empty((runs, size, n)), np.empty((runs, size)),
-            np.zeros((runs, size), dtype=np.int64), np.zeros((runs, size), dtype=np.int64))
-
-
-def _record(grids, rows, t: int, count: int, X: np.ndarray, trP, method_id: int,
-            measured: bool, dyn: DiscretizedDynamics, fallback=()) -> None:
-    """Write an epoch's sensor steps t..t+count-1 into `rows` of `grids`.
-
-    `X` holds the rows' start means and `trP` their `_stacked_traces`, or
-    None. Interior means come from one stacked product over the step tables,
-    the mean half of `predict`. Each `(row, belief)` of `fallback` takes its
-    points from `_predicted_points` instead.
-    """
-    xhat, trPs, method, meas = grids
-    stop = t + count
+    count = min(steps, xhat.shape[-2] - t)
     xhat[rows, t] = X
     if count > 1:
         Ad = dyn.step_pair(slice(1, count))[0]
-        xhat[rows, t + 1:stop] = (Ad @ X[..., None, :, None])[..., 0]
-    if trP is not None:
-        trPs[rows, t:stop] = trP
-    method[rows, t:stop] = method_id
-    meas[rows, t:stop] = measured
-    for row, belief in fallback:
-        xhat[row, t:stop], trPs[row, t:stop] = _predicted_points(belief, count, dyn)
+        xhat[rows, t + 1:t + count] = (Ad @ X[..., None, :, None])[..., 0]
 
 
-def _trace(dyn: DiscretizedDynamics, horizon_steps: int, grids, row: int, t_next: int,
+def _trace(dyn: DiscretizedDynamics, horizon_steps: int, xhat: np.ndarray, t_next: int,
            epochs: list, final: BeliefState) -> TrackingTrace:
-    """The TrackingTrace of grid row `row`, whose next epoch would start at `t_next`.
+    """The TrackingTrace of a run's grid means `xhat`, whose next epoch would start at `t_next`.
 
     A run whose source ran out at an epoch start has that start as `t_next`,
     and its trace ends there. A final epoch ending exactly on the horizon
     leaves the endpoint unrecorded (an epoch records its steps
-    0..steps-1); the final belief sits there, under the last epoch's method.
+    0..steps-1); the final belief's mean sits there.
     """
-    xhat, trP, method, measured = (grid[row] for grid in grids)
     if t_next == horizon_steps:
         xhat[t_next] = final.xhat
-        trP[t_next] = float(np.trace(final.Phat))
-        if epochs:
-            method[t_next], measured[t_next] = epochs[-1].method_id, epochs[-1].measured
     end = t_next if t_next < horizon_steps else horizon_steps + 1
     return TrackingTrace(
         dt_s=dyn.dt_s,
@@ -324,9 +295,6 @@ def _trace(dyn: DiscretizedDynamics, horizon_steps: int, grids, row: int, t_next
         final_belief=final,
         grid_steps=np.arange(end, dtype=np.int64),
         grid_xhat=xhat[:end],
-        grid_trP=trP[:end],
-        grid_method=method[:end],
-        grid_measured=measured[:end],
     )
 
 
@@ -360,7 +328,7 @@ def run_loop(
     belief = BeliefState(0.0, model.x0, model.P0)
     pid = int(policy[_remember(memo, belief.Phat.tobytes(),
                                lambda: quantize(belief.Phat, graph))])
-    grids = _grids(1, horizon_steps, model.n_x)
+    xhat = np.empty((1, horizon_steps + 1, model.n_x))
     epochs: list[EpochRecord] = []
 
     k = 0
@@ -373,22 +341,19 @@ def run_loop(
             break
         measured = meas is not None
         epochs.append(EpochRecord(k, t_steps, method.id, measured, belief))
-        # Sensor steps j = 0..count-1 of the epoch that lie on the horizon.
-        count = min(method.steps, horizon_steps - t_steps + 1)
         R = method.R if measured else None
         if measured and window is not None:
             window.push(method.id, meas.k, dyn.model.C @ belief.xhat - meas.z)
             R = adaptive_R(window, method, meas.k, belief, dyn.model)
-        step = _remember(memo, (belief.Phat.tobytes(), method.id, measured, count),
-                         lambda: _transition(belief.Phat, method, R, count, graph, dyn))
-        _record(grids, 0, t_steps, count, belief.xhat, step.trP, method.id, measured, dyn,
-                () if step.trP is not None else ((0, belief),))
+        step = _remember(memo, (belief.Phat.tobytes(), method.id, measured),
+                         lambda: _transition(belief.Phat, method, R, graph, dyn))
+        _record(xhat, 0, t_steps, method.steps, belief.xhat, dyn)
         belief = epoch_mean(belief, method, dyn, step.gain, step.Phat,
                             meas.z if measured else None)
         pid = int(policy[step.node])
         t_steps += method.steps
         k += 1
-    return _trace(dyn, horizon_steps, grids, 0, t_steps, epochs, belief)
+    return _trace(dyn, horizon_steps, xhat[0], t_steps, epochs, belief)
 
 
 def _push(ring, runs, k: np.ndarray, e: np.ndarray, length: int):
@@ -427,12 +392,13 @@ def run_lockstep(
     step the runs whose epoch starts there are split by the method they
     start, every group fixed before any is stepped, and each group takes one
     stacked call per kernel: the adaptive-R estimate, `epoch_covariance`,
-    `quantize`, `_stacked_traces` and the mean half. Without adaptation all
-    runs share one covariance path, so the stack reads the graph's epoch memo
-    once per epoch. Each stacked product is `run_loop`'s product for one run, stacked, so
-    every trace equals `run_loop`'s over the same path and generator bit for
-    bit, and a run whose kernels raise raises what `run_loop` raises when
-    stepped alone. A source that runs out ends the runs it ran out for.
+    `quantize` and the mean half. Without adaptation all runs share one
+    covariance path, so the stack reads the graph's epoch memo once per
+    epoch. Each stacked product is `run_loop`'s product for one run,
+    stacked, so every trace equals `run_loop`'s over the same path and
+    generator bit for bit, and a run whose kernels raise raises what
+    `run_loop` raises when stepped alone. A source that runs out ends the
+    runs it ran out for.
     """
     policy = _checked_policy(policy, graph, methods)
     if window_length < 1:
@@ -454,7 +420,7 @@ def run_lockstep(
     # Epoch -(length + 1) is out of every window: an empty slot.
     rings = {m.id: (np.zeros((runs, window_length, model.n_z, model.n_z)),
                     np.full((runs, window_length), -window_length - 1)) for m in methods}
-    grids = _grids(runs, horizon_steps, model.n_x)
+    xhat = np.empty((runs, horizon_steps + 1, model.n_x))
     epochs: list[list] = [[] for _ in range(runs)]
 
     for t in range(horizon_steps):
@@ -477,42 +443,33 @@ def run_lockstep(
             whole = idx.size == runs
             sel = slice(None) if whole else idx
             measured = z is not None
-            count = min(method.steps, horizon_steps - t + 1)
             Xg, Pg = (X.copy(), P.copy()) if whole else (X[idx], P[idx])
             Xg.setflags(write=False)
             Pg.setflags(write=False)
             kg = k[sel]
             if measured:
                 Cx = (C @ Xg[..., None])[..., 0]
-            if memo is not None:
-                # Without adaptation the covariance half reads no measurement,
-                # and the source drops or runs out for the whole stack at a
-                # step, so every run starts every epoch from the covariance
-                # of the others: one group, one memo read.
-                step = _remember(memo, (Pg[0].tobytes(), method.id, measured, count),
-                                 lambda: _transition(Pg[0], method, method.R if measured else None,
-                                                     count, graph, dyn))
-                L, P_next, node, trP = step
-                stand = np.True_ if trP is not None else np.False_
-            else:
-                R = None
-                if measured:
-                    E, counts = _push(rings[method.id], sel, kg, Cx - z, window_length)
-                    R = _estimate_R(E, counts, Pg, method, model)
-                L, P_next = epoch_covariance(Pg, method, dyn, R)
-                node = quantize(P_next, graph)
-                trP, stand = _stacked_traces(Pg, count, dyn)
+            R = method.R if measured else None
+            if measured and memo is None:
+                E, counts = _push(rings[method.id], sel, kg, Cx - z, window_length)
+                R = _estimate_R(E, counts, Pg, method, model)
+            # An adaptive group steps each run's covariance, without the memo.
+            # Without adaptation the covariance half reads no measurement, and
+            # the source drops or runs out for the whole stack at a step, so
+            # every run starts every epoch from the covariance of the others:
+            # one group, one memo read.
+            L, P_next, node = _remember(memo, (Pg[0].tobytes(), method.id, measured),
+                                        lambda: _transition(Pg if memo is None else Pg[0],
+                                                            method, R, graph, dyn))
             Ad = dyn.step_pair(method.steps)[0]
             X_next = (Ad @ Xg[..., None])[..., 0]
             if measured:
                 X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
 
-            beliefs = list(map(_trusted_belief, T[sel].tolist(), Xg, Pg))
-            for i, epoch, belief in zip(idx.tolist(), kg.tolist(), beliefs):
+            for i, epoch, belief in zip(idx.tolist(), kg.tolist(),
+                                        map(_trusted_belief, T[sel].tolist(), Xg, Pg)):
                 epochs[i].append(EpochRecord(epoch, t, method.id, measured, belief))
-            fallback = () if stand.all() else [
-                (idx[j], beliefs[j]) for j in np.flatnonzero(~np.broadcast_to(stand, idx.shape))]
-            _record(grids, sel, t, count, Xg, trP, method.id, measured, dyn, fallback)
+            _record(xhat, sel, t, method.steps, Xg, dyn)
 
             X[sel], P[sel] = X_next, P_next
             T[sel] += method.latency(dyn.dt_s)
@@ -522,5 +479,5 @@ def run_lockstep(
 
     X.setflags(write=False)
     P.setflags(write=False)
-    return [_trace(dyn, horizon_steps, grids, i, int(t_next[i]), epochs[i],
+    return [_trace(dyn, horizon_steps, xhat[i], int(t_next[i]), epochs[i],
                    _trusted_belief(float(T[i]), X[i], P[i])) for i in range(runs)]

@@ -287,6 +287,8 @@ def metrics(
     window; the CPU load truncates the final epoch at the window edge; the MSE
     averages squared estimate error over the sensor-grid points of the trace.
     """
+    # A trace that does not cover the window, an empty one included, fails here.
+    j_empirical = empirical_cost(trace, lam_alpha, methods, tf, dyn)
     tf_steps = window_steps(tf, dyn.dt_s)
     attention = 0
     busy = 0.0
@@ -308,7 +310,7 @@ def metrics(
     mse = float(np.mean(np.sum(err * err, axis=1)))
 
     return RunMetrics(
-        j_empirical=empirical_cost(trace, lam_alpha, methods, tf, dyn),
+        j_empirical=j_empirical,
         attention=attention,
         cpu_load=cpu_load,
         mse=mse,

@@ -149,16 +149,17 @@ def test_criterion_5_moving_horizon_tradeoff(bench_mod):
     for m in methods:
         policy = np.full(graph.size, m.id, dtype=np.int64)
         st = ls.run_loop(model, methods, graph, policy, horizon, source(), dyn)
-        static_avgs[m.id] = float(st.grid_trP.mean())
+        static_avgs[m.id] = float(st.grid(methods, dyn)[0].mean())
 
     assert 0.5 < run.cpu_load < 0.8
     assert abs(run.cpu_load - 0.65) <= 0.1
-    mh_avg = float(trace.grid_trP.mean())
+    trP = trace.grid(methods, dyn)[0]
+    mh_avg = float(trP.mean())
     assert min(static_avgs.values()) <= mh_avg <= max(static_avgs.values()), (
         mh_avg, static_avgs)
     t_grid = trace.grid_steps * dyn.dt_s
     occluded = (t_grid >= 4.0 - 1e-9) & (t_grid <= 6.0 + 1e-9)
-    diffs = np.diff(trace.grid_trP[occluded])
+    diffs = np.diff(trP[occluded])
     assert np.all(diffs > 0.0), "trace must grow throughout the occlusion"
     _passed(5, f"cpu {run.cpu_load:.3f} in (0.5,0.8); avg trace {mh_avg:.3f} "
             f"between statics {sorted(static_avgs.values())}; occlusion monotone",

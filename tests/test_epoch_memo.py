@@ -1,8 +1,8 @@
 """The graph's memo of epoch transitions: warm runs equal cold runs bit for bit.
 
 `run_loop` reads the covariance half of an epoch (gain, next covariance,
-next node, interior traces) from `CovarianceGraph._epochs` when it has run
-the same transition before on that graph. A cold run is the same run on a
+next node) from `CovarianceGraph._epochs` when it has run the same
+transition before on that graph. A cold run is the same run on a
 fresh `dataclasses.replace(graph)`, whose memo starts empty.
 """
 
@@ -30,16 +30,22 @@ from latsched import (
 from latsched import estimator, horizon
 from latsched.config import load_scenario
 from latsched.experiments import _build_graph, track
-from test_horizon_oracle import CountingFallback, StepSource
+from test_horizon_oracle import StepSource
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def assert_same_trace(got, want):
-    """Every array of two TrackingTraces and every epoch's belief, bit for bit."""
+def assert_same_trace(got, want, methods, dyn):
+    """Every array of two TrackingTraces and every epoch's belief, bit for bit.
+
+    The arrays include `grid`'s columns, derived under `methods` and `dyn`.
+    """
     assert (got.dt_s, got.horizon_steps) == (want.dt_s, want.horizon_steps)
-    for name in ("grid_steps", "grid_xhat", "grid_trP", "grid_method", "grid_measured"):
-        a, b = getattr(got, name), getattr(want, name)
+    columns = [(name, getattr(got, name), getattr(want, name))
+               for name in ("grid_steps", "grid_xhat")]
+    columns += zip(("grid_trP", "grid_method", "grid_measured"), got.grid(methods, dyn),
+                   want.grid(methods, dyn))
+    for name, a, b in columns:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert len(got.epochs) == len(want.epochs)
     for a, b in zip(got.epochs, want.epochs):
@@ -77,18 +83,18 @@ def occlusion_track(occlusion, graph, seed, **kwargs):
 
 class TestShippedOcclusion:
     def test_warm_runs_equal_cold_runs(self, occlusion):
-        _, _, built = occlusion
+        cfg, dyn, built = occlusion
         warm = dataclasses.replace(built)
         occlusion_track(occlusion, warm, 99)
         assert memo_table(warm)
         for seed in (0, 1, 2, 3):
             got, got_metrics = occlusion_track(occlusion, warm, seed)
             want, want_metrics = occlusion_track(occlusion, dataclasses.replace(built), seed)
-            assert_same_trace(got, want)
+            assert_same_trace(got, want, cfg.methods, dyn)
             assert got_metrics == want_metrics
 
     def test_moving_horizon_tracks_share_one_memo(self, occlusion):
-        cfg, _, built = occlusion
+        cfg, dyn, built = occlusion
         statics = [np.full(built.size, m.id, dtype=np.int64) for m in cfg.methods]
         runs = [{}] + [{"policy": p, "adaptive": False} for p in statics]
         warm = dataclasses.replace(built)
@@ -97,7 +103,7 @@ class TestShippedOcclusion:
                 got, got_metrics = occlusion_track(occlusion, warm, seed, **kwargs)
                 want, want_metrics = occlusion_track(occlusion, dataclasses.replace(built),
                                                      seed, **kwargs)
-                assert_same_trace(got, want)
+                assert_same_trace(got, want, cfg.methods, dyn)
                 assert got_metrics == want_metrics
         # One memo serves all three policies: its entries hold nodes, not methods.
         assert {key[1] for key in memo_table(warm) if isinstance(key, tuple)} == {1, 2}
@@ -105,7 +111,7 @@ class TestShippedOcclusion:
     def test_second_identical_run_does_no_covariance_work(self, occlusion):
         # A hit skips the Riccati kernel and quantization altogether; a later
         # change that breaks the hit path fails here, with no timer involved.
-        _, _, built = occlusion
+        cfg, dyn, built = occlusion
         graph = dataclasses.replace(built)
         with patch.object(estimator, "_gain_and_next_cov",
                           wraps=estimator._gain_and_next_cov) as gains, \
@@ -117,7 +123,7 @@ class TestShippedOcclusion:
             nearest.reset_mock()
             second, _ = occlusion_track(occlusion, graph, 4)
         assert (gains.call_count, nearest.call_count) == (0, 0)
-        assert_same_trace(second, first)
+        assert_same_trace(second, first, cfg.methods, dyn)
 
 
 @pytest.fixture(scope="module")
@@ -165,31 +171,7 @@ class TestSmallRuns:
         run_loop(model, methods, graph, graph.policy, 9.0, make(), dyn)
         got, want = warm_and_cold(model, methods, graph, graph.policy, 9.0, make, dyn)
         assert len(got.epochs) == 17
-        assert_same_trace(got, want)
-
-    def test_fallback_epochs_recompute_their_points(self, planar):
-        # A rank-one P0 and no process noise: every interior covariance is
-        # singular, so every epoch's points come from `_predicted_points`,
-        # on warm and cold runs alike.
-        _, methods, _, built = planar
-        model = ContinuousModel(
-            A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2), W=np.zeros((2, 2)), C=np.eye(2),
-            x0=[1.0, 0.5], P0=[[1.0, 1.0], [1.0, 1.0]], dt_s=0.1,
-        )
-        dyn = build_dynamics(model, methods)
-        policy = np.full(built.size, 2, dtype=np.int64)
-        graph = dataclasses.replace(built)
-        run_loop(model, methods, graph, policy, 2.0, StepSource(model), dyn)
-        fallback = CountingFallback()
-        with patch.object(horizon, "_predicted_points", fallback):
-            got = run_loop(model, methods, graph, policy, 2.0, StepSource(model), dyn)
-            warm_calls = fallback.calls
-            want = run_loop(model, methods, dataclasses.replace(built), policy, 2.0,
-                            StepSource(model), dyn)
-        assert warm_calls == fallback.calls - warm_calls == len(got.epochs)
-        assert any(step.trP is None for step in memo_table(graph).values()
-                   if isinstance(step, horizon._Transition))
-        assert_same_trace(got, want)
+        assert_same_trace(got, want, methods, dyn)
 
     def test_adaptive_run_leaves_the_memo_empty(self, planar):
         model, methods, dyn, built = planar
@@ -214,20 +196,25 @@ class TestSmallRuns:
         run_loop(model, methods, graph, policy, 6.0, make(), dyn)
         old = graph._epochs[2]
         got, want = warm_and_cold(model, new_methods, graph, policy, 6.0, make, new_dyn)
-        assert_same_trace(got, want)
+        assert_same_trace(got, want, new_methods, new_dyn)
         assert {e.method_id for e in got.epochs} == {1, 2}
         assert graph._epochs[2] is not old
 
-    def test_a_cut_last_epoch_is_its_own_entry(self, planar):
-        # At 0.9 s the last 3-step epoch is recorded whole; at 0.7 s the same
-        # transition records 2 steps.
+    def test_a_cut_last_epoch_reads_the_full_epochs_entry(self, planar):
+        # At 0.9 s the last 3-step epoch is recorded whole; at 0.7 and 0.8 s
+        # the same transition records 2 and 3 of its steps, from the entry
+        # the whole epoch wrote.
         model, methods, dyn, built = planar
         graph = dataclasses.replace(built)
         policy = np.full(built.size, 2, dtype=np.int64)
-        for horizon_s in (0.9, 0.7, 0.8):
+        run_loop(model, methods, graph, policy, 0.9, StepSource(model), dyn)
+        keys = set(memo_table(graph))
+        assert {key[1:] for key in keys if isinstance(key, tuple)} == {(2, True)}
+        for horizon_s in (0.7, 0.8):
             got, want = warm_and_cold(model, methods, graph, policy, horizon_s,
                                       lambda: StepSource(model), dyn)
-            assert_same_trace(got, want)
+            assert_same_trace(got, want, methods, dyn)
+            assert set(memo_table(graph)) == keys
 
     def test_save_writes_no_memo_and_load_starts_empty(self, planar, tmp_path):
         model, methods, dyn, built = planar
@@ -260,7 +247,7 @@ class TestSmallRuns:
         assert max(sizes) == 8 and len(memo_table(graph)) <= 8
         want = run_loop(model, methods, dataclasses.replace(built), policy, 5.0,
                         StepSource(model, lambda t: True), dyn)
-        assert_same_trace(got, want)
+        assert_same_trace(got, want, methods, dyn)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,4 +264,4 @@ def test_warm_equals_cold_over_random_occlusions(planar, windows, static, horizo
     policy = graph.policy if static is None else np.full(graph.size, static, dtype=np.int64)
     got, want = warm_and_cold(model, methods, graph, policy, horizon_s,
                               lambda: StepSource(model, drop), dyn)
-    assert_same_trace(got, want)
+    assert_same_trace(got, want, methods, dyn)

@@ -213,9 +213,10 @@ class TestRunLoop:
                          FixedSource(model, 1000, drop), dyn)
         t = trace.grid_steps * dyn.dt_s
         occ = (t >= 3.05) & (t <= 6.0)
-        vals = trace.grid_trP[occ]
+        trP = trace.grid(methods, dyn)[0]
+        vals = trP[occ]
         assert np.all(np.diff(vals) > 0)
-        post = trace.grid_trP[t > 6.5]
+        post = trP[t > 6.5]
         assert post.min() < vals.max()
 
     def test_grid_covers_horizon(self, planar):
@@ -231,7 +232,7 @@ class TestRunLoop:
         trace = run_loop(model, methods, graph, policy, 1.0,
                          FixedSource(model, 1000), dyn)
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        trace.write_csv(path, methods, dyn)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,xhat_0,xhat_1,trP,method_id,measured"
         assert len(lines) == len(trace.grid_steps) + 1

@@ -1,7 +1,8 @@
 """The lean controller epoch against per-point and per-node reference loops.
 
-`run_loop` records an epoch's interior sensor points from one stacked product
-over the step tables, `CovarianceGraph.nearest` scores large graphs with one
+`run_loop` records an epoch's interior sensor means from one stacked product
+over the step tables, `TrackingTrace.grid` derives tr P there from the
+epochs, `CovarianceGraph.nearest` scores large graphs with one
 product against cached operands, and `adaptive_R` sums its outer products
 from one stack. The loops below are the references; every output must equal
 theirs bit for bit.
@@ -36,6 +37,7 @@ from latsched import covgraph, horizon
 from latsched.config import load_scenario
 from latsched.estimator import Measurement, epoch_covariance, epoch_mean
 from latsched.exact import window_steps
+from latsched.horizon import run_lockstep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,7 +112,7 @@ def reference_run_loop(model, methods, graph, policy, horizon_s, source, dyn,
     return epochs, rows, belief
 
 
-def assert_same_run(trace, reference):
+def assert_same_run(trace, reference, methods, dyn):
     epochs, rows, final = reference
     assert [(e.k, e.t_steps, e.method_id, e.measured) for e in trace.epochs] == [
         e[:4] for e in epochs]
@@ -121,34 +123,21 @@ def assert_same_run(trace, reference):
     steps, xhat, trP, method_id, measured = zip(*rows)
     assert np.array_equal(trace.grid_steps, steps)
     assert np.array_equal(trace.grid_xhat, np.array(xhat))
-    assert np.array_equal(trace.grid_trP, trP)
-    assert np.array_equal(trace.grid_method, method_id)
-    assert np.array_equal(trace.grid_measured, measured)
+    grid_trP, grid_method, grid_measured = trace.grid(methods, dyn)
+    assert np.array_equal(grid_trP, trP)
+    assert np.array_equal(grid_method, method_id)
+    assert np.array_equal(grid_measured, measured)
     assert trace.final_belief.t == final.t
     assert np.array_equal(trace.final_belief.xhat, final.xhat)
     assert np.array_equal(trace.final_belief.Phat, final.Phat)
 
 
-class CountingFallback:
-    """Wraps `horizon._predicted_points` and counts the epochs it serves."""
-
-    def __init__(self):
-        self.calls = 0
-        self._inner = horizon._predicted_points
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self._inner(*args)
-
-
 def run_both(model, methods, graph, policy, horizon_s, make_source, dyn, **kwargs):
     """The library run and the reference run on fresh, equal sources."""
-    fallback = CountingFallback()
-    with patch.object(horizon, "_predicted_points", fallback):
-        trace = run_loop(model, methods, graph, policy, horizon_s, make_source(), dyn, **kwargs)
+    trace = run_loop(model, methods, graph, policy, horizon_s, make_source(), dyn, **kwargs)
     reference = reference_run_loop(model, methods, graph, policy, horizon_s, make_source(),
                                    dyn, **kwargs)
-    return trace, reference, fallback.calls
+    return trace, reference
 
 
 class StepSource:
@@ -218,19 +207,27 @@ def shipped_run(name, mismatched=False):
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a public numpy.linalg function was called")
+    raise AssertionError("a refused function was called")
+
+
+def near_singular(methods):
+    """A model without process noise and with a rank-one P0, and its dynamics."""
+    model = ContinuousModel(
+        A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2), W=np.zeros((2, 2)), C=np.eye(2),
+        x0=[1.0, 0.5], P0=[[1.0, 1.0], [1.0, 1.0]], dt_s=0.1,
+    )
+    return model, build_dynamics(model, methods)
 
 
 class TestShippedRuns:
     @pytest.mark.parametrize("name", ["occlusion_run", "double_integrator", "noise_mismatch"])
     def test_simulate_pipeline(self, name):
         cfg, dyn, graph, make_source = shipped_run(name)
-        trace, reference, fallbacks = run_both(
+        trace, reference = run_both(
             cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon, make_source, dyn,
             use_adaptive=cfg.sim.adaptive, window_length=cfg.sim.window)
-        assert_same_run(trace, reference)
+        assert_same_run(trace, reference, cfg.methods, dyn)
         assert max(m.steps for m in cfg.methods) > 1  # interior points are recorded
-        assert fallbacks == 0
 
     def test_adaptive_run_calls_no_public_linalg(self):
         # An adaptive epoch's eigh, eigvalsh, cholesky and inv all go through
@@ -243,7 +240,7 @@ class TestShippedRuns:
                             inv=refuse):
             trace = run_loop(*args, make_source(), dyn, use_adaptive=True,
                              window_length=cfg.sim.window)
-        assert_same_run(trace, reference)
+        assert_same_run(trace, reference, cfg.methods, dyn)
         assert sum(e.measured for e in trace.epochs) > cfg.sim.window
 
 
@@ -252,47 +249,65 @@ class TestSmallRuns:
     def test_horizon_cuts_last_epoch(self, planar, scoring, horizon_s):
         model, methods, dyn, graph = planar
         policy = np.full(graph.size, 2, dtype=np.int64)
-        trace, reference, fallbacks = run_both(model, methods, graph, policy, horizon_s,
-                                               lambda: StepSource(model), dyn)
-        assert_same_run(trace, reference)
+        trace, reference = run_both(model, methods, graph, policy, horizon_s,
+                                    lambda: StepSource(model), dyn)
+        assert_same_run(trace, reference, methods, dyn)
         assert trace.grid_steps[-1] == window_steps(horizon_s, dyn.dt_s)
-        assert fallbacks == 0
 
     @pytest.mark.parametrize("use_adaptive", [False, True])
     def test_policy_run_with_occlusion(self, planar, scoring, use_adaptive):
         model, methods, dyn, graph = planar
         policy = 1 + np.arange(graph.size) % 2
         drop = lambda t_steps: 20 <= t_steps < 45
-        trace, reference, _ = run_both(model, methods, graph, policy, 9.0,
-                                       lambda: StepSource(model, drop), dyn,
-                                       use_adaptive=use_adaptive, window_length=4)
-        assert_same_run(trace, reference)
+        trace, reference = run_both(model, methods, graph, policy, 9.0,
+                                    lambda: StepSource(model, drop), dyn,
+                                    use_adaptive=use_adaptive, window_length=4)
+        assert_same_run(trace, reference, methods, dyn)
         assert {e.method_id for e in trace.epochs} == {1, 2}
 
     def test_near_singular_covariance_falls_back(self, planar, scoring):
         # No process noise and a rank-one P0: every interior covariance is
-        # singular, so BeliefState's clamp may act and the stacked records
-        # must give way to per-point predict calls.
+        # singular, so BeliefState's clamp may act on the points whose tr P
+        # `TrackingTrace.grid` derives from per-point predict calls.
         _, methods, _, graph = planar
-        model = ContinuousModel(
-            A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2), W=np.zeros((2, 2)), C=np.eye(2),
-            x0=[1.0, 0.5], P0=[[1.0, 1.0], [1.0, 1.0]], dt_s=0.1,
-        )
-        dyn = build_dynamics(model, methods)
+        model, dyn = near_singular(methods)
         policy = np.full(graph.size, 2, dtype=np.int64)
-        trace, reference, fallbacks = run_both(model, methods, graph, policy, 2.0,
-                                               lambda: StepSource(model), dyn)
-        assert_same_run(trace, reference)
-        assert fallbacks == len(trace.epochs)
+        for horizon_s in (2.0, 1.9, 1.8):
+            trace, reference = run_both(model, methods, graph, policy, horizon_s,
+                                        lambda: StepSource(model), dyn)
+            assert_same_run(trace, reference, methods, dyn)
+
+    def test_near_singular_runs_call_no_predict(self, planar):
+        # The loops record means only: with predict refused, a run and a
+        # 3-run stack still complete, and their traces equal the reference's.
+        _, methods, _, graph = planar
+        model, dyn = near_singular(methods)
+        policy = np.full(graph.size, 2, dtype=np.int64)
+        paths = np.random.default_rng(4).standard_normal((3, 21, 2))
+
+        def one_path(run):
+            return GridMeasurementSource(model, paths[run], model.dt_s,
+                                         np.random.default_rng(run))
+
+        stacked = GridMeasurementSource(model, paths, model.dt_s,
+                                        [np.random.default_rng(run) for run in range(3)])
+        # 1.8 s ends on an epoch boundary, so the endpoint is the final belief's.
+        with patch.object(horizon, "predict", refuse):
+            one = run_loop(model, methods, graph, policy, 1.8, one_path(0), dyn)
+            stack = run_lockstep(model, methods, graph, policy, 1.8, stacked, dyn)
+        for run, trace in [(0, one)] + list(enumerate(stack)):
+            reference = reference_run_loop(model, methods, graph, policy, 1.8, one_path(run),
+                                           dyn)
+            assert_same_run(trace, reference, methods, dyn)
 
     def test_single_node_graph(self, planar, scoring):
         model, methods, dyn, _ = planar
         graph = CovarianceGraph(reps=np.eye(2)[None], succ=[[0, 0]], delta=0.0, b0=1.0,
                                 bound=1.0, policy=np.array([2]))
         assert graph.nearest(5 * np.eye(2)) == scan_nearest(graph, 5 * np.eye(2))
-        trace, reference, _ = run_both(model, methods, graph, graph.policy, 1.5,
-                                       lambda: StepSource(model, lambda t: t % 6 == 3), dyn)
-        assert_same_run(trace, reference)
+        trace, reference = run_both(model, methods, graph, graph.policy, 1.5,
+                                    lambda: StepSource(model, lambda t: t % 6 == 3), dyn)
+        assert_same_run(trace, reference, methods, dyn)
 
 
 class TestNearest:
@@ -401,14 +416,11 @@ def test_interior_points_match_predict(n, steps, seed, rank, noise):
                                                   penalty=0.0)])
     G = rng.standard_normal((n, min(rank, n)))
     belief = BeliefState(0.0, rng.standard_normal(n), G @ G.T)
-    # The recorded means always equal predict's; the traces wherever they stand.
-    trP, stand = horizon._stacked_traces(belief.Phat, steps, dyn)
-    grids = horizon._grids(1, steps, n)
-    horizon._record(grids, 0, 0, steps, belief.xhat, trP, 1, True, dyn)
-    want_x, want_tr = horizon._predicted_points(belief, steps, dyn)
-    assert np.array_equal(grids[0][0, :steps], np.reshape(want_x, (-1, n)))
-    if stand:
-        assert grids[1][0, :steps].tolist() == want_tr
+    # The recorded means always equal predict's.
+    xhat = np.empty((1, steps, n))
+    horizon._record(xhat, 0, 0, steps, belief.xhat, dyn)
+    want = [predict(belief, j * dyn.dt_s, dyn).xhat for j in range(steps)]
+    assert np.array_equal(xhat[0], np.reshape(want, (-1, n)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -328,7 +328,8 @@ def test_traces_equal_run_loop(planar, runs, horizon_s, path_steps, adaptive, wi
         one = GridMeasurementSource(model, path, model.dt_s, np.random.default_rng(s),
                                     occlusions=occlusions, true_R=true_R)
         assert_same_trace(trace, run_loop(model, methods, graph, policy, horizon_s, one, dyn,
-                                          use_adaptive=adaptive, window_length=window))
+                                          use_adaptive=adaptive, window_length=window),
+                          methods, dyn)
 
 
 @settings(max_examples=40, deadline=None)

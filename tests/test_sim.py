@@ -201,6 +201,16 @@ class TestMetrics:
         with pytest.raises(IncompleteScheduleError, match="does not minimally cover"):
             empirical_cost(trace, 5.0, methods, 2.0, dyn)
 
+    def test_empty_trace_rejected(self, run_setup):
+        # A (0, n) path runs out at step 0: the trace has no epoch and no grid point.
+        model, methods, dyn, graph, dt, path = run_setup
+        src = GridMeasurementSource(model, path[:0], dt, np.random.default_rng(1))
+        trace = run_loop(model, methods, graph, np.ones(graph.size, dtype=np.int64), 1.0,
+                         src, dyn)
+        assert (trace.epochs, trace.grid_steps.size) == ([], 0)
+        with pytest.raises(IncompleteScheduleError, match="0 epochs"):
+            metrics(trace, path, 5.0, methods, 1.0, dyn, dt)
+
     @pytest.mark.parametrize("points", ["half", 1, 0])
     def test_short_truth_path_rejected(self, run_setup, points):
         model, methods, dyn, graph, dt, path = run_setup

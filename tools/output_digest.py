@@ -11,13 +11,15 @@ CHECKOUT's `src/`, writing into a temporary directory. `mc-eval` runs at
 and the two tracking experiments (occlusion_run, noise_mismatch) run once
 more at `--jobs 2`, which splits their runs into one block per worker.
 `schedule-qdp` and `simulate` run once more on each config with `--graph`,
-reading the graph file that config's `build-graph` run wrote. One line is
-printed per run:
+reading the graph file that config's `build-graph` run wrote, and `simulate`
+runs once more with `--seed 1`, which draws another graph, truth path and
+schedule. One line is printed per run:
 
     <sha256> <exit code> <subcommand> <config>
 
-where a `--jobs 2` run's subcommand reads `mc-eval--jobs2` and a `--graph`
-run's reads `schedule-qdp--graph` or `simulate--graph`, and the hash covers
+where a `--jobs 2` run's subcommand reads `mc-eval--jobs2`, a `--graph`
+run's reads `schedule-qdp--graph` or `simulate--graph`, a `--seed 1` run's
+reads `simulate--seed1`, and the hash covers
 the output file, stdout and stderr, with the temporary directory's path
 replaced by a fixed name. Two checkouts give the same outputs when their
 digests are the same, which one `diff` shows.
@@ -38,8 +40,8 @@ GRAPH_READERS = ("schedule-qdp", "simulate")
 
 
 def digest(root: str, command: str, config: str, workdir: str,
-           jobs: int = 1, graph: str | None = None) -> tuple[str, int]:
-    tag = "--graph" if graph else ""
+           jobs: int = 1, graph: str | None = None, seed: int | None = None) -> tuple[str, int]:
+    tag = ("--graph" if graph else "") + ("" if seed is None else f"--seed{seed}")
     output = os.path.join(workdir, f"{command}{tag}-{config}.out")
     argv = [sys.executable, "-m", "latsched.cli", command,
             "-c", os.path.join(root, "configs", f"{config}.json"), "-o", output]
@@ -49,6 +51,8 @@ def digest(root: str, command: str, config: str, workdir: str,
         argv += ["--jobs", str(jobs)]
     if graph:
         argv += ["--graph", graph]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run(argv, env=env, capture_output=True, check=False)
     sha = hashlib.sha256()
@@ -77,6 +81,8 @@ def main() -> int:
             for command in GRAPH_READERS:
                 sha, code = digest(root, command, config, workdir, graph=graph)
                 print(sha, code, f"{command}--graph", config, flush=True)
+            sha, code = digest(root, "simulate", config, workdir, seed=1)
+            print(sha, code, "simulate--seed1", config, flush=True)
     return 0
 
 
