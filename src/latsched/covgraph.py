@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, isqrt, sqrt
 
 import numpy as np
 
@@ -25,16 +25,18 @@ from .estimator import riccati_step
 FORMAT_VERSION = 1
 # Nodes stepped per kernel call in expand_graph.
 _CHUNK = 2048
-# Scores per block in _nearest_rows: 320 KB of float64, so a block stays in
-# L2 from the product that writes it to the passes that read it. Of 2^15 to
-# 2^18 entries this was about the fastest on the 10,000 x 5,000 occlusion
-# match, 2 MB blocks (2^18) the slowest.
-_BLOCK = 5 << 13
+# Scores per block in _nearest_rows: 640 KB of float64, 16 points at
+# Q = 5,000, so a block stays in L2 from the product that writes it to the
+# passes that read it. Of 20,480 to 327,680 scores this was the fastest on
+# the 10,000 x 5,000 occlusion match: 43 ms best of 25, against 50 ms at
+# 40,960 and 60 ms at 163,840.
+_BLOCK = 5 << 14
 # Up to this many rep entries (Q * n * n), `nearest` scans every node: below
 # it the scan takes fewer numpy calls than scoring, and is faster.
 _SCAN_ENTRIES = 4096
-# The constant column of the lifted point [x, 1] that `nearest` scores.
+# The constant column of the lifted point that `nearest` scores.
 _ONE = np.ones(1)
+_NON_FINITE = "covariance has a non-finite entry, or a squared norm or distance that overflows"
 
 
 def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
@@ -43,25 +45,35 @@ def sample_region(n: int, b0: float, count: int, seed) -> np.ndarray:
     Eigenvalues are drawn uniform on (0, 1), rotated by a random orthogonal
     basis (QR of a Gaussian matrix), and the result rescaled to the target
     norm. Deterministic given the seed.
+
+    Per sample the generator yields n eigenvalues, n * n normals and one
+    target norm (redrawn while it is exactly zero), in that order. A sample's
+    target and the next sample's eigenvalues are adjacent in that stream, so
+    one `random` call draws both: two calls per sample, the last target drawn
+    alone. A generator passed in ends where a call per draw would leave it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if b0 <= 0:
         raise ValueError("b0 must be > 0")
     rng = np.random.default_rng(seed)
-    eigvals = np.empty((count, n))
     gauss = np.empty((count, n, n))
-    targets = np.empty(count)
+    # Row i: sample i's eigenvalues, then its target norm, in stream order.
     # random() draws what uniform(0, 1) does, bit for bit: uniform returns
     # 0 + 1 * u from the same stream.
-    for i in range(count):
-        rng.random(out=eigvals[i])
-        rng.standard_normal(out=gauss[i])
-        target = rng.random()
-        # Uniform target norm on (0, b0]; resample the rare exact zero.
-        while target == 0.0:
-            target = rng.random()
-        targets[i] = target
+    uniform = np.empty((count, n + 1))
+    stream = uniform.reshape(-1)
+    rng.random(out=stream[:n])
+    for normals, start in zip(gauss, range(n, stream.size, n + 1)):
+        rng.standard_normal(out=normals)
+        draw = stream[start:start + n + 1]
+        rng.random(out=draw)
+        # Uniform target norm on (0, b0]; resample the rare exact zero, so
+        # what followed it moves up one place.
+        while draw.item(0) == 0.0:
+            draw[:-1] = draw[1:]
+            rng.random(out=draw[-1:])
+    eigvals, targets = uniform[:, :n], uniform[:, n]
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     P = (q * eigvals[:, None, :]) @ q.mT
@@ -96,7 +108,9 @@ class CovarianceGraph:
     starts both memos empty (so `dataclasses.replace` and `load` do too) and
     `save` never writes them. A graph whose `reps` or `succ` are written into must be rebuilt
     before its next query or run, since both memos go stale, as do the
-    cached score operands of `nearest`.
+    score operands that construction caches for `nearest` and `nearest_ids`
+    (`_augmented`; on the n(n+1)/2 distinct entries when every rep is
+    exactly symmetric, as built, sampled and loaded reps are).
     """
 
     reps: np.ndarray
@@ -140,10 +154,12 @@ class CovarianceGraph:
         """Nearest representative and its Frobenius distance; ties go to the lowest id.
 
         A small graph is scanned node by node. A larger one is scored as
-        `_nearest_rows` scores one point, with 1-D operands and a Python-float
-        band, from the `_augmented` operands cached when the graph was
-        constructed, so a graph whose `reps` are written into afterwards must
-        be rebuilt (for example with `dataclasses.replace`) before this call.
+        `_nearest_rows` scores one point, with 1-D operands, from the
+        `_augmented` operands cached when the graph was constructed, so a
+        graph whose `reps` are written into afterwards must be rebuilt (for
+        example with `dataclasses.replace`) before this call. A covariance
+        with a non-finite entry raises ValueError, as does one whose squared
+        norm (scored) or nearest squared distance (scanned) overflows.
         """
         if self.size == 0:
             raise ValueError("graph has no representatives")
@@ -151,13 +167,23 @@ class CovarianceGraph:
         if self._flat.size <= _SCAN_ENTRIES:
             d2 = _sq_dist(self._flat, x)
             idx = int(d2.argmin())
+            if not isfinite(d2[idx]):
+                raise ValueError(_NON_FINITE)
             return idx, sqrt(d2[idx])
-        aug, scale = self._scorer
-        score = np.concatenate((x, _ONE)) @ aug
+        # Checked before scoring, which would meet inf - inf.
+        xx = float(np.vecdot(x, x))
+        if not isfinite(xx):
+            raise ValueError(_NON_FINITE)
+        aug, scale, (a, b) = self._scorer
+        score = np.concatenate((x[a] + x[b], _ONE)) @ aug
         idx = int(score.argmin())
-        band = 1e-9 * (scale + float(np.vecdot(x, x)))
-        near = np.flatnonzero(score <= score[idx] + band)
-        if len(near) > 1:
+        low = score[idx]
+        limit = low + 1e-9 * (scale + xx)
+        # The best masked out, a second score inside the band is a near tie.
+        score[idx] = np.inf
+        if score.min() <= limit:
+            score[idx] = low
+            near = np.flatnonzero(score <= limit)
             idx = int(near[np.argmin(_sq_dist(self._flat[near], x))])
         return idx, sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0])
 
@@ -166,13 +192,20 @@ class CovarianceGraph:
 
         A small graph is scanned as `nearest` scans it, one row per member and
         node; a larger one is scored by `_nearest_rows`, whose band and exact
-        re-rank pick the node `nearest` picks.
+        re-rank pick the node `nearest` picks. A stack with a non-finite
+        member raises ValueError, as does one whose squared norms (scored) or
+        squared distances (scanned) overflow.
         """
         points = P.reshape(len(P), -1)
         if self._flat.size > _SCAN_ENTRIES:
+            if not np.isfinite(np.vecdot(points, points)).all():
+                raise ValueError(_NON_FINITE)
             return _nearest_rows(self._flat, self._scorer, points)[0]
         diff = (self._flat - points[:, None]).reshape(-1, points.shape[1])
-        return np.einsum("ij,ij->i", diff, diff).reshape(len(points), -1).argmin(axis=1)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        if not isfinite(d2.max()):
+            raise ValueError(_NON_FINITE)
+        return d2.reshape(len(points), -1).argmin(axis=1)
 
     def save(self, path) -> None:
         payload = {
@@ -311,16 +344,27 @@ def _sq_dist(known: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _augmented(known: np.ndarray) -> tuple[np.ndarray, float]:
-    """The score operands (aug, scale) of the rows k of `known`.
+def _augmented(known: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+    """The score operands (aug, scale, (a, b)) of the rows k of `known`.
 
-    aug is `[-2 k^T; |k|^2]`, so `[x, 1] @ aug` is |k|^2 - 2 k.x for every
-    row k at once, and scale is 1 + max |k|^2.
+    For any point x, `[x[a] + x[b], 1] @ aug` is |k|^2 - 2 k.x for every row
+    k at once, and scale is 1 + max |k|^2. If every row is an exactly
+    symmetric n x n matrix, a and b index its n(n+1)/2 distinct entries,
+    (i, j) and (j, i) for i <= j, and aug is `[-w k_ij; |k|^2]` with w = 1 on
+    the diagonal and 2 off it, since x_ij k_ij + x_ji k_ji is
+    (x_ij + x_ji) k_ij there. Otherwise a = b = every entry and w = 1, which
+    gives the bits of `[x, 1] @ [-2 k; |k|^2]`: the weights are powers of two.
     """
-    aug = np.empty((known.shape[1] + 1, known.shape[0]))
-    np.multiply(known.T, -2.0, out=aug[:-1])
+    Q, d = known.shape
+    n = isqrt(d)
+    rows, cols = np.triu_indices(n)
+    a, b = rows * n + cols, cols * n + rows
+    if n * n != d or not np.array_equal(known[:, a], known[:, b]):
+        a = b = np.arange(d)
+    aug = np.empty((len(a) + 1, Q))
+    np.multiply(known.T[a], np.where(a == b, -1.0, -2.0)[:, None], out=aug[:-1])
     aug[-1] = np.einsum("ij,ij->i", known, known)
-    return aug, 1.0 + float(aug[-1].max(initial=0.0))
+    return aug, 1.0 + float(aug[-1].max(initial=0.0)), (a, b)
 
 
 def _nearest_rows(known: np.ndarray, scorer, points: np.ndarray,
@@ -329,24 +373,24 @@ def _nearest_rows(known: np.ndarray, scorer, points: np.ndarray,
 
     Ties go to the lowest id, and distances are exact (`_sq_dist`'s einsum).
     `scorer` is `_augmented(known)`. Points are scored about `_BLOCK` scores
-    at a time, each block with one product `[x, 1] @ aug` and no pass
-    to scale or shift it, then read by one argmin, a gather of each best
-    score and one comparison. Where other rows score within
-    1e-9 * (scale + |x|^2) of the best, far above the round-off of the
-    score, an exact `_sq_dist` scan of those rows decides. Given `exclude`,
-    point i never matches row exclude[i]. This kernel serves `expand_graph`
-    and `default_admit_tol`; `CovarianceGraph.nearest` applies the same rule
-    to its one point with 1-D operands.
+    at a time, each block with one product `[x[a] + x[b], 1] @ aug` and no
+    pass to scale or shift it, then read by one argmin, a gather and scatter
+    of each best score and one minimum of the rest. Where a row's second
+    lowest score is within 1e-9 * (scale + |x|^2) of its best, far above the
+    round-off of the score, an exact `_sq_dist` scan of the rows in that band
+    decides. Given `exclude`, point i never matches row exclude[i]. This
+    kernel serves `expand_graph`, `default_admit_tol` and
+    `CovarianceGraph.nearest_ids`; `CovarianceGraph.nearest` applies the same
+    rule to its one point with 1-D operands.
     """
-    aug, scale = scorer
+    aug, scale, (a, b) = scorer
     count, Q = len(points), aug.shape[1]
     lifted = np.empty((count, aug.shape[0]))
-    lifted[:, :-1] = points
+    np.add(points[:, a], points[:, b], out=lifted[:, :-1])
     lifted[:, -1] = 1.0
     band = 1e-9 * (scale + np.vecdot(points, points))
     step = max(1, min(count, _BLOCK // Q))
     scores = np.empty((step, Q))
-    near = np.empty((step, Q), dtype=bool)
     # Flat offset of each block row, to gather and scatter one entry per row.
     offsets = np.arange(0, step * Q, Q)
     best = np.empty(count, dtype=np.int64)
@@ -358,13 +402,14 @@ def _nearest_rows(known: np.ndarray, scorer, points: np.ndarray,
         if exclude is not None:
             flat[offsets[:rows] + exclude[start:stop]] = np.inf
         j = block.argmin(axis=1)
-        hits = np.less_equal(block, (flat[offsets[:rows] + j] + band[start:stop])[:, None],
-                             out=near[:rows])
-        # Each row's best is in its own band; more hits mean a near tie somewhere.
-        if np.count_nonzero(hits) > rows:
-            for i in np.flatnonzero(np.count_nonzero(hits, axis=1) > 1):
-                cand = np.flatnonzero(hits[i])
-                j[i] = cand[np.argmin(_sq_dist(known[cand], points[start + i]))]
+        at = offsets[:rows] + j
+        low = flat[at]
+        limit = low + band[start:stop]
+        flat[at] = np.inf
+        for i in np.flatnonzero(block.min(axis=1) <= limit):
+            block[i, j[i]] = low[i]
+            cand = np.flatnonzero(block[i] <= limit[i])
+            j[i] = cand[np.argmin(_sq_dist(known[cand], points[start + i]))]
         best[start:stop] = j
     diff = known[best] - points
     return best, np.einsum("ij,ij->i", diff, diff)

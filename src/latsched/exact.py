@@ -40,7 +40,7 @@ class Schedule:
     methods: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(int(m) for m in self.methods))
+        object.__setattr__(self, "methods", tuple(map(int, self.methods)))
 
     def __len__(self) -> int:
         return len(self.methods)

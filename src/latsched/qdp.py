@@ -147,17 +147,20 @@ def qdp(
 ) -> tuple[Schedule, float]:
     """Best window-covering schedule from node q0 and its graph-trajectory cost.
 
-    The schedule follows PI from (q0, stage 0) until the window is covered.
+    The schedule follows PI from (q0, stage 0) until the window is covered,
+    reading each decision and successor as a Python int (`ndarray.item`).
     """
     tables = qdp_matrices(q0, tf, lam_alpha, graph, methods, dyn)
+    PI, succ = tables.PI, graph.succ
+    steps = [m.steps for m in methods]
     seq: list[int] = []
     q, stage = q0, 0
     while stage < tables.alpha_max:
-        rho = int(tables.PI[q, stage])
+        rho = PI.item(q, stage)
         seq.append(rho)
-        q = int(graph.succ[q, rho - 1])
-        stage += methods[rho - 1].steps
-    return Schedule(tuple(seq)), float(tables.V[q0])
+        q = succ.item(q, rho - 1)
+        stage += steps[rho - 1]
+    return Schedule(tuple(seq)), tables.V.item(q0)
 
 
 def evaluate_on_graph(

@@ -94,6 +94,22 @@ class TestQuantize:
             dists = [np.linalg.norm(P - rep, "fro") for rep in graph.reps]
             assert quantize(P, graph) == int(np.argmin(dists))
 
+    @pytest.mark.parametrize("count", [10, 2000])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_raises(self, count, bad):
+        # 10 nodes are scanned, 2000 scored.
+        graph = CovarianceGraph(reps=sample_region(4, 1.0, count, seed=2),
+                                succ=np.zeros((count, 1), dtype=int), delta=0.0, b0=1.0,
+                                bound=1.0)
+        P = np.eye(4)
+        P[1, 2] = bad
+        stack = np.stack([np.eye(4), P, np.eye(4)])
+        for call in (lambda: quantize(P, graph), lambda: graph.nearest(P),
+                     lambda: quantize(stack, graph), lambda: graph.nearest_ids(stack)):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+        assert np.array_equal(quantize(stack[[0, 2]], graph), [quantize(np.eye(4), graph)] * 2)
+
 
 class TestExpandGraph:
     def test_closure(self, bench):

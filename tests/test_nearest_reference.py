@@ -6,7 +6,9 @@ product, a scaled copy and an added norm row, blocks of 2^18 entries, the
 best score read by a second reduction. Both scorers send every row within
 1e-9 (scale + |x|^2) of the best to the exact `_sq_dist` re-rank, so node ids
 and squared distances must agree bit for bit: on random stacks here and on
-graphs and runs built from the shipped configs.
+graphs and runs built from the shipped configs. The current scorer reads
+only the distinct entries of a point when every row is an exactly symmetric
+matrix, and every entry otherwise; both paths must agree with the reference.
 """
 
 from pathlib import Path
@@ -206,3 +208,71 @@ def test_occlusion_run_quantizes_as_reference():
         idx, dist = reference_nearest(graph, P)
         assert quantize(P, graph) == idx
         assert graph.nearest(P) == (idx, dist)
+
+
+def distinct_entries(scorer):
+    """How many coordinates the scorer reads of a point: its pair count."""
+    return len(scorer[2][0])
+
+
+def assert_matches_reference(graph, points):
+    """Every scorer entry point answers `points` as the reference scorer does."""
+    n = graph.reps.shape[1]
+    known = graph.reps.reshape(graph.size, -1)
+    flat = points.reshape(len(points), -1)
+    ref_j, ref_d2 = reference_nearest_known(known, flat)
+    for block in (7, covgraph._BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covgraph, "_BLOCK", block)
+            j, d2 = covgraph._nearest_known(known, flat)
+            assert np.array_equal(graph.nearest_ids(points.reshape(-1, n, n)), ref_j)
+        assert np.array_equal(j, ref_j)
+        assert np.array_equal(d2, ref_d2)
+    for P in points.reshape(-1, n, n):
+        assert graph.nearest(P) == reference_nearest(graph, P)
+
+
+def symmetric_case(count=600, n=3):
+    """A scored graph of symmetric reps and points on, between and off them."""
+    reps = sample_region(n, 1.0, count, seed=17)
+    reps[5] = reps[3]  # an exact duplicate: a tie the lowest id wins
+    points = np.concatenate([reps[:40], 0.5 * (reps[:40] + reps[40:80]),
+                             sample_region(n, 1.2, 60, seed=18)])
+    graph = CovarianceGraph(reps=reps, succ=np.zeros((count, 1), dtype=int), delta=0.0,
+                            b0=1.0, bound=1.0)
+    assert graph.reps.size > covgraph._SCAN_ENTRIES
+    return graph, points
+
+
+def test_symmetric_stack_is_scored_on_distinct_entries():
+    graph, points = symmetric_case()
+    assert distinct_entries(graph._scorer) == 6
+    assert distinct_entries(covgraph._augmented(graph._flat)) == 6
+    assert_matches_reference(graph, points)
+
+
+def test_one_ulp_asymmetry_scores_every_entry():
+    graph, points = symmetric_case()
+    reps = graph.reps.copy()
+    reps[250, 0, 2] = np.nextafter(reps[250, 0, 2], np.inf)
+    graph = CovarianceGraph(reps=reps, succ=graph.succ, delta=0.0, b0=1.0, bound=1.0)
+    assert distinct_entries(graph._scorer) == 9
+    assert_matches_reference(graph, np.concatenate([points, reps[249:252]]))
+
+
+def test_asymmetric_points_against_symmetric_reps():
+    graph, points = symmetric_case()
+    rng = np.random.default_rng(19)
+    skew = points + rng.normal(scale=0.05, size=points.shape)
+    assert not np.array_equal(skew, skew.transpose(0, 2, 1))
+    assert distinct_entries(graph._scorer) == 6
+    assert_matches_reference(graph, skew)
+
+
+def test_reloaded_graph_keeps_distinct_entries(tmp_path):
+    graph, points = symmetric_case()
+    graph.save(tmp_path / "graph.json")
+    loaded = CovarianceGraph.load(tmp_path / "graph.json")
+    assert np.array_equal(loaded.reps, graph.reps)
+    assert distinct_entries(loaded._scorer) == 6
+    assert_matches_reference(loaded, points)

@@ -1,0 +1,188 @@
+"""Run the benchmark as alternating pairs: a parent checkout against this one.
+
+Usage, from any directory:
+
+    python tools/bench_pairs.py --parent PARENT --workload schedule-query \\
+        --pairs 10 --seconds 25 --seed 1 --out BENCH_20.json [--seed2 7] [--trace 1]
+
+PARENT is a checkout of the commit to compare against (for example made with
+`git clone` or `git archive`); the change side is the checkout this file is
+in. Pair i runs `python3 perfbench/run.py --workload W --seed SEED+i ...` once
+in each checkout, one process at a time with PYTHONDONTWRITEBYTECODE=1, the
+parent first in even pairs and the change first in odd ones, so a drift in
+the machine's speed falls on both sides alike.
+
+Each call adds one set of pairs to OUT (created if missing) in the layout of
+the earlier BENCH_*.json files: the run records under "runs" (each with the
+`detail` block run.py prints, such as raw milliseconds), and under
+"summary" for the set, per metric, both sides' medians and quartiles, the
+ratio of the medians and the pairs the change won. A metric's direction is
+read from BENCHMARK.json. OUT is rewritten after every pair, so an
+interrupted call keeps the pairs it finished. For every metric the call
+prints whether the claim rule holds: the change is better in at least 9 of
+10 pairs, and the medians differ, in its favour, by more than the parent's
+interquartile range. Quartiles are `statistics.quantiles(n=4)`'s, the
+exclusive method.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import string
+import subprocess
+import sys
+
+CHANGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(root: str, args, seed: int) -> dict:
+    """One benchmark process in `root`; its result line and machine block."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+            "--seed", str(seed), "--seed2", str(args.seed2),
+            "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{root}: {' '.join(argv[1:])} exited {done.returncode}:\n"
+                           f"{done.stderr.strip()}")
+    return {"head": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def directions() -> dict:
+    with open(os.path.join(CHANGE_ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarize(runs: list, better: dict) -> dict:
+    """Per metric: both sides' medians and quartiles and the pairs the change won."""
+    by_side = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
+    by_seed = {side: {r["seed"]: r["metrics"] for r in rs} for side, rs in by_side.items()}
+    seeds = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
+    summary = {}
+    for name in by_side["parent"][0]["metrics"] if seeds else ():
+        parent = [by_seed["parent"][s][name] for s in seeds]
+        change = [by_seed["change"][s][name] for s in seeds]
+        sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        (p_q1, p_q3), (c_q1, c_q3) = quartiles(parent), quartiles(change)
+        won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        summary[name] = {
+            "parent_median": p_med,
+            "change_median": c_med,
+            "ratio": c_med / p_med if p_med else None,
+            "change_better_pairs": won,
+            "pairs": len(seeds),
+            "parent_q1": p_q1,
+            "parent_q3": p_q3,
+            "parent_iqr": p_q3 - p_q1,
+            "change_q1": c_q1,
+            "change_q3": c_q3,
+            "better": better.get(name, "lower"),
+            "rule_holds": (10 * won >= 9 * len(seeds)
+                           and sign * (p_med - c_med) > p_q3 - p_q1),
+        }
+    return summary
+
+
+def machine(head: dict) -> dict:
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    block = head["machine"]
+    return {"nproc": block["nproc"], "cpu": cpu, "python": block["python"],
+            "numpy": block["numpy"], "blas": block["blas"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--seed2", type=int, default=0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--issue", type=int)
+    parser.add_argument("--title")
+    parser.add_argument("--change", help="one line on what the change does")
+    parser.add_argument("--claim", help="the metric the change claims to improve")
+    parser.add_argument("--note", help="appended to this set's description")
+    args = parser.parse_args(argv)
+    parent_root = os.path.abspath(args.parent)
+    if not os.path.exists(os.path.join(parent_root, "perfbench", "run.py")):
+        parser.error(f"{parent_root} is not a checkout with perfbench/run.py")
+
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    for key in ("issue", "title", "change", "claim"):
+        if getattr(args, key) is not None or key not in doc:
+            doc[key] = getattr(args, key)
+    doc["command"] = ("python3 perfbench/run.py --workload W --seed N --seed2 S "
+                      "--seconds T --trace X")
+    doc["protocol"] = ("alternating parent/change pairs, one process per run, one run at "
+                       "a time, PYTHONDONTWRITEBYTECODE=1; the side that ran first "
+                       "alternates by pair; quartiles by the exclusive method")
+    doc.setdefault("sets", {})
+    doc.setdefault("summary", {})
+    doc.setdefault("runs", [])
+    label = next(c for c in string.ascii_uppercase if c not in doc["sets"])
+    last = args.seed + args.pairs - 1
+    doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
+                          f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
+                          f"--trace {args.trace}" + (f"; {args.note}" if args.note else ""))
+    better = directions()
+    roots = {"parent": parent_root, "change": CHANGE_ROOT}
+    runs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            out = run_once(roots[side], args, seed)
+            result = out["result"]
+            doc.setdefault("machine", machine(out["head"]))
+            runs.append({
+                "set": label, "workload": args.workload, "side": side, "seed": seed,
+                "seed2": args.seed2, "trace": args.trace, "first_in_pair": side == order[0],
+                "correct": result["correct"], "attempted": result["attempted"],
+                "failed": result["failed"],
+                "git_commit": out["head"]["machine"]["git_commit"],
+                "source_sha256": out["head"]["machine"]["source_sha256"],
+                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                "detail": out["head"]["detail"],
+            })
+        doc["summary"][label] = summarize(runs, better)
+        doc["runs"] = [r for r in doc["runs"] if r["set"] != label] + runs
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+
+    print(f"set {label}: {doc['sets'][label]}")
+    for name, row in doc["summary"][label].items():
+        verdict = "holds" if row["rule_holds"] else "does not hold"
+        print(f"  {name}: parent {row['parent_median']:.6g} (IQR {row['parent_iqr']:.3g}), "
+              f"change {row['change_median']:.6g}, better in {row['change_better_pairs']}/"
+              f"{row['pairs']} pairs; rule {verdict}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
