@@ -329,7 +329,7 @@ class DiscretizedDynamics:
         return self.model.dt_s
 
     def step_pair(self, steps: int | slice) -> tuple[np.ndarray, np.ndarray]:
-        """(Ad, Wd) for an integer number of sensor periods; a slice gives stacks."""
+        """(Ad, Wd) for an integer number of sensor periods; a slice or int array gives stacks."""
         return self._Ad[steps], self._Wd[steps]
 
     def step_gram(self, steps):

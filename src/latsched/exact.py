@@ -9,15 +9,17 @@ covariance under nominal measurement noise. `evaluate_schedule` computes that
 sum directly and is the reference every scheduler is checked against. Its
 loop, `window_cost`, takes the covariance step as a callback, so graph
 trajectories are costed by the same code. `dyn_prog_exact` searches all
-minimal covering schedules, one tree depth at a time with stacked Riccati
-steps. Exact search is exponential in the window length, so it is guarded by
-depth and tree-size caps (`guard_search`) and serves as the ground-truth
-oracle: `schedule-exact` and the cost-histogram experiment's `j_min` read it,
-the runtime controller does not.
+minimal covering schedules one tree depth at a time, with one stacked Riccati
+step per depth, from a plan of the tree's shape memoized per window and
+method latencies. Exact search is exponential in the window length, so it is
+guarded by depth and tree-size caps (`guard_search`) and serves as the
+ground-truth oracle: `schedule-exact` and the cost-histogram experiment's
+`j_min` read it, the runtime controller does not.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,12 +27,17 @@ import numpy as np
 
 from .dynamics import DiscretizedDynamics
 from .errors import ExplosionGuardError, IncompleteScheduleError
-from .estimator import riccati_step
+from .estimator import _gain_and_next_cov, riccati_step
 
 _MAX_DEPTH = 24  # cap on the search depth Tf / min latency
 # Bound on tree nodes times n_x^2, which sets the exact search's memory: a
 # 2^20-node search over 4x4 covariances peaks at about 370 MB RSS.
 _MAX_TREE_ENTRIES = 2**24
+# At most _PLAN_ENTRIES search plans are memoized, one per (window steps,
+# latencies), each of a tree of at most _PLAN_MEMO_NODES nodes; a larger tree
+# is planned per query.
+_PLAN_ENTRIES = 4
+_PLAN_MEMO_NODES = 2**17
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,12 @@ class Schedule:
     methods: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(map(int, self.methods)))
+        ids = tuple(self.methods)
+        # Python ints are kept as they are; any other id (a numpy integer,
+        # say) becomes one.
+        if set(map(type, ids)) != {int}:
+            ids = tuple(map(int, ids))
+        object.__setattr__(self, "methods", ids)
 
     def __len__(self) -> int:
         return len(self.methods)
@@ -162,6 +174,15 @@ def enumerate_covering_schedules(tf_steps: int, methods) -> Iterator[tuple]:
     yield from rec(tf_steps, ())
 
 
+@functools.lru_cache(maxsize=_PLAN_ENTRIES)
+def _tree_nodes(tf_steps: int, steps: tuple) -> int:
+    """Node count of the search tree: the prefixes that do not cover the window."""
+    nodes = [0] * (tf_steps + 1)  # nodes[r]: tree size with r steps left
+    for r in range(1, tf_steps + 1):
+        nodes[r] = 1 + sum(nodes[r - s] for s in steps if s < r)
+    return nodes[tf_steps]
+
+
 def guard_search(tf: float, methods, dyn: DiscretizedDynamics) -> int:
     """The window's step count, once the exact search over it is within its caps.
 
@@ -177,15 +198,53 @@ def guard_search(tf: float, methods, dyn: DiscretizedDynamics) -> int:
             f"window of {tf_steps} steps needs recursion depth "
             f"{tf_steps // min_steps} > {_MAX_DEPTH}; use the quantized scheduler"
         )
-    nodes = [0] * (tf_steps + 1)  # nodes[r]: tree size with r steps left
-    for r in range(1, tf_steps + 1):
-        nodes[r] = 1 + sum(nodes[r - m.steps] for m in methods if m.steps < r)
-    if nodes[tf_steps] * n * n > _MAX_TREE_ENTRIES:
+    nodes = _tree_nodes(tf_steps, tuple(m.steps for m in methods))
+    if nodes * n * n > _MAX_TREE_ENTRIES:
         raise ExplosionGuardError(
-            f"exact search tree of {nodes[tf_steps]} nodes of {n}x{n} covariances "
+            f"exact search tree of {nodes} nodes of {n}x{n} covariances "
             f"exceeds {_MAX_TREE_ENTRIES} entries; use the quantized scheduler"
         )
     return tf_steps
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One depth of the search tree as read-only integer tables.
+
+    `epoch[i * width + j]` is i * span + d: method i run from node j for d steps,
+    its latency truncated at the window edge, with span the longest latency
+    plus one. Next-level nodes are method-major and their parents ascend
+    within each method: `counts[i]` of them step method i, and `parent[k]` is
+    the node next-level node k steps from.
+    """
+
+    epoch: np.ndarray
+    parent: np.ndarray
+    counts: tuple
+
+
+def _build_plan(tf_steps: int, steps: tuple) -> tuple[_Level, ...]:
+    """The search tree's levels for a window of `tf_steps` and these method latencies."""
+    lat = np.array(steps)[:, None]
+    span = int(lat.max()) + 1
+    epoch_type = np.min_scalar_type(len(steps) * span - 1)
+    levels = []
+    elapsed = np.zeros(1, dtype=np.int64)
+    while elapsed.size:
+        epoch = np.minimum(lat, tf_steps - elapsed) + span * np.arange(len(steps))[:, None]
+        ends = elapsed + lat
+        inner = ends < tf_steps
+        pair = np.flatnonzero(inner)
+        level = _Level(epoch.ravel().astype(epoch_type), (pair % elapsed.size).astype(np.int32),
+                       tuple(inner.sum(axis=1).tolist()))
+        level.epoch.setflags(write=False)
+        level.parent.setflags(write=False)
+        levels.append(level)
+        elapsed = ends.ravel()[pair]
+    return tuple(levels)
+
+
+_memo_plan = functools.lru_cache(maxsize=_PLAN_ENTRIES)(_build_plan)
 
 
 def dyn_prog_exact(
@@ -199,18 +258,22 @@ def dyn_prog_exact(
     """Globally optimal minimal covering schedule by level-batched search.
 
     The search tree has one node per schedule prefix that does not yet cover
-    the window. A forward pass builds it one depth at a time: the live nodes
-    are one covariance stack, costed against each method's Gram and stepped
-    by one stacked `riccati_step` per method. A backward pass gives each node
-    the value `local + child value` of its best method, ties breaking toward
-    the lower id. Memory is the covariances of one level and its successors
-    plus O(calls * D) scalars; for a (1, 2)-step method pair at the depth
-    cap the tree has 121,392 nodes and its widest level 26,333.
+    the window. Its shape depends only on the window and the method latencies,
+    so its plan (`_build_plan`) is memoized on those and holds nothing from
+    P0, lam_alpha, R, the penalties or `dyn`. A forward pass costs each
+    level's (method, node) pairs against their Grams and steps the level's
+    inner pairs with one stacked Riccati step, each row under its method's
+    Ad, Wd and R. A backward pass gives each node the value
+    `local + child value` of its best method, ties breaking toward the lower
+    id. Memory is the covariances of one level and its successors,
+    O(calls * D) scalars and the plan. For a (1, 2)-step method pair at the
+    depth cap the tree has 121,392 nodes, its widest level 26,333, and its
+    plan 0.73 MB.
 
     Raises ValueError unless P0 is a finite (n_x, n_x) array and `lam_alpha`
-    is finite, and ExplosionGuardError past `guard_search`'s caps; the
-    quantized scheduler handles long windows. `stats["calls"]` receives the
-    node count.
+    is finite, and ExplosionGuardError past `guard_search`'s caps, before any
+    plan is built; the quantized scheduler handles long windows.
+    `stats["calls"]` receives the node count.
     """
     n = dyn.model.n_x
     P = np.asarray(P0, dtype=float)
@@ -219,47 +282,50 @@ def dyn_prog_exact(
     if not np.isfinite(lam_alpha):
         raise ValueError(f"lam_alpha must be finite, got {lam_alpha}")
     tf_steps = guard_search(tf, methods, dyn)
-    # Forward: per level, local[i, j] costs method i at node j and
-    # child[i, j] indexes the node it leads to on the next level (-1: none).
-    levels = []
-    P, elapsed = P[None], np.zeros(1, dtype=int)
-    while elapsed.size:
-        local = np.empty((len(methods), elapsed.size))
-        child = np.full((len(methods), elapsed.size), -1)
-        next_P, next_elapsed = [], []
-        width = 0
-        for i, method in enumerate(methods):
-            d_steps = np.minimum(method.steps, tf_steps - elapsed)
-            for d in np.unique(d_steps):
-                group = d_steps == d
-                M, c = dyn.step_gram(int(d))
-                local[i, group] = (lam_alpha * method.penalty + c
-                                   + (P[group] * M).reshape(-1, n * n).sum(axis=1))
-            inner = np.flatnonzero(elapsed + method.steps < tf_steps)
-            child[i, inner] = width + np.arange(inner.size)
-            width += inner.size
-            next_P.append(riccati_step(P[inner], method, dyn))
-            next_elapsed.append(elapsed[inner] + method.steps)
-        levels.append((local, child))
-        P, elapsed = np.concatenate(next_P), np.concatenate(next_elapsed)
+    steps = tuple(m.steps for m in methods)
+    plan = _memo_plan if _tree_nodes(tf_steps, steps) <= _PLAN_MEMO_NODES else _build_plan
+    levels = plan(tf_steps, steps)
+    D, span = len(steps), max(steps) + 1
+    # Row i * span + d of these tables is method i run for d steps: its
+    # lam_alpha * penalty + c(d), and its Gram M(d).
+    M, c = dyn.step_gram(np.arange(span))
+    scalar = (lam_alpha * np.array([m.penalty for m in methods], dtype=float)[:, None]
+              + c).ravel()
+    gram = np.tile(M, (D, 1, 1))
+    Ad, Wd = dyn.step_pair(np.array(steps))
+    R = np.array([m.R for m in methods])
+    # Forward: costs[l][i * width + j] costs method i at node j of level l.
+    costs = []
+    P = P[None]
+    for level in levels:
+        sums = (P * gram[level.epoch].reshape(D, -1, n, n)).reshape(-1, n * n).sum(axis=1)
+        costs.append(scalar[level.epoch] + sums)
+        if level.parent.size:
+            _, P = _gain_and_next_cov(P[level.parent], np.repeat(Ad, level.counts, axis=0),
+                                      np.repeat(Wd, level.counts, axis=0), dyn.model.C,
+                                      np.repeat(R, level.counts, axis=0))
     # Backward: a node's value is its first minimum over methods of
     # local + child value, the order in which a depth-first search adds them.
+    # pairs[l][k] is the cost index of the pair next-level node k steps from.
     value = np.empty(0)
-    choices = []
-    for cost, child in reversed(levels):
-        has = child >= 0
-        cost[has] += value[child[has]]
-        choice = cost.argmin(axis=0)
-        value = cost[choice, np.arange(choice.size)]
+    choices, pairs = [], []
+    for level, cost in zip(reversed(levels), reversed(costs)):
+        width = cost.size // D
+        pair = level.parent + np.repeat(np.arange(0, cost.size, width), level.counts)
+        cost[pair] += value
+        choice = cost.reshape(D, width).argmin(axis=0)
+        value = cost[choice * width + np.arange(width)]
         choices.append(choice)
+        pairs.append(pair)
     seq = []
     node = 0
-    for (_, child), choice in zip(levels, reversed(choices)):
-        i = choice[node]
+    for choice, pair in zip(reversed(choices), reversed(pairs)):
+        i = choice.item(node)
         seq.append(methods[i].id)
-        node = child[i, node]
-        if node < 0:
+        key = i * choice.size + node
+        node = int(pair.searchsorted(key))
+        if node == pair.size or pair.item(node) != key:
             break
     if stats is not None:
-        stats["calls"] = sum(local.shape[1] for local, _ in levels)
+        stats["calls"] = sum(level.epoch.size for level in levels) // D
     return Schedule(seq), float(value[0]) / tf

@@ -150,17 +150,19 @@ def qdp(
     The schedule follows PI from (q0, stage 0) until the window is covered,
     reading each decision and successor as a Python int (`ndarray.item`).
     """
-    tables = qdp_matrices(q0, tf, lam_alpha, graph, methods, dyn)
-    PI, succ = tables.PI, graph.succ
+    if not (0 <= q0 < graph.size):
+        raise ValueError(f"q0={q0} outside 0..{graph.size - 1}")
+    V, PI = _memo_tables(tf, lam_alpha, graph, methods, dyn)
+    alpha_max, succ = PI.shape[1], graph.succ
     steps = [m.steps for m in methods]
     seq: list[int] = []
     q, stage = q0, 0
-    while stage < tables.alpha_max:
+    while stage < alpha_max:
         rho = PI.item(q, stage)
         seq.append(rho)
         q = succ.item(q, rho - 1)
         stage += steps[rho - 1]
-    return Schedule(tuple(seq)), tables.V.item(q0)
+    return Schedule(tuple(seq)), V.item(q0)
 
 
 def evaluate_on_graph(

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from latsched import (
     InvalidModelError,
     PerceptionMethod,
     Schedule,
+    SingularUpdateError,
     build_dynamics,
     dyn_prog_exact,
     enumerate_covering_schedules,
@@ -22,9 +25,11 @@ from latsched import (
     static_schedule,
 )
 from latsched.config import load_scenario
-from latsched.exact import window_steps
+from latsched.exact import _memo_plan, window_steps
 
 from conftest import random_spd
+
+exact_module = importlib.import_module("latsched.exact")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,6 +119,19 @@ def small_setup():
         PerceptionMethod(id=2, steps=3, R=[[0.05]], cpu=0.8, penalty=0.24),
     ]
     return model, methods, build_dynamics(model, methods)
+
+
+class TestSchedule:
+    def test_numpy_ids_become_python_ints(self):
+        sched = Schedule((np.int64(1), np.uint8(2), 1))
+        assert sched.methods == (1, 2, 1)
+        assert all(type(pid) is int for pid in sched)
+        assert json.dumps(list(Schedule((np.int64(1),)))) == "[1]"
+
+    def test_python_ids_kept(self):
+        ids = (1, 2, 2)
+        assert Schedule(ids).methods is ids
+        assert Schedule([2, 1]).methods == (2, 1)
 
 
 class TestEvaluateSchedule:
@@ -316,20 +334,24 @@ class TestEnumeration:
             assert Schedule(seq).minimally_covers(30, methods)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
     n=st.integers(1, 3),
-    steps=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    steps=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    twin=st.booleans(),
     shared=st.booleans(),
-    lam=st.floats(0.0, 10.0),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_matches_recursive_reference(data, n, steps, shared, lam, seed):
-    # Random models and method banks; `shared` gives every method the same
-    # R and penalty, so equal-step methods tie exactly. The window runs up to
+def test_matches_recursive_reference(data, n, steps, twin, shared, lam, seed):
+    # Random models and method banks of 1 to 3 methods. `twin` gives the last
+    # method the first one's latency; `shared` gives every method the same R
+    # and penalty, so equal-step methods tie exactly. The window runs up to
     # the depth cap, or to the longest one whose tree the reference searches
-    # in 2,000 nodes.
+    # in 2,000 nodes, so most leaves truncate their last epoch at the edge.
+    if twin:
+        steps[-1] = steps[0]
     rng = np.random.default_rng(seed)
     n_z = int(rng.integers(1, n + 1))
     try:
@@ -352,3 +374,54 @@ def test_matches_recursive_reference(data, n, steps, shared, lam, seed):
     G = rng.standard_normal((n, int(rng.integers(0, n + 1))))
     P0 = G @ G.T * rng.uniform(0.1, 5.0)
     assert_matches_reference(P0, tf, lam, methods, dyn)
+
+
+class TestLevelPlan:
+    """The memoized plan holds the tree's shape only, so no query can leak into another."""
+
+    def test_equal_latencies_do_not_share_numbers(self, small_setup):
+        # Two banks with the (1, 3)-step plan of small_setup but other R and
+        # penalties, queried alternately at two windows: each query uses the
+        # memoized plan and still matches its own reference.
+        model, methods, dyn = small_setup
+        other = [PerceptionMethod(id=m.id, steps=m.steps, R=[[2.0 / m.steps]], cpu=m.cpu,
+                                  penalty=0.3 - m.penalty) for m in methods]
+        other_dyn = build_dynamics(model, other)
+        rng = np.random.default_rng(29)
+        for _ in range(2):
+            for tf in (0.7, 1.0):
+                P0 = random_spd(rng, 2, 2.0)
+                assert_matches_reference(P0, tf, 5.0, methods, dyn)
+                assert_matches_reference(P0, tf, 5.0, other, other_dyn)
+        for level in _memo_plan(window_steps(1.0, dyn.dt_s), (1, 3)):
+            assert not level.epoch.flags.writeable and not level.parent.flags.writeable
+            assert level.parent.dtype == np.int32
+
+    def test_large_tree_is_planned_per_query(self, small_setup, monkeypatch):
+        # A tree over the memo's node bound is planned and dropped per query.
+        _, methods, dyn = small_setup
+        monkeypatch.setattr(exact_module, "_PLAN_MEMO_NODES", 20)
+        _memo_plan.cache_clear()
+        P0 = random_spd(np.random.default_rng(37), 2, 1.0)
+        assert_matches_reference(P0, 1.0, 5.0, methods, dyn)  # 59 nodes
+        assert _memo_plan.cache_info().currsize == 0
+        assert_matches_reference(P0, 0.5, 5.0, methods, dyn)  # 8 nodes
+        assert _memo_plan.cache_info().currsize == 1
+
+    def test_queries_after_a_failed_query(self, small_setup):
+        model, methods, dyn = small_setup
+        deaf = [PerceptionMethod(id=m.id, steps=m.steps, R=[[0.0]], cpu=m.cpu,
+                                 penalty=m.penalty) for m in methods]
+        deaf_dyn = build_dynamics(model, deaf)
+        P0 = random_spd(np.random.default_rng(31), 2, 1.5)
+        failures = [
+            (ExplosionGuardError, lambda: dyn_prog_exact(P0, 2.5, 5.0, methods, dyn)),
+            (ValueError, lambda: dyn_prog_exact(np.diag([np.nan, 1.0]), 1.0, 5.0, methods, dyn)),
+            (SingularUpdateError,
+             lambda: dyn_prog_exact(np.zeros((2, 2)), 1.0, 5.0, deaf, deaf_dyn)),
+        ]
+        for error, query in failures:
+            with pytest.raises(error):
+                query()
+            for tf in (0.7, 1.0):
+                assert_matches_reference(P0, tf, 5.0, methods, dyn)

@@ -150,6 +150,16 @@ class TestQdp:
         again = evaluate_on_graph(graph, 2, sched, 1.0, 5.0, methods, dyn)
         assert np.isclose(cost, again, rtol=1e-10)
 
+    def test_rejects_start_outside_graph(self, tiny):
+        _, methods, dyn = tiny
+        graph = expand_graph(sample_region(2, 1.0, 6, seed=4), methods, dyn)
+        for q0 in (-1, graph.size):
+            with pytest.raises(ValueError, match=f"q0={q0} outside 0..{graph.size - 1}"):
+                qdp(q0, 1.0, 5.0, graph, methods, dyn)
+            with pytest.raises(ValueError, match=f"q0={q0} outside"):
+                qdp_matrices(q0, 1.0, 5.0, graph, methods, dyn)
+        assert all(type(pid) is int for pid in qdp(0, 1.0, 5.0, graph, methods, dyn)[0])
+
     @pytest.mark.parametrize("bad", [0, 3])
     def test_evaluate_on_graph_rejects_unknown_id(self, tiny, bad):
         _, methods, dyn = tiny
