@@ -233,7 +233,7 @@ class CovarianceGraph:
         with open(path) as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"graph file {path}: not valid JSON: {exc}") from None
         try:
             return cls(**_parse_graph(payload))

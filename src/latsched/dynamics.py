@@ -18,9 +18,11 @@ int tr(P(t)) dt over one epoch into the closed form tr(P @ M(d)) + c(d):
     c(d) = int_0^d tr(Wd(s)) ds
 
 Both the pair and the Grams are read off block matrix exponentials (Van Loan
-1978), so no quadrature enters the filter or the cost. tr(P @ M(d)) + c(d) is
-the one evaluation of the epoch cost: the schedulers and the run metrics both
-reach it through `exact.window_cost`.
+1978), computed by scaling and squaring with the degree-13 Padé approximant
+(Higham 2005, "The scaling and squaring method for the matrix exponential
+revisited"), so no quadrature enters the filter or the cost. tr(P @ M(d)) +
+c(d) is the one evaluation of the epoch cost: the schedulers and the run
+metrics both reach it through `exact.window_cost`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg import expm
 
 from .errors import InvalidModelError
 
@@ -69,6 +70,40 @@ def _lapack(name: str, a: np.ndarray):
         return _call_gufunc(gufunc, signature, a)
     except FloatingPointError:
         return getattr(np.linalg, name)(a)
+
+
+# Padé-13 is (V - U)^-1 (V + U), U = A (A^6 p_0 + p_1), V = A^6 p_2 + p_3; row i
+# is p_i on (I, A^2, A^4, A^6), Higham's b_k / b_0 (so exp(0) is I exactly).
+# theta_13 is the largest 1-norm needing no scaling (Higham 2005, Table 2.3).
+_PADE13 = np.array([
+    [0, 40840800, 16380, 1],
+    [32382376266240000, 1187353796428800, 10559470521600, 33522128640],
+    [0, 1323241920, 960960, 182],
+    [64764752532480000, 7771770303897600, 129060195264000, 670442572800],
+]) / 64764752532480000
+_THETA13 = 5.371920351148152
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square float64 matrix: Higham 2005, Algorithm 2.3 at m = 13 only.
+
+    The approximant of `a / 2**s` (1-norm <= theta_13), squared s times; a
+    non-finite 1-norm gives s = 0 and a non-finite result, not an error.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _THETA13))) if _THETA13 < norm < np.inf else 0
+    a = a / 2.0 ** s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    p = (_PADE13 @ np.stack((np.eye(len(a)), a2, a4, a6)).reshape(4, -1)).reshape(4, *a.shape)
+    u = a @ (a6 @ p[0] + p[1])
+    v = a6 @ p[2] + p[3]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -259,7 +294,7 @@ def discretize(model: ContinuousModel, duration: float) -> tuple[np.ndarray, np.
     block[:n, :n] = -model.A
     block[:n, n:] = noise
     block[n:, n:] = model.A.T
-    big = expm(block * duration)
+    big = _expm(block * duration)
     Ad = big[n:, n:].T
     Wd = Ad @ big[:n, n:]
     return Ad, 0.5 * (Wd + Wd.T)
@@ -283,7 +318,7 @@ def cost_gram(model: ContinuousModel, duration: float) -> tuple[np.ndarray, floa
     block[:n, :n] = block[n:2 * n, n:2 * n] = -model.A.T
     block[:n, n:2 * n] = block[n:2 * n, 2 * n:] = np.eye(n)
     block[2 * n:, 2 * n:] = model.A
-    big = expm(block * duration)
+    big = _expm(block * duration)
     AdT = big[2 * n:, 2 * n:].T
     M = AdT @ big[n:2 * n, 2 * n:]
     N = AdT @ big[:n, 2 * n:]

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +143,12 @@ class TestConfigParsing:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
 
@@ -523,6 +532,14 @@ class TestGraphFile:
                      "--graph", str(graph_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_not_utf8_exits_1(self, built, tmp_path, capsys):
+        cfg_path, _ = built
+        graph_path = tmp_path / "bad.json"
+        graph_path.write_bytes(b"\xff\xfe")
+        assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
+                     "--graph", str(graph_path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_graph_from_another_model_exits_1(self, built, tmp_path, capsys):
         _, payload = built
         scenario = planar_payload()
@@ -550,6 +567,34 @@ class TestGraphFile:
         graph_path.write_text(json.dumps(payload))
         assert main(["schedule-qdp", "-c", cfg_path, "-o", str(tmp_path / "q.json"),
                      "--graph", str(graph_path)]) == 0
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """`python -c code` in a fresh interpreter that imports latsched from src/."""
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+
+
+class TestNumpyOnlyRuntime:
+    """The library and CLI run on numpy alone; scipy is a test oracle only."""
+
+    def test_cli_import_loads_no_scipy(self):
+        done = run_python("import sys, latsched.cli\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, config", [
+        ("schedule-exact", "double_integrator"),
+        ("simulate", "occlusion_run"),
+    ])
+    def test_cli_runs_without_scipy(self, tmp_path, command, config):
+        argv = [command, "-c", str(CONFIGS / f"{config}.json"), "-o", str(tmp_path / "out")]
+        done = run_python("import sys\nsys.modules['scipy'] = None\n"
+                          f"from latsched.cli import main\nsys.exit(main({argv!r}))")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out").stat().st_size > 0
 
 
 @st.composite

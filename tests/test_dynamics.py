@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -11,9 +13,13 @@ from latsched import (
     cost_gram,
     discretize,
 )
-from latsched.dynamics import clamp_psd, validate_methods
+from latsched import dynamics
+from latsched.config import load_scenario
+from latsched.dynamics import _expm, clamp_psd, validate_methods
 
 from conftest import benchmark_model
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_model(rng, n: int) -> ContinuousModel:
@@ -190,6 +196,61 @@ class TestCostGram:
             from scipy.integrate import quad
             ref_c, _ = quad(trace_integrand, 0.0, d, epsabs=1e-12, epsrel=1e-12)
             assert abs(c - ref_c) <= 1e-8 * max(1.0, abs(ref_c))
+
+
+def expm_reference(a: np.ndarray) -> np.ndarray:
+    """exp(a) by a Taylor series in extended precision, scaled to 1-norm <= 1/4 and squared back."""
+    s = max(0, int(np.ceil(np.log2(np.abs(a).sum(axis=0).max() / 0.25))))
+    x = np.asarray(a, dtype=np.longdouble) / np.longdouble(2) ** s
+    term = total = np.eye(len(a), dtype=np.longdouble)
+    for k in range(1, 20):
+        term = term @ x / k
+        total = total + term
+    for _ in range(s):
+        total = total @ total
+    return total.astype(float)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("name", ["double_integrator", "occlusion_run", "noise_mismatch"])
+    def test_matches_scipy_on_shipped_blocks(self, name, monkeypatch):
+        cfg = load_scenario(CONFIGS / f"{name}.json")
+        blocks = []
+        monkeypatch.setattr(dynamics, "_expm", lambda a: blocks.append(a) or _expm(a))
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        n = cfg.model.n_x
+        assert sorted({len(b) for b in blocks}) == [2 * n, 3 * n]
+        assert len(blocks) == 2 * dyn.max_steps
+        for block in blocks:
+            want = expm(block)
+            assert np.abs(_expm(block) - want).max() <= 2.2e-16 * np.abs(want).max()
+
+    def test_random_blocks_match_extended_precision(self):
+        # 1-norms up to 50 make the approximant scale by up to 2**4 and square back.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            a = rng.standard_normal((n, n))
+            a *= 10 ** rng.uniform(-3, np.log10(50)) / np.abs(a).sum(axis=0).max()
+            want = expm_reference(a)
+            assert np.abs(_expm(a) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_zero_gives_identity(self):
+        for n in (1, 4, 12):
+            assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+
+    def test_non_finite_gives_non_finite_without_error(self):
+        for value in (np.inf, -np.inf, np.nan):
+            a = np.eye(3)
+            a[0, 1] = value
+            assert not np.isfinite(_expm(a)).all()
+        # At 1e308 s the Gram block's 1-norm overflows; at 1e150 s only the squarings do.
+        model = benchmark_model()
+        for duration in (1e150, 1e308):
+            Ad, Wd = discretize(model, duration)
+            M, c = cost_gram(model, duration)
+            assert not np.isfinite(Wd).all() and not np.isfinite(M).all()
+            assert not np.isfinite(c)
 
 
 class TestDiscretizedDynamics:

@@ -4,6 +4,7 @@ Usage, from any directory:
 
     python tools/bench_pairs.py --parent PARENT --workload schedule-query \\
         --pairs 10 --seconds 25 --seed 1 --out BENCH_20.json [--seed2 7] [--trace 1]
+    python tools/bench_pairs.py --parent PARENT --cli --pairs 5 --out BENCH_22.json
 
 PARENT is a checkout of the commit to compare against (for example made with
 `git clone` or `git archive`); the change side is the checkout this file is
@@ -23,6 +24,16 @@ prints whether the claim rule holds: the change is better in at least 9 of
 10 pairs, and the medians differ, in its favour, by more than the parent's
 interquartile range. Quartiles are `statistics.quantiles(n=4)`'s, the
 exclusive method.
+
+With `--cli` in place of `--workload`, a pair times CLI processes instead:
+each of `tools/output_digest.py`'s 29 runs (every subcommand on every
+shipped config) once in each checkout, back to back, the parent first in even
+pairs and the change first in odd ones. A run's metric is its process's wall
+time in seconds, `wall_s.<subcommand>.<config>`, start-up included; both
+sides must exit alike. Each side writes into its own temporary directory,
+where its `--graph` runs read its own `build-graph` output. Before the first
+pair each side imports `latsched.cli` once, untimed, so both run from
+compiled bytecode.
 """
 
 import argparse
@@ -33,6 +44,10 @@ import statistics
 import string
 import subprocess
 import sys
+import tempfile
+import time
+
+from output_digest import RUNS, execute
 
 CHANGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,6 +66,21 @@ def run_once(root: str, args, seed: int) -> dict:
     return {"head": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def time_cli(roots: dict, order: tuple, workdirs: dict) -> dict:
+    """One CLI pair: every digest run in both checkouts; per side, wall seconds by metric."""
+    walls = {side: {} for side in order}
+    for run in RUNS:
+        codes = {}
+        for side in order:
+            start = time.perf_counter()
+            _, done = execute(roots[side], run, workdirs[side])
+            walls[side][f"wall_s.{run.label}.{run.config}"] = time.perf_counter() - start
+            codes[side] = done.returncode
+        if len(set(codes.values())) > 1:
+            raise RuntimeError(f"{run.label} {run.config}: exit codes differ: {codes}")
+    return walls
+
+
 def directions() -> dict:
     with open(os.path.join(CHANGE_ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -67,12 +97,12 @@ def quartiles(values: list) -> tuple:
 def summarize(runs: list, better: dict) -> dict:
     """Per metric: both sides' medians and quartiles and the pairs the change won."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
-    by_seed = {side: {r["seed"]: r["metrics"] for r in rs} for side, rs in by_side.items()}
-    seeds = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
+    by_pair = {side: {r["pair"]: r["metrics"] for r in rs} for side, rs in by_side.items()}
+    pairs = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
     summary = {}
-    for name in by_side["parent"][0]["metrics"] if seeds else ():
-        parent = [by_seed["parent"][s][name] for s in seeds]
-        change = [by_seed["change"][s][name] for s in seeds]
+    for name in by_side["parent"][0]["metrics"] if pairs else ():
+        parent = [by_pair["parent"][p][name] for p in pairs]
+        change = [by_pair["change"][p][name] for p in pairs]
         sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
         p_med, c_med = statistics.median(parent), statistics.median(change)
         (p_q1, p_q3), (c_q1, c_q3) = quartiles(parent), quartiles(change)
@@ -82,20 +112,21 @@ def summarize(runs: list, better: dict) -> dict:
             "change_median": c_med,
             "ratio": c_med / p_med if p_med else None,
             "change_better_pairs": won,
-            "pairs": len(seeds),
+            "pairs": len(pairs),
             "parent_q1": p_q1,
             "parent_q3": p_q3,
             "parent_iqr": p_q3 - p_q1,
             "change_q1": c_q1,
             "change_q3": c_q3,
             "better": better.get(name, "lower"),
-            "rule_holds": (10 * won >= 9 * len(seeds)
+            "rule_holds": (10 * won >= 9 * len(pairs)
                            and sign * (p_med - c_med) > p_q3 - p_q1),
         }
     return summary
 
 
-def machine(head: dict) -> dict:
+def machine(head: dict | None) -> dict:
+    """The machine block: perfbench's (`head`), or this interpreter's for CLI pairs."""
     cpu = platform.processor() or "unknown"
     try:
         with open("/proc/cpuinfo") as fh:
@@ -103,6 +134,8 @@ def machine(head: dict) -> dict:
                        if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
+    if head is None:
+        return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version()}
     block = head["machine"]
     return {"nproc": block["nproc"], "cpu": cpu, "python": block["python"],
             "numpy": block["numpy"], "blas": block["blas"]}
@@ -111,9 +144,12 @@ def machine(head: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--workload", required=True)
+    kind = parser.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--workload")
+    kind.add_argument("--cli", action="store_true",
+                      help="time the CLI runs of tools/output_digest.py instead")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=float, help="run length of a --workload run")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--seed2", type=int, default=0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -125,8 +161,12 @@ def main(argv=None) -> int:
     parser.add_argument("--note", help="appended to this set's description")
     args = parser.parse_args(argv)
     parent_root = os.path.abspath(args.parent)
-    if not os.path.exists(os.path.join(parent_root, "perfbench", "run.py")):
-        parser.error(f"{parent_root} is not a checkout with perfbench/run.py")
+    needed = os.path.join("src", "latsched", "cli.py") if args.cli else \
+        os.path.join("perfbench", "run.py")
+    if not os.path.exists(os.path.join(parent_root, needed)):
+        parser.error(f"{parent_root} is not a checkout with {needed}")
+    if args.workload and args.seconds is None:
+        parser.error("--workload needs --seconds")
 
     doc = {}
     if os.path.exists(args.out):
@@ -136,44 +176,66 @@ def main(argv=None) -> int:
         if getattr(args, key) is not None or key not in doc:
             doc[key] = getattr(args, key)
     doc["command"] = ("python3 perfbench/run.py --workload W --seed N --seed2 S "
-                      "--seconds T --trace X")
+                      "--seconds T --trace X; a cli set runs each tools/output_digest.py "
+                      "run, python -m latsched.cli <subcommand> -c configs/<config>.json "
+                      "-o OUT [--runs R] [--jobs 2] [--graph G] [--seed 1]")
     doc["protocol"] = ("alternating parent/change pairs, one process per run, one run at "
-                       "a time, PYTHONDONTWRITEBYTECODE=1; the side that ran first "
-                       "alternates by pair; quartiles by the exclusive method")
+                       "a time, PYTHONDONTWRITEBYTECODE=1 for perfbench; the side that "
+                       "ran first alternates by pair (in a cli set, for each run); "
+                       "quartiles by the exclusive method")
     doc.setdefault("sets", {})
     doc.setdefault("summary", {})
     doc.setdefault("runs", [])
     label = next(c for c in string.ascii_uppercase if c not in doc["sets"])
     last = args.seed + args.pairs - 1
-    doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
-                          f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
-                          f"--trace {args.trace}" + (f"; {args.note}" if args.note else ""))
+    if args.cli:
+        doc["sets"][label] = (f"cli, {args.pairs} pairs of the {len(RUNS)} "
+                              "tools/output_digest.py runs, wall seconds per process")
+    else:
+        doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
+                              f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
+                              f"--trace {args.trace}")
+    doc["sets"][label] += f"; {args.note}" if args.note else ""
     better = directions()
     roots = {"parent": parent_root, "change": CHANGE_ROOT}
+    if args.cli:
+        for root in roots.values():
+            subprocess.run([sys.executable, "-c", "import latsched.cli"], check=True,
+                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
     runs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            out = run_once(roots[side], args, seed)
-            result = out["result"]
-            doc.setdefault("machine", machine(out["head"]))
-            runs.append({
-                "set": label, "workload": args.workload, "side": side, "seed": seed,
-                "seed2": args.seed2, "trace": args.trace, "first_in_pair": side == order[0],
-                "correct": result["correct"], "attempted": result["attempted"],
-                "failed": result["failed"],
-                "git_commit": out["head"]["machine"]["git_commit"],
-                "source_sha256": out["head"]["machine"]["source_sha256"],
-                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-                "detail": out["head"]["detail"],
-            })
-        doc["summary"][label] = summarize(runs, better)
-        doc["runs"] = [r for r in doc["runs"] if r["set"] != label] + runs
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
+        workdirs = {"parent": parent_dir, "change": change_dir}
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            if args.cli:
+                walls = time_cli(roots, order, workdirs)
+                doc.setdefault("machine", machine(None))
+                runs += [{"set": label, "workload": "cli", "side": side, "pair": i,
+                          "first_in_pair": side == order[0], "metrics": walls[side]}
+                         for side in order]
+            else:
+                for side in order:
+                    out = run_once(roots[side], args, seed)
+                    result = out["result"]
+                    doc.setdefault("machine", machine(out["head"]))
+                    runs.append({
+                        "set": label, "workload": args.workload, "side": side, "pair": i,
+                        "seed": seed, "seed2": args.seed2, "trace": args.trace,
+                        "first_in_pair": side == order[0],
+                        "correct": result["correct"], "attempted": result["attempted"],
+                        "failed": result["failed"],
+                        "git_commit": out["head"]["machine"]["git_commit"],
+                        "source_sha256": out["head"]["machine"]["source_sha256"],
+                        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                        "detail": out["head"]["detail"],
+                    })
+            doc["summary"][label] = summarize(runs, better)
+            doc["runs"] = [r for r in doc["runs"] if r["set"] != label] + runs
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=1)
+                fh.write("\n")
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
     print(f"set {label}: {doc['sets'][label]}")
     for name, row in doc["summary"][label].items():

@@ -31,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
 
 COMMANDS = ("build-graph", "schedule-exact", "schedule-qdp", "bound-check", "simulate",
             "mc-eval")
@@ -39,22 +40,52 @@ POOLED = ("occlusion_run", "noise_mismatch")
 GRAPH_READERS = ("schedule-qdp", "simulate")
 
 
-def digest(root: str, command: str, config: str, workdir: str,
-           jobs: int = 1, graph: str | None = None, seed: int | None = None) -> tuple[str, int]:
-    tag = ("--graph" if graph else "") + ("" if seed is None else f"--seed{seed}")
-    output = os.path.join(workdir, f"{command}{tag}-{config}.out")
-    argv = [sys.executable, "-m", "latsched.cli", command,
-            "-c", os.path.join(root, "configs", f"{config}.json"), "-o", output]
-    if command == "mc-eval":
-        argv += ["--runs", str(MC_RUNS[config])]
-    if jobs > 1:
-        argv += ["--jobs", str(jobs)]
-    if graph:
-        argv += ["--graph", graph]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
+class Run(NamedTuple):
+    label: str
+    command: str
+    config: str
+    jobs: int = 1
+    graph: bool = False
+    seed: int | None = None
+
+
+def _run_list() -> tuple:
+    runs = []
+    for config in sorted(MC_RUNS):
+        runs += [Run(command, command, config) for command in COMMANDS]
+        if config in POOLED:
+            runs.append(Run("mc-eval--jobs2", "mc-eval", config, jobs=2))
+        runs += [Run(f"{command}--graph", command, config, graph=True)
+                 for command in GRAPH_READERS]
+        runs.append(Run("simulate--seed1", "simulate", config, seed=1))
+    return tuple(runs)
+
+
+# Every run, in the order the digest prints them; a `--graph` run reads the
+# graph file its config's `build-graph` run wrote earlier in the same workdir.
+RUNS = _run_list()
+
+
+def execute(root: str, run: Run, workdir: str) -> tuple[str, subprocess.CompletedProcess]:
+    """`run` of the checkout at `root`, in a fresh process; its output path and process."""
+    tag = ("--graph" if run.graph else "") + ("" if run.seed is None else f"--seed{run.seed}")
+    output = os.path.join(workdir, f"{run.command}{tag}-{run.config}.out")
+    argv = [sys.executable, "-m", "latsched.cli", run.command,
+            "-c", os.path.join(root, "configs", f"{run.config}.json"), "-o", output]
+    if run.command == "mc-eval":
+        argv += ["--runs", str(MC_RUNS[run.config])]
+    if run.jobs > 1:
+        argv += ["--jobs", str(run.jobs)]
+    if run.graph:
+        argv += ["--graph", os.path.join(workdir, f"build-graph-{run.config}.out")]
+    if run.seed is not None:
+        argv += ["--seed", str(run.seed)]
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    done = subprocess.run(argv, env=env, capture_output=True, check=False)
+    return output, subprocess.run(argv, env=env, capture_output=True, check=False)
+
+
+def digest(root: str, run: Run, workdir: str) -> tuple[str, int]:
+    output, done = execute(root, run, workdir)
     sha = hashlib.sha256()
     if os.path.exists(output):
         with open(output, "rb") as fh:
@@ -70,19 +101,9 @@ def main() -> int:
         os.path.abspath(__file__))), help="latsched checkout to run")
     root = os.path.abspath(parser.parse_args().root)
     with tempfile.TemporaryDirectory() as workdir:
-        for config in sorted(MC_RUNS):
-            for command in COMMANDS:
-                sha, code = digest(root, command, config, workdir)
-                print(sha, code, command, config, flush=True)
-            if config in POOLED:
-                sha, code = digest(root, "mc-eval", config, workdir, jobs=2)
-                print(sha, code, "mc-eval--jobs2", config, flush=True)
-            graph = os.path.join(workdir, f"build-graph-{config}.out")
-            for command in GRAPH_READERS:
-                sha, code = digest(root, command, config, workdir, graph=graph)
-                print(sha, code, f"{command}--graph", config, flush=True)
-            sha, code = digest(root, "simulate", config, workdir, seed=1)
-            print(sha, code, "simulate--seed1", config, flush=True)
+        for run in RUNS:
+            sha, code = digest(root, run, workdir)
+            print(sha, code, run.label, run.config, flush=True)
     return 0
 
 
