@@ -161,15 +161,24 @@ class CovarianceGraph:
         with a non-finite entry raises ValueError, as does one whose squared
         norm (scored) or nearest squared distance (scanned) overflows.
         """
+        x = np.asarray(P, dtype=float).reshape(-1)
+        idx, d2 = self._nearest_id(x)
+        return idx, sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0] if d2 is None else d2)
+
+    def _nearest_id(self, x: np.ndarray) -> tuple[int, float | None]:
+        """`nearest`'s id for the flat point `x`, and its squared distance if the scan found it.
+
+        The scored path leaves the distance to `nearest`, which `quantize`
+        does not read.
+        """
         if self.size == 0:
             raise ValueError("graph has no representatives")
-        x = np.asarray(P, dtype=float).reshape(-1)
         if self._flat.size <= _SCAN_ENTRIES:
             d2 = _sq_dist(self._flat, x)
             idx = int(d2.argmin())
             if not isfinite(d2[idx]):
                 raise ValueError(_NON_FINITE)
-            return idx, sqrt(d2[idx])
+            return idx, d2[idx]
         # Checked before scoring, which would meet inf - inf.
         xx = float(np.vecdot(x, x))
         if not isfinite(xx):
@@ -185,7 +194,7 @@ class CovarianceGraph:
             score[idx] = low
             near = np.flatnonzero(score <= limit)
             idx = int(near[np.argmin(_sq_dist(self._flat[near], x))])
-        return idx, sqrt(_sq_dist(self._flat[idx:idx + 1], x)[0])
+        return idx, None
 
     def nearest_ids(self, P: np.ndarray) -> np.ndarray:
         """`nearest`'s node id for every member of a stack `(G, n, n)`.
@@ -313,7 +322,9 @@ def _parse_graph(payload) -> dict:
 
 def quantize(P: np.ndarray, graph: CovarianceGraph):
     """Node id of the nearest representative; an id array for a stack `(G, n, n)`."""
-    return graph.nearest_ids(P) if P.ndim == 3 else graph.nearest(P)[0]
+    if P.ndim == 3:
+        return graph.nearest_ids(P)
+    return graph._nearest_id(np.asarray(P, dtype=float).reshape(-1))[0]
 
 
 def default_admit_tol(reps: np.ndarray) -> float:

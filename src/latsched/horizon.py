@@ -126,7 +126,7 @@ def _estimate_R(outer: np.ndarray, count, Phat: np.ndarray, method: PerceptionMe
     raw = raw - C @ Phat @ C.T
     raw = 0.5 * (raw + raw.mT)
     eigvals, eigvecs = _lapack("eigh", raw)
-    # One window is tested on numpy scalars, as in _gain_and_next_cov.
+    # One window is tested on numpy scalars, which costs less than the array test.
     if eigvals.ndim == 1 and eigvals[0] >= 0.0 and eigvals[-1] > 0.0:
         return raw
     passed = (eigvals[..., 0] >= 0.0) & (eigvals[..., -1] > 0.0)
@@ -345,8 +345,11 @@ def run_loop(
         if measured and window is not None:
             window.push(method.id, meas.k, dyn.model.C @ belief.xhat - meas.z)
             R = adaptive_R(window, method, meas.k, belief, dyn.model)
-        step = _remember(memo, (belief.Phat.tobytes(), method.id, measured),
-                         lambda: _transition(belief.Phat, method, R, graph, dyn))
+        if memo is None:
+            step = _transition(belief.Phat, method, R, graph, dyn)
+        else:
+            step = _remember(memo, (belief.Phat.tobytes(), method.id, measured),
+                             lambda: _transition(belief.Phat, method, R, graph, dyn))
         _record(xhat, 0, t_steps, method.steps, belief.xhat, dyn)
         belief = epoch_mean(belief, method, dyn, step.gain, step.Phat,
                             meas.z if measured else None)
@@ -458,9 +461,11 @@ def run_lockstep(
             # the source drops or runs out for the whole stack at a step, so
             # every run starts every epoch from the covariance of the others:
             # one group, one memo read.
-            L, P_next, node = _remember(memo, (Pg[0].tobytes(), method.id, measured),
-                                        lambda: _transition(Pg if memo is None else Pg[0],
-                                                            method, R, graph, dyn))
+            if memo is None:
+                L, P_next, node = _transition(Pg, method, R, graph, dyn)
+            else:
+                L, P_next, node = _remember(memo, (Pg[0].tobytes(), method.id, measured),
+                                            lambda: _transition(Pg[0], method, R, graph, dyn))
             Ad = dyn.step_pair(method.steps)[0]
             X_next = (Ad @ Xg[..., None])[..., 0]
             if measured:

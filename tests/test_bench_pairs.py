@@ -1,0 +1,68 @@
+"""`tools/bench_pairs.py`'s verdicts on synthetic runs.
+
+`summarize` pairs parent and change runs by pair index. The claim rule holds
+when the change is better in at least 9 of 10 pairs and its median is better
+by more than the parent's interquartile range; the regression verdict is the
+same rule turned round.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pairs import summarize  # noqa: E402
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]
+
+
+def runs(metric: str, change: list, parent: list = PARENT) -> list:
+    """Run records of one metric, the parent and change sides alternating first."""
+    out = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        sides = [("parent", p), ("change", c)]
+        for side, value in sides if i % 2 == 0 else sides[::-1]:
+            out.append({"side": side, "pair": i, "metrics": {metric: value}})
+    return out
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_clear_gain_holds_and_is_not_worse(better):
+    shift = -2.0 if better == "lower" else 2.0
+    row = summarize(runs("m", [p + shift for p in PARENT]), {"m": better})["m"]
+    assert (row["change_better_pairs"], row["change_worse_pairs"]) == (10, 0)
+    assert row["rule_holds"] and not row["regressed"]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_clear_loss_is_worse(better):
+    shift = 2.0 if better == "lower" else -2.0
+    row = summarize(runs("m", [p + shift for p in PARENT]), {"m": better})["m"]
+    assert (row["change_better_pairs"], row["change_worse_pairs"]) == (0, 10)
+    assert row["regressed"] and not row["rule_holds"]
+
+
+def test_a_loss_inside_the_parents_spread_is_not_worse():
+    # Worse in every pair, but the medians differ by less than the parent's IQR.
+    row = summarize(runs("m", [p + 0.01 for p in PARENT]), {"m": "lower"})["m"]
+    assert row["change_worse_pairs"] == 10
+    assert row["parent_iqr"] > 0.01
+    assert not row["regressed"] and not row["rule_holds"]
+
+
+def test_a_loss_in_8_of_10_pairs_is_not_worse():
+    change = [p + 2.0 for p in PARENT]
+    change[3] = change[7] = 0.0
+    row = summarize(runs("m", change), {"m": "lower"})["m"]
+    assert (row["change_better_pairs"], row["change_worse_pairs"]) == (2, 8)
+    assert not row["regressed"]
+    change[7] = PARENT[7] + 2.0
+    assert summarize(runs("m", change), {"m": "lower"})["m"]["regressed"]
+
+
+def test_ties_count_for_neither_side():
+    row = summarize(runs("m", list(PARENT)), {"m": "lower"})["m"]
+    assert (row["change_better_pairs"], row["change_worse_pairs"]) == (0, 0)
+    assert not row["regressed"] and not row["rule_holds"]

@@ -15,6 +15,7 @@ from latsched import (
     sample_region,
     steady_state,
 )
+from latsched import covgraph
 from latsched.covgraph import default_admit_tol
 
 
@@ -109,6 +110,21 @@ class TestQuantize:
             with pytest.raises(ValueError, match="non-finite"):
                 call()
         assert np.array_equal(quantize(stack[[0, 2]], graph), [quantize(np.eye(4), graph)] * 2)
+
+    @pytest.mark.parametrize("count", [10, 2000])
+    def test_quantize_is_nearest_id(self, count):
+        # 10 nodes are scanned, 2000 scored; quantize skips nearest's distance.
+        reps = sample_region(4, 1.0, count, seed=5)
+        graph = CovarianceGraph(reps=reps, succ=np.zeros((count, 1), dtype=int), delta=0.0,
+                                b0=1.0, bound=1.0)
+        assert (graph.reps.size > covgraph._SCAN_ENTRIES) == (count == 2000)
+        # Random points, representatives, and midpoints of two representatives.
+        points = np.concatenate([sample_region(4, 1.5, 40, seed=6), reps[:5],
+                                 0.5 * (reps[:5] + reps[5:10])])
+        ids = [graph.nearest(P)[0] for P in points]
+        assert [quantize(P, graph) for P in points] == ids
+        assert quantize(points, graph).tolist() == ids
+        assert graph.nearest_ids(points).tolist() == ids
 
 
 class TestExpandGraph:

@@ -115,8 +115,8 @@ class TestShippedOcclusion:
         graph = dataclasses.replace(built)
         with patch.object(estimator, "_gain_and_next_cov",
                           wraps=estimator._gain_and_next_cov) as gains, \
-                patch.object(CovarianceGraph, "nearest", autospec=True,
-                             side_effect=CovarianceGraph.nearest) as nearest:
+                patch.object(CovarianceGraph, "_nearest_id", autospec=True,
+                             side_effect=CovarianceGraph._nearest_id) as nearest:
             first, _ = occlusion_track(occlusion, graph, 4)
             assert gains.call_count > 0 and nearest.call_count > 0
             gains.reset_mock()

@@ -22,8 +22,10 @@ read from BENCHMARK.json. OUT is rewritten after every pair, so an
 interrupted call keeps the pairs it finished. For every metric the call
 prints whether the claim rule holds: the change is better in at least 9 of
 10 pairs, and the medians differ, in its favour, by more than the parent's
-interquartile range. Quartiles are `statistics.quantiles(n=4)`'s, the
-exclusive method.
+interquartile range. It also prints the mirror verdict: "worse" when the
+change is worse in at least 9 of 10 pairs and its median is worse by more
+than the parent's interquartile range, "not worse" otherwise. Quartiles are
+`statistics.quantiles(n=4)`'s, the exclusive method.
 
 With `--cli` in place of `--workload`, a pair times CLI processes instead:
 each of `tools/output_digest.py`'s 29 runs (every subcommand on every
@@ -107,11 +109,13 @@ def summarize(runs: list, better: dict) -> dict:
         p_med, c_med = statistics.median(parent), statistics.median(change)
         (p_q1, p_q3), (c_q1, c_q3) = quartiles(parent), quartiles(change)
         won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         summary[name] = {
             "parent_median": p_med,
             "change_median": c_med,
             "ratio": c_med / p_med if p_med else None,
             "change_better_pairs": won,
+            "change_worse_pairs": lost,
             "pairs": len(pairs),
             "parent_q1": p_q1,
             "parent_q3": p_q3,
@@ -121,6 +125,8 @@ def summarize(runs: list, better: dict) -> dict:
             "better": better.get(name, "lower"),
             "rule_holds": (10 * won >= 9 * len(pairs)
                            and sign * (p_med - c_med) > p_q3 - p_q1),
+            "regressed": (10 * lost >= 9 * len(pairs)
+                          and sign * (c_med - p_med) > p_q3 - p_q1),
         }
     return summary
 
@@ -240,9 +246,11 @@ def main(argv=None) -> int:
     print(f"set {label}: {doc['sets'][label]}")
     for name, row in doc["summary"][label].items():
         verdict = "holds" if row["rule_holds"] else "does not hold"
+        worse = "worse" if row["regressed"] else "not worse"
         print(f"  {name}: parent {row['parent_median']:.6g} (IQR {row['parent_iqr']:.3g}), "
               f"change {row['change_median']:.6g}, better in {row['change_better_pairs']}/"
-              f"{row['pairs']} pairs; rule {verdict}")
+              f"{row['pairs']} pairs, worse in {row['change_worse_pairs']}; "
+              f"rule {verdict}; {worse}")
     return 0
 
 
