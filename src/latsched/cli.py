@@ -25,14 +25,21 @@ import sys
 import numpy as np
 
 from .bounds import bound_bs, gbar, lmi_feasible
-from .config import ScenarioConfig, _number, _seed, _tf, check_sim_grid, load_scenario
-from .covgraph import CovarianceGraph, quantize
+from .config import ScenarioConfig, _number, _seed, _tf, load_scenario
+from .covgraph import quantize
 from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
 from .exact import dyn_prog_exact, evaluate_schedule, schedule_cpu_load
-from .experiments import _build_graph, certificate, monte_carlo, rows_to_csv, track
-from .qdp import attach_policy, policy_meta, qdp
-from .sim import simulate_sde
+from .experiments import (
+    _built_graph,
+    _prepare_tracking,
+    _tracks,
+    _truths,
+    certificate,
+    monte_carlo,
+    rows_to_csv,
+)
+from .qdp import qdp
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
@@ -47,30 +54,6 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
             raise ConfigError("--gamma must lie strictly in (0, 1)")
         cfg.gamma = args.gamma
     return cfg
-
-
-def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None,
-                 with_policy: bool = True) -> CovarianceGraph:
-    """The scenario's graph, loaded from `graph_path` or built from its seeds.
-
-    With `with_policy`, the policy is (re)attached unless the graph holds one
-    swept for the scenario's `policy_meta`; a loaded file whose `policy_meta`
-    lacks the method entry is recomputed too.
-    """
-    if graph_path:
-        graph = CovarianceGraph.load(graph_path)
-        if graph.reps.shape[1] != cfg.model.n_x or graph.n_methods != len(cfg.methods):
-            raise ConfigError(
-                f"graph file {graph_path} has n={graph.reps.shape[1]} and "
-                f"{graph.n_methods} methods; the scenario has n={cfg.model.n_x} "
-                f"and {len(cfg.methods)}"
-            )
-    else:
-        graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
-    if with_policy and (graph.policy is None or graph.policy_meta
-                        != policy_meta(cfg.tf, cfg.lam_alpha, cfg.methods)):
-        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-    return graph
 
 
 def _schedule_payload(cfg, dyn, schedule, cost) -> dict:
@@ -150,13 +133,10 @@ def _cmd_bound_check(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
-    check_sim_grid(cfg.sim, cfg.model.dt_s)
-    dyn = build_dynamics(cfg.model, cfg.methods)
-    graph = _built_graph(cfg, dyn, args.graph)
-    truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
-    _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-    trace, m = track(cfg, dyn, graph, path, meas_seed)
-    trace.write_csv(args.output, cfg.methods, dyn)
+    ctx = _prepare_tracking(cfg, args.graph)
+    (trace,), (m,) = _tracks(cfg, ctx["dyn"], ctx["graph"],
+                             *_truths(cfg, [np.random.SeedSequence(cfg.sim.seed)]))
+    trace.write_csv(args.output, cfg.methods, ctx["dyn"])
     print(f"simulate: J={m.j_empirical:.6g} cpu={m.cpu_load:.3f} "
           f"attention={m.attention} mse={m.mse:.6g} -> {args.output}")
     return 0

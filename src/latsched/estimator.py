@@ -127,7 +127,8 @@ def _check_innovation(S: np.ndarray) -> None:
         if low > 0.0 and high <= _COND_LIMIT * low:
             return
     low, high = eig[..., 0], eig[..., -1]
-    bad = (low <= 0.0) | (high > _COND_LIMIT * low)
+    with np.errstate(over="ignore"):  # an inf limit compares as intended
+        bad = (low <= 0.0) | (high > _COND_LIMIT * low)
     if bad.any():
         if (low <= 0.0).any():
             raise SingularUpdateError(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import LyapunovCertificate, bound_bs, synthesize_certificate
 from .config import ScenarioConfig, check_sim_grid
-from .covgraph import expand_graph, quantize, sample_region
+from .covgraph import CovarianceGraph, expand_graph, quantize, sample_region
 from .dynamics import build_dynamics
 from .errors import ConfigError, LatschedError
 from .estimator import riccati_step
@@ -49,7 +49,7 @@ from .exact import (
     static_schedule,
 )
 from .horizon import run_lockstep, run_loop
-from .qdp import attach_policy, qdp
+from .qdp import attach_policy, policy_meta, qdp
 from .sim import GridMeasurementSource, grid_ratio, metrics, simulate_sde
 
 
@@ -57,6 +57,30 @@ def _build_graph(cfg: ScenarioConfig, dyn, count: int, seed):
     reps = sample_region(cfg.model.n_x, cfg.graph.b0, count, seed)
     return expand_graph(reps, cfg.methods, dyn, admit_tol=cfg.graph.admit_tol,
                         b0=cfg.graph.b0)
+
+
+def _built_graph(cfg: ScenarioConfig, dyn, graph_path=None,
+                 with_policy: bool = True) -> CovarianceGraph:
+    """The scenario's graph, loaded from `graph_path` or built from its seeds.
+
+    With `with_policy`, the policy is (re)attached unless the graph holds one
+    swept for the scenario's `policy_meta`; a loaded file whose `policy_meta`
+    lacks the method entry is recomputed too.
+    """
+    if graph_path:
+        graph = CovarianceGraph.load(graph_path)
+        if graph.reps.shape[1] != cfg.model.n_x or graph.n_methods != len(cfg.methods):
+            raise ConfigError(
+                f"graph file {graph_path} has n={graph.reps.shape[1]} and "
+                f"{graph.n_methods} methods; the scenario has n={cfg.model.n_x} "
+                f"and {len(cfg.methods)}"
+            )
+    else:
+        graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
+    if with_policy and (graph.policy is None or graph.policy_meta
+                        != policy_meta(cfg.tf, cfg.lam_alpha, cfg.methods)):
+        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+    return graph
 
 
 def certificate(cfg: ScenarioConfig, dyn) -> LyapunovCertificate:
@@ -118,28 +142,13 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
     return row
 
 
-def track(cfg: ScenarioConfig, dyn, graph, path, meas_seed, policy=None, adaptive=None,
-          true_R=None):
-    """One tracking run over cfg.sim.horizon against the truth `path` on the cfg.sim.dt grid.
-
-    The path is read at the sensor steps (`_sensor_path`), and measurements
-    are detected there with noise drawn from `meas_seed`. `policy`,
-    `adaptive` and `true_R` default to the graph's policy, cfg.sim.adaptive
-    and cfg.sim.true_R. Returns the trace and its metrics.
-    """
-    traces, run_metrics = _tracks(cfg, dyn, graph, _sensor_path(cfg, path)[None], [meas_seed],
-                                  policy, adaptive, true_R)
-    return traces[0], run_metrics[0]
-
-
 def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, adaptive=None,
             true_R=None) -> tuple[list, list]:
-    """`track` for each truth path of a stack `(runs, N, n_x)` on the sensor grid.
+    """A tracking run for each truth path of a stack `(runs, N, n_x)` on the sensor grid.
 
-    Returns the traces and their metrics. One path runs `run_loop`. More are
-    stepped together by `run_lockstep`, whose traces are `run_loop`'s bit for
-    bit; its per-step overhead is several times a warm one-run epoch, so a
-    lone run does not take it.
+    `policy`, `adaptive` and `true_R` default to the graph's and cfg.sim's.
+    One path runs `run_loop`. More are stepped together by `run_lockstep`,
+    which equals it bit for bit but costs several warm one-run epochs a step.
     """
     dt = cfg.model.dt_s
     rngs = [np.random.default_rng(seed) for seed in meas_seeds]
@@ -155,39 +164,29 @@ def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, ada
                     for trace, path in zip(traces, paths)]
 
 
-def _sensor_path(cfg: ScenarioConfig, path) -> np.ndarray:
-    """A truth path on the cfg.sim.dt grid, kept at the sensor steps.
-
-    The source and the MSE read it only there. A state there that is not
-    finite is a LatschedError naming its first sensor step.
-    """
-    sampled = np.asarray(path)[::grid_ratio(cfg.model.dt_s, cfg.sim.dt)]
-    bad = ~np.isfinite(sampled).all(axis=1)
-    if bad.any():
-        raise LatschedError(f"truth path is not finite at sensor step {int(bad.argmax())}")
-    return sampled
-
-
 def _truths(cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, list]:
-    """Each run's `_sensor_path`, stacked, and its measurement seeds.
+    """Each run's truth path at the sensor steps, stacked, and its measurement seeds.
 
-    A run's path is `simulate_sde`'s from the run's first child seed.
+    A run's path is `simulate_sde`'s from its first child seed. A state at a
+    sensor step that is not finite is a LatschedError naming the first one.
     """
     paths, meas_seeds = [], []
     for seed in seeds:
         truth_seed, meas_seed = seed.spawn(2)
         _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-        paths.append(_sensor_path(cfg, path))
+        sampled = np.asarray(path)[::grid_ratio(cfg.model.dt_s, cfg.sim.dt)]
+        bad = ~np.isfinite(sampled).all(axis=1)
+        if bad.any():
+            raise LatschedError(f"truth path is not finite at sensor step {int(bad.argmax())}")
+        paths.append(sampled)
         meas_seeds.append(meas_seed)
     return np.stack(paths), meas_seeds
 
 
-def _prepare_tracking(cfg: ScenarioConfig) -> dict:
+def _prepare_tracking(cfg: ScenarioConfig, graph_path=None) -> dict:
     check_sim_grid(cfg.sim, cfg.model.dt_s)
     dyn = build_dynamics(cfg.model, cfg.methods)
-    graph = _build_graph(cfg, dyn, cfg.graph.count, cfg.graph.seed)
-    attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-    return {"cfg": cfg, "dyn": dyn, "graph": graph}
+    return {"cfg": cfg, "dyn": dyn, "graph": _built_graph(cfg, dyn, graph_path)}
 
 
 def _rows_moving_horizon(ctx: dict, runs, seeds) -> list:

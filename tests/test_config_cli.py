@@ -12,12 +12,18 @@ from hypothesis import given, settings, strategies as st
 from latsched import (
     CovarianceGraph,
     ConfigError,
+    GridMeasurementSource,
     attach_policy,
     build_dynamics,
+    expand_graph,
     experiments,
+    metrics,
     monte_carlo,
+    run_loop,
+    sample_region,
+    simulate_sde,
 )
-from latsched.cli import _built_graph, main
+from latsched.cli import main
 from latsched.config import (
     ExperimentConfig,
     GraphConfig,
@@ -25,6 +31,7 @@ from latsched.config import (
     load_scenario,
     parse_scenario,
 )
+from latsched.experiments import _built_graph
 from latsched.qdp import policy_meta
 
 from conftest import exact_spd
@@ -274,6 +281,34 @@ class TestCli:
         lines = Path(out).read_text().strip().splitlines()
         assert lines[0].startswith("t,xhat_0")
         assert len(lines) == 12  # 11 sensor-grid points + header
+
+    @pytest.mark.parametrize("name", ["occlusion_run", "noise_mismatch"])
+    def test_simulate_equals_the_public_pipeline(self, tmp_path, capsys, name):
+        # The reference reads the whole sim.dt path and builds its graph,
+        # source and loop from the public functions; `simulate` must write
+        # the same bytes and print the same summary.
+        cfg = load_scenario(CONFIGS / f"{name}.json")
+        dyn = build_dynamics(cfg.model, cfg.methods)
+        graph = expand_graph(
+            sample_region(cfg.model.n_x, cfg.graph.b0, cfg.graph.count, cfg.graph.seed),
+            cfg.methods, dyn, admit_tol=cfg.graph.admit_tol, b0=cfg.graph.b0)
+        attach_policy(graph, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+        truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
+        _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
+        source = GridMeasurementSource(cfg.model, path, cfg.sim.dt,
+                                       np.random.default_rng(meas_seed),
+                                       occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R)
+        trace = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon, source,
+                         dyn, use_adaptive=cfg.sim.adaptive, window_length=cfg.sim.window)
+        m = metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon, dyn, cfg.sim.dt)
+        want = tmp_path / "want.csv"
+        trace.write_csv(want, cfg.methods, dyn)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "-c", str(CONFIGS / f"{name}.json"), "-o", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert capsys.readouterr().out == (
+            f"simulate: J={m.j_empirical:.6g} cpu={m.cpu_load:.3f} "
+            f"attention={m.attention} mse={m.mse:.6g} -> {out}\n")
 
     def test_mc_eval_writes_csv(self, tmp_path):
         payload = planar_payload(experiment={"name": "adaptive-R"})

@@ -25,11 +25,10 @@ from latsched import (
     expand_graph,
     run_loop,
     sample_region,
-    simulate_sde,
 )
 from latsched import estimator, horizon
 from latsched.config import load_scenario
-from latsched.experiments import _build_graph, track
+from latsched.experiments import _build_graph, _tracks, _truths
 from test_horizon_oracle import StepSource
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -76,9 +75,9 @@ def occlusion():
 
 def occlusion_track(occlusion, graph, seed, **kwargs):
     cfg, dyn, _ = occlusion
-    truth_seed, meas_seed = np.random.SeedSequence(seed).spawn(2)
-    _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-    return track(cfg, dyn, graph, path, meas_seed, **kwargs)
+    (trace,), (run_metrics,) = _tracks(cfg, dyn, graph,
+                                       *_truths(cfg, [np.random.SeedSequence(seed)]), **kwargs)
+    return trace, run_metrics
 
 
 class TestShippedOcclusion:

@@ -259,7 +259,7 @@ class TestErrorIsolation:
                          "--runs", "3"]) == 0
         assert "3 runs (1 failed)" in capsys.readouterr().out
         corrupt = self.corrupt_middle(np.inf)
-        self.patch_sde(monkeypatch, cli, lambda run, path: corrupt(1, path))
+        self.patch_sde(monkeypatch, experiments, lambda run, path: corrupt(1, path))
         assert cli.main(["simulate", "-c", str(config), "-o", str(tmp_path / "sim.csv")]) == 2
         assert capsys.readouterr().err == f"runtime error: {message}\n"
 

@@ -24,11 +24,10 @@ from latsched import (
     expand_graph,
     quantize,
     sample_region,
-    simulate_sde,
 )
 from latsched import covgraph
 from latsched.config import load_scenario
-from latsched.experiments import track
+from latsched.experiments import _tracks, _truths
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_BLOCK = 1 << 18
@@ -199,9 +198,7 @@ def test_shipped_graphs_match_reference(name, count):
 def test_occlusion_run_quantizes_as_reference():
     cfg, dyn, graph = shipped_graph("occlusion_run", None, covgraph._nearest_known)
     assert graph.reps.size > covgraph._SCAN_ENTRIES
-    truth_seed, meas_seed = np.random.SeedSequence(cfg.sim.seed).spawn(2)
-    _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
-    trace, _ = track(cfg, dyn, graph, path, meas_seed)
+    (trace,), _ = _tracks(cfg, dyn, graph, *_truths(cfg, [np.random.SeedSequence(cfg.sim.seed)]))
     beliefs = [epoch.belief.Phat for epoch in trace.epochs]
     assert len(beliefs) > 50
     for P in beliefs:

@@ -217,6 +217,21 @@ def test_huge_stack_no_longer_warns():
         assert np.array_equal(L[member], L1) and np.array_equal(P_next[member], P1)
 
 
+def test_huge_stack_the_certificate_rejects_does_not_warn():
+    # cond S = 3e11 passes the test, but tr(S) |G|_F^2 = 6e11 is over half the
+    # limit, so the stack takes the array test. There COND_LIMIT * lambda_min
+    # overflows to inf, which compares as intended and must not warn; each
+    # member equals the single-matrix step.
+    s_diag = [2e296, 2e296, 6e307]
+    assert not certified(np.diag(s_diag))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L, P_next = estimator._gain_and_next_cov(*scalar_case(s_diag, 2))
+    L1, P1 = reference_gain_and_next_cov(*scalar_case(s_diag))
+    for member in range(2):
+        assert np.array_equal(L[member], L1) and np.array_equal(P_next[member], P1)
+
+
 def test_certificate_bound_is_within_n_z_squared_of_the_condition():
     rng = np.random.default_rng(11)
     for n_z in range(1, 6):

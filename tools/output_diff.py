@@ -23,6 +23,9 @@ output that holds costs (`cost`, or the `j_*` columns of that CSV row), each
 cost's relative gap, change minus parent. stdout and stderr are compared as
 text with the temporary directory's path masked. The last line sums up all
 runs. A checkout against itself gives all zeros.
+
+Exit status: 0 when the two checkouts agree on every run (exit code, every
+exact and float field, stdout and stderr), 1 when any run differs.
 """
 
 import argparse
@@ -79,8 +82,11 @@ def parse(path: str) -> dict:
 
 
 def _gap(a: float, b: float) -> float:
-    """|b - a|, with equal values (two NaNs, two equal infinities) giving 0."""
-    return 0.0 if a == b or (a != a and b != b) else abs(b - a)
+    """|b - a|, with equal values (two NaNs, two equal infinities) giving 0
+    and a NaN against a number giving inf, which `max` cannot pass over."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    return math.inf if a != a or b != b else abs(b - a)
 
 
 def compare(parent: dict, change: dict) -> tuple[dict, dict]:
@@ -118,6 +124,13 @@ def cost_gaps(parent: dict, change: dict, rows: set) -> dict:
     return gaps
 
 
+def run_differs(old_code: int, new_code: int, floats: dict, exact: dict,
+                streams_differ: bool) -> bool:
+    """Whether one run's sides differ: exit code, `compare`'s fields, or streams."""
+    return (old_code != new_code or bool(exact) or streams_differ
+            or any(rel != 0.0 for rel in floats.values()))
+
+
 def _row(row: tuple) -> str:
     return ",".join(map(str, row)) or "-"
 
@@ -129,7 +142,7 @@ def main() -> int:
         os.path.abspath(__file__))), help="checkout of the change")
     args = parser.parse_args()
     roots = (os.path.abspath(args.parent), os.path.abspath(args.root))
-    codes_differ = exact_runs = 0
+    codes_differ = exact_runs = streams_runs = differing_runs = 0
     worst = (0.0, "-")
     with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
         for run in RUNS:
@@ -145,7 +158,8 @@ def main() -> int:
             rows = sum(len(r) for r in exact.values())
             line = (f"{run.label} {run.config}: exit {old_code}/{new_code}, {rows} exact rows "
                     f"differ, float max {top[1]:.2g} ({top[0]})")
-            if old_streams != new_streams:
+            streams_differ = old_streams != new_streams
+            if streams_differ:
                 line += ", stdout/stderr differ"
             print(line, flush=True)
             for field, rel in floats.items():
@@ -163,11 +177,14 @@ def main() -> int:
                     print(f"    cost gap {field} row {_row(row)}: {gap:.3g}")
             codes_differ += old_code != new_code
             exact_runs += bool(exact)
+            streams_runs += streams_differ
+            differing_runs += run_differs(old_code, new_code, floats, exact, streams_differ)
             if top[1] > worst[0]:
                 worst = (top[1], f"{run.label} {run.config} {top[0]}")
     print(f"{len(RUNS)} runs: exit codes differ in {codes_differ}, exact fields differ in "
-          f"{exact_runs}, largest float difference {worst[0]:.2g} ({worst[1]})")
-    return 0
+          f"{exact_runs}, largest float difference {worst[0]:.2g} ({worst[1]}), "
+          f"stdout/stderr differ in {streams_runs}")
+    return 1 if differing_runs else 0
 
 
 if __name__ == "__main__":
