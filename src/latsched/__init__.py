@@ -56,12 +56,6 @@ from .qdp import (
     qdp,
     qdp_matrices,
 )
-from .sim import (
-    GridMeasurementSource,
-    RunMetrics,
-    metrics,
-    simulate_ensemble,
-    simulate_sde,
-)
+from .sim import GridMeasurementSource, RunMetrics, metrics, simulate_sde
 
 __version__ = "0.1.0"

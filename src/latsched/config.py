@@ -84,7 +84,7 @@ def check_sim_grid(sim: SimConfig, dt_s: float) -> None:
     subcommands check them here before they simulate.
     """
     _grid_steps(dt_s, sim.dt, 1e-9, "sim.dt: must divide model.dt_s exactly")
-    # The tolerances of run_loop (in model.dt_s) and simulate_ensemble (in sim.dt).
+    # The tolerances of run_loop (in model.dt_s) and simulate_sde (in sim.dt).
     _grid_steps(sim.horizon, dt_s, 1e-6,
                 "sim.horizon: must be an integer multiple of model.dt_s")
     _grid_steps(sim.horizon, sim.dt, 1e-9,

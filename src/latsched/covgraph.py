@@ -239,11 +239,13 @@ class CovarianceGraph:
     @classmethod
     def load(cls, path) -> "CovarianceGraph":
         """Read a graph file written by `save`; a malformed file raises ConfigError."""
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 payload = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"graph file {path}: not valid JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"graph file {path}: cannot read: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"graph file {path}: not valid JSON: {exc}") from None
         try:
             return cls(**_parse_graph(payload))
         except ConfigError as exc:

@@ -176,15 +176,13 @@ def riccati_step(
     P: np.ndarray,
     method: PerceptionMethod,
     dyn: DiscretizedDynamics,
-    R: np.ndarray | None = None,
 ) -> np.ndarray:
     """Covariance-only filter step for one method (measurement-independent).
 
     `P` is one covariance `(n, n)` or a stack `(N, n, n)`, stepped together.
     """
     Ad, Wd = dyn.step_pair(method.steps)
-    R = method.R if R is None else R
-    _, P_next = _gain_and_next_cov(P, Ad, Wd, dyn.model.C, R)
+    _, P_next = _gain_and_next_cov(P, Ad, Wd, dyn.model.C, method.R)
     return P_next
 
 

@@ -48,70 +48,37 @@ def simulate_sde(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler-Maruyama truth path; deterministic given the seed.
 
-    Returns (t, x) with t of length N+1 on the dt grid and x of shape
-    (N+1, n_x). The initial state is drawn from the model's initial belief.
-    """
-    t, paths = simulate_ensemble(model, horizon, dt, runs=1, seed=seed)
-    return t, paths[0]
-
-
-def simulate_ensemble(
-    model: ContinuousModel,
-    horizon: float,
-    dt: float,
-    runs: int,
-    seed,
-    record_steps=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Euler-Maruyama paths for `runs` independent targets.
-
     Step k is x[k+1] = x[k] + A x[k] dt + B W^(1/2) sqrt(dt) n[k], with the
-    normals n[k] read from the generator one step after another (all runs of
-    a step together), as a per-step loop reads them. The steps are evaluated
-    in chunks by `_advance`, so a path equals that loop's up to round-off, not
-    bit for bit. Normals are drawn in super-blocks of at most
-    `_BLOCK_NORMALS`, which keeps temporaries flat for large ensembles, and
-    `record_steps` limits which grid indices are stored (all by default).
-    Returns (t, x) with x of shape (runs, len(record_steps), n_x).
+    normals n[k] read from the generator one step after another, as a
+    per-step loop reads them. The steps are evaluated in chunks by
+    `_advance`, so the path equals that loop's up to round-off, not bit for
+    bit. Normals are drawn in super-blocks of at most `_BLOCK_NORMALS`, which
+    bounds the temporaries. Returns (t, x) with t of length N+1 on the dt
+    grid and x of shape (N+1, n_x). The initial state is drawn from the
+    model's initial belief.
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
     n_steps = window_steps(horizon, dt, 1e-9)
     rng = np.random.default_rng(seed)
     n, n_w = model.n_x, model.n_w
-    if record_steps is None:
-        record_steps = np.arange(n_steps + 1)
-    else:
-        record_steps = np.asarray(sorted(set(int(s) for s in record_steps)), dtype=np.int64)
-        if record_steps.size and (record_steps[0] < 0 or record_steps[-1] > n_steps):
-            raise ValueError("record_steps outside the simulated grid")
-
-    x = model.x0 + rng.standard_normal((runs, n)) @ sqrt_psd(model.P0).T
-    out = np.empty((runs, record_steps.size, n))
-    if record_steps.size and record_steps[0] == 0:
-        out[:, 0] = x
-    L, block = _chunking(runs, n, n_w)
+    x = np.empty((n_steps + 1, n))
+    x[0] = model.x0 + rng.standard_normal((1, n)) @ sqrt_psd(model.P0).T
+    L, block = _chunking(n, n_w)
     levels = [_chunk_tables(np.eye(n) + model.A * dt,
                             (model.B @ sqrt_psd(model.W)) * np.sqrt(dt), L)]
     while L ** len(levels) < min(block, n_steps):
         levels.append(_chunk_tables(levels[-1][2], np.eye(n), L))
     for first in range(1, n_steps + 1, block):
         count = min(block, n_steps + 1 - first)
-        normals = rng.standard_normal((count, runs, n_w)).transpose(1, 0, 2)
-        states = _advance(x, normals, levels)
-        lo, hi = np.searchsorted(record_steps, [first, first + count])
-        out[:, lo:hi] = states.take(record_steps[lo:hi] - first, axis=1)
-        x = states[:, -1]
-    return record_steps * dt, out
+        x[first:first + count] = _advance(x[first - 1], rng.standard_normal((count, n_w)),
+                                          levels)
+    return np.arange(n_steps + 1) * dt, x
 
 
-def _chunking(runs: int, n: int, n_w: int) -> tuple[int, int]:
-    """(chunk length L, steps per super-block) of `simulate_ensemble`.
-
-    Large ensembles get short super-blocks, so L shrinks toward one step; at
-    L = 1 `_advance` is the per-step stacked recurrence.
-    """
-    block = max(1, _BLOCK_NORMALS // max(1, runs * n_w))
+def _chunking(n: int, n_w: int) -> tuple[int, int]:
+    """(chunk length L, steps per super-block) of `simulate_sde`."""
+    block = max(1, _BLOCK_NORMALS // max(1, n_w))
     return min(block, max(2, isqrt(_CHUNK_TABLE_ENTRIES // (n * n_w)))), block
 
 
@@ -138,7 +105,7 @@ def _chunk_tables(F: np.ndarray, M: np.ndarray, L: int):
 def _advance(start: np.ndarray, inputs: np.ndarray, levels) -> np.ndarray:
     """States 1..S of x[k+1] = x[k] F' + u[k] M' from x[0] = `start`.
 
-    `inputs` (runs, S, m) holds u; `levels[0]` holds the `_chunk_tables` of
+    `inputs` (S, m) holds u; `levels[0]` holds the `_chunk_tables` of
     (F, M, L) and `levels[l]` those of (F^(L^l), I, L). The chunks' zero-start
     responses come from one product with the kick table. Their start states
     follow the same recurrence one level up, with F^L and the chunks' last
@@ -146,21 +113,19 @@ def _advance(start: np.ndarray, inputs: np.ndarray, levels) -> np.ndarray:
     loop.
     """
     kicks, powers, _ = levels[0]
-    runs, S, m = inputs.shape
-    n = start.shape[1]
+    S, m = inputs.shape
+    n = start.shape[0]
     L = min(powers.shape[1] // n, S)
     chunks = -(-S // L)
     if chunks * L > S:
-        inputs = np.concatenate([inputs, np.zeros((runs, chunks * L - S, m))], axis=1)
-    zero_start = (inputs.reshape(runs * chunks, L * m) @ kicks[:L * m, :L * n]) \
-        .reshape(runs, chunks, L * n)
-    starts = start[:, None]
+        inputs = np.concatenate([inputs, np.zeros((chunks * L - S, m))])
+    zero_start = inputs.reshape(chunks, L * m) @ kicks[:L * m, :L * n]
+    starts = start[None]
     if chunks > 1:
-        starts = np.concatenate(
-            [starts, _advance(start, zero_start[:, :-1, -n:], levels[1:])], axis=1)
-    states = (starts.reshape(runs * chunks, n) @ powers[:, :L * n]).reshape(runs, chunks, L * n)
+        starts = np.concatenate([starts, _advance(start, zero_start[:-1, -n:], levels[1:])])
+    states = starts @ powers[:, :L * n]
     states += zero_start
-    return states.reshape(runs, chunks * L, n)[:, :S]
+    return states.reshape(chunks * L, n)[:S]
 
 
 class GridMeasurementSource:

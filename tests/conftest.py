@@ -5,6 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from latsched import ContinuousModel, PerceptionMethod, build_dynamics
+from latsched.exact import window_steps
+from latsched.sim import sqrt_psd
 
 DT_S = 1.0 / 30.0
 
@@ -103,3 +105,35 @@ def window_time_ratio(run, rounds: int = 11, batch: int = 5) -> float:
             times[i, k] = time.perf_counter() - start
     calm = np.argsort(times.sum(axis=1))[:rounds - 4]
     return float(np.median(times[calm, 1] / times[calm, 0]))
+
+
+def per_step_ensemble(model, horizon, dt, runs, seed, record_steps=None):
+    """Euler-Maruyama paths of `runs` targets, one generator call and one kick product per step.
+
+    Each step draws the normals of all runs together from one generator, in
+    the order `simulate_sde` reads a path's normals, so at one run the path
+    is `simulate_sde`'s up to round-off, with the same start state bit for
+    bit. Returns (t, x) with x of shape (runs, len(record_steps), n_x);
+    `record_steps` (all grid indices by default) picks the stored points.
+    """
+    n_steps = window_steps(horizon, dt, 1e-9)
+    rng = np.random.default_rng(seed)
+    n = model.n_x
+    if record_steps is None:
+        record_steps = np.arange(n_steps + 1)
+    else:
+        record_steps = np.asarray(sorted(set(int(s) for s in record_steps)), dtype=np.int64)
+    record_at = {int(s): i for i, s in enumerate(record_steps)}
+
+    x = model.x0 + rng.standard_normal((runs, n)) @ sqrt_psd(model.P0).T
+    noise_map = (model.B @ sqrt_psd(model.W)) * np.sqrt(dt)
+    out = np.empty((runs, record_steps.size, n))
+    if 0 in record_at:
+        out[:, record_at[0]] = x
+    for j in range(1, n_steps + 1):
+        drift = x @ model.A.T
+        kicks = rng.standard_normal((runs, model.n_w)) @ noise_map.T
+        x = x + drift * dt + kicks
+        if j in record_at:
+            out[:, record_at[j]] = x
+    return record_steps * dt, out

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 import latsched as ls
 from latsched.sim import sqrt_psd
 
-from conftest import benchmark_model, benchmark_methods, window_time_ratio
+from conftest import benchmark_model, benchmark_methods, per_step_ensemble, window_time_ratio
 
 TF = 1.0
 LAM = 5.0
@@ -174,7 +174,7 @@ def test_criterion_6_filter_calibration(bench_mod):
     ratio = 20
     dt = model.dt_s / ratio
     epoch_steps = np.cumsum([0] + [methods[p - 1].steps for p in schedule])
-    _, paths = ls.simulate_ensemble(
+    _, paths = per_step_ensemble(
         model, float(epoch_steps[-1]) * model.dt_s, dt, runs, seed=5,
         record_steps=(epoch_steps * ratio).tolist())
     rng = np.random.default_rng(77)

@@ -3,7 +3,7 @@
 `summarize` pairs parent and change runs by pair index. The claim rule holds
 when the change is better in at least 9 of 10 pairs and its median is better
 by more than the parent's interquartile range; the regression verdict is the
-same rule turned round.
+same rule turned round. Neither verdict is given from fewer than 10 pairs.
 """
 
 import sys
@@ -66,3 +66,13 @@ def test_ties_count_for_neither_side():
     row = summarize(runs("m", list(PARENT)), {"m": "lower"})["m"]
     assert (row["change_better_pairs"], row["change_worse_pairs"]) == (0, 0)
     assert not row["regressed"] and not row["rule_holds"]
+
+
+@pytest.mark.parametrize("shift", [2.0, -2.0], ids=["loss", "gain"])
+def test_two_pairs_give_no_verdict(shift):
+    # 2 of 2 pairs agree, and the medians differ by far more than the IQR.
+    row = summarize(runs("m", [p + shift for p in PARENT[:2]], PARENT[:2]), {"m": "lower"})["m"]
+    assert row["pairs"] == 2
+    assert max(row["change_better_pairs"], row["change_worse_pairs"]) == 2
+    assert not row["regressed"] and not row["rule_holds"]
+    assert not row["resolved"]

@@ -575,6 +575,20 @@ class TestGraphFile:
                      "--graph", str(graph_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, out", [("schedule-qdp", "q.json"), ("simulate", "t.csv")])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_graph_exits_1(self, built, tmp_path, capsys, command, out, kind):
+        # As an unreadable -c file does: a config error naming the path, not exit 2.
+        cfg_path, _ = built
+        graph_path = tmp_path / "graph.json"
+        if kind == "directory":
+            graph_path.mkdir()
+        assert main([command, "-c", cfg_path, "-o", str(tmp_path / out),
+                     "--graph", str(graph_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: graph file {graph_path}: cannot read: [Errno")
+        assert not (tmp_path / out).exists()
+
     def test_graph_from_another_model_exits_1(self, built, tmp_path, capsys):
         _, payload = built
         scenario = planar_payload()

@@ -122,8 +122,9 @@ class TestCorrect:
             P = random_spd(rng, 4, 2.0)
             R1 = random_spd(rng, 2, 0.3)
             R2 = R1 + random_spd(rng, 2, 0.5)
-            P1 = riccati_step(P, methods[0], dyn, R=R1)
-            P2 = riccati_step(P, methods[0], dyn, R=R2)
+            Ad, Wd = dyn.step_pair(methods[0].steps)
+            _, P1 = _gain_and_next_cov(P, Ad, Wd, model.C, R1)
+            _, P2 = _gain_and_next_cov(P, Ad, Wd, model.C, R2)
             assert np.linalg.eigvalsh(P2 - P1).min() >= -1e-10
 
 
@@ -218,10 +219,11 @@ class TestStackedKernel:
         rng = np.random.default_rng(14)
         stack = np.stack([random_spd(rng, 4) for _ in range(6)])
         stack[3] = np.diag([1.0, 0.0, 1e-13, 0.0])  # C P C' has condition 1e13
-        R = np.zeros((2, 2))
-        riccati_step(stack[[0, 1, 2, 4, 5]], methods[0], dyn, R=R)
+        Ad, Wd = dyn.step_pair(methods[0].steps)
+        C, R = dyn.model.C, np.zeros((2, 2))
+        _gain_and_next_cov(stack[[0, 1, 2, 4, 5]], Ad, Wd, C, R)
         with pytest.raises(SingularUpdateError, match="condition"):
-            riccati_step(stack, methods[0], dyn, R=R)
+            _gain_and_next_cov(stack, Ad, Wd, C, R)
 
     def test_not_positive_definite_names_least_eigenvalue(self, bench):
         # S = C P C' + R = -0.5 I for the member P = -I: no condition number to report.

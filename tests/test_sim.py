@@ -13,12 +13,13 @@ from latsched import (
     metrics,
     run_loop,
     sample_region,
-    simulate_ensemble,
     simulate_sde,
     static_schedule,
 )
 from latsched import ContinuousModel, PerceptionMethod
 from latsched.sim import empirical_cost, grid_ratio, sqrt_psd
+
+from conftest import per_step_ensemble
 
 
 class TestSimulateSde:
@@ -39,7 +40,7 @@ class TestSimulateSde:
         )
         delta = 0.1
         runs = 10000
-        _, paths = simulate_ensemble(model, delta, 1e-3, runs, seed=3,
+        _, paths = per_step_ensemble(model, delta, 1e-3, runs, seed=3,
                                      record_steps=[0, 100])
         incr = paths[:, 1, :] - paths[:, 0, :]
         var = incr.var(axis=0)
@@ -60,7 +61,7 @@ class TestSimulateSde:
             A=np.zeros((2, 2)), B=np.eye(2), W=np.zeros((2, 2)), C=np.eye(2),
             x0=[3.0, -1.0], P0=np.diag([4.0, 0.25]), dt_s=0.1,
         )
-        _, paths = simulate_ensemble(model, 0.1, 0.1, 20000, seed=5,
+        _, paths = per_step_ensemble(model, 0.1, 0.1, 20000, seed=5,
                                      record_steps=[0])
         x0 = paths[:, 0, :]
         assert np.allclose(x0.mean(axis=0), [3.0, -1.0], atol=0.1)

@@ -1,13 +1,13 @@
 """The simulation kernels and the run cost against independent references.
 
-`simulate_ensemble` evaluates the Euler-Maruyama recurrence a chunk of steps
-at a time with stacked products. It reads the same normals in the same order
-as the per-step loop below, so its paths must match that loop's up to
-round-off (see `assert_same_ensemble` for the bound). `empirical_cost` is the
-exact integral of tr(P(t)) over each epoch, from `exact.window_cost`. It is
-checked against the trapezoid rule on the sim grid, Richardson-extrapolated
-(see `richardson_empirical_cost`), and against adaptive quadrature of the
-integrand read from `dyn.pair` on random models.
+`simulate_sde` evaluates the Euler-Maruyama recurrence a chunk of steps at a
+time with stacked products. It reads the same normals in the same order as
+the per-step loop `conftest.per_step_ensemble`, so its path must match that
+loop's up to round-off (see `assert_same_path` for the bound).
+`empirical_cost` is the exact integral of tr(P(t)) over each epoch, from
+`exact.window_cost`. It is checked against the trapezoid rule on the sim
+grid, Richardson-extrapolated (see `richardson_empirical_cost`), and against
+adaptive quadrature of the integrand read from `dyn.pair` on random models.
 """
 
 from pathlib import Path
@@ -29,40 +29,16 @@ from latsched import (
     expand_graph,
     run_loop,
     sample_region,
-    simulate_ensemble,
     simulate_sde,
 )
 from latsched.config import load_scenario
 from latsched.exact import window_steps
 from latsched.horizon import EpochRecord
-from latsched.sim import _chunking, empirical_cost, grid_ratio, sqrt_psd
+from latsched.sim import _chunking, empirical_cost, grid_ratio
+
+from conftest import benchmark_model, per_step_ensemble
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def per_step_ensemble(model, horizon, dt, runs, seed, record_steps=None):
-    """Euler-Maruyama with one generator call and one kick product per step."""
-    n_steps = window_steps(horizon, dt, 1e-9)
-    rng = np.random.default_rng(seed)
-    n = model.n_x
-    if record_steps is None:
-        record_steps = np.arange(n_steps + 1)
-    else:
-        record_steps = np.asarray(sorted(set(int(s) for s in record_steps)), dtype=np.int64)
-    record_at = {int(s): i for i, s in enumerate(record_steps)}
-
-    x = model.x0 + rng.standard_normal((runs, n)) @ sqrt_psd(model.P0).T
-    noise_map = (model.B @ sqrt_psd(model.W)) * np.sqrt(dt)
-    out = np.empty((runs, record_steps.size, n))
-    if 0 in record_at:
-        out[:, record_at[0]] = x
-    for j in range(1, n_steps + 1):
-        drift = x @ model.A.T
-        kicks = rng.standard_normal((runs, model.n_w)) @ noise_map.T
-        x = x + drift * dt + kicks
-        if j in record_at:
-            out[:, record_at[j]] = x
-    return record_steps * dt, out
 
 
 def per_point_empirical_cost(trace, lam_alpha, methods, tf, dyn, dt):
@@ -140,8 +116,8 @@ def quad_empirical_cost(trace, lam_alpha, methods, tf, dyn):
 PATH_TOL = 1e-12
 
 
-def assert_same_ensemble(model, horizon, dt, runs, seed, record_steps=None):
-    """Paths equal the per-step loop's to PATH_TOL; times and start states exactly.
+def assert_same_path(model, horizon, dt, seed):
+    """The path equals the per-step loop's to PATH_TOL; times and start state exactly.
 
     Both evaluations round every step to a relative eps = 1.1e-16 of the
     states they add, and their errors are independent, so they drift apart
@@ -152,73 +128,57 @@ def assert_same_ensemble(model, horizon, dt, runs, seed, record_steps=None):
     by a whole kick, of order |B W^(1/2)| sqrt(dt) n, which is 1e-2 on the
     test models.
     """
-    t, paths = simulate_ensemble(model, horizon, dt, runs, seed, record_steps=record_steps)
-    t_ref, ref = per_step_ensemble(model, horizon, dt, runs, seed, record_steps)
+    t, path = simulate_sde(model, horizon, dt, seed)
+    t_ref, ref = per_step_ensemble(model, horizon, dt, 1, seed)
     assert np.array_equal(t, t_ref)
-    assert paths.shape == ref.shape
-    if record_steps is None or 0 in record_steps:
-        assert np.array_equal(paths[:, 0], ref[:, 0])
-    scale = 1.0 + (np.abs(ref).max() if ref.size else 0.0)
-    assert np.abs(paths - ref).max(initial=0.0) <= PATH_TOL * scale
+    assert path.shape == ref[0].shape
+    assert np.array_equal(path[0], ref[0, 0])
+    assert np.abs(path - ref[0]).max() <= PATH_TOL * (1.0 + np.abs(ref).max())
 
 
-def edge_steps(L, block):
-    """Step counts on and next to the chunk and super-block edges."""
-    return sorted({1, max(1, L - 1), L, L + 1, 3 * L + 2, L * L + 1,
-                   max(1, block - 1), block, block + 1, 2 * block + L + 1})
+# Step counts on and next to the chunk and super-block edges of `_chunking`.
+EDGES = {
+    "L-1": lambda L, block: L - 1,
+    "L": lambda L, block: L,
+    "L+1": lambda L, block: L + 1,
+    "block": lambda L, block: block,
+    "block+1": lambda L, block: block + 1,
+    "2block+1": lambda L, block: 2 * block + 1,
+}
 
 
 class TestEnsembleMatchesPerStepLoop:
-    @pytest.mark.parametrize("runs", [1, 3])
-    def test_full_path(self, bench, runs):
-        model, _, _ = bench
-        assert_same_ensemble(model, 0.5, 1e-3, runs, seed=4)
+    """One `simulate_sde` path against the per-step loop at one run."""
 
-    @pytest.mark.parametrize("runs", [1, 3])
-    def test_dense_noise_map(self, runs):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_full_path(self, bench, seed):
+        model, _, _ = bench
+        assert_same_path(model, 0.5, 1e-3, seed)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_dense_noise_map(self, seed):
         # Every kick entry sums several products, so the chunk tables mix
         # every normal of a step into every state entry.
         rng = np.random.default_rng(0)
         B = rng.standard_normal((3, 3))
         model = ContinuousModel(A=0.3 * rng.standard_normal((3, 3)), B=B, W=B @ B.T,
                                 C=np.eye(3), x0=np.ones(3), P0=np.eye(3), dt_s=0.1)
-        assert_same_ensemble(model, 0.5, 1e-3, runs, seed=3)
+        assert_same_path(model, 0.5, 1e-3, seed)
 
-    @pytest.mark.parametrize("record_steps", [[0, 3, 250, 499, 500], [7, 1, 400]])
-    def test_record_steps_subset(self, bench, record_steps):
-        model, _, _ = bench
-        assert_same_ensemble(model, 0.5, 1e-3, 2, seed=5, record_steps=record_steps)
-
-    @pytest.mark.parametrize("runs", [1, 3])
-    def test_horizons_at_chunk_and_block_edges(self, bench, runs):
-        model, _, _ = bench
-        L, block = _chunking(runs, model.n_x, model.n_w)
+    @pytest.mark.parametrize("n_w", [1, 2], ids=lambda n_w: f"n_w{n_w}")
+    @pytest.mark.parametrize("edge", list(EDGES))
+    def test_horizons_at_chunk_and_block_edges(self, edge, n_w):
+        # The benchmark model, its two noise inputs merged into one for n_w = 1.
+        model = benchmark_model() if n_w == 2 else \
+            benchmark_model(B=[[0], [1], [0], [1]], W=[[0.5]])
+        L, block = _chunking(model.n_x, model.n_w)
         assert 1 < L < block
-        for steps in edge_steps(L, block):
-            assert_same_ensemble(model, steps * 1e-3, 1e-3, runs, seed=steps)
-
-    @pytest.mark.parametrize("runs", [1, 3])
-    def test_record_steps_straddle_edges(self, bench, runs):
-        model, _, _ = bench
-        L, block = _chunking(runs, model.n_x, model.n_w)
-        steps = 2 * block + L + 1
-        edges = [e + d for e in edge_steps(L, block) + [L * L] for d in (-1, 0, 1)]
-        record = [s for s in edges if 0 < s <= steps]
-        assert_same_ensemble(model, steps * 1e-3, 1e-3, runs, seed=7, record_steps=record)
-
-    def test_large_ensemble_short_horizon(self, bench):
-        # One step per super-block: the per-step stacked recurrence (L = 1).
-        model, _, _ = bench
-        assert _chunking(10_000, model.n_x, model.n_w) == (1, 1)
-        assert_same_ensemble(model, 0.005, 1e-3, 10_000, seed=6)
-        assert_same_ensemble(model, 0.005, 1e-3, 10_000, seed=6, record_steps=[0, 2, 5])
+        steps = EDGES[edge](L, block)
+        assert_same_path(model, steps * 1e-3, 1e-3, seed=steps)
 
     def test_shipped_occlusion_path(self):
         cfg = load_scenario(CONFIGS / "occlusion_run.json")
-        _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, seed=8)
-        _, ref = per_step_ensemble(cfg.model, cfg.sim.horizon, cfg.sim.dt, 1, 8)
-        assert np.array_equal(path[0], ref[0, 0])
-        assert np.abs(path - ref[0]).max() <= PATH_TOL * (1.0 + np.abs(ref).max())
+        assert_same_path(cfg.model, cfg.sim.horizon, cfg.sim.dt, seed=8)
 
 
 def tracked(model, methods, dyn, dt, horizon, policy_id=None, seed=9):
@@ -311,17 +271,15 @@ def small_models(draw):
     problem=small_models(),
     ratio=st.integers(1, 6),
     periods=st.integers(1, 8),
-    # 3,000 runs make super-blocks of 2-5 steps, so those edges are crossed too.
-    runs=st.sampled_from([1, 2, 3, 3000]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_random_models_match_reference_loops(problem, ratio, periods, runs, seed, data):
+def test_random_models_match_reference_loops(problem, ratio, periods, seed, data):
     model, methods = problem
     dyn = build_dynamics(model, methods)
     dt = model.dt_s / ratio
     horizon = periods * model.dt_s
-    assert_same_ensemble(model, horizon, dt, runs, seed)
+    assert_same_path(model, horizon, dt, seed)
 
     # Epochs covering the horizon, each starting from an arbitrary covariance.
     rng = np.random.default_rng(seed)

@@ -24,8 +24,11 @@ prints whether the claim rule holds: the change is better in at least 9 of
 10 pairs, and the medians differ, in its favour, by more than the parent's
 interquartile range. It also prints the mirror verdict: "worse" when the
 change is worse in at least 9 of 10 pairs and its median is worse by more
-than the parent's interquartile range, "not worse" otherwise. Quartiles are
-`statistics.quantiles(n=4)`'s, the exclusive method.
+than the parent's interquartile range, "not worse" otherwise. Both
+verdicts need at least 10 pairs: from fewer, 9 of 10 is not a count the pairs
+can reach (2 of 2 is not evidence), so the set prints "unresolved (N pairs)"
+and stores `resolved` false. Quartiles are `statistics.quantiles(n=4)`'s, the
+exclusive method.
 
 With `--cli` in place of `--workload`, a pair times CLI processes instead:
 each of `tools/output_digest.py`'s 29 runs (every subcommand on every
@@ -52,6 +55,8 @@ import time
 from output_digest import RUNS, execute
 
 CHANGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Fewest pairs from which "9 of 10" can give a verdict.
+MIN_PAIRS = 10
 
 
 def run_once(root: str, args, seed: int) -> dict:
@@ -101,6 +106,7 @@ def summarize(runs: list, better: dict) -> dict:
     by_side = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     by_pair = {side: {r["pair"]: r["metrics"] for r in rs} for side, rs in by_side.items()}
     pairs = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
+    resolved = len(pairs) >= MIN_PAIRS
     summary = {}
     for name in by_side["parent"][0]["metrics"] if pairs else ():
         parent = [by_pair["parent"][p][name] for p in pairs]
@@ -123,9 +129,10 @@ def summarize(runs: list, better: dict) -> dict:
             "change_q1": c_q1,
             "change_q3": c_q3,
             "better": better.get(name, "lower"),
-            "rule_holds": (10 * won >= 9 * len(pairs)
+            "resolved": resolved,
+            "rule_holds": (resolved and 10 * won >= 9 * len(pairs)
                            and sign * (p_med - c_med) > p_q3 - p_q1),
-            "regressed": (10 * lost >= 9 * len(pairs)
+            "regressed": (resolved and 10 * lost >= 9 * len(pairs)
                           and sign * (c_med - p_med) > p_q3 - p_q1),
         }
     return summary
@@ -245,12 +252,14 @@ def main(argv=None) -> int:
 
     print(f"set {label}: {doc['sets'][label]}")
     for name, row in doc["summary"][label].items():
-        verdict = "holds" if row["rule_holds"] else "does not hold"
-        worse = "worse" if row["regressed"] else "not worse"
+        if row["resolved"]:
+            verdict = "rule " + ("holds" if row["rule_holds"] else "does not hold") + \
+                "; " + ("worse" if row["regressed"] else "not worse")
+        else:
+            verdict = f"unresolved ({row['pairs']} pairs)"
         print(f"  {name}: parent {row['parent_median']:.6g} (IQR {row['parent_iqr']:.3g}), "
               f"change {row['change_median']:.6g}, better in {row['change_better_pairs']}/"
-              f"{row['pairs']} pairs, worse in {row['change_worse_pairs']}; "
-              f"rule {verdict}; {worse}")
+              f"{row['pairs']} pairs, worse in {row['change_worse_pairs']}; {verdict}")
     return 0
 
 
