@@ -115,16 +115,18 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None) -> np.ndarray:
+def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None,
+              symmetrized=False) -> np.ndarray:
     """Symmetrize `mat` and clamp its round-off negative eigenvalues to zero.
 
     `mat` is one matrix or a stack `(..., n, n)`, clamped member by member.
     Raises `error` when an eigenvalue lies below -1e-10 * scale, which is real
     negativity rather than round-off, quoting the first such member's least
     eigenvalue; `scale` defaults to each member's Frobenius norm, computed only
-    when an eigenvalue is negative.
+    when an eigenvalue is negative. A `symmetrized` mat, the result of
+    0.5 * (a + a.mT), skips that step, whose second pass would change no bit.
     """
-    sym = 0.5 * (mat + mat.mT)
+    sym = mat if symmetrized else 0.5 * (mat + mat.mT)
     eigvals, eigvecs = _lapack("eigh", sym)
     # One matrix is tested on a numpy scalar, a stack with one array pass.
     if not (eigvals[0] < 0.0 if eigvals.ndim == 1 else (eigvals[..., 0] < 0.0).any()):

@@ -202,10 +202,10 @@ def epoch_covariance(
     """
     Ad, Wd = dyn.step_pair(method.steps)
     if R is None:
-        L, P_next = None, Ad @ Phat @ Ad.T + Wd
+        L, P_next = None, clamp_psd(Ad @ Phat @ Ad.T + Wd, "Phat", ValueError)
     else:
         L, P_next = _gain_and_next_cov(Phat, Ad, Wd, dyn.model.C, R)
-    P_next = clamp_psd(P_next, "Phat", ValueError)
+        P_next = clamp_psd(P_next, "Phat", ValueError, symmetrized=True)
     P_next.setflags(write=False)
     return L, P_next
 

@@ -31,11 +31,11 @@ per run. Hits therefore come from repeated runs on one graph: the
 benchmark's tracking run, `run_loop` on one graph again and again; the other
 tracking variants and later blocks of an `mc-eval` sweep; a covariance path
 that repeats itself once it has converged. One `simulate` run gets only the
-last kind. The two loops differ only in how they schedule epochs: both write
-the means of an epoch's sensor steps into a preallocated array with
-`_record` and build their traces with `_trace`. The loops record no
-covariance at the sensor steps: `TrackingTrace.grid` derives tr P, the
-method and the measured flag there from the epochs' start beliefs.
+last kind. The two loops differ only in how they schedule epochs. Both keep
+only the means epochs start at, which the means up to the next epoch are
+pure predictions of: after the loop, `_traces` gives every interior sensor
+step's mean from one gathered product per run or stack. No covariance is
+kept there: `TrackingTrace.grid` derives tr P from the epochs' beliefs.
 """
 
 from __future__ import annotations
@@ -198,7 +198,8 @@ class EpochRecord:
 class TrackingTrace:
     """Loop output: per-epoch records plus the estimate means on the sensor grid.
 
-    `grid` derives tr P, the method and the measured flag there from the epochs.
+    `grid_xhat` is filled after the last epoch, by `_traces`; `grid` derives
+    tr P, the method and the measured flag there from the epochs.
     """
 
     dt_s: float
@@ -261,41 +262,33 @@ def _checked_policy(policy, graph: CovarianceGraph, methods) -> np.ndarray:
     return policy
 
 
-def _record(xhat: np.ndarray, rows, t: int, steps: int, X: np.ndarray,
-            dyn: DiscretizedDynamics) -> None:
-    """Write the means of an epoch's sensor steps t..t+steps-1 into `rows` of `xhat`.
+def _traces(dyn: DiscretizedDynamics, xhat: np.ndarray, begun: np.ndarray, t_next: np.ndarray,
+            epochs: list, finals: list) -> list:
+    """The TrackingTraces of a stack of runs from the means their epochs started at.
 
-    Steps past the grid's end are left out. `X` holds the rows' start means.
-    Interior means come from one stacked product over the step tables, the
-    mean half of `predict`.
+    `xhat (runs, horizon_steps + 1, n)` holds those means at the steps
+    `begun` marks; run i's next epoch would start at `t_next[i]`. Step s of
+    an epoch started at t < s gets Ad(s - t) x_t, the mean half of `predict`,
+    from one product gathered over every run and step. A run whose source ran
+    out at an epoch start ends there; one whose last epoch ends on the
+    horizon takes its final belief's mean (`finals`) at the endpoint.
     """
-    count = min(steps, xhat.shape[-2] - t)
-    xhat[rows, t] = X
-    if count > 1:
-        Ad = dyn.step_pair(slice(1, count))[0]
-        xhat[rows, t + 1:t + count] = (Ad @ X[..., None, :, None])[..., 0]
-
-
-def _trace(dyn: DiscretizedDynamics, horizon_steps: int, xhat: np.ndarray, t_next: int,
-           epochs: list, final: BeliefState) -> TrackingTrace:
-    """The TrackingTrace of a run's grid means `xhat`, whose next epoch would start at `t_next`.
-
-    A run whose source ran out at an epoch start has that start as `t_next`,
-    and its trace ends there. A final epoch ending exactly on the horizon
-    leaves the endpoint unrecorded (an epoch records its steps
-    0..steps-1); the final belief's mean sits there.
-    """
-    if t_next == horizon_steps:
-        xhat[t_next] = final.xhat
-    end = t_next if t_next < horizon_steps else horizon_steps + 1
-    return TrackingTrace(
-        dt_s=dyn.dt_s,
-        horizon_steps=horizon_steps,
-        epochs=epochs,
-        final_belief=final,
-        grid_steps=np.arange(end, dtype=np.int64),
-        grid_xhat=xhat[:end],
-    )
+    horizon_steps = xhat.shape[1] - 1
+    steps = np.arange(horizon_steps + 1)
+    inside = ~begun & (steps < t_next[:, None])
+    if inside.any():
+        origin = np.maximum.accumulate(np.where(begun, steps, 0), axis=1)
+        r, s = np.nonzero(inside)
+        t = origin[r, s]
+        xhat[r, s] = (dyn.step_pair(s - t)[0] @ xhat[r, t][..., None])[..., 0]
+    traces = []
+    for x, end, run_epochs, final in zip(xhat, t_next.tolist(), epochs, finals):
+        if end == horizon_steps:
+            x[end] = final.xhat
+        end = end if end < horizon_steps else horizon_steps + 1
+        traces.append(TrackingTrace(dyn.dt_s, horizon_steps, run_epochs, final,
+                                    np.arange(end, dtype=np.int64), x[:end]))
+    return traces
 
 
 def run_loop(
@@ -328,7 +321,6 @@ def run_loop(
     belief = BeliefState(0.0, model.x0, model.P0)
     pid = int(policy[_remember(memo, belief.Phat.tobytes(),
                                lambda: quantize(belief.Phat, graph))])
-    xhat = np.empty((1, horizon_steps + 1, model.n_x))
     epochs: list[EpochRecord] = []
 
     k = 0
@@ -350,13 +342,17 @@ def run_loop(
         else:
             step = _remember(memo, (belief.Phat.tobytes(), method.id, measured),
                              lambda: _transition(belief.Phat, method, R, graph, dyn))
-        _record(xhat, 0, t_steps, method.steps, belief.xhat, dyn)
         belief = epoch_mean(belief, method, dyn, step.gain, step.Phat,
                             meas.z if measured else None)
         pid = int(policy[step.node])
         t_steps += method.steps
         k += 1
-    return _trace(dyn, horizon_steps, xhat[0], t_steps, epochs, belief)
+    xhat = np.empty((1, horizon_steps + 1, model.n_x))
+    begun = np.zeros(xhat.shape[:2], dtype=bool)
+    starts = [epoch.t_steps for epoch in epochs]
+    xhat[0, starts] = np.reshape([epoch.belief.xhat for epoch in epochs], (-1, model.n_x))
+    begun[0, starts] = True
+    return _traces(dyn, xhat, begun, np.array([t_steps]), [epochs], [belief])[0]
 
 
 def _push(ring, runs, k: np.ndarray, e: np.ndarray, length: int):
@@ -395,13 +391,14 @@ def run_lockstep(
     step the runs whose epoch starts there are split by the method they
     start, every group fixed before any is stepped, and each group takes one
     stacked call per kernel: the adaptive-R estimate, `epoch_covariance`,
-    `quantize` and the mean half. Without adaptation all runs share one
-    covariance path, so the stack reads the graph's epoch memo once per
-    epoch. Each stacked product is `run_loop`'s product for one run,
-    stacked, so every trace equals `run_loop`'s over the same path and
-    generator bit for bit, and a run whose kernels raise raises what
-    `run_loop` raises when stepped alone. A source that runs out ends the
-    runs it ran out for.
+    `quantize` and the mean half; the interior sensor steps' means come after
+    the last step, from one `_traces` product over the stack. Without
+    adaptation all runs share one covariance path, so the stack reads the
+    graph's epoch memo once per epoch. Each stacked product is `run_loop`'s
+    product for one run, stacked, so every trace equals `run_loop`'s over the
+    same path and generator bit for bit, and a run whose kernels raise raises
+    what `run_loop` raises when stepped alone. A source that runs out ends
+    the runs it ran out for.
     """
     policy = _checked_policy(policy, graph, methods)
     if window_length < 1:
@@ -424,6 +421,7 @@ def run_lockstep(
     rings = {m.id: (np.zeros((runs, window_length, model.n_z, model.n_z)),
                     np.full((runs, window_length), -window_length - 1)) for m in methods}
     xhat = np.empty((runs, horizon_steps + 1, model.n_x))
+    begun = np.zeros(xhat.shape[:2], dtype=bool)
     epochs: list[list] = [[] for _ in range(runs)]
 
     for t in range(horizon_steps):
@@ -474,7 +472,7 @@ def run_lockstep(
             for i, epoch, belief in zip(idx.tolist(), kg.tolist(),
                                         map(_trusted_belief, T[sel].tolist(), Xg, Pg)):
                 epochs[i].append(EpochRecord(epoch, t, method.id, measured, belief))
-            _record(xhat, sel, t, method.steps, Xg, dyn)
+            xhat[sel, t], begun[sel, t] = Xg, True
 
             X[sel], P[sel] = X_next, P_next
             T[sel] += method.latency(dyn.dt_s)
@@ -484,5 +482,5 @@ def run_lockstep(
 
     X.setflags(write=False)
     P.setflags(write=False)
-    return [_trace(dyn, horizon_steps, xhat[i], int(t_next[i]), epochs[i],
-                   _trusted_belief(float(T[i]), X[i], P[i])) for i in range(runs)]
+    return _traces(dyn, xhat, begun, t_next, epochs,
+                   list(map(_trusted_belief, T.tolist(), X, P)))

@@ -76,3 +76,29 @@ def test_two_pairs_give_no_verdict(shift):
     assert max(row["change_better_pairs"], row["change_worse_pairs"]) == 2
     assert not row["regressed"] and not row["rule_holds"]
     assert not row["resolved"]
+
+
+def test_detail_timings_get_medians_and_no_verdict():
+    # Each run carries run.py's `detail` block; the change halves every timing.
+    records = runs("m", [p - 2.0 for p in PARENT])
+    for record in records:
+        scale = 0.5 if record["side"] == "change" else 1.0
+        base = 0.010 + 0.001 * record["pair"]
+        record["detail"] = {"primary_ms_p50": 5.0 * scale, "secondary_ms_p50": base * scale,
+                            "secondary_ms_p90": 2 * base * scale, "cycles": 100}
+    summary = summarize(records, {"m": "lower"})
+    assert summary["m"]["gated"] and summary["m"]["rule_holds"]
+    assert sorted(name for name, row in summary.items() if not row["gated"]) == [
+        "primary_ms_p50", "secondary_ms_p50", "secondary_ms_p90"]
+    row = summary["secondary_ms_p50"]
+    assert row["parent_median"] == pytest.approx(0.0145)
+    assert row["change_median"] == pytest.approx(0.00725)
+    assert row["ratio"] == pytest.approx(0.5)
+    assert (row["pairs"], row["unit"]) == (10, "ms")
+    assert "rule_holds" not in row and "regressed" not in row
+    # Runs without the block (a CLI set) or missing one timing get no row for it.
+    del records[3]["detail"]["secondary_ms_p90"]
+    assert "secondary_ms_p90" not in summarize(records, {"m": "lower"})
+    for record in records:
+        del record["detail"]
+    assert list(summarize(records, {"m": "lower"})) == ["m"]

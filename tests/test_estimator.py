@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from latsched import (
     riccati_step,
     steady_state,
 )
-from latsched.estimator import _gain_and_next_cov
+from latsched.dynamics import clamp_psd
+from latsched.estimator import _gain_and_next_cov, epoch_covariance
 
 from conftest import random_spd, scalar_setup, switched_step
 
@@ -254,3 +256,73 @@ def test_riccati_stack_stays_psd_and_matches_members(bench, members, rank, log_s
         assert np.all(np.linalg.eigvalsh(stepped)[:, 0] > 0.0)
         for P, P_next in zip(stack, stepped):
             assert np.array_equal(P_next, riccati_step(P, method, dyn))
+
+
+def outcome(make):
+    """`make()`'s bytes, or the type and message of what it raised."""
+    try:
+        return make().tobytes()
+    except Exception as exc:  # noqa: BLE001 - a warning raised as an error included
+        return type(exc), str(exc)
+
+
+class TestCorrectedCovarianceSymmetrizedOnce:
+    """`epoch_covariance` clamps a corrected covariance without symmetrizing it
+    again: `_gain_and_next_cov` returns it symmetrized, and the old second
+    pass is the reference here."""
+
+    HALF = np.finfo(float).max / 2
+
+    @pytest.fixture(scope="class")
+    def unobserved(self):
+        # Only the position is measured, so the velocity variance v of P =
+        # diag(1, v) reaches the Joseph form unchanged: it doubles in the
+        # symmetrizing pass, which overflows to inf from just above HALF on.
+        model = ContinuousModel(A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2), W=np.eye(2),
+                                C=[[1.0, 0.0]], x0=np.zeros(2), P0=np.eye(2), dt_s=0.1)
+        method = PerceptionMethod(id=1, steps=1, R=np.eye(1), cpu=0.5, penalty=0.0)
+        return method, build_dynamics(model, [method])
+
+    @staticmethod
+    def twice(P, method, dyn):
+        """The corrected covariance clamped as before: symmetrized a second time."""
+        P_next = _gain_and_next_cov(P, *dyn.step_pair(method.steps), dyn.model.C, method.R)[1]
+        return clamp_psd(P_next, "Phat", ValueError)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_overflow_edge(self, unobserved, action):
+        # With warnings raised as errors, an overflow warning is raised; with
+        # warnings ignored, the entry turns inf and eigh meets it. Either way,
+        # for one member or a stack, the outcome is the old one.
+        method, dyn = unobserved
+        edge = [np.nextafter(self.HALF, 0.0), self.HALF, np.nextafter(self.HALF, np.inf),
+                9e307, 1e308, np.finfo(float).max]
+        stack = np.stack([np.diag([1.0, v]) for v in edge])
+        got, want = [], []
+        for P in list(stack) + [stack]:
+            with warnings.catch_warnings(), np.errstate(all="warn"):
+                warnings.simplefilter(action)
+                got.append(outcome(lambda: epoch_covariance(P, method, dyn, method.R)[1]))
+                want.append(outcome(lambda: self.twice(P, method, dyn)))
+        assert got == want
+        # As errors, every member raises: above the edge in the first pass,
+        # below it in the clamp, which rebuilds these near-singular members
+        # from their eigenvectors and symmetrizes the result.
+        assert [isinstance(g, tuple) for g in got] == [action == "error"] * 7
+        # The members straddle the edge of the first pass.
+        with np.errstate(all="ignore"):
+            P_next = _gain_and_next_cov(stack, *dyn.step_pair(1), dyn.model.C, method.R)[1]
+        assert np.isfinite(P_next[:2]).all()
+        assert np.isinf(P_next[2:, 1, 1]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9,
+                            max_size=9))
+    def test_a_second_pass_changes_no_bit(self, entries):
+        # Subnormal, signed-zero and overflowing entries included.
+        a = np.reshape(entries, (3, 3))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            once = 0.5 * (a + a.mT)
+            assert (outcome(lambda: clamp_psd(once, "P", ValueError, symmetrized=True))
+                    == outcome(lambda: clamp_psd(once, "P", ValueError)))

@@ -1,11 +1,11 @@
 """The lean controller epoch against per-point and per-node reference loops.
 
-`run_loop` records an epoch's interior sensor means from one stacked product
-over the step tables, `TrackingTrace.grid` derives tr P there from the
-epochs, `CovarianceGraph.nearest` scores large graphs with one
-product against cached operands, and `adaptive_R` sums its outer products
-from one stack. The loops below are the references; every output must equal
-theirs bit for bit.
+`run_loop` and `run_lockstep` fill the epochs' interior sensor means after
+their last epoch from one gathered product over the step tables,
+`TrackingTrace.grid` derives tr P there from the epochs,
+`CovarianceGraph.nearest` scores large graphs with one product against cached
+operands, and `adaptive_R` sums its outer products from one stack. The loops
+below are the references; every output must equal theirs bit for bit.
 """
 
 from pathlib import Path
@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latsched import (
     BeliefState,
@@ -398,29 +398,64 @@ def test_nearest_matches_scan(case, threshold, skip):
             assert d2[i] == exact[j[i]]
 
 
+def ladder_graph(n):
+    """Nodes c I on a geometric ladder of c, whose policy alternates two methods."""
+    scales = np.geomspace(1e-3, 1e4, 24)
+    return CovarianceGraph(reps=scales[:, None, None] * np.eye(n), succ=np.zeros((24, 1)),
+                           delta=0.0, b0=1.0, bound=1.0, policy=1 + np.arange(24) % 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 4),
-    steps=st.integers(2, 6),
+    steps=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    horizon=st.integers(1, 40),
+    path_steps=st.integers(1, 45),
+    drops=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)), max_size=2),
+    runs=st.integers(2, 3),
+    adaptive=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    rank=st.integers(0, 4),
-    noise=st.sampled_from([0.0, 1e-8, 0.5]),
 )
-def test_interior_points_match_predict(n, steps, seed, rank, noise):
+# The last epoch ends exactly on the horizon (3 + 9 + 3 + 9 steps).
+@example(n=2, steps=(3, 9), horizon=24, path_steps=45, drops=[], runs=2, adaptive=False, seed=0)
+# The paths run out at an epoch start before the horizon, after a dropped span.
+@example(n=3, steps=(4, 7), horizon=40, path_steps=20, drops=[(5, 6)], runs=3, adaptive=True,
+         seed=1)
+def test_interior_points_match_predict(n, steps, horizon, path_steps, drops, runs, adaptive,
+                                       seed):
+    # `_traces` writes every interior mean after the loop. A run and each run of
+    # a stack must still read predict's mean at every step, bit for bit. The
+    # stack's runs see paths of different scales, so adaptive runs take
+    # different methods and their epochs start at different steps.
     rng = np.random.default_rng(seed)
     model = ContinuousModel(
-        A=rng.uniform(-1.0, 1.0, (n, n)), B=np.eye(n), W=noise * np.eye(n), C=np.eye(n),
+        A=rng.uniform(-1.0, 1.0, (n, n)), B=np.eye(n), W=0.5 * np.eye(n), C=np.eye(n),
         x0=rng.standard_normal(n), P0=np.eye(n), dt_s=0.1,
     )
-    dyn = build_dynamics(model, [PerceptionMethod(id=1, steps=steps, R=np.eye(n), cpu=0.5,
-                                                  penalty=0.0)])
-    G = rng.standard_normal((n, min(rank, n)))
-    belief = BeliefState(0.0, rng.standard_normal(n), G @ G.T)
-    # The recorded means always equal predict's.
-    xhat = np.empty((1, steps, n))
-    horizon._record(xhat, 0, 0, steps, belief.xhat, dyn)
-    want = [predict(belief, j * dyn.dt_s, dyn).xhat for j in range(steps)]
-    assert np.array_equal(xhat[0], np.reshape(want, (-1, n)))
+    methods = [PerceptionMethod(id=i + 1, steps=s, R=(0.5 / (i + 1)) * np.eye(n), cpu=0.5,
+                                penalty=0.0) for i, s in enumerate(steps)]
+    dyn = build_dynamics(model, methods)
+    graph = ladder_graph(n)
+    paths = rng.standard_normal((runs, path_steps, n)) * np.array([1.0, 4.0, 0.25])[:runs,
+                                                                                  None, None]
+    seeds = np.random.SeedSequence(seed).spawn(runs)
+    occlusions = [(a * model.dt_s, (a + b) * model.dt_s) for a, b in drops]
+    horizon_s = horizon * model.dt_s
+
+    def one_path(run):
+        return GridMeasurementSource(model, paths[run], model.dt_s,
+                                     np.random.default_rng(seeds[run]), occlusions=occlusions)
+
+    stacked = GridMeasurementSource(model, paths, model.dt_s,
+                                    [np.random.default_rng(s) for s in seeds],
+                                    occlusions=occlusions)
+    kwargs = dict(use_adaptive=adaptive, window_length=3)
+    stack = run_lockstep(model, methods, graph, graph.policy, horizon_s, stacked, dyn, **kwargs)
+    one = run_loop(model, methods, graph, graph.policy, horizon_s, one_path(0), dyn, **kwargs)
+    for run, trace in [(0, one)] + list(enumerate(stack)):
+        reference = reference_run_loop(model, methods, graph, graph.policy, horizon_s,
+                                       one_path(run), dyn, **kwargs)
+        assert_same_run(trace, reference, methods, dyn)
 
 
 @settings(max_examples=60, deadline=None)

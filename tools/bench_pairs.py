@@ -18,8 +18,11 @@ the earlier BENCH_*.json files: the run records under "runs" (each with the
 `detail` block run.py prints, such as raw milliseconds), and under
 "summary" for the set, per metric, both sides' medians and quartiles, the
 ratio of the medians and the pairs the change won. A metric's direction is
-read from BENCHMARK.json. OUT is rewritten after every pair, so an
-interrupted call keeps the pairs it finished. For every metric the call
+read from BENCHMARK.json. The summary and the printout also give both
+sides' medians of the `detail` timings `primary_ms_p50`, `secondary_ms_p50`
+and `secondary_ms_p90`, in milliseconds and without a verdict, so a change
+in reference-loop units can be read in time too. OUT is rewritten after
+every pair, so an interrupted call keeps the pairs it finished. For every metric the call
 prints whether the claim rule holds: the change is better in at least 9 of
 10 pairs, and the medians differ, in its favour, by more than the parent's
 interquartile range. It also prints the mirror verdict: "worse" when the
@@ -57,6 +60,9 @@ from output_digest import RUNS, execute
 CHANGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Fewest pairs from which "9 of 10" can give a verdict.
 MIN_PAIRS = 10
+# Raw millisecond timings of a run's `detail` block, summarized by their
+# medians beside the gated metrics but given no verdict.
+DETAIL_MS = ("primary_ms_p50", "secondary_ms_p50", "secondary_ms_p90")
 
 
 def run_once(root: str, args, seed: int) -> dict:
@@ -102,15 +108,22 @@ def quartiles(values: list) -> tuple:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """Per metric: both sides' medians and quartiles and the pairs the change won."""
+    """Per metric: both sides' medians and quartiles and the pairs the change won.
+
+    Each of DETAIL_MS that every run's `detail` holds gets both sides'
+    medians and their ratio only, marked `gated` false.
+    """
     by_side = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
-    by_pair = {side: {r["pair"]: r["metrics"] for r in rs} for side, rs in by_side.items()}
+    by_pair = {side: {r["pair"]: r for r in rs} for side, rs in by_side.items()}
     pairs = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
     resolved = len(pairs) >= MIN_PAIRS
+
+    def values(side, block, name):
+        return [by_pair[side][p][block][name] for p in pairs]
+
     summary = {}
     for name in by_side["parent"][0]["metrics"] if pairs else ():
-        parent = [by_pair["parent"][p][name] for p in pairs]
-        change = [by_pair["change"][p][name] for p in pairs]
+        parent, change = values("parent", "metrics", name), values("change", "metrics", name)
         sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
         p_med, c_med = statistics.median(parent), statistics.median(change)
         (p_q1, p_q3), (c_q1, c_q3) = quartiles(parent), quartiles(change)
@@ -134,7 +147,16 @@ def summarize(runs: list, better: dict) -> dict:
                            and sign * (p_med - c_med) > p_q3 - p_q1),
             "regressed": (resolved and 10 * lost >= 9 * len(pairs)
                           and sign * (c_med - p_med) > p_q3 - p_q1),
+            "gated": True,
         }
+    for name in DETAIL_MS:
+        if not pairs or any(name not in r.get("detail", {}) for r in runs):
+            continue
+        p_med = statistics.median(values("parent", "detail", name))
+        c_med = statistics.median(values("change", "detail", name))
+        summary[name] = {"parent_median": p_med, "change_median": c_med,
+                         "ratio": c_med / p_med, "pairs": len(pairs), "unit": "ms",
+                         "gated": False}
     return summary
 
 
@@ -252,6 +274,10 @@ def main(argv=None) -> int:
 
     print(f"set {label}: {doc['sets'][label]}")
     for name, row in doc["summary"][label].items():
+        if not row["gated"]:
+            print(f"  {name}: parent {row['parent_median']:.6g} ms, change "
+                  f"{row['change_median']:.6g} ms, ratio {row['ratio']:.3g}; ungated")
+            continue
         if row["resolved"]:
             verdict = "rule " + ("holds" if row["rule_holds"] else "does not hold") + \
                 "; " + ("worse" if row["regressed"] else "not worse")
