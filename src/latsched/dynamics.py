@@ -140,7 +140,8 @@ def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None,
         first = low.flat[np.argmax(bad)]
         raise error(f"{name} has eigenvalue {first:.3e} below the PSD tolerance")
     clipped = (eigvecs * np.clip(eigvals, 0.0, None)[..., None, :]) @ eigvecs.mT
-    return np.where((low < 0.0)[..., None, None], 0.5 * (clipped + clipped.mT), sym)
+    # Halved before adding, so a finite member stays finite up to the largest float.
+    return np.where((low < 0.0)[..., None, None], 0.5 * clipped + 0.5 * clipped.mT, sym)
 
 
 def check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:

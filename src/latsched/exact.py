@@ -111,6 +111,16 @@ def schedule_cpu_load(schedule: Schedule, tf: float, methods, dyn: DiscretizedDy
     return busy / tf_steps
 
 
+def check_covering(schedule: Schedule, tf_steps: int, methods) -> None:
+    """Raise IncompleteScheduleError unless `schedule` minimally covers `tf_steps`."""
+    if not schedule.minimally_covers(tf_steps, methods):
+        covered = sum(methods[pid - 1].steps for pid in schedule)
+        raise IncompleteScheduleError(
+            f"schedule of {len(schedule)} epochs ({covered} steps) does not minimally "
+            f"cover {tf_steps} steps"
+        )
+
+
 def window_cost(state, step, cov, schedule: Schedule, tf: float, lam_alpha: float,
                 methods, dyn: DiscretizedDynamics) -> float:
     """Window cost of a minimal covering schedule walked from `state`.
@@ -120,12 +130,7 @@ def window_cost(state, step, cov, schedule: Schedule, tf: float, lam_alpha: floa
     covered.
     """
     tf_steps = window_steps(tf, dyn.dt_s)
-    if not schedule.minimally_covers(tf_steps, methods):
-        covered = sum(methods[pid - 1].steps for pid in schedule)
-        raise IncompleteScheduleError(
-            f"schedule of {len(schedule)} epochs ({covered} steps) does not minimally "
-            f"cover {tf_steps} steps"
-        )
+    check_covering(schedule, tf_steps, methods)
     covs, d_steps, penalties = [], [], []
     elapsed = 0
     for pid in schedule:

@@ -26,6 +26,12 @@ jobs > 1 a fork-based process pool gives each worker one contiguous range
 of runs, which it cuts the same way. A block that raises is re-run one run at
 a time, as blocks of one through `run_loop`, so a failing run's row records
 its own error and every other row is unchanged.
+
+A tracking block computes each value its rows hold once. Adaptive-R rows
+hold only MSEs, so its blocks compute no cost, CPU load or attention, and
+the MSEs of a block are one stacked reduction (`sim.block_mse`). A
+moving-horizon variant without adaptation computes the window metrics once
+per block (`sim.block_metrics`): its runs share one covariance path.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .exact import (
 )
 from .horizon import run_lockstep, run_loop
 from .qdp import attach_policy, policy_meta, qdp
-from .sim import GridMeasurementSource, grid_ratio, metrics, simulate_sde
+from .sim import GridMeasurementSource, block_metrics, block_mse, grid_ratio, simulate_sde
 
 
 def _build_graph(cfg: ScenarioConfig, dyn, count: int, seed):
@@ -143,25 +149,31 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
 
 
 def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, adaptive=None,
-            true_R=None) -> tuple[list, list]:
+            true_R=None, mse_only=False) -> tuple[list, list]:
     """A tracking run for each truth path of a stack `(runs, N, n_x)` on the sensor grid.
 
     `policy`, `adaptive` and `true_R` default to the graph's and cfg.sim's.
     One path runs `run_loop`. More are stepped together by `run_lockstep`,
     which equals it bit for bit but costs several warm one-run epochs a step.
+    Returns the traces and their `block_metrics`, or with `mse_only` their
+    `block_mse`. Without adaptation the runs share one covariance path and
+    schedule, so their cost, CPU load and attention are computed once.
     """
     dt = cfg.model.dt_s
+    adaptive = cfg.sim.adaptive if adaptive is None else adaptive
     rngs = [np.random.default_rng(seed) for seed in meas_seeds]
     single = len(rngs) == 1
     source = GridMeasurementSource(
         cfg.model, paths[0] if single else paths, dt, rngs[0] if single else rngs,
         occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R if true_R is None else true_R,
     )
-    args = (cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn,
-            cfg.sim.adaptive if adaptive is None else adaptive, cfg.sim.window)
+    args = (cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn, adaptive,
+            cfg.sim.window)
     traces = [run_loop(*args)] if single else run_lockstep(*args)
-    return traces, [metrics(trace, path, cfg.lam_alpha, cfg.methods, cfg.sim.horizon, dyn, dt)
-                    for trace, path in zip(traces, paths)]
+    if mse_only:
+        return traces, block_mse(traces, paths, cfg.methods, cfg.sim.horizon, dyn, dt)
+    return traces, block_metrics(traces, paths, cfg.lam_alpha, cfg.methods, cfg.sim.horizon,
+                                 dyn, dt, shared=not adaptive)
 
 
 def _truths(cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, list]:
@@ -215,8 +227,7 @@ def _rows_adaptive_R(ctx: dict, runs, seeds) -> list:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
     truth = _truths(cfg, seeds)
     adaptive, nominal = (
-        [m.mse for m in _tracks(cfg, dyn, graph, *truth, adaptive=a,
-                                true_R=ctx["true_R"])[1]]
+        _tracks(cfg, dyn, graph, *truth, adaptive=a, true_R=ctx["true_R"], mse_only=True)[1]
         for a in (True, False))
     return [{"run": run, "mse_adaptive": a, "mse_nominal": b, "improved": int(a < b)}
             for run, a, b in zip(runs, adaptive, nominal)]

@@ -11,6 +11,11 @@ The path is read only at sensor epochs: by the measurement source and by the
 MSE of `metrics`. The run's window cost reads no path: it is the exact
 integral of tr(P(t)) from each epoch's start belief, evaluated by
 `exact.window_cost` as the schedulers evaluate it.
+
+`simulate_sde` keeps its chunk tables in a bounded memo, so a sweep builds
+them once, not per path. A stacked `GridMeasurementSource` reads each run's
+generator ahead, once per block. `block_metrics` and `block_mse` give a
+block's metrics with its MSEs from one stacked reduction.
 """
 
 from __future__ import annotations
@@ -23,13 +28,17 @@ import numpy as np
 from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack
 from .errors import SourceExhausted
 from .estimator import Measurement
-from .exact import Schedule, window_cost, window_steps
+from .exact import Schedule, check_covering, window_cost, window_steps
 from .horizon import TrackingTrace
 
 # Normals drawn per super-block of Euler-Maruyama steps; bounds the temporaries.
 _BLOCK_NORMALS = 1 << 14
 # Entries of a chunk's kick table (L n_w, L n_x); sets the chunk length L.
 _CHUNK_TABLE_ENTRIES = 1 << 9
+# Chunk-table levels `simulate_sde` keeps, by (A, B, W, dt, L, depth); a full
+# memo is cleared. On the 4-state occlusion model a depth-5 entry is 40 KB.
+_TABLES: dict = {}
+_TABLE_ENTRIES = 16
 
 
 def sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -53,9 +62,9 @@ def simulate_sde(
     per-step loop reads them. The steps are evaluated in chunks by
     `_advance`, so the path equals that loop's up to round-off, not bit for
     bit. Normals are drawn in super-blocks of at most `_BLOCK_NORMALS`, which
-    bounds the temporaries. Returns (t, x) with t of length N+1 on the dt
-    grid and x of shape (N+1, n_x). The initial state is drawn from the
-    model's initial belief.
+    bounds the temporaries. The chunk tables come from the `_TABLES` memo.
+    Returns (t, x) with t of length N+1 on the dt grid and x of shape
+    (N+1, n_x). The initial state is drawn from the model's initial belief.
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
@@ -65,10 +74,10 @@ def simulate_sde(
     x = np.empty((n_steps + 1, n))
     x[0] = model.x0 + rng.standard_normal((1, n)) @ sqrt_psd(model.P0).T
     L, block = _chunking(n, n_w)
-    levels = [_chunk_tables(np.eye(n) + model.A * dt,
-                            (model.B @ sqrt_psd(model.W)) * np.sqrt(dt), L)]
-    while L ** len(levels) < min(block, n_steps):
-        levels.append(_chunk_tables(levels[-1][2], np.eye(n), L))
+    depth = 1
+    while L ** depth < min(block, n_steps):
+        depth += 1
+    levels = _levels(model, dt, L, depth)
     for first in range(1, n_steps + 1, block):
         count = min(block, n_steps + 1 - first)
         x[first:first + count] = _advance(x[first - 1], rng.standard_normal((count, n_w)),
@@ -80,6 +89,25 @@ def _chunking(n: int, n_w: int) -> tuple[int, int]:
     """(chunk length L, steps per super-block) of `simulate_sde`."""
     block = max(1, _BLOCK_NORMALS // max(1, n_w))
     return min(block, max(2, isqrt(_CHUNK_TABLE_ENTRIES // (n * n_w)))), block
+
+
+def _levels(model: ContinuousModel, dt: float, L: int, depth: int) -> list:
+    """`_advance`'s `depth` levels of read-only chunk tables, from the `_TABLES` memo."""
+    key = (model.A.tobytes(), model.B.tobytes(), model.W.tobytes(), model.B.shape, float(dt),
+           L, depth)
+    levels = _TABLES.get(key)
+    if levels is None:
+        n = model.n_x
+        levels = [_chunk_tables(np.eye(n) + model.A * dt,
+                                (model.B @ sqrt_psd(model.W)) * np.sqrt(dt), L)]
+        while len(levels) < depth:
+            levels.append(_chunk_tables(levels[-1][2], np.eye(n), L))
+        for table in (t for level in levels for t in level):
+            table.setflags(write=False)
+        if len(_TABLES) >= _TABLE_ENTRIES:
+            _TABLES.clear()
+        _TABLES[key] = levels
+    return levels
 
 
 def _chunk_tables(F: np.ndarray, M: np.ndarray, L: int):
@@ -139,8 +167,13 @@ class GridMeasurementSource:
 
     `path` is one path `(N, n_x)` with one generator `rng`, read by calling
     the source, or a stack `(runs, N, n_x)` with a list of generators, one per
-    run, read by `draw`. Each run draws from its own generator in its own
-    epoch order, so its measurements are those of a one-path source.
+    run, read by `draw`. A stacked source reads each run's generator ahead,
+    once: `standard_normal((sensor steps, n_z))`, the rows that per-epoch
+    draws of n_z normals would give in turn, of which each measurement takes
+    the run's next one. It forms C x at every sensor step once, and each
+    method's noise root times every row on the method's first draw. So each
+    run's measurements are those of a one-path source over its path and
+    generator, bit for bit, and a dropped epoch takes no row.
     """
 
     def __init__(
@@ -160,6 +193,13 @@ class GridMeasurementSource:
         self.occlusions = [(float(a), float(b)) for a, b in occlusions]
         self.true_R = dict(true_R or {})
         self._roots: dict = {}
+        if self.path.ndim == 3:
+            sensor = self.path[:, ::self.ratio]
+            self._Cx = (model.C @ np.ascontiguousarray(sensor)[..., None])[..., 0]
+            self._normals = np.array([g.standard_normal((sensor.shape[1], model.n_z))
+                                      for g in rng])
+            self._taken = np.zeros(len(rng), dtype=np.int64)
+            self._noise: dict = {}
 
     def _occluded(self, t: float) -> bool:
         return any(a <= t < b for a, b in self.occlusions)
@@ -192,16 +232,17 @@ class GridMeasurementSource:
 
         Row i is what a one-path source over path runs[i] with generator
         rng[runs[i]] returns as its z, bit for bit: the products are the same
-        matrix-vector products, stacked.
+        matrix-vector products, stacked, and the normals the same rows.
         """
-        idx = self._index(t_steps)
-        if idx is None:
+        if self._index(t_steps) is None:
             return None
-        root = self._root(method)
-        noise = np.empty((len(runs), root.shape[0]))
-        for row, run in zip(noise, runs.tolist()):
-            self.rng[run].standard_normal(out=row)
-        return (self.model.C @ self.path[runs, idx, :, None] + root @ noise[..., None])[..., 0]
+        noise = self._noise.get(method.id)
+        if noise is None:
+            noise = self._noise[method.id] = \
+                (self._root(method) @ self._normals[..., None])[..., 0]
+        rows = self._taken[runs]
+        self._taken[runs] = rows + 1
+        return self._Cx[runs, t_steps] + noise[runs, rows]
 
 
 @dataclass
@@ -212,6 +253,11 @@ class RunMetrics:
     attention: int
     cpu_load: float
     mse: float
+
+
+def _schedule(trace: TrackingTrace, tf_steps: int) -> Schedule:
+    """The methods of the trace's epochs that start inside the window."""
+    return Schedule(e.method_id for e in trace.epochs if e.t_steps < tf_steps)
 
 
 def empirical_cost(
@@ -228,10 +274,36 @@ def empirical_cost(
     form and cuts a last epoch at the window edge. A trace that does not cover
     the window raises IncompleteScheduleError.
     """
-    tf_steps = window_steps(tf, dyn.dt_s)
-    schedule = Schedule(e.method_id for e in trace.epochs if e.t_steps < tf_steps)
     return window_cost(0, lambda i, method: i + 1, lambda i: trace.epochs[i].belief.Phat,
-                       schedule, tf, lam_alpha, methods, dyn)
+                       _schedule(trace, window_steps(tf, dyn.dt_s)), tf, lam_alpha, methods,
+                       dyn)
+
+
+def _window_metrics(trace: TrackingTrace, lam_alpha: float, methods, tf: float,
+                    dyn: DiscretizedDynamics) -> tuple:
+    """Cost, attention and CPU load of `metrics`: they read the epochs, not the path."""
+    # A trace that does not cover the window, an empty one included, fails here.
+    j_empirical = empirical_cost(trace, lam_alpha, methods, tf, dyn)
+    tf_steps = window_steps(tf, dyn.dt_s)
+    attention = 0
+    busy = 0.0
+    for epoch in trace.epochs:
+        if epoch.t_steps >= tf_steps:
+            break
+        method = methods[epoch.method_id - 1]
+        end = epoch.t_steps + method.steps
+        if epoch.measured and end <= tf_steps:
+            attention += 1
+        busy += method.cpu * (min(end, tf_steps) - epoch.t_steps) * dyn.dt_s
+    return j_empirical, attention, busy / tf
+
+
+def _grid_index(trace: TrackingTrace, points: int, ratio: int) -> np.ndarray:
+    """Path indices of the trace's grid points; a ValueError past a path of `points`."""
+    idx = trace.grid_steps * ratio
+    if points <= idx[-1]:
+        raise ValueError(f"truth path has {points} points; the trace reads {idx[-1] + 1}")
+    return idx
 
 
 def metrics(
@@ -252,31 +324,52 @@ def metrics(
     window; the CPU load truncates the final epoch at the window edge; the MSE
     averages squared estimate error over the sensor-grid points of the trace.
     """
-    # A trace that does not cover the window, an empty one included, fails here.
-    j_empirical = empirical_cost(trace, lam_alpha, methods, tf, dyn)
+    j_empirical, attention, cpu_load = _window_metrics(trace, lam_alpha, methods, tf, dyn)
+    err = trace.grid_xhat - truth[_grid_index(trace, truth.shape[0], grid_ratio(dyn.dt_s, dt))]
+    return RunMetrics(j_empirical, attention, cpu_load, float(np.mean(np.sum(err * err, axis=1))))
+
+
+def block_metrics(traces: list, truths: np.ndarray, lam_alpha: float, methods, tf: float,
+                  dyn: DiscretizedDynamics, dt: float, shared: bool = False) -> list:
+    """`metrics` of each trace against its path in the stack `truths (runs, N, n_x)`.
+
+    With `shared`, the traces share one schedule and covariance path, as
+    `run_lockstep`'s do without adaptation, so the cost, attention and CPU
+    load are computed once, from the first trace. A trace that fails raises
+    what `metrics` raises for it alone.
+    """
+    windows = [_window_metrics(trace, lam_alpha, methods, tf, dyn)
+               for trace in (traces[:1] if shared else traces)]
+    return [RunMetrics(*window, mse) for window, mse in
+            zip(windows * len(traces) if shared else windows, _block_mse(traces, truths, dyn, dt))]
+
+
+def block_mse(traces: list, truths: np.ndarray, methods, tf: float,
+              dyn: DiscretizedDynamics, dt: float) -> list:
+    """`metrics(...).mse` of each trace against its path in the stack `truths`.
+
+    No cost, attention or CPU load is computed, but each trace must cover
+    the window, as `metrics` requires, so a trace that fails raises what
+    `metrics` raises for it alone.
+    """
     tf_steps = window_steps(tf, dyn.dt_s)
-    attention = 0
-    busy = 0.0
-    for epoch in trace.epochs:
-        if epoch.t_steps >= tf_steps:
-            break
-        method = methods[epoch.method_id - 1]
-        end = epoch.t_steps + method.steps
-        if epoch.measured and end <= tf_steps:
-            attention += 1
-        busy += method.cpu * (min(end, tf_steps) - epoch.t_steps) * dyn.dt_s
-    cpu_load = busy / tf
+    for trace in traces:
+        check_covering(_schedule(trace, tf_steps), tf_steps, methods)
+    return _block_mse(traces, truths, dyn, dt)
 
-    idx = trace.grid_steps * grid_ratio(dyn.dt_s, dt)
-    if truth.shape[0] <= idx[-1]:
-        raise ValueError(f"truth path has {truth.shape[0]} points; the trace reads "
-                         f"{idx[-1] + 1}")
-    err = trace.grid_xhat - truth[idx]
-    mse = float(np.mean(np.sum(err * err, axis=1)))
 
-    return RunMetrics(
-        j_empirical=j_empirical,
-        attention=attention,
-        cpu_load=cpu_load,
-        mse=mse,
-    )
+def _block_mse(traces: list, truths: np.ndarray, dyn: DiscretizedDynamics, dt: float) -> list:
+    """The MSEs of `metrics`, bit for bit, from one stacked reduction.
+
+    The sums run along the state and grid axes of a contiguous stack, which
+    numpy sums as it sums one run's: pairwise, in blocks of 8. Traces of
+    different lengths do not stack and are reduced one at a time.
+    """
+    ratio = grid_ratio(dyn.dt_s, dt)
+    idx = [_grid_index(trace, truths.shape[1], ratio) for trace in traces]
+    if len({i.size for i in idx}) > 1:
+        return [mse for k in range(len(traces))
+                for mse in _block_mse(traces[k:k + 1], truths[k:k + 1], dyn, dt)]
+    err = (np.stack([trace.grid_xhat for trace in traces])
+           - truths[np.arange(len(traces))[:, None], np.stack(idx)])
+    return np.mean(np.sum(err * err, axis=2), axis=1).tolist()

@@ -102,3 +102,23 @@ def test_detail_timings_get_medians_and_no_verdict():
     for record in records:
         del record["detail"]
     assert list(summarize(records, {"m": "lower"})) == ["m"]
+
+
+@pytest.mark.parametrize("pairs", [10, 4])
+def test_sweep_timings_get_verdicts_but_no_gate(pairs):
+    # A sweep set's metric is not in BENCHMARK.json: it is read as
+    # lower-is-better, marked ungated, and judged by the same rules.
+    name = "sweep_ms.adaptive-R"
+    faster = [0.7 * p for p in PARENT[:pairs]]
+    directions = {"primary_ref_p50": "lower"}
+    row = summarize(runs(name, faster, PARENT[:pairs]), directions)[name]
+    assert not row["gated"] and row["better"] == "lower"
+    assert row["ratio"] == pytest.approx(0.7)
+    assert row["resolved"] == (pairs >= 10)
+    assert row["rule_holds"] == (pairs >= 10) and not row["regressed"]
+    slower = summarize(runs(name, [1.3 * p for p in PARENT[:pairs]], PARENT[:pairs]),
+                       directions)[name]
+    assert slower["regressed"] == (pairs >= 10) and not slower["rule_holds"]
+    # A gated metric keeps its gate beside it.
+    assert summarize(runs("primary_ref_p50", faster, PARENT[:pairs]),
+                     directions)["primary_ref_p50"]["gated"]

@@ -8,6 +8,7 @@ The references here are built run by run from `simulate_sde`,
 
 import json
 import math
+import re
 from pathlib import Path
 from unittest.mock import patch
 
@@ -21,6 +22,7 @@ from latsched import (
     GridMeasurementSource,
     InnovationWindow,
     PerceptionMethod,
+    SourceExhausted,
     adaptive_R,
     attach_policy,
     build_dynamics,
@@ -35,8 +37,8 @@ from latsched import (
 from latsched import cli, covgraph, experiments, horizon
 from latsched.config import load_scenario, parse_scenario
 from latsched.exact import window_steps
-from latsched.horizon import run_lockstep
-from latsched.sim import grid_ratio
+from latsched.horizon import EpochRecord, TrackingTrace, run_lockstep
+from latsched.sim import block_metrics, block_mse, grid_ratio
 from test_epoch_memo import assert_same_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -68,10 +70,13 @@ def graph_for(cfg, dyn):
     return _GRAPHS[key]
 
 
-def per_run_rows(cfg, runs, seed, corrupt=None):
-    """The sweep's rows built run by run; `corrupt(run, path)` edits a truth path."""
+def per_run_rows(cfg, runs, seed, corrupt=None, graph=None):
+    """The sweep's rows built run by run; `corrupt(run, path)` edits a truth path.
+
+    `graph` defaults to `graph_for`'s.
+    """
     dyn = build_dynamics(cfg.model, cfg.methods)
-    graph = graph_for(cfg, dyn)
+    graph = graph_for(cfg, dyn) if graph is None else graph
     entropy = np.random.SeedSequence(seed).entropy
     true_R = cfg.sim.true_R
     if cfg.experiment.name == "adaptive-R":
@@ -379,3 +384,144 @@ def test_stacked_quantize_is_nearest_member_by_member(monkeypatch, threshold):
     points = np.concatenate([sample_region(2, 2.5, 300, rng), reps[:30], reps[:30] + 1e-17])
     got = quantize(points, graph)
     assert got.tolist() == [graph.nearest(P)[0] for P in points]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    runs=st.integers(1, 7),
+    ratio=st.sampled_from([1, 3]),
+    path_points=st.integers(1, 40),
+    occlusions=st.lists(st.tuples(st.integers(0, 14), st.integers(1, 6)), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_draws_equal_one_path_sources(runs, ratio, path_points, occlusions, seed):
+    # At each sensor step some runs draw, split over two methods whose true
+    # noise roots differ, and the rest skip it; dropped steps and steps past
+    # the end of the paths included. Every row must be what the run's own
+    # one-path source returns, bit for bit, and both must run out together.
+    model = ContinuousModel(
+        A=np.eye(3, k=1), B=np.eye(3), W=np.eye(3), C=[[1.0, 0.0, 2.0], [0.0, -1.5, 0.5]],
+        x0=np.zeros(3), P0=np.eye(3), dt_s=0.1,
+    )
+    methods = [PerceptionMethod(id=1, steps=1, R=np.eye(2), cpu=0.5, penalty=0.0),
+               PerceptionMethod(id=2, steps=2, R=0.1 * np.eye(2), cpu=0.5, penalty=0.0)]
+    true_R = {2: np.array([[0.3, 0.1], [0.1, 0.2]])}
+    rng = np.random.default_rng(seed)
+    paths = rng.standard_normal((runs, path_points, 3)) * 10.0 ** rng.uniform(-2, 2, (runs, 1, 3))
+    seeds = np.random.SeedSequence(seed).spawn(runs)
+    dt = model.dt_s / ratio
+    occlusions = [(a * model.dt_s, (a + b) * model.dt_s) for a, b in occlusions]
+    stacked = GridMeasurementSource(model, paths, dt, [np.random.default_rng(s) for s in seeds],
+                                    occlusions=occlusions, true_R=true_R)
+    ones = [GridMeasurementSource(model, path, dt, np.random.default_rng(s),
+                                  occlusions=occlusions, true_R=true_R)
+            for path, s in zip(paths, seeds)]
+    sensor_steps = -(-path_points // ratio)
+    drawn = 0
+    for t in range(sensor_steps + 2):
+        taking = rng.random(runs) < 0.8
+        pick = rng.integers(1, 3, size=runs)
+        for method in methods:
+            idx = np.flatnonzero(taking & (pick == method.id))
+            if not idx.size:
+                continue
+            if t >= sensor_steps:
+                with pytest.raises(SourceExhausted):
+                    stacked.draw(idx, t, method)
+                for run in idx:
+                    with pytest.raises(SourceExhausted):
+                        ones[run](t, t, method)
+                continue
+            z = stacked.draw(idx, t, method)
+            want = [ones[run](t, t, method) for run in idx]
+            if z is None:
+                assert want == [None] * idx.size
+                continue
+            assert z.shape == (idx.size, 2)
+            for row, meas in zip(z, want):
+                assert row.tobytes() == meas.z.tobytes()
+            drawn += idx.size
+    assert drawn <= runs * sensor_steps
+
+
+def synthetic_trace(rng, points: int, n_x: int) -> TrackingTrace:
+    """A trace of `points` grid means whose three one-step epochs cover 0.3 s."""
+    epochs = [EpochRecord(k, k, 1, k != 1, BeliefState(0.1 * k, np.zeros(n_x),
+                                                       (1.0 + k) * np.eye(n_x)))
+              for k in range(3)]
+    xhat = rng.standard_normal((points, n_x)) * 10.0 ** rng.uniform(-3, 3, (points, n_x))
+    return TrackingTrace(0.1, 3, epochs, epochs[-1].belief, np.arange(points), xhat)
+
+
+def one_step_model(n_x):
+    model = ContinuousModel(A=np.zeros((n_x, n_x)), B=np.eye(n_x), W=np.eye(n_x),
+                            C=np.eye(n_x), x0=np.zeros(n_x), P0=np.eye(n_x), dt_s=0.1)
+    methods = [PerceptionMethod(id=1, steps=1, R=np.eye(n_x), cpu=0.5, penalty=0.1)]
+    return methods, build_dynamics(model, methods)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    runs=st.integers(1, 9),
+    points=st.integers(1, 400),
+    n_x=st.integers(1, 4),
+    ratio=st.sampled_from([1, 2]),
+    ragged=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(runs=9, points=129, n_x=3, ratio=1, ragged=False, seed=0)
+def test_block_metrics_equal_each_runs_metrics(runs, points, n_x, ratio, ragged, seed):
+    # np.add.reduce sums a contiguous axis pairwise, in blocks of 8, and
+    # rounds otherwise, so the block's reductions must run along the axes a
+    # run's own do: lengths on both sides of 8 and 128, bit for bit. Traces
+    # of different lengths are reduced one at a time.
+    rng = np.random.default_rng(seed)
+    methods, dyn = one_step_model(n_x)
+    lengths = rng.integers(1, points + 1, size=runs) if ragged else [points] * runs
+    traces = [synthetic_trace(rng, length, n_x) for length in lengths]
+    truths = rng.standard_normal((runs, (points - 1) * ratio + 1 + int(rng.integers(0, 3)), n_x))
+    dt = dyn.dt_s / ratio
+    want = [metrics(trace, truth, 0.5, methods, 0.3, dyn, dt)
+            for trace, truth in zip(traces, truths)]
+    got = block_metrics(traces, truths, 0.5, methods, 0.3, dyn, dt)
+    mses = block_mse(traces, truths, methods, 0.3, dyn, dt)
+    for a, b, mse in zip(got, want, mses):
+        assert np.float64(a.mse).tobytes() == np.float64(b.mse).tobytes()
+        assert np.float64(mse).tobytes() == np.float64(b.mse).tobytes()
+        assert (a.j_empirical, a.attention, a.cpu_load) == (b.j_empirical, b.attention,
+                                                            b.cpu_load)
+
+
+def test_block_errors_are_each_runs_own():
+    # A trace that does not cover the window and a path that ends before the
+    # trace's last point fail with the class and message `metrics` gives.
+    rng = np.random.default_rng(2)
+    methods, dyn = one_step_model(2)
+    trace = synthetic_trace(rng, 5, 2)
+    for tf, truth in ((0.5, rng.standard_normal((5, 2))), (0.3, rng.standard_normal((4, 2)))):
+        with pytest.raises(Exception) as want:
+            metrics(trace, truth, 0.5, methods, tf, dyn, dyn.dt_s)
+        for block in (lambda: block_metrics([trace], truth[None], 0.5, methods, tf, dyn,
+                                            dyn.dt_s),
+                      lambda: block_mse([trace], truth[None], methods, tf, dyn, dyn.dt_s)):
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                block()
+
+
+@pytest.fixture(scope="module")
+def occlusion_context():
+    return experiments._prepare_tracking(load_scenario(CONFIGS / "occlusion_run.json"))
+
+
+@pytest.mark.parametrize("runs", [1, 2, 7])
+def test_moving_horizon_block_equals_each_runs_metrics(occlusion_context, runs):
+    # The shipped occlusion run's three variants run without adaptation, so
+    # a block computes their cost, CPU load and attention once, from its
+    # first run; every run's own metrics must equal them, bit for bit.
+    cfg = occlusion_context["cfg"]
+    assert not cfg.sim.adaptive and cfg.sim.occlusions
+    entropy = np.random.SeedSequence(11).entropy
+    seeds = [np.random.SeedSequence(entropy, spawn_key=(run,)) for run in range(runs)]
+    with patch.object(experiments, "run_loop", fallback_refused if runs > 1 else run_loop):
+        got = experiments._rows_moving_horizon(occlusion_context, list(range(runs)), seeds)
+    same_rows(got, per_run_rows(cfg, runs, 11, graph=occlusion_context["graph"]))

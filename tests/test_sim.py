@@ -16,10 +16,10 @@ from latsched import (
     simulate_sde,
     static_schedule,
 )
-from latsched import ContinuousModel, PerceptionMethod
-from latsched.sim import empirical_cost, grid_ratio, sqrt_psd
+from latsched import ContinuousModel, PerceptionMethod, sim
+from latsched.sim import _chunking, empirical_cost, grid_ratio, sqrt_psd
 
-from conftest import per_step_ensemble
+from conftest import benchmark_model, per_step_ensemble
 
 
 class TestSimulateSde:
@@ -73,6 +73,33 @@ class TestSimulateSde:
             simulate_sde(model, 0.55, 0.1, seed=0)  # horizon not on grid
         with pytest.raises(ValueError):
             grid_ratio(model.dt_s, 1e-3)  # 1/30 not a multiple of 1e-3
+
+    @pytest.mark.parametrize("bound", [2, sim._TABLE_ENTRIES])
+    def test_table_memo_keys_every_input(self, monkeypatch, bound):
+        # Two models that differ only in W, one model at two grid steps, and
+        # horizons below and above one super-block, interleaved: each call
+        # returns the bytes a cleared memo gives, and the memo keeps within
+        # its bound (at 2 entries it is cleared along the way).
+        monkeypatch.setattr(sim, "_TABLE_ENTRIES", bound)
+        monkeypatch.setattr(sim, "_TABLES", {})
+        model, other = benchmark_model(), benchmark_model(W=np.diag([0.5, 2.0]))
+        block = _chunking(model.n_x, model.n_w)[1]
+        calls = [(model, 0.5, 1e-3), (other, 0.5, 1e-3), (model, 0.5, 2e-3),
+                 (model, (block + 5) * 1e-3, 1e-3), (other, 0.5, 2e-3),
+                 (other, (block + 5) * 1e-3, 1e-3)]
+        for seed, (m, horizon_s, dt) in enumerate(calls + calls[::-1]):
+            got = simulate_sde(m, horizon_s, dt, seed)
+            assert 0 < len(sim._TABLES) <= bound
+            kept = dict(sim._TABLES)
+            sim._TABLES.clear()
+            want = simulate_sde(m, horizon_s, dt, seed)
+            sim._TABLES.clear()
+            sim._TABLES.update(kept)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        if bound >= 6:
+            # Two models at two steps, and a second depth at 1e-3 for each.
+            assert len(sim._TABLES) == 6
 
 
 class TestSynthMeasurement:

@@ -5,6 +5,8 @@ Usage, from any directory:
     python tools/bench_pairs.py --parent PARENT --workload schedule-query \\
         --pairs 10 --seconds 25 --seed 1 --out BENCH_20.json [--seed2 7] [--trace 1]
     python tools/bench_pairs.py --parent PARENT --cli --pairs 5 --out BENCH_22.json
+    python tools/bench_pairs.py --parent PARENT --sweep configs/noise_mismatch.json \\
+        --runs 200 --pairs 10 --out BENCH_27.json
 
 PARENT is a checkout of the commit to compare against (for example made with
 `git clone` or `git archive`); the change side is the checkout this file is
@@ -42,6 +44,15 @@ sides must exit alike. Each side writes into its own temporary directory,
 where its `--graph` runs read its own `build-graph` output. Before the first
 pair each side imports `latsched.cli` once, untimed, so both run from
 compiled bytecode.
+
+With `--sweep CONFIG --runs N`, a pair times Monte-Carlo sweeps in-process:
+one child process per checkout, the parent first in even pairs, each loading
+CONFIG (the same file for both sides), running one untimed warm-up sweep and
+then timing `monte_carlo(cfg, runs=N, seed=SEED+i, jobs=1)`, with
+single-threaded BLAS as perfbench fixes it. A run's metric
+is `sweep_ms.<experiment>`, the timed sweep's milliseconds. It is not a
+BENCHMARK.json metric, so its summary row is marked `gated` false, but it
+gets both verdicts under the same rules, from at least 10 pairs.
 """
 
 import argparse
@@ -79,6 +90,35 @@ def run_once(root: str, args, seed: int) -> dict:
     return {"head": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+# One timed sweep in a child process: argv is CONFIG RUNS SEED.
+SWEEP_SCRIPT = """
+import json, sys, time
+from latsched import monte_carlo
+from latsched.config import load_scenario
+cfg = load_scenario(sys.argv[1])
+runs, seed = int(sys.argv[2]), int(sys.argv[3])
+monte_carlo(cfg, runs=runs, seed=seed, jobs=1)
+start = time.perf_counter()
+rows = monte_carlo(cfg, runs=runs, seed=seed, jobs=1)
+ms = 1e3 * (time.perf_counter() - start)
+print(json.dumps({"experiment": cfg.experiment.name, "ms": ms,
+                  "failed": sum("error" in row for row in rows)}))
+"""
+
+
+def time_sweep(root: str, config: str, runs: int, seed: int) -> dict:
+    """One sweep process in `root`: its experiment, timed milliseconds and failed rows."""
+    # Single-threaded BLAS, as perfbench/run.py fixes it.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, config, str(runs), str(seed)],
+                          cwd=root, env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"{root}: sweep of {config} exited {done.returncode}:\n"
+                           f"{done.stderr.strip()}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def time_cli(roots: dict, order: tuple, workdirs: dict) -> dict:
     """One CLI pair: every digest run in both checkouts; per side, wall seconds by metric."""
     walls = {side: {} for side in order}
@@ -110,8 +150,10 @@ def quartiles(values: list) -> tuple:
 def summarize(runs: list, better: dict) -> dict:
     """Per metric: both sides' medians and quartiles and the pairs the change won.
 
-    Each of DETAIL_MS that every run's `detail` holds gets both sides'
-    medians and their ratio only, marked `gated` false.
+    A metric outside `better` (a sweep's `sweep_ms.*`) is marked `gated`
+    false and read as lower-is-better. Each of DETAIL_MS that every run's
+    `detail` holds gets both sides' medians and their ratio only, marked
+    `gated` false.
     """
     by_side = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     by_pair = {side: {r["pair"]: r for r in rs} for side, rs in by_side.items()}
@@ -147,7 +189,7 @@ def summarize(runs: list, better: dict) -> dict:
                            and sign * (p_med - c_med) > p_q3 - p_q1),
             "regressed": (resolved and 10 * lost >= 9 * len(pairs)
                           and sign * (c_med - p_med) > p_q3 - p_q1),
-            "gated": True,
+            "gated": name in better,
         }
     for name in DETAIL_MS:
         if not pairs or any(name not in r.get("detail", {}) for r in runs):
@@ -183,6 +225,9 @@ def main(argv=None) -> int:
     kind.add_argument("--workload")
     kind.add_argument("--cli", action="store_true",
                       help="time the CLI runs of tools/output_digest.py instead")
+    kind.add_argument("--sweep", metavar="CONFIG",
+                      help="time in-process monte_carlo sweeps of CONFIG instead")
+    parser.add_argument("--runs", type=int, help="runs of a --sweep sweep")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, help="run length of a --workload run")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -196,12 +241,14 @@ def main(argv=None) -> int:
     parser.add_argument("--note", help="appended to this set's description")
     args = parser.parse_args(argv)
     parent_root = os.path.abspath(args.parent)
-    needed = os.path.join("src", "latsched", "cli.py") if args.cli else \
-        os.path.join("perfbench", "run.py")
+    needed = os.path.join("perfbench", "run.py") if args.workload else \
+        os.path.join("src", "latsched", "cli.py")
     if not os.path.exists(os.path.join(parent_root, needed)):
         parser.error(f"{parent_root} is not a checkout with {needed}")
     if args.workload and args.seconds is None:
         parser.error("--workload needs --seconds")
+    if args.sweep and (args.runs is None or args.runs < 1):
+        parser.error("--sweep needs --runs of at least 1")
 
     doc = {}
     if os.path.exists(args.out):
@@ -213,7 +260,9 @@ def main(argv=None) -> int:
     doc["command"] = ("python3 perfbench/run.py --workload W --seed N --seed2 S "
                       "--seconds T --trace X; a cli set runs each tools/output_digest.py "
                       "run, python -m latsched.cli <subcommand> -c configs/<config>.json "
-                      "-o OUT [--runs R] [--jobs 2] [--graph G] [--seed 1]")
+                      "-o OUT [--runs R] [--jobs 2] [--graph G] [--seed 1]; a sweep set "
+                      "times monte_carlo(cfg, runs=R, seed=N, jobs=1) in a child process "
+                      "after one untimed warm-up sweep")
     doc["protocol"] = ("alternating parent/change pairs, one process per run, one run at "
                        "a time, PYTHONDONTWRITEBYTECODE=1 for perfbench; the side that "
                        "ran first alternates by pair (in a cli set, for each run); "
@@ -226,6 +275,10 @@ def main(argv=None) -> int:
     if args.cli:
         doc["sets"][label] = (f"cli, {args.pairs} pairs of the {len(RUNS)} "
                               "tools/output_digest.py runs, wall seconds per process")
+    elif args.sweep:
+        doc["sets"][label] = (f"sweep {args.sweep}, {args.runs} runs, {args.pairs} pairs, "
+                              f"--seed {args.seed}..{last}, in-process ms after a warm-up "
+                              "sweep")
     else:
         doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
                               f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
@@ -243,7 +296,16 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            if args.cli:
+            if args.sweep:
+                doc.setdefault("machine", machine(None))
+                for side in order:
+                    out = time_sweep(roots[side], os.path.abspath(args.sweep), args.runs, seed)
+                    if out["failed"]:
+                        raise RuntimeError(f"{side}: {out['failed']} of {args.runs} runs failed")
+                    runs.append({"set": label, "workload": "sweep", "side": side, "pair": i,
+                                 "seed": seed, "first_in_pair": side == order[0],
+                                 "metrics": {f"sweep_ms.{out['experiment']}": out["ms"]}})
+            elif args.cli:
                 walls = time_cli(roots, order, workdirs)
                 doc.setdefault("machine", machine(None))
                 runs += [{"set": label, "workload": "cli", "side": side, "pair": i,
@@ -274,7 +336,7 @@ def main(argv=None) -> int:
 
     print(f"set {label}: {doc['sets'][label]}")
     for name, row in doc["summary"][label].items():
-        if not row["gated"]:
+        if "resolved" not in row:
             print(f"  {name}: parent {row['parent_median']:.6g} ms, change "
                   f"{row['change_median']:.6g} ms, ratio {row['ratio']:.3g}; ungated")
             continue
@@ -285,7 +347,8 @@ def main(argv=None) -> int:
             verdict = f"unresolved ({row['pairs']} pairs)"
         print(f"  {name}: parent {row['parent_median']:.6g} (IQR {row['parent_iqr']:.3g}), "
               f"change {row['change_median']:.6g}, better in {row['change_better_pairs']}/"
-              f"{row['pairs']} pairs, worse in {row['change_worse_pairs']}; {verdict}")
+              f"{row['pairs']} pairs, worse in {row['change_worse_pairs']}; {verdict}"
+              + ("" if row["gated"] else "; ungated"))
     return 0
 
 
