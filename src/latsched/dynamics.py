@@ -133,8 +133,12 @@ def clamp_psd(mat: np.ndarray, name: str, error=InvalidModelError, scale=None,
         return sym
     low = eigvals[..., 0]
     if scale is None:
+        # norm(sym, "fro") of one member, from its entries over their largest
+        # magnitude, whose squares cannot overflow.
         flat = sym.reshape(*sym.shape[:-2], -1)
-        scale = np.sqrt(np.vecdot(flat, flat))  # norm(sym, "fro") of one member
+        big = np.max(np.abs(flat), axis=-1, keepdims=True)
+        unit = flat / np.where(np.isfinite(big) & (big > 0.0), big, 1.0)
+        scale = big[..., 0] * np.sqrt(np.vecdot(unit, unit))
     bad = low < -PSD_RTOL * np.maximum(scale, 1e-300)
     if bad.any():
         first = low.flat[np.argmax(bad)]

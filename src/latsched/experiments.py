@@ -154,7 +154,8 @@ def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, ada
 
     `policy`, `adaptive` and `true_R` default to the graph's and cfg.sim's.
     One path runs `run_loop`. More are stepped together by `run_lockstep`,
-    which equals it bit for bit but costs several warm one-run epochs a step.
+    which equals it bit for bit; a one-run stack costs what `run_loop` costs
+    without adaptation, and about 1.5x as much with it.
     Returns the traces and their `block_metrics`, or with `mse_only` their
     `block_mse`. Without adaptation the runs share one covariance path and
     schedule, so their cost, CPU load and attention are computed once.

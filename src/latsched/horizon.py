@@ -23,25 +23,30 @@ every epoch. Adaptive runs bypass the memo: their R is an estimate, not the
 method's. Like the graph's sweep memo it goes stale when `reps` or `succ`
 are written into.
 
-`run_lockstep` runs a stack of runs as one loop: the runs starting an epoch
-at a sensor step are grouped by method and each group is stepped with one
-stacked call per kernel. Without adaptation every run of the stack shares
-one covariance path, so the stack reads the memo once per epoch, not once
-per run. Hits therefore come from repeated runs on one graph: the
-benchmark's tracking run, `run_loop` on one graph again and again; the other
-tracking variants and later blocks of an `mc-eval` sweep; a covariance path
-that repeats itself once it has converged. One `simulate` run gets only the
-last kind. The two loops differ only in how they schedule epochs. Both keep
-only the means epochs start at, which the means up to the next epoch are
-pure predictions of: after the loop, `_traces` gives every interior sensor
-step's mean from one gathered product per run or stack. No covariance is
-kept there: `TrackingTrace.grid` derives tr P from the epochs' beliefs.
+`run_lockstep` runs a stack of runs as one loop and pays per epoch, not per
+run. Without adaptation every run of the stack shares one covariance path:
+a one-matrix loop computes it, reading the memo once per epoch, and the
+means follow it as one stacked recursion. With adaptation time jumps from
+one epoch start to the next; the runs starting an epoch there are grouped
+by method and each group is stepped with one stacked call per kernel.
+Memo hits therefore come from repeated runs on one graph: the benchmark's
+tracking run, `run_loop` on one graph again and again; the other tracking
+variants and later blocks of an `mc-eval` sweep; a covariance path that
+repeats itself once it has converged. One `simulate` run gets only the last
+kind. A lockstep stack logs each epoch once for the runs that start it, and
+its traces build their EpochRecords from the log when first read. Both
+loops keep only the means epochs start at, which the means up to the next
+epoch are pure predictions of: after the loop, `_traces` gives every
+interior sensor step's mean from one gathered product per run or stack. No
+covariance is kept there: `TrackingTrace.grid` derives tr P from the
+epochs' beliefs.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -194,20 +199,46 @@ class EpochRecord:
     belief: BeliefState
 
 
+class _Epochs:
+    """`TrackingTrace.epochs`: a list, or a callable that builds it on the first read.
+
+    A descriptor as a dataclass field's default takes the value `__init__` is
+    passed; it raises AttributeError on the class, so the field has no
+    default. New epochs clear the trace's `end_steps`, which they may move.
+    """
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            raise AttributeError("epochs")
+        epochs = trace.__dict__["_epochs"]
+        if callable(epochs):
+            epochs = trace.__dict__["_epochs"] = epochs()
+        return epochs
+
+    def __set__(self, trace, epochs):
+        trace.__dict__["_epochs"] = epochs
+        trace.__dict__["end_steps"] = None
+
+
 @dataclass
 class TrackingTrace:
     """Loop output: per-epoch records plus the estimate means on the sensor grid.
 
     `grid_xhat` is filled after the last epoch, by `_traces`; `grid` derives
-    tr P, the method and the measured flag there from the epochs.
+    tr P, the method and the measured flag there from the epochs. A
+    `run_lockstep` trace builds its EpochRecords from its stack's log the
+    first time `epochs` is read. `end_steps`, set by the loops, is the step
+    the last epoch ends at (0 without epochs); it is None on a trace built
+    otherwise.
     """
 
     dt_s: float
     horizon_steps: int
-    epochs: list
+    epochs: list = _Epochs()
     final_belief: BeliefState
     grid_steps: np.ndarray
     grid_xhat: np.ndarray
+    end_steps: int | None = field(default=None, init=False)
 
     def grid(self, methods, dyn: DiscretizedDynamics) -> tuple:
         """tr P, method id and measured flag (0/1) at each of `grid_steps`.
@@ -267,11 +298,12 @@ def _traces(dyn: DiscretizedDynamics, xhat: np.ndarray, begun: np.ndarray, t_nex
     """The TrackingTraces of a stack of runs from the means their epochs started at.
 
     `xhat (runs, horizon_steps + 1, n)` holds those means at the steps
-    `begun` marks; run i's next epoch would start at `t_next[i]`. Step s of
-    an epoch started at t < s gets Ad(s - t) x_t, the mean half of `predict`,
-    from one product gathered over every run and step. A run whose source ran
-    out at an epoch start ends there; one whose last epoch ends on the
-    horizon takes its final belief's mean (`finals`) at the endpoint.
+    `begun` marks; run i's next epoch would start at `t_next[i]`, where its
+    last ends. `epochs[i]` is run i's records or a callable that builds them.
+    Step s of an epoch started at t < s gets Ad(s - t) x_t, the mean half of
+    `predict`, from one product gathered over every run and step. A run whose
+    source ran out at an epoch start ends there; one whose last epoch ends on
+    the horizon takes its final belief's mean (`finals`) at the endpoint.
     """
     horizon_steps = xhat.shape[1] - 1
     steps = np.arange(horizon_steps + 1)
@@ -285,9 +317,10 @@ def _traces(dyn: DiscretizedDynamics, xhat: np.ndarray, begun: np.ndarray, t_nex
     for x, end, run_epochs, final in zip(xhat, t_next.tolist(), epochs, finals):
         if end == horizon_steps:
             x[end] = final.xhat
-        end = end if end < horizon_steps else horizon_steps + 1
+        points = end if end < horizon_steps else horizon_steps + 1
         traces.append(TrackingTrace(dyn.dt_s, horizon_steps, run_epochs, final,
-                                    np.arange(end, dtype=np.int64), x[:end]))
+                                    np.arange(points, dtype=np.int64), x[:points]))
+        traces[-1].end_steps = end
     return traces
 
 
@@ -387,100 +420,171 @@ def run_lockstep(
     """`run_loop` over a stack of runs stepped together: one TrackingTrace per run.
 
     `source` is a `GridMeasurementSource` over a path stack with one generator
-    per run, read through its `draw`. Time advances in sensor steps. At each
-    step the runs whose epoch starts there are split by the method they
-    start, every group fixed before any is stepped, and each group takes one
-    stacked call per kernel: the adaptive-R estimate, `epoch_covariance`,
-    `quantize` and the mean half; the interior sensor steps' means come after
-    the last step, from one `_traces` product over the stack. Without
-    adaptation all runs share one covariance path, so the stack reads the
-    graph's epoch memo once per epoch. Each stacked product is `run_loop`'s
+    per run, read through its `draw`. It drops a step for every run or for
+    none, and its paths share their length, so it runs out at a step for
+    every run and at every later step: the stack ends there. Without
+    adaptation every run follows one covariance path, which `_replay` steps
+    once for the stack; with it `_step_groups` steps groups of runs. Either
+    logs each epoch once for the runs that start it, and a trace builds its
+    EpochRecords from the log the first time its `epochs` is read. The
+    interior sensor steps' means come after the last epoch, from one
+    `_traces` product over the stack. Each stacked product is `run_loop`'s
     product for one run, stacked, so every trace equals `run_loop`'s over the
     same path and generator bit for bit, and a run whose kernels raise raises
-    what `run_loop` raises when stepped alone. A source that runs out ends
-    the runs it ran out for.
+    what `run_loop` raises when stepped alone.
     """
     policy = _checked_policy(policy, graph, methods)
     if window_length < 1:
         raise ValueError("window length must be >= 1")
     horizon_steps = window_steps(horizon, dyn.dt_s)
-    runs, C = len(source.path), model.C
-    memo = None if use_adaptive else _epoch_memo(graph, methods, dyn)
+    runs = len(source.path)
     start = BeliefState(0.0, model.x0, model.P0)
-    node = _remember(memo, start.Phat.tobytes(), lambda: quantize(start.Phat, graph))
-
     X = np.tile(start.xhat, (runs, 1))
+    if use_adaptive:
+        log, T, X, P, t_next = _step_groups(methods, graph, policy, horizon_steps, source, dyn,
+                                            start, X, window_length)
+        grouped = functools.cache(lambda: _grouped_records(log, runs))
+        records = [lambda i=i: grouped()[i] for i in range(runs)]
+        finals = list(map(_trusted_belief, T.tolist(), X, P))
+    else:
+        log, T, X, P, end = _replay(methods, graph, policy, horizon_steps, source, dyn, start, X)
+        records = [functools.partial(_replayed_records, log, i) for i in range(runs)]
+        finals = [_trusted_belief(T, x, P) for x in X]
+        t_next = np.full(runs, end)
+    xhat = np.empty((runs, horizon_steps + 1, model.n_x))
+    begun = np.zeros(xhat.shape[:2], dtype=bool)
+    for group, _, t, _, _, _, Xg, _ in log:
+        xhat[group, t], begun[group, t] = Xg, True
+    return _traces(dyn, xhat, begun, t_next, records, finals)
+
+
+def _replay(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_steps: int, source,
+            dyn: DiscretizedDynamics, start: BeliefState, X: np.ndarray) -> tuple:
+    """The epochs of a stack without adaptation from the means `X (runs, n)`.
+
+    The covariance half reads no measurement, and the source drops or runs
+    out for every run at once, so every run follows one covariance path. It
+    is stepped as one matrix, from the graph's epoch memo under `run_loop`'s
+    keys, and the means follow it epoch by epoch as one stacked recursion.
+    Returns the log, one entry (slice(None), k, t, method id, measured, T, X,
+    P) an epoch with P the shared start covariance, the final T, X and P and
+    the step the path ends at.
+    """
+    memo = _epoch_memo(graph, methods, dyn)
+    C, P, T = dyn.model.C, start.Phat, 0.0
+    pid = int(policy[_remember(memo, P.tobytes(), lambda: quantize(P, graph))])
+    every = np.arange(len(X))
+    log = []
+    t = 0
+    while t < horizon_steps:
+        method = methods[pid - 1]
+        try:
+            z = source.draw(every, t, method)
+        except SourceExhausted:
+            break
+        measured = z is not None
+        L, P_next, node = _remember(memo, (P.tobytes(), method.id, measured),
+                                    lambda: _transition(P, method, method.R if measured else None,
+                                                        graph, dyn))
+        X.setflags(write=False)
+        log.append((slice(None), len(log), t, method.id, measured, T, X, P))
+        X_next = (dyn.step_pair(method.steps)[0] @ X[..., None])[..., 0]
+        if measured:
+            X_next = X_next + (L @ (z - (C @ X[..., None])[..., 0])[..., None])[..., 0]
+        X, P, T, pid = X_next, P_next, T + method.latency(dyn.dt_s), int(policy[node])
+        t += method.steps
+    X.setflags(write=False)
+    return log, T, X, P, t
+
+
+def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_steps: int,
+                 source, dyn: DiscretizedDynamics, start: BeliefState, X: np.ndarray,
+                 window_length: int) -> tuple:
+    """The epochs of an adaptive stack from `X` (runs, n), stepped in groups.
+
+    Time jumps from one epoch start to the next, `t_next.min()`. The runs
+    starting an epoch there are split by the method they start, every group
+    fixed before any is stepped, and each group takes one stacked call per
+    kernel: the adaptive-R estimate, `epoch_covariance`, `quantize` and the
+    mean half. Returns the log, one entry (runs, k, t, method id, measured,
+    T, X, P) a group with k, T, X and P its runs' rows, then the final T, X
+    and P stacks and each run's next epoch start, the end of its last epoch.
+    """
+    model = dyn.model
+    runs, C = len(X), model.C
     P = np.tile(start.Phat, (runs, 1, 1))
     T = np.zeros(runs)
     k = np.zeros(runs, dtype=np.int64)
-    pid = np.full(runs, policy[node])
-    # A run whose source runs out keeps that epoch's start, which no later
-    # step matches.
+    pid = np.full(runs, policy[quantize(start.Phat, graph)])
     t_next = np.zeros(runs, dtype=np.int64)
     # Epoch -(length + 1) is out of every window: an empty slot.
     rings = {m.id: (np.zeros((runs, window_length, model.n_z, model.n_z)),
                     np.full((runs, window_length), -window_length - 1)) for m in methods}
-    xhat = np.empty((runs, horizon_steps + 1, model.n_x))
-    begun = np.zeros(xhat.shape[:2], dtype=bool)
-    epochs: list[list] = [[] for _ in range(runs)]
-
-    for t in range(horizon_steps):
-        starting = np.flatnonzero(t_next == t)
-        if not starting.size:
-            continue
-        # Fixed before any group is stepped: a stepped run starts no second
-        # epoch at t under the method its node now picks.
-        starts = pid[starting]
-        groups = [(m, starting[starts == m.id]) for m in methods]
-        for method, idx in groups:
-            if not idx.size:
-                continue
-            try:
+    log = []
+    t = 0
+    try:
+        while t < horizon_steps:
+            starting = np.flatnonzero(t_next == t)
+            # Fixed before any group is stepped: a stepped run starts no second
+            # epoch at t under the method its node now picks.
+            starts = pid[starting]
+            for method in methods:
+                idx = starting[starts == method.id]
+                if not idx.size:
+                    continue
                 z = source.draw(idx, t, method)
-            except SourceExhausted:
-                continue
-            # A group of every run reads and writes the state with basic
-            # indexing, which costs less than gathering it.
-            whole = idx.size == runs
-            sel = slice(None) if whole else idx
-            measured = z is not None
-            Xg, Pg = (X.copy(), P.copy()) if whole else (X[idx], P[idx])
-            Xg.setflags(write=False)
-            Pg.setflags(write=False)
-            kg = k[sel]
-            if measured:
-                Cx = (C @ Xg[..., None])[..., 0]
-            R = method.R if measured else None
-            if measured and memo is None:
-                E, counts = _push(rings[method.id], sel, kg, Cx - z, window_length)
-                R = _estimate_R(E, counts, Pg, method, model)
-            # An adaptive group steps each run's covariance, without the memo.
-            # Without adaptation the covariance half reads no measurement, and
-            # the source drops or runs out for the whole stack at a step, so
-            # every run starts every epoch from the covariance of the others:
-            # one group, one memo read.
-            if memo is None:
+                # A group of every run reads the stacks whole and rebinds them
+                # to the next ones; a smaller group gathers its rows and
+                # scatters into copies. Either way a logged stack stays as it is.
+                whole = idx.size == runs
+                sel = slice(None) if whole else idx
+                Xg, Pg, kg, Tg = (X, P, k, T) if whole else (X[idx], P[idx], k[idx], T[idx])
+                Xg.setflags(write=False)
+                Pg.setflags(write=False)
+                measured = z is not None
+                R = None
+                if measured:
+                    Cx = (C @ Xg[..., None])[..., 0]
+                    E, counts = _push(rings[method.id], sel, kg, Cx - z, window_length)
+                    R = _estimate_R(E, counts, Pg, method, model)
                 L, P_next, node = _transition(Pg, method, R, graph, dyn)
-            else:
-                L, P_next, node = _remember(memo, (Pg[0].tobytes(), method.id, measured),
-                                            lambda: _transition(Pg[0], method, R, graph, dyn))
-            Ad = dyn.step_pair(method.steps)[0]
-            X_next = (Ad @ Xg[..., None])[..., 0]
-            if measured:
-                X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
-
-            for i, epoch, belief in zip(idx.tolist(), kg.tolist(),
-                                        map(_trusted_belief, T[sel].tolist(), Xg, Pg)):
-                epochs[i].append(EpochRecord(epoch, t, method.id, measured, belief))
-            xhat[sel, t], begun[sel, t] = Xg, True
-
-            X[sel], P[sel] = X_next, P_next
-            T[sel] += method.latency(dyn.dt_s)
-            k[sel] += 1
-            pid[sel] = policy[node]
-            t_next[sel] = t + method.steps
-
+                X_next = (dyn.step_pair(method.steps)[0] @ Xg[..., None])[..., 0]
+                if measured:
+                    X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
+                log.append((idx, kg, t, method.id, measured, Tg, Xg, Pg))
+                nexts = (X_next, P_next, Tg + method.latency(dyn.dt_s), kg + 1)
+                if whole:
+                    X, P, T, k = nexts
+                else:
+                    X, P, T, k = (_scatter(a, idx, b) for a, b in zip((X, P, T, k), nexts))
+                pid[idx] = policy[node]
+                t_next[idx] = t + method.steps
+            t = int(t_next.min(initial=horizon_steps))
+    except SourceExhausted:
+        pass  # at t, and so at every later start of every run: each run ends at t_next
     X.setflags(write=False)
     P.setflags(write=False)
-    return _traces(dyn, xhat, begun, t_next, epochs,
-                   list(map(_trusted_belief, T.tolist(), X, P)))
+    return log, T, X, P, t_next
+
+
+def _scatter(stack: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A copy of `stack` with `rows` at `idx`."""
+    out = stack.copy()
+    out[idx] = rows
+    return out
+
+
+def _replayed_records(log: list, run: int) -> list:
+    """Run `run`'s EpochRecords from `_replay`'s log."""
+    return [EpochRecord(k, t, method_id, measured, _trusted_belief(T, X[run], P))
+            for _, k, t, method_id, measured, T, X, P in log]
+
+
+def _grouped_records(log: list, runs: int) -> list:
+    """Every run's EpochRecords from `_step_groups`' log, one list per run."""
+    epochs = [[] for _ in range(runs)]
+    for idx, k, t, method_id, measured, T, X, P in log:
+        for i, epoch, belief in zip(idx.tolist(), k.tolist(),
+                                    map(_trusted_belief, T.tolist(), X, P)):
+            epochs[i].append(EpochRecord(epoch, t, method_id, measured, belief))
+    return epochs

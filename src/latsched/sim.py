@@ -350,11 +350,15 @@ def block_mse(traces: list, truths: np.ndarray, methods, tf: float,
 
     No cost, attention or CPU load is computed, but each trace must cover
     the window, as `metrics` requires, so a trace that fails raises what
-    `metrics` raises for it alone.
+    `metrics` raises for it alone. A trace's epochs run back to back from
+    step 0, so they cover the window exactly when they end at or past its
+    edge: a trace that knows its `end_steps` is checked from it, and its
+    records are built only to raise `metrics`' error.
     """
     tf_steps = window_steps(tf, dyn.dt_s)
     for trace in traces:
-        check_covering(_schedule(trace, tf_steps), tf_steps, methods)
+        if trace.end_steps is None or trace.end_steps < tf_steps:
+            check_covering(_schedule(trace, tf_steps), tf_steps, methods)
     return _block_mse(traces, truths, dyn, dt)
 
 

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import summarize  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import summarize, sweep_times, time_sweep  # noqa: E402
 
 PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]
 
@@ -122,3 +124,39 @@ def test_sweep_timings_get_verdicts_but_no_gate(pairs):
     # A gated metric keeps its gate beside it.
     assert summarize(runs("primary_ref_p50", faster, PARENT[:pairs]),
                      directions)["primary_ref_p50"]["gated"]
+
+
+class FakeClock:
+    """A clock that a fake sweep moves on by its own length."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.mark.parametrize("length,count", [(0.15, 7), (0.6, 3), (2.5, 3)])
+def test_a_sweep_child_times_sweeps_for_about_a_second(length, count):
+    # Sweeps run until a second has passed and three have run, each on its
+    # own seed: seven 0.15 s sweeps, or three of 0.6 s or 2.5 s.
+    clock, seeds = FakeClock(), []
+
+    def sweep(seed):
+        seeds.append(seed)
+        clock.now += length
+
+    times = sweep_times(sweep, 4, clock)
+    assert len(times) == count
+    assert times == pytest.approx([1e3 * length] * count)
+    assert seeds == [4 * bench_pairs.SEED_STRIDE + j for j in range(count)]
+    assert (bench_pairs.SWEEP_SECONDS, bench_pairs.SWEEP_LEAST) == (1.0, 3)
+
+
+def test_a_sweep_child_times_several_sweeps():
+    # A real child on a one-run sweep of a few ms: it times many in its
+    # second, and reports their median.
+    out = time_sweep(str(ROOT), str(ROOT / "configs" / "noise_mismatch.json"), 1, 2)
+    assert out["experiment"] == "adaptive-R" and out["failed"] == 0
+    assert out["sweeps"] > bench_pairs.SWEEP_LEAST
+    assert 0.0 < out["ms"] < 1e3 * bench_pairs.SWEEP_SECONDS

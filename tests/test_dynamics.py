@@ -315,3 +315,16 @@ class TestClampPsd:
         with pytest.raises(ValueError) as stacked:
             clamp_psd(P, "P", ValueError)
         assert str(stacked.value) == str(single.value)
+
+    def test_indefinite_past_the_square_root_of_the_largest_float(self):
+        # Squaring 1e200 overflows, so a scale summed from squared entries
+        # reads inf and the clamp lets the -1e195 eigenvalue through. A zero
+        # member beside it has no largest entry to scale by.
+        P = np.diag([1e200, -1e195])
+        for mat in (P, np.stack([np.zeros((2, 2)), P])):
+            with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                    pytest.raises(ValueError, match="below the PSD tolerance"):
+                clamp_psd(mat, "P", ValueError)
+        # The scale is the Frobenius norm, which round-off negativity sits under.
+        assert clamp_psd(np.diag([1e200, -1e185]), "P", ValueError).tolist() == [
+            [1e200, 0.0], [0.0, 0.0]]

@@ -307,13 +307,14 @@ class TestCorrectedCovarianceSymmetrizedOnce:
         assert got == want
         # These near-singular members take the clamp's clipped branch, which
         # rebuilds them from their eigenvectors and halves before adding, so
-        # with warnings ignored the members at or below the edge stay finite.
-        # As errors, every member raises: above the edge in the first pass,
-        # at or below it in the clamp's Frobenius scale, whose squares
-        # overflow.
-        assert [isinstance(g, tuple) for g in got] == [action == "error"] * 7
+        # the members at or below the edge stay finite, and its Frobenius
+        # scale squares the entries over their largest magnitude, which
+        # cannot overflow. As errors, the members above the edge and the
+        # stack that holds them raise in the first pass.
+        assert [isinstance(g, tuple) for g in got] == [False] * 2 + [action == "error"] * 5
+        assert [np.isfinite(np.frombuffer(g)).all() for g in got[:2]] == [True] * 2
         if action == "ignore":
-            assert [np.isfinite(np.frombuffer(g)).all() for g in got] == [True] * 2 + [False] * 5
+            assert [np.isfinite(np.frombuffer(g)).all() for g in got[2:]] == [False] * 5
         # The members straddle the edge of the first pass.
         with np.errstate(all="ignore"):
             P_next = _gain_and_next_cov(stack, *dyn.step_pair(1), dyn.model.C, method.R)[1]

@@ -36,9 +36,9 @@ from latsched import (
 )
 from latsched import cli, covgraph, experiments, horizon
 from latsched.config import load_scenario, parse_scenario
-from latsched.exact import window_steps
+from latsched.exact import check_covering, window_steps
 from latsched.horizon import EpochRecord, TrackingTrace, run_lockstep
-from latsched.sim import block_metrics, block_mse, grid_ratio
+from latsched.sim import _schedule, block_metrics, block_mse, grid_ratio
 from test_epoch_memo import assert_same_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -302,6 +302,37 @@ def planar():
     return model, methods, dyn, graph
 
 
+def lockstep_traces(planar, runs, horizon_s, path_steps, adaptive, window, policy, occlusions,
+                    seed):
+    """A `run_lockstep` stack on random paths with the sources of its runs made one at a time.
+
+    `policy` is "graph", "alternate" (methods 1 and 2 by node) or "slow"
+    (method 2 only); `occlusions` holds (start, length) in sensor steps.
+    """
+    model, methods, dyn, graph = planar
+    rng = np.random.default_rng(seed)
+    paths = rng.standard_normal((runs, path_steps, 2))
+    seeds = np.random.SeedSequence(seed).spawn(runs)
+    occlusions = [(a / 10, (a + b) / 10) for a, b in occlusions]
+    policy = {"graph": graph.policy, "alternate": 1 + np.arange(graph.size) % 2,
+              "slow": np.full(graph.size, 2)}[policy]
+    true_R = {2: np.diag([0.2, 0.3])}
+    source = GridMeasurementSource(model, paths, model.dt_s,
+                                   [np.random.default_rng(s) for s in seeds],
+                                   occlusions=occlusions, true_R=true_R)
+    traces = run_lockstep(model, methods, graph, policy, horizon_s, source, dyn,
+                          use_adaptive=adaptive, window_length=window)
+
+    def run_alone(run):
+        one = GridMeasurementSource(model, paths[run], model.dt_s,
+                                    np.random.default_rng(seeds[run]), occlusions=occlusions,
+                                    true_R=true_R)
+        return run_loop(model, methods, graph, policy, horizon_s, one, dyn,
+                        use_adaptive=adaptive, window_length=window)
+
+    return traces, run_alone
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     runs=st.integers(1, 5),
@@ -313,28 +344,103 @@ def planar():
     occlusions=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 6)), max_size=2),
     seed=st.integers(0, 2**16),
 )
+# Without adaptation the stack replays one covariance path: an occlusion
+# over step 0 drops its first epoch, and a path that ends inside an
+# occlusion runs out on a dropped step.
+@example(runs=3, horizon_s=2.3, path_steps=30, adaptive=False, window=1, policy="graph",
+         occlusions=[(0, 3)], seed=0)
+@example(runs=3, horizon_s=2.3, path_steps=8, adaptive=False, window=1, policy="graph",
+         occlusions=[(6, 5)], seed=1)
 def test_traces_equal_run_loop(planar, runs, horizon_s, path_steps, adaptive, window, policy,
                                occlusions, seed):
     # Whole traces, every epoch's belief included; paths that end before the
     # horizon end the runs early, and some horizons end on an epoch boundary.
-    model, methods, dyn, graph = planar
-    rng = np.random.default_rng(seed)
-    paths = rng.standard_normal((runs, path_steps, 2))
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    occlusions = [(a / 10, (a + b) / 10) for a, b in occlusions]
-    policy = graph.policy if policy == "graph" else 1 + np.arange(graph.size) % 2
-    true_R = {2: np.diag([0.2, 0.3])}
-    source = GridMeasurementSource(model, paths, model.dt_s,
-                                   [np.random.default_rng(s) for s in seeds],
-                                   occlusions=occlusions, true_R=true_R)
-    got = run_lockstep(model, methods, graph, policy, horizon_s, source, dyn,
-                       use_adaptive=adaptive, window_length=window)
-    for path, s, trace in zip(paths, seeds, got):
-        one = GridMeasurementSource(model, path, model.dt_s, np.random.default_rng(s),
-                                    occlusions=occlusions, true_R=true_R)
-        assert_same_trace(trace, run_loop(model, methods, graph, policy, horizon_s, one, dyn,
-                                          use_adaptive=adaptive, window_length=window),
-                          methods, dyn)
+    _, methods, dyn, _ = planar
+    traces, run_alone = lockstep_traces(planar, runs, horizon_s, path_steps, adaptive, window,
+                                        policy, occlusions, seed)
+    for run, trace in enumerate(traces):
+        want = run_alone(run)
+        assert_same_trace(trace, want, methods, dyn)
+        assert trace.end_steps == want.end_steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    runs=st.integers(1, 4),
+    horizon_s=st.sampled_from([0.8, 1.0, 2.3]),
+    path_steps=st.integers(0, 30),
+    adaptive=st.booleans(),
+    policy=st.sampled_from(["graph", "alternate", "slow"]),
+    occlusions=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 6)), max_size=2),
+    beyond=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+# A run that ends early on a short path.
+@example(runs=2, horizon_s=2.3, path_steps=7, adaptive=True, policy="graph", occlusions=[],
+         beyond=0, seed=0)
+# An empty trace: the source runs out before the first epoch.
+@example(runs=2, horizon_s=1.0, path_steps=0, adaptive=False, policy="graph", occlusions=[],
+         beyond=0, seed=0)
+# Method 2's epochs start at steps 0, 3, 6 and 9 and end at 12: the last
+# crosses the edge of a window of 10 or 11 steps, at the horizon or beyond
+# it, and a window of 13 steps is not covered.
+@example(runs=2, horizon_s=1.0, path_steps=30, adaptive=False, policy="slow", occlusions=[],
+         beyond=0, seed=0)
+@example(runs=2, horizon_s=1.0, path_steps=30, adaptive=True, policy="slow", occlusions=[],
+         beyond=1, seed=0)
+@example(runs=2, horizon_s=1.0, path_steps=30, adaptive=False, policy="slow", occlusions=[],
+         beyond=3, seed=0)
+def test_block_mse_checks_coverage_as_check_covering(planar, runs, horizon_s, path_steps,
+                                                     adaptive, policy, occlusions, beyond,
+                                                     seed):
+    # block_mse decides coverage from a trace's end, without its records;
+    # the decision and the error must be those of check_covering over the
+    # schedule of the trace's epochs, at the horizon and beyond it.
+    _, methods, dyn, _ = planar
+    traces, _ = lockstep_traces(planar, runs, horizon_s, path_steps, adaptive, 2, policy,
+                                occlusions, seed)
+    tf_steps = window_steps(horizon_s, dyn.dt_s) + beyond
+    truths = np.random.default_rng(seed).standard_normal((runs, tf_steps + 1, 2))
+    for trace, truth in zip(traces, truths):
+        got = outcome(lambda: block_mse([trace], truth[None], methods, tf_steps * dyn.dt_s, dyn,
+                                        dyn.dt_s))
+        want = outcome(lambda: check_covering(_schedule(trace, tf_steps), tf_steps, methods))
+        if want is None:
+            assert isinstance(got, list)
+        else:
+            assert got == want
+
+
+def outcome(make):
+    """`make()`'s value, or the type and message of what it raised."""
+    try:
+        return make()
+    except Exception as exc:  # noqa: BLE001 - compared with another call's
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("policy,horizon_s", [("graph", 2.3), ("slow", 0.9)])
+def test_records_are_built_on_first_read(planar, adaptive, policy, horizon_s):
+    # No EpochRecord is built by the loop or by block_mse on covering traces,
+    # those whose last epoch ends on the window's edge (method 2 only, 0.9 s)
+    # included; the first read of `epochs` builds them, and the second
+    # returns them.
+    _, methods, dyn, _ = planar
+    tf_steps = window_steps(horizon_s, dyn.dt_s)
+    with patch.object(horizon, "EpochRecord", wraps=EpochRecord) as made:
+        traces, run_alone = lockstep_traces(planar, 4, horizon_s, 30, adaptive, 3, policy,
+                                            [(5, 4)], 7)
+        truths = np.random.default_rng(7).standard_normal((4, tf_steps + 1, 2))
+        block_mse(traces, truths, methods, horizon_s, dyn, dyn.dt_s)
+        assert made.call_count == 0
+        assert policy != "slow" or {trace.end_steps for trace in traces} == {tf_steps}
+        first = [trace.epochs for trace in traces]
+        assert made.call_count == sum(map(len, first)) > 0
+        assert all(trace.epochs is epochs for trace, epochs in zip(traces, first))
+        assert made.call_count == sum(map(len, first))
+    for run, trace in enumerate(traces):
+        assert_same_trace(trace, run_alone(run), methods, dyn)
 
 
 @settings(max_examples=40, deadline=None)

@@ -47,12 +47,16 @@ compiled bytecode.
 
 With `--sweep CONFIG --runs N`, a pair times Monte-Carlo sweeps in-process:
 one child process per checkout, the parent first in even pairs, each loading
-CONFIG (the same file for both sides), running one untimed warm-up sweep and
-then timing `monte_carlo(cfg, runs=N, seed=SEED+i, jobs=1)`, with
-single-threaded BLAS as perfbench fixes it. A run's metric
-is `sweep_ms.<experiment>`, the timed sweep's milliseconds. It is not a
-BENCHMARK.json metric, so its summary row is marked `gated` false, but it
-gets both verdicts under the same rules, from at least 10 pairs.
+CONFIG (the same file for both sides), running one untimed warm-up sweep at
+seed SEED + i and then timing consecutive sweeps
+`monte_carlo(cfg, runs=N, seed=S, jobs=1)` for about SWEEP_SECONDS, and at
+least SWEEP_LEAST of them, with single-threaded BLAS as perfbench fixes it. Sweep j of pair i runs seed
+S = (SEED + i) * SEED_STRIDE + j, so no two sweeps share a seed. A run's
+metric is `sweep_ms.<experiment>`, the median of its child's sweeps in
+milliseconds: a 20 ms sweep timed once is one sample of the machine's
+noise. It is not a BENCHMARK.json metric, so its summary row is marked
+`gated` false, but it gets both verdicts under the same rules, from at
+least 10 pairs.
 """
 
 import argparse
@@ -74,6 +78,11 @@ MIN_PAIRS = 10
 # Raw millisecond timings of a run's `detail` block, summarized by their
 # medians beside the gated metrics but given no verdict.
 DETAIL_MS = ("primary_ms_p50", "secondary_ms_p50", "secondary_ms_p90")
+# A sweep child times consecutive sweeps for about SWEEP_SECONDS, and at
+# least SWEEP_LEAST of them; its sweep j of seed s runs seed s * SEED_STRIDE + j.
+SWEEP_SECONDS = 1.0
+SWEEP_LEAST = 3
+SEED_STRIDE = 10 ** 6
 
 
 def run_once(root: str, args, seed: int) -> dict:
@@ -90,29 +99,51 @@ def run_once(root: str, args, seed: int) -> dict:
     return {"head": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
-# One timed sweep in a child process: argv is CONFIG RUNS SEED.
+def sweep_times(sweep, seed: int, clock=time.perf_counter) -> list:
+    """Milliseconds of consecutive `sweep(s)` calls, sweep j with s = seed * SEED_STRIDE + j.
+
+    Sweeps run until SWEEP_SECONDS have passed and SWEEP_LEAST have run.
+    """
+    times = []
+    start = clock()
+    while len(times) < SWEEP_LEAST or clock() - start < SWEEP_SECONDS:
+        begin = clock()
+        sweep(seed * SEED_STRIDE + len(times))
+        times.append(1e3 * (clock() - begin))
+    return times
+
+
+# Timed sweeps in a child process: argv is CONFIG RUNS SEED, and the
+# directory of this file, whose `sweep_times` times them.
 SWEEP_SCRIPT = """
-import json, sys, time
+import json, statistics, sys
+sys.path.insert(0, sys.argv[4])
+from bench_pairs import sweep_times
 from latsched import monte_carlo
 from latsched.config import load_scenario
 cfg = load_scenario(sys.argv[1])
 runs, seed = int(sys.argv[2]), int(sys.argv[3])
-monte_carlo(cfg, runs=runs, seed=seed, jobs=1)
-start = time.perf_counter()
-rows = monte_carlo(cfg, runs=runs, seed=seed, jobs=1)
-ms = 1e3 * (time.perf_counter() - start)
-print(json.dumps({"experiment": cfg.experiment.name, "ms": ms,
-                  "failed": sum("error" in row for row in rows)}))
+failed = []
+def sweep(s):
+    rows = monte_carlo(cfg, runs=runs, seed=s, jobs=1)
+    failed.append(sum("error" in row for row in rows))
+sweep(seed)
+failed.clear()
+times = sweep_times(sweep, seed)
+print(json.dumps({"experiment": cfg.experiment.name, "ms": statistics.median(times),
+                  "sweeps": len(times), "failed": sum(failed)}))
 """
 
 
 def time_sweep(root: str, config: str, runs: int, seed: int) -> dict:
-    """One sweep process in `root`: its experiment, timed milliseconds and failed rows."""
+    """One sweep process in `root`: its experiment, median milliseconds, sweeps and failed rows."""
     # Single-threaded BLAS, as perfbench/run.py fixes it.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, config, str(runs), str(seed)],
-                          cwd=root, env=env, capture_output=True, text=True, check=False)
+    tools = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, config, str(runs), str(seed),
+                           tools], cwd=root, env=env, capture_output=True, text=True,
+                          check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{root}: sweep of {config} exited {done.returncode}:\n"
                            f"{done.stderr.strip()}")
@@ -261,8 +292,9 @@ def main(argv=None) -> int:
                       "--seconds T --trace X; a cli set runs each tools/output_digest.py "
                       "run, python -m latsched.cli <subcommand> -c configs/<config>.json "
                       "-o OUT [--runs R] [--jobs 2] [--graph G] [--seed 1]; a sweep set "
-                      "times monte_carlo(cfg, runs=R, seed=N, jobs=1) in a child process "
-                      "after one untimed warm-up sweep")
+                      "times consecutive monte_carlo(cfg, runs=R, seed=N * 10**6 + j, "
+                      "jobs=1) calls in a child process after one untimed warm-up sweep "
+                      "and takes their median")
     doc["protocol"] = ("alternating parent/change pairs, one process per run, one run at "
                        "a time, PYTHONDONTWRITEBYTECODE=1 for perfbench; the side that "
                        "ran first alternates by pair (in a cli set, for each run); "
@@ -278,7 +310,8 @@ def main(argv=None) -> int:
     elif args.sweep:
         doc["sets"][label] = (f"sweep {args.sweep}, {args.runs} runs, {args.pairs} pairs, "
                               f"--seed {args.seed}..{last}, in-process ms after a warm-up "
-                              "sweep")
+                              f"sweep, the median of {SWEEP_LEAST} or more sweeps over about "
+                              f"{SWEEP_SECONDS:g} s per process")
     else:
         doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
                               f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
@@ -301,9 +334,11 @@ def main(argv=None) -> int:
                 for side in order:
                     out = time_sweep(roots[side], os.path.abspath(args.sweep), args.runs, seed)
                     if out["failed"]:
-                        raise RuntimeError(f"{side}: {out['failed']} of {args.runs} runs failed")
+                        raise RuntimeError(f"{side}: {out['failed']} rows of "
+                                           f"{out['sweeps']} sweeps failed")
                     runs.append({"set": label, "workload": "sweep", "side": side, "pair": i,
-                                 "seed": seed, "first_in_pair": side == order[0],
+                                 "seed": seed, "sweeps": out["sweeps"],
+                                 "first_in_pair": side == order[0],
                                  "metrics": {f"sweep_ms.{out['experiment']}": out["ms"]}})
             elif args.cli:
                 walls = time_cli(roots, order, workdirs)
