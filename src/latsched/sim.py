@@ -199,6 +199,8 @@ class GridMeasurementSource:
             self._normals = np.array([g.standard_normal((sensor.shape[1], model.n_z))
                                       for g in rng])
             self._taken = np.zeros(len(rng), dtype=np.int64)
+            # The rows every run has taken, None while that count differs by run.
+            self._row: int | None = 0
             self._noise: dict = {}
 
     def _occluded(self, t: float) -> bool:
@@ -227,12 +229,15 @@ class GridMeasurementSource:
         return Measurement(k=k, z=z, produced_at=(t_steps + method.steps) * self.model.dt_s,
                            method_id=method.id)
 
-    def draw(self, runs: np.ndarray, t_steps: int, method: PerceptionMethod):
+    def draw(self, runs, t_steps: int, method: PerceptionMethod):
         """z `(len(runs), n_z)` of the stacked paths `runs` at step t_steps, or None.
 
-        Row i is what a one-path source over path runs[i] with generator
-        rng[runs[i]] returns as its z, bit for bit: the products are the same
-        matrix-vector products, stacked, and the normals the same rows.
+        `runs` is an index array or slice(None), every run. Row i is what a
+        one-path source over path runs[i] with generator rng[runs[i]] returns
+        as its z, bit for bit: the products are the same matrix-vector
+        products, stacked, and the normals the same rows. While every run has
+        taken the same number of rows, a draw of every run reads its rows by
+        basic slicing.
         """
         if self._index(t_steps) is None:
             return None
@@ -240,8 +245,19 @@ class GridMeasurementSource:
         if noise is None:
             noise = self._noise[method.id] = \
                 (self._root(method) @ self._normals[..., None])[..., 0]
-        rows = self._taken[runs]
-        self._taken[runs] = rows + 1
+        taken = self._taken
+        if isinstance(runs, slice):
+            if self._row is None and taken.min() == taken.max():
+                self._row = int(taken[0])
+            if self._row is not None:
+                row = self._row
+                self._row += 1
+                taken += 1
+                return self._Cx[:, t_steps] + noise[:, row]
+            runs = np.arange(len(taken))
+        self._row = None
+        rows = taken[runs]
+        taken[runs] = rows + 1
         return self._Cx[runs, t_steps] + noise[runs, rows]
 
 

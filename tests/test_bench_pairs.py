@@ -6,6 +6,7 @@ by more than the parent's interquartile range; the regression verdict is the
 same rule turned round. Neither verdict is given from fewer than 10 pairs.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
-from bench_pairs import summarize, sweep_times, time_sweep  # noqa: E402
+from bench_pairs import summarize, sweep_times, sweep_timings, time_sweep  # noqa: E402
 
 PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]
 
@@ -153,6 +154,44 @@ def test_a_sweep_child_times_sweeps_for_about_a_second(length, count):
     assert (bench_pairs.SWEEP_SECONDS, bench_pairs.SWEEP_LEAST) == (1.0, 3)
 
 
+def test_a_sweep_child_times_its_first_sweep_on_its_own():
+    # The first sweep runs at the pair's seed and costs 0.9 s, the set-up a
+    # one-call process pays; the timed sweeps after it cost 0.2 s each.
+    clock, seeds = FakeClock(), []
+
+    def sweep(seed):
+        seeds.append(seed)
+        clock.now += 0.9 if len(seeds) == 1 else 0.2
+
+    out = sweep_timings(sweep, 4, clock)
+    assert out["first_ms"] == pytest.approx(900.0)
+    assert out["ms"] == pytest.approx(200.0) and out["sweeps"] == 5
+    assert seeds == [4] + [4 * bench_pairs.SEED_STRIDE + j for j in range(5)]
+
+
+def test_a_sweep_set_records_the_first_sweep_ungated(monkeypatch, tmp_path):
+    # Each side's child reports its first sweep beside the median; the set
+    # records both per run and summarizes the first sweep without a gate.
+    def fake_sweep(root, config, runs, seed):
+        scale = 0.5 if root == str(ROOT) else 1.0
+        return {"experiment": "adaptive-R", "ms": 10.0 * scale, "first_ms": 900.0 * scale,
+                "sweeps": 5, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "time_sweep", fake_sweep)
+    out = tmp_path / "bench.json"
+    parent = tmp_path / "parent"
+    (parent / "src" / "latsched").mkdir(parents=True)
+    (parent / "src" / "latsched" / "cli.py").write_text("")
+    assert bench_pairs.main(["--parent", str(parent), "--sweep", "configs/noise_mismatch.json",
+                             "--runs", "6", "--pairs", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [r["metrics"] for r in doc["runs"] if r["side"] == "parent"] == [
+        {"sweep_ms.adaptive-R": 10.0, "sweep_first_ms.adaptive-R": 900.0}] * 2
+    row = doc["summary"]["A"]["sweep_first_ms.adaptive-R"]
+    assert not row["gated"] and row["ratio"] == pytest.approx(0.5)
+    assert row["change_better_pairs"] == 2 and not row["resolved"]
+
+
 def test_a_sweep_child_times_several_sweeps():
     # A real child on a one-run sweep of a few ms: it times many in its
     # second, and reports their median.
@@ -160,3 +199,4 @@ def test_a_sweep_child_times_several_sweeps():
     assert out["experiment"] == "adaptive-R" and out["failed"] == 0
     assert out["sweeps"] > bench_pairs.SWEEP_LEAST
     assert 0.0 < out["ms"] < 1e3 * bench_pairs.SWEEP_SECONDS
+    assert out["first_ms"] > 0.0

@@ -351,6 +351,11 @@ def lockstep_traces(planar, runs, horizon_s, path_steps, adaptive, window, polic
          occlusions=[(0, 3)], seed=0)
 @example(runs=3, horizon_s=2.3, path_steps=8, adaptive=False, window=1, policy="graph",
          occlusions=[(6, 5)], seed=1)
+# Adaptive runs that start in lockstep, diverge, start together again having
+# measured different numbers of times, and later with equal counts
+# (`test_the_adaptive_example_diverges_and_rejoins`).
+@example(runs=2, horizon_s=2.3, path_steps=30, adaptive=True, window=3, policy="alternate",
+         occlusions=[], seed=6)
 def test_traces_equal_run_loop(planar, runs, horizon_s, path_steps, adaptive, window, policy,
                                occlusions, seed):
     # Whole traces, every epoch's belief included; paths that end before the
@@ -362,6 +367,32 @@ def test_traces_equal_run_loop(planar, runs, horizon_s, path_steps, adaptive, wi
         want = run_alone(run)
         assert_same_trace(trace, want, methods, dyn)
         assert trace.end_steps == want.end_steps
+
+
+def lockstep_pattern(traces) -> str:
+    """One letter per epoch start of a stack: where its runs stand there.
+
+    "W": every run starts an epoch there under one method, each having taken
+    as many measurements as the others; "T": the same with counts that
+    differ; "p": the runs start apart.
+    """
+    starts = sorted({e.t_steps for trace in traces for e in trace.epochs})
+    pattern = ""
+    for t in starts:
+        methods = [[e.method_id for e in trace.epochs if e.t_steps == t] for trace in traces]
+        taken = {sum(e.measured for e in trace.epochs if e.t_steps < t) for trace in traces}
+        together = all(len(m) == 1 for m in methods) and len({m[0] for m in methods}) == 1
+        pattern += ("W" if len(taken) == 1 else "T") if together else "p"
+    return pattern
+
+
+def test_the_adaptive_example_diverges_and_rejoins(planar):
+    # The adaptive example of test_traces_equal_run_loop discriminates only
+    # if the stack leaves its lockstep and enters it again, both with and
+    # without a common count of rows drawn.
+    traces, _ = lockstep_traces(planar, 2, 2.3, 30, True, 3, "alternate", [], 6)
+    pattern = lockstep_pattern(traces)
+    assert re.fullmatch(r"W+p+T+p+W+p*", pattern), pattern
 
 
 @settings(max_examples=80, deadline=None)
@@ -548,6 +579,47 @@ def test_stacked_draws_equal_one_path_sources(runs, ratio, path_points, occlusio
                 assert row.tobytes() == meas.z.tobytes()
             drawn += idx.size
     assert drawn <= runs * sensor_steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    runs=st.integers(1, 5),
+    plan=st.lists(st.tuples(st.booleans(), st.integers(1, 2), st.integers(0, 2**16)),
+                  max_size=12),
+    occluded=st.sets(st.integers(0, 11), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whole_draws_equal_index_draws(runs, plan, occluded, seed):
+    # A draw of every run as slice(None) against the same draw as
+    # np.arange(runs), mixed with partial draws that split the runs' row
+    # counts and whole draws that find them split or equal again: the rows
+    # and each run's count of rows taken must agree bit for bit at every draw.
+    model = ContinuousModel(
+        A=np.eye(3, k=1), B=np.eye(3), W=np.eye(3), C=[[1.0, 0.0, 2.0], [0.0, -1.5, 0.5]],
+        x0=np.zeros(3), P0=np.eye(3), dt_s=0.1,
+    )
+    methods = [PerceptionMethod(id=1, steps=1, R=np.eye(2), cpu=0.5, penalty=0.0),
+               PerceptionMethod(id=2, steps=2, R=0.1 * np.eye(2), cpu=0.5, penalty=0.0)]
+    rng = np.random.default_rng(seed)
+    paths = rng.standard_normal((runs, 12, 3))
+    seeds = np.random.SeedSequence(seed).spawn(runs)
+    occlusions = [(t * model.dt_s, (t + 1) * model.dt_s) for t in occluded]
+    whole, indexed = (GridMeasurementSource(model, paths, model.dt_s,
+                                            [np.random.default_rng(s) for s in seeds],
+                                            occlusions=occlusions, true_R={2: 0.3 * np.eye(2)})
+                      for _ in range(2))
+    for t, (every, method_id, pick) in enumerate(plan):
+        method = methods[method_id - 1]
+        if every:
+            got, want = whole.draw(slice(None), t, method), indexed.draw(np.arange(runs), t,
+                                                                          method)
+        else:
+            idx = np.flatnonzero(np.random.default_rng(pick).random(runs) < 0.5)
+            got, want = whole.draw(idx, t, method), indexed.draw(idx, t, method)
+        assert (got is None) == (want is None) == (t in occluded)
+        if got is not None:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert whole._taken.tolist() == indexed._taken.tolist()
 
 
 def synthetic_trace(rng, points: int, n_x: int) -> TrackingTrace:

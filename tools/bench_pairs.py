@@ -47,16 +47,19 @@ compiled bytecode.
 
 With `--sweep CONFIG --runs N`, a pair times Monte-Carlo sweeps in-process:
 one child process per checkout, the parent first in even pairs, each loading
-CONFIG (the same file for both sides), running one untimed warm-up sweep at
-seed SEED + i and then timing consecutive sweeps
+CONFIG (the same file for both sides), running one warm-up sweep at seed
+SEED + i and then timing consecutive sweeps
 `monte_carlo(cfg, runs=N, seed=S, jobs=1)` for about SWEEP_SECONDS, and at
-least SWEEP_LEAST of them, with single-threaded BLAS as perfbench fixes it. Sweep j of pair i runs seed
-S = (SEED + i) * SEED_STRIDE + j, so no two sweeps share a seed. A run's
-metric is `sweep_ms.<experiment>`, the median of its child's sweeps in
-milliseconds: a 20 ms sweep timed once is one sample of the machine's
-noise. It is not a BENCHMARK.json metric, so its summary row is marked
-`gated` false, but it gets both verdicts under the same rules, from at
-least 10 pairs.
+least SWEEP_LEAST of them, with single-threaded BLAS as perfbench fixes it.
+Sweep j of pair i runs seed S = (SEED + i) * SEED_STRIDE + j, so no two
+sweeps share a seed. A run's metric is `sweep_ms.<experiment>`, the median
+of its child's timed sweeps in milliseconds: a 20 ms sweep timed once is one
+sample of the machine's noise. The warm-up sweep's milliseconds are
+`sweep_first_ms.<experiment>`: it pays the first-call costs a one-call CLI
+process pays, set-up of a cold memo included. Neither is a BENCHMARK.json
+metric, so their summary rows are marked `gated` false, but they get both
+verdicts under the same rules, from at least 10 pairs. No sweep of a child
+may fail a row.
 """
 
 import argparse
@@ -99,6 +102,19 @@ def run_once(root: str, args, seed: int) -> dict:
     return {"head": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def sweep_timings(sweep, seed: int, clock=time.perf_counter) -> dict:
+    """A sweep child's timings: its first sweep, `sweep(seed)`, then `sweep_times`.
+
+    Returns the first sweep's milliseconds (`first_ms`), the median of the
+    consecutive sweeps' (`ms`) and their count (`sweeps`).
+    """
+    begin = clock()
+    sweep(seed)
+    first = 1e3 * (clock() - begin)
+    times = sweep_times(sweep, seed, clock)
+    return {"first_ms": first, "ms": statistics.median(times), "sweeps": len(times)}
+
+
 def sweep_times(sweep, seed: int, clock=time.perf_counter) -> list:
     """Milliseconds of consecutive `sweep(s)` calls, sweep j with s = seed * SEED_STRIDE + j.
 
@@ -114,11 +130,11 @@ def sweep_times(sweep, seed: int, clock=time.perf_counter) -> list:
 
 
 # Timed sweeps in a child process: argv is CONFIG RUNS SEED, and the
-# directory of this file, whose `sweep_times` times them.
+# directory of this file, whose `sweep_timings` times them.
 SWEEP_SCRIPT = """
-import json, statistics, sys
+import json, sys
 sys.path.insert(0, sys.argv[4])
-from bench_pairs import sweep_times
+from bench_pairs import sweep_timings
 from latsched import monte_carlo
 from latsched.config import load_scenario
 cfg = load_scenario(sys.argv[1])
@@ -127,16 +143,13 @@ failed = []
 def sweep(s):
     rows = monte_carlo(cfg, runs=runs, seed=s, jobs=1)
     failed.append(sum("error" in row for row in rows))
-sweep(seed)
-failed.clear()
-times = sweep_times(sweep, seed)
-print(json.dumps({"experiment": cfg.experiment.name, "ms": statistics.median(times),
-                  "sweeps": len(times), "failed": sum(failed)}))
+timings = sweep_timings(sweep, seed)
+print(json.dumps({"experiment": cfg.experiment.name, **timings, "failed": sum(failed)}))
 """
 
 
 def time_sweep(root: str, config: str, runs: int, seed: int) -> dict:
-    """One sweep process in `root`: its experiment, median milliseconds, sweeps and failed rows."""
+    """One sweep process in `root`: its experiment, `sweep_timings` and failed rows."""
     # Single-threaded BLAS, as perfbench/run.py fixes it.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -293,8 +306,8 @@ def main(argv=None) -> int:
                       "run, python -m latsched.cli <subcommand> -c configs/<config>.json "
                       "-o OUT [--runs R] [--jobs 2] [--graph G] [--seed 1]; a sweep set "
                       "times consecutive monte_carlo(cfg, runs=R, seed=N * 10**6 + j, "
-                      "jobs=1) calls in a child process after one untimed warm-up sweep "
-                      "and takes their median")
+                      "jobs=1) calls in a child process after one warm-up sweep at seed "
+                      "N, timed on its own, and takes their median")
     doc["protocol"] = ("alternating parent/change pairs, one process per run, one run at "
                        "a time, PYTHONDONTWRITEBYTECODE=1 for perfbench; the side that "
                        "ran first alternates by pair (in a cli set, for each run); "
@@ -311,7 +324,7 @@ def main(argv=None) -> int:
         doc["sets"][label] = (f"sweep {args.sweep}, {args.runs} runs, {args.pairs} pairs, "
                               f"--seed {args.seed}..{last}, in-process ms after a warm-up "
                               f"sweep, the median of {SWEEP_LEAST} or more sweeps over about "
-                              f"{SWEEP_SECONDS:g} s per process")
+                              f"{SWEEP_SECONDS:g} s per process, and the warm-up sweep's ms")
     else:
         doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
                               f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
@@ -339,7 +352,9 @@ def main(argv=None) -> int:
                     runs.append({"set": label, "workload": "sweep", "side": side, "pair": i,
                                  "seed": seed, "sweeps": out["sweeps"],
                                  "first_in_pair": side == order[0],
-                                 "metrics": {f"sweep_ms.{out['experiment']}": out["ms"]}})
+                                 "metrics": {f"sweep_ms.{out['experiment']}": out["ms"],
+                                             f"sweep_first_ms.{out['experiment']}":
+                                                 out["first_ms"]}})
             elif args.cli:
                 walls = time_cli(roots, order, workdirs)
                 doc.setdefault("machine", machine(None))
