@@ -568,7 +568,7 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
 
     pid = np.full(runs, policy[quantize(start.Phat, graph)])
     t_next = np.zeros(runs, dtype=np.int64)
-    together = True  # every run starts an epoch at t under method pid[0]
+    together = runs > 0  # every run starts an epoch at t under method pid[0]
     t = 0
     try:
         while t < horizon_steps:
@@ -594,7 +594,9 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
                 else:
                     pid[idx] = step(idx, t, method)
                 t_next[idx] = t + method.steps
-            t = int(t_next.min(initial=horizon_steps))
+            # Not capped at the horizon: a stack that steps together again
+            # ends its runs at t.
+            t = int(t_next.min()) if runs else horizon_steps
     except SourceExhausted:
         pass  # at t, and so at every later start of every run: each run ends at t_next
     if together:

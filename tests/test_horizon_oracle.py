@@ -421,6 +421,9 @@ def ladder_graph(n):
 # The paths run out at an epoch start before the horizon, after a dropped span.
 @example(n=3, steps=(4, 7), horizon=40, path_steps=20, drops=[(5, 6)], runs=3, adaptive=True,
          seed=1)
+# The adaptive runs diverge, then start their last epoch together; it ends
+# past the horizon.
+@example(n=1, steps=(2, 1), horizon=5, path_steps=18, drops=[], runs=2, adaptive=True, seed=5)
 def test_interior_points_match_predict(n, steps, horizon, path_steps, drops, runs, adaptive,
                                        seed):
     # `_traces` writes every interior mean after the loop. A run and each run of

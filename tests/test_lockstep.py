@@ -395,6 +395,13 @@ def test_the_adaptive_example_diverges_and_rejoins(planar):
     assert re.fullmatch(r"W+p+T+p+W+p*", pattern), pattern
 
 
+def test_an_empty_adaptive_stack_has_no_traces(planar):
+    model, methods, dyn, graph = planar
+    source = GridMeasurementSource(model, np.zeros((0, 30, 2)), model.dt_s, [])
+    assert run_lockstep(model, methods, graph, graph.policy, 2.3, source, dyn,
+                        use_adaptive=True) == []
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     runs=st.integers(1, 4),
