@@ -53,48 +53,23 @@ def _call_gufunc(gufunc, signature: str, a):
     return gufunc(a, signature=signature)
 
 
-@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
-def _call_chain(names: tuple, a):
-    """`a` through the gufuncs of `names` in turn: (how many returned, the last output).
-
-    A failure signal stops the chain at the gufunc that raised it, whose input
-    is returned.
-    """
-    done = 0
-    try:
-        for name in names:
-            gufunc, signature = _GUFUNCS[name]
-            a = gufunc(a, signature=signature)
-            done += 1
-    except FloatingPointError:
-        pass
-    return done, a
-
-
-def _lapack(name: str | tuple, a: np.ndarray):
+def _lapack(name: str, a: np.ndarray):
     """`numpy.linalg.<name>(a)` for float64 `a`, one matrix or a stack.
 
-    `name` is "eigh", "eigvalsh", "cholesky" or "inv", or a tuple of them, a
-    chain: `_lapack(("cholesky", "inv"), a)` is `inv(cholesky(a))`. The
-    public functions spend more on argument checks and their error-state
-    context than on a small matrix, so this calls their gufuncs directly, a
-    chain under one error state, theirs except that a failure signal raises
-    FloatingPointError. The gufuncs raise that signal exactly when LAPACK
-    fails; only then is the call handed to the public function, which raises
-    its own LinAlgError or returns the same result, and the rest of a chain
-    goes on from that. A non-finite input gives the same non-finite result
-    either way. `eigh` returns a plain `(eigenvalues, eigenvectors)` tuple.
+    `name` is "eigh", "eigvalsh", "cholesky" or "inv". The public functions
+    spend more on argument checks and their error-state context than on a
+    small matrix, so this calls their gufunc directly, under their error state
+    except that a failure signal raises FloatingPointError. The gufuncs raise
+    that signal exactly when LAPACK fails; only then is the call handed to the
+    public function, which raises its own LinAlgError or returns the same
+    result. A non-finite input gives the same non-finite result either way.
+    `eigh` returns a plain `(eigenvalues, eigenvectors)` tuple.
     """
-    if isinstance(name, str):
-        gufunc, signature = _GUFUNCS[name]
-        try:
-            return _call_gufunc(gufunc, signature, a)
-        except FloatingPointError:
-            return getattr(np.linalg, name)(a)
-    done, a = _call_chain(name, a)
-    if done == len(name):
-        return a
-    return _lapack(name[done + 1:], getattr(np.linalg, name[done])(a))
+    gufunc, signature = _GUFUNCS[name]
+    try:
+        return _call_gufunc(gufunc, signature, a)
+    except FloatingPointError:
+        return getattr(np.linalg, name)(a)
 
 
 # Padé-13 is (V - U)^-1 (V + U), U = A (A^6 p_0 + p_1), V = A^6 p_2 + p_3; row i

@@ -157,13 +157,13 @@ def _gain_and_next_cov(
     S = C @ PCt + R
     S = 0.5 * (S + S.mT)
     try:
-        G = _lapack(("cholesky", "inv"), S)
+        G = _lapack("inv", _lapack("cholesky", S))
     except np.linalg.LinAlgError:
         G = None
     if G is None or not _certified(S, G):
         _check_innovation(S)
         if G is None:
-            G = _lapack(("cholesky", "inv"), S)
+            G = _lapack("inv", _lapack("cholesky", S))
     # L = Ad P C' S^-1 with S^-1 = G' G. Each product keeps its association;
     # a contiguous operand leaves its bits as they are.
     L = Ad @ PCt @ _transposed(G) @ G

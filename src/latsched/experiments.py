@@ -27,15 +27,6 @@ of runs, which it cuts the same way. A block that raises is re-run one run at
 a time, as blocks of one through `run_loop`, so a failing run's row records
 its own error and every other row is unchanged.
 
-`monte_carlo` keeps each context it prepares (dynamics, graphs, policy) in
-`_PREPARED`, a memo of `_PREPARED_ENTRIES` entries that is cleared when full,
-keyed on the experiment name and `pickle.dumps(cfg)`: a config that differs
-in any field never hits. An entry is prepared from a private deep copy of
-the config, and each call's rows read the caller's own. Repeated sweeps of
-one scenario in one process share one dynamics object and one graph, so the
-graph's epoch memo serves every sweep; a single CLI call prepares once
-either way and gains nothing from it.
-
 A tracking block computes each value its rows hold once. Adaptive-R rows
 hold only MSEs, so its blocks compute no cost, CPU load or attention, and
 the MSEs of a block are one stacked reduction (`sim.block_mse`). A
@@ -45,9 +36,7 @@ per block (`sim.block_metrics`): its runs share one covariance path.
 
 from __future__ import annotations
 
-import copy
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -264,33 +253,8 @@ _EXPERIMENTS = {
     "adaptive-R": (_prepare_adaptive_R, _rows_adaptive_R, _BLOCK_RUNS),
 }
 
-# Prepared contexts `monte_carlo` keeps, keyed on the experiment name and the
-# pickled config; a full memo is cleared. A context holds its dynamics and
-# graphs: double_integrator's cost-histogram context, the largest shipped, holds
-# three graphs of 74, 706 and 7,096 nodes.
-_PREPARED: dict = {}
-_PREPARED_ENTRIES = 4
-
 # Context handed to forked pool workers; set by monte_carlo before the fork.
 _MC_CONTEXT: dict | None = None
-
-
-def _prepared(name: str, cfg: ScenarioConfig) -> dict:
-    """The experiment's prepared context for `cfg`, from the `_PREPARED` memo.
-
-    A miss prepares a private deep copy of `cfg`, so a caller that later
-    changes its config in place changes neither the entry nor, through the
-    key, what it hits. The context returned holds the caller's own `cfg`. A
-    `prepare` that raises leaves nothing in the memo.
-    """
-    key = (name, pickle.dumps(cfg))
-    context = _PREPARED.get(key)
-    if context is None:
-        context = _EXPERIMENTS[name][0](copy.deepcopy(cfg))
-        if len(_PREPARED) >= _PREPARED_ENTRIES:
-            _PREPARED.clear()
-        _PREPARED[key] = context
-    return dict(context, cfg=cfg)
 
 
 def _rows(context, name: str, runs: list, master_entropy) -> list:
@@ -335,18 +299,15 @@ def monte_carlo(
     Per-run seeds are spawned from the master seed so runs are independent
     and the whole output is reproducible from (config, seed) at any job
     count. Failed runs are recorded with an `error` column and do not stop
-    the sweep. The experiment's set-up comes from the `_PREPARED` memo, keyed
-    on the experiment name and the pickled `cfg` and bounded at
-    `_PREPARED_ENTRIES` entries: a later call with an equal config reuses
-    it, and its graph's epoch memo, which a one-call process never does. A
-    set-up that raises raises on every call and is not kept.
+    the sweep.
     """
     name = cfg.experiment.name
     if name not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
+    prepare = _EXPERIMENTS[name][0]
     runs = cfg.sim.runs if runs is None else runs
     seed = cfg.sim.seed if seed is None else seed
-    context = _prepared(name, cfg)
+    context = prepare(cfg)
     entropy = np.random.SeedSequence(seed).entropy
 
     workers = min(jobs, os.cpu_count() or 1, runs)

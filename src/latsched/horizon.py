@@ -26,19 +26,16 @@ are written into.
 `run_lockstep` runs a stack of runs as one loop and pays per epoch, not per
 run. Without adaptation every run of the stack shares one covariance path:
 a one-matrix loop computes it, reading the memo once per epoch, and the
-means follow it as one stacked recursion. With adaptation the stack steps
-whole, with no regrouping, while every run starts every epoch at the same
-step under one method, and its source reads every run's row by basic
-slicing while their counts of rows taken agree. Once the runs' methods
-differ, time jumps from one epoch start to the next; the runs starting an
-epoch there are grouped by method and each group is stepped with one
-stacked call per kernel, and a group of every run whose next methods agree
-starts the lockstep again. Memo hits therefore come from repeated runs on
-one graph: the benchmark's tracking run, `run_loop` on one graph again and
-again; the other tracking variants and later blocks of an `mc-eval` sweep;
-later sweeps of one scenario, which `monte_carlo`'s prepared-context memo
-runs on one graph; a covariance path that repeats itself once it has
-converged. One `simulate` run gets only the last
+means follow it as one stacked recursion. With adaptation time jumps from
+one epoch start to the next; the runs starting an epoch there are grouped
+by method and each group is stepped with one stacked call per kernel. A
+group of every run, every epoch of a stack whose runs move in lockstep,
+reads the stacks whole, and its source reads the runs' rows by basic
+slicing while their counts of rows taken agree.
+Memo hits therefore come from repeated runs on one graph: the benchmark's
+tracking run, `run_loop` on one graph again and again; the other tracking
+variants and later blocks of an `mc-eval` sweep; a covariance path that
+repeats itself once it has converged. One `simulate` run gets only the last
 kind. A lockstep stack logs each epoch once for the runs that start it, and
 its traces build their EpochRecords from the log when first read. Both
 loops keep only the means epochs start at, which the means up to the next
@@ -511,75 +508,28 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
                  window_length: int) -> tuple:
     """The epochs of an adaptive stack from `X` (runs, n), stepped in groups.
 
-    While every run starts every epoch at the same step under one method,
-    the runs move in lockstep: the stack is stepped whole, epoch after epoch,
-    and no run's next start or method is written. Once their next methods
-    differ, time jumps from one epoch start to the next, `t_next.min()`: the
-    runs starting an epoch there are split by the method they start, every
-    group fixed before any is stepped; a group of every run steps whole and
-    starts the lockstep again when its runs' next methods agree. Each group
-    takes one stacked call per kernel: the adaptive-R estimate,
-    `epoch_covariance`, `quantize` and the mean half. Returns the log, one
-    entry (runs, k, t, method id, measured, T, X, P) a group, with runs
-    slice(None) for a whole stack, k, T, X and P its runs' rows, then the
-    final T, X and P stacks and each run's next epoch start, the end of its
-    last epoch.
+    Time jumps from one epoch start to the next, `t_next.min()`. The runs
+    starting an epoch there are split by the method they start, every group
+    fixed before any is stepped, and each group takes one stacked call per
+    kernel: the adaptive-R estimate, `epoch_covariance`, `quantize` and the
+    mean half. Returns the log, one entry (runs, k, t, method id, measured,
+    T, X, P) a group with k, T, X and P its runs' rows, then the final T, X
+    and P stacks and each run's next epoch start, the end of its last epoch.
     """
     model = dyn.model
     runs, C = len(X), model.C
     P = np.tile(start.Phat, (runs, 1, 1))
     T = np.zeros(runs)
     k = np.zeros(runs, dtype=np.int64)
+    pid = np.full(runs, policy[quantize(start.Phat, graph)])
+    t_next = np.zeros(runs, dtype=np.int64)
     # Epoch -(length + 1) is out of every window: an empty slot.
     rings = {m.id: (np.zeros((runs, window_length, model.n_z, model.n_z)),
                     np.full((runs, window_length), -window_length - 1)) for m in methods}
     log = []
-
-    def step(sel, t: int, method: PerceptionMethod) -> np.ndarray:
-        """Step the runs `sel` (slice(None): every run) one epoch of `method` from t.
-
-        A whole stack is read as it is and rebound to the next one; a smaller
-        group gathers its rows and scatters into copies. Either way a logged
-        stack stays as it is. Returns the group's next method ids.
-        """
-        nonlocal X, P, T, k
-        z = source.draw(sel, t, method)
-        whole = isinstance(sel, slice)
-        Xg, Pg, kg, Tg = (X, P, k, T) if whole else (X[sel], P[sel], k[sel], T[sel])
-        Xg.setflags(write=False)
-        Pg.setflags(write=False)
-        measured = z is not None
-        R = None
-        if measured:
-            Cx = (C @ Xg[..., None])[..., 0]
-            E, counts = _push(rings[method.id], sel, kg, Cx - z, window_length)
-            R = _estimate_R(E, counts, Pg, method, model)
-        L, P_next, node = _transition(Pg, method, R, graph, dyn)
-        X_next = (dyn.step_pair(method.steps)[0] @ Xg[..., None])[..., 0]
-        if measured:
-            X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
-        log.append((sel, kg, t, method.id, measured, Tg, Xg, Pg))
-        nexts = (X_next, P_next, Tg + method.latency(dyn.dt_s), kg + 1)
-        if whole:
-            X, P, T, k = nexts
-        else:
-            X, P, T, k = (_scatter(a, sel, b) for a, b in zip((X, P, T, k), nexts))
-        return policy[node]
-
-    pid = np.full(runs, policy[quantize(start.Phat, graph)])
-    t_next = np.zeros(runs, dtype=np.int64)
-    together = runs > 0  # every run starts an epoch at t under method pid[0]
     t = 0
     try:
         while t < horizon_steps:
-            if together:
-                method = methods[pid[0] - 1]
-                pid = step(slice(None), t, method)
-                t += method.steps
-                together = bool((pid == pid[0]).all())
-                if not together:
-                    t_next[:] = t
-                continue
             starting = np.flatnonzero(t_next == t)
             # Fixed before any group is stepped: a stepped run starts no second
             # epoch at t under the method its node now picks.
@@ -588,19 +538,37 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
                 idx = starting[starts == method.id]
                 if not idx.size:
                     continue
-                if idx.size == runs:
-                    pid = step(slice(None), t, method)
-                    together = bool((pid == pid[0]).all())
+                # A group of every run draws and reads the stacks whole and
+                # rebinds them to the next ones; a smaller group gathers its
+                # rows and scatters into copies. Either way a logged stack
+                # stays as it is.
+                whole = idx.size == runs
+                sel = slice(None) if whole else idx
+                z = source.draw(sel, t, method)
+                Xg, Pg, kg, Tg = (X, P, k, T) if whole else (X[idx], P[idx], k[idx], T[idx])
+                Xg.setflags(write=False)
+                Pg.setflags(write=False)
+                measured = z is not None
+                R = None
+                if measured:
+                    Cx = (C @ Xg[..., None])[..., 0]
+                    E, counts = _push(rings[method.id], sel, kg, Cx - z, window_length)
+                    R = _estimate_R(E, counts, Pg, method, model)
+                L, P_next, node = _transition(Pg, method, R, graph, dyn)
+                X_next = (dyn.step_pair(method.steps)[0] @ Xg[..., None])[..., 0]
+                if measured:
+                    X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
+                log.append((idx, kg, t, method.id, measured, Tg, Xg, Pg))
+                nexts = (X_next, P_next, Tg + method.latency(dyn.dt_s), kg + 1)
+                if whole:
+                    X, P, T, k = nexts
                 else:
-                    pid[idx] = step(idx, t, method)
+                    X, P, T, k = (_scatter(a, idx, b) for a, b in zip((X, P, T, k), nexts))
+                pid[idx] = policy[node]
                 t_next[idx] = t + method.steps
-            # Not capped at the horizon: a stack that steps together again
-            # ends its runs at t.
-            t = int(t_next.min()) if runs else horizon_steps
+            t = int(t_next.min(initial=horizon_steps))
     except SourceExhausted:
         pass  # at t, and so at every later start of every run: each run ends at t_next
-    if together:
-        t_next[:] = t
     X.setflags(write=False)
     P.setflags(write=False)
     return log, T, X, P, t_next
@@ -622,9 +590,8 @@ def _replayed_records(log: list, run: int) -> list:
 def _grouped_records(log: list, runs: int) -> list:
     """Every run's EpochRecords from `_step_groups`' log, one list per run."""
     epochs = [[] for _ in range(runs)]
-    every = np.arange(runs)
     for idx, k, t, method_id, measured, T, X, P in log:
-        for i, epoch, belief in zip(every[idx].tolist(), k.tolist(),
+        for i, epoch, belief in zip(idx.tolist(), k.tolist(),
                                     map(_trusted_belief, T.tolist(), X, P)):
             epochs[i].append(EpochRecord(epoch, t, method_id, measured, belief))
     return epochs

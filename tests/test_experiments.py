@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -20,9 +19,7 @@ from latsched import (
     sample_region,
     simulate_sde,
 )
-from latsched import experiments
 from latsched.config import parse_scenario
-from latsched.errors import ConfigError, ExplosionGuardError
 from latsched.exact import window_steps
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -226,96 +223,6 @@ class TestReproducibility:
         rows_to_csv(rows, p1)
         rows_to_csv(monte_carlo(cfg, runs=2, seed=13), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-# The experiment block of each experiment on `planar_payload`, kept small.
-EXPERIMENT_BLOCKS = {
-    "bound-validation": {"name": "bound-validation", "schedule_steps": 20},
-    "cost-histogram": {"name": "cost-histogram", "graph_sizes": [10]},
-    "moving-horizon": {"name": "moving-horizon"},
-    "adaptive-R": {"name": "adaptive-R", "true_R_factor": 4.0},
-}
-
-
-class TestPreparedMemo:
-    """`monte_carlo` keeps prepared contexts by experiment and pickled config.
-
-    Rows compare by `repr`, which tells every float apart bit for bit.
-    """
-
-    @pytest.fixture
-    def memo(self, monkeypatch):
-        """An empty memo of prepared contexts for the test."""
-        monkeypatch.setattr(experiments, "_PREPARED", {})
-        return experiments._PREPARED
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("name", list(EXPERIMENT_BLOCKS))
-    def test_later_calls_give_the_first_calls_rows(self, memo, name, jobs):
-        payload = planar_payload(experiment=EXPERIMENT_BLOCKS[name])
-        cfg = parse_scenario(payload)
-        first = repr(monte_carlo(cfg, runs=3, seed=2, jobs=jobs))
-        assert len(memo) == 1
-        assert repr(monte_carlo(cfg, runs=3, seed=2, jobs=jobs)) == first
-        # An equal config parsed anew hits the same entry.
-        assert repr(monte_carlo(parse_scenario(payload), runs=3, seed=2, jobs=jobs)) == first
-        assert len(memo) == 1
-        # A warm entry, its graph's epoch memo filled, gives a cold memo's rows.
-        warm = repr(monte_carlo(cfg, runs=3, seed=5, jobs=jobs))
-        memo.clear()
-        assert repr(monte_carlo(cfg, runs=3, seed=5, jobs=jobs)) == warm
-
-    @pytest.mark.parametrize("change", ["graph.count", "method R", "true_R_factor"])
-    def test_a_config_changed_in_place_gets_a_cold_memos_rows(self, memo, change):
-        # At lambda_alpha 0.2 the nominal runs' schedule depends on the graph.
-        cfg = parse_scenario(planar_payload(cost={"Tf": 1.0, "lambda_alpha": 0.2},
-                                            experiment=EXPERIMENT_BLOCKS["adaptive-R"]))
-        before = repr(monte_carlo(cfg, runs=3, seed=2))
-        if change == "graph.count":
-            cfg.graph.count = 12
-        elif change == "method R":
-            cfg.methods[1] = dataclasses.replace(cfg.methods[1], R=0.2 * np.eye(2))
-        else:
-            cfg.experiment.true_R_factor = 9.0
-        got = repr(monte_carlo(cfg, runs=3, seed=2))
-        memo.clear()
-        assert got == repr(monte_carlo(cfg, runs=3, seed=2)) != before
-
-    def test_a_callers_later_change_leaves_its_entry_alone(self, memo):
-        payload = planar_payload(experiment=EXPERIMENT_BLOCKS["adaptive-R"])
-        first = parse_scenario(payload)
-        rows = repr(monte_carlo(first, runs=3, seed=2))
-        first.graph.count = 12
-        first.experiment.true_R_factor = 9.0
-        first.methods[0] = dataclasses.replace(first.methods[0], R=0.2 * np.eye(2))
-        first.sim.true_R[1] = np.eye(2)
-        assert repr(monte_carlo(parse_scenario(payload), runs=3, seed=2)) == rows
-        assert len(memo) == 1
-
-    @pytest.mark.parametrize("case", ["sim grid", "exact caps"])
-    def test_a_prepare_that_raises_raises_every_call_and_caches_nothing(self, memo, case):
-        if case == "sim grid":
-            cfg = parse_scenario(planar_payload())
-            cfg.sim.dt = 0.03
-            error, match = ConfigError, "sim.dt: must divide model.dt_s exactly"
-        else:
-            cfg = parse_scenario(planar_payload(
-                cost={"Tf": 2.5, "lambda_alpha": 5.0},
-                experiment=EXPERIMENT_BLOCKS["cost-histogram"]))
-            error, match = ExplosionGuardError, "recursion depth 25 > 24"
-        for _ in range(2):
-            with pytest.raises(error, match=match):
-                monte_carlo(cfg, runs=2, seed=1)
-            assert memo == {}
-
-    def test_the_memo_stays_within_its_bound(self, memo):
-        bound = experiments._PREPARED_ENTRIES
-        for steps in range(1, bound + 4):
-            cfg = parse_scenario(planar_payload(
-                experiment={"name": "bound-validation", "schedule_steps": steps}))
-            monte_carlo(cfg, runs=1, seed=0)
-            assert 1 <= len(memo) <= bound
-            assert len(memo) == (steps - 1) % bound + 1
 
 
 class TestErrorRecording:

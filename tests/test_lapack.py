@@ -4,8 +4,7 @@ Every `eigh`, `eigvalsh`, `cholesky` and `inv` in latsched goes through
 `_lapack`, which calls numpy's gufuncs directly. On one matrix or a stack,
 SPD, indefinite, singular, huge or holding NaN or inf, each result must equal
 the public function's bit for bit, each failure must raise the same
-LinAlgError message, and no call may warn. A chain of names must do what the
-nested public calls do.
+LinAlgError message, and no call may warn.
 """
 
 import warnings
@@ -16,12 +15,6 @@ from hypothesis import given, settings, strategies as st
 from latsched.dynamics import _lapack
 
 NAMES = ("eigh", "eigvalsh", "cholesky", "inv")
-# Chains of names and the nested public calls they stand for.
-CHAINS = {
-    ("cholesky", "inv"): lambda a: np.linalg.inv(np.linalg.cholesky(a)),
-    ("inv", "cholesky"): lambda a: np.linalg.cholesky(np.linalg.inv(a)),
-    ("inv", "inv", "eigvalsh"): lambda a: np.linalg.eigvalsh(np.linalg.inv(np.linalg.inv(a))),
-}
 
 
 def outcome(func, a):
@@ -84,10 +77,6 @@ def test_lapack_matches_public_linalg(n, stack, kind, seed):
         want, _ = outcome(getattr(np.linalg, name), a)
         assert got == want, name
         assert not caught, (name, [str(w.message) for w in caught])
-    for chain, nested in CHAINS.items():
-        got, caught = outcome(lambda x: _lapack(chain, x), a)
-        assert got == outcome(nested, a)[0], chain
-        assert not caught, (chain, [str(w.message) for w in caught])
 
 
 def test_every_kind_of_outcome_is_reached():
@@ -100,17 +89,3 @@ def test_every_kind_of_outcome_is_reached():
     assert not np.all(np.isfinite(w))
     assert outcome(lambda x: _lapack("inv", x), np.zeros((2, 2)))[0] == (
         "raise", "Singular matrix")
-
-
-def test_a_chain_whose_cholesky_fails_raises_the_public_error():
-    # The Riccati kernel's chain on an indefinite S: the Cholesky gufunc
-    # signals, and the public cholesky it hands the matrix to raises.
-    S = np.array([[1.0, 2.0], [2.0, 1.0]])
-    want = outcome(lambda a: np.linalg.inv(np.linalg.cholesky(a)), S)[0]
-    assert want == ("raise", "Matrix is not positive definite")
-    got, caught = outcome(lambda a: _lapack(("cholesky", "inv"), a), S)
-    assert got == want and not caught
-    # A stack with one such member fails for the whole stack, as numpy's does.
-    stack = np.array([np.eye(2), S])
-    assert outcome(lambda a: _lapack(("cholesky", "inv"), a), stack)[0] == want
-

@@ -56,7 +56,7 @@ sweeps share a seed. A run's metric is `sweep_ms.<experiment>`, the median
 of its child's timed sweeps in milliseconds: a 20 ms sweep timed once is one
 sample of the machine's noise. The warm-up sweep's milliseconds are
 `sweep_first_ms.<experiment>`: it pays the first-call costs a one-call CLI
-process pays, set-up of a cold memo included. Neither is a BENCHMARK.json
+process pays, set-up and cold memos included. Neither is a BENCHMARK.json
 metric, so their summary rows are marked `gated` false, but they get both
 verdicts under the same rules, from at least 10 pairs. No sweep of a child
 may fail a row.
