@@ -98,16 +98,17 @@ class CovarianceGraph:
         policy_meta: parameters the policy was computed for (`qdp.policy_meta`).
 
     Two private memos ride on the graph. `qdp` and `qdp_matrices` keep the
-    tables of the graph's last backward sweep in `_sweep`. `run_loop` and
-    `run_lockstep` keep the covariance half of the epochs they have run in
-    `_epochs`: the gain and the next covariance and node, keyed on the start
-    covariance's bytes, the method and whether it measured, for one method
-    list (each method's steps and R bytes) and one dynamics object (by
-    identity); adaptive-R runs bypass it. Its hits come from repeated runs on one graph (see `horizon`),
-    and it holds at most `horizon._MEMO_ENTRIES` entries. Construction
-    starts both memos empty (so `dataclasses.replace` and `load` do too) and
-    `save` never writes them. A graph whose `reps` or `succ` are written into must be rebuilt
-    before its next query or run, since both memos go stale, as do the
+    tables of the graph's last backward sweep in `_sweep`. `horizon`'s
+    shared-path loop keeps the covariance half of the epochs it has run
+    without adaptive R in `_epochs`: the gain and the next covariance and
+    node, keyed on the start covariance's bytes, the method and whether it
+    measured, for one method list (each method's steps and R bytes) and one
+    dynamics object (by identity). Its hits come from repeated runs on one
+    graph, and it holds at most `horizon._MEMO_ENTRIES` entries.
+    Construction starts both memos empty (so `dataclasses.replace` and
+    `load` do too) and `save` never writes them. A graph whose `reps` or
+    `succ` are written into must be rebuilt before its next query or run,
+    since both memos go stale, as do the
     score operands that construction caches for `nearest` and `nearest_ids`
     (`_augmented`; on the n(n+1)/2 distinct entries when every rep is
     exactly symmetric, as built, sampled and loaded reps are).

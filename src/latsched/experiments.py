@@ -24,8 +24,10 @@ block. A tracking run reads its truth path at the sensor steps only, as
 jobs = 1 the sweep is cut into blocks of up to `_BLOCK_RUNS` runs. At
 jobs > 1 a fork-based process pool gives each worker one contiguous range
 of runs, which it cuts the same way. A block that raises is re-run one run at
-a time, as blocks of one through `run_loop`, so a failing run's row records
-its own error and every other row is unchanged.
+a time, as blocks of one, so a failing run's row records its own error and
+every other row is unchanged. A block of one is a one-run `run_lockstep`
+stack, which `horizon._shared_path` steps as it steps `run_loop`, adaptive
+or not; so is the one run of `simulate`.
 
 A tracking block computes each value its rows hold once. Adaptive-R rows
 hold only MSEs, so its blocks compute no cost, CPU load or attention, and
@@ -54,7 +56,7 @@ from .exact import (
     schedule_cpu_load,
     static_schedule,
 )
-from .horizon import run_lockstep, run_loop
+from .horizon import run_lockstep
 from .qdp import attach_policy, policy_meta, qdp
 from .sim import GridMeasurementSource, block_metrics, block_mse, grid_ratio, simulate_sde
 
@@ -153,24 +155,20 @@ def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, ada
     """A tracking run for each truth path of a stack `(runs, N, n_x)` on the sensor grid.
 
     `policy`, `adaptive` and `true_R` default to the graph's and cfg.sim's.
-    One path runs `run_loop`. More are stepped together by `run_lockstep`,
-    which equals it bit for bit; a one-run stack costs what `run_loop` costs
-    without adaptation, and about 1.5x as much with it.
-    Returns the traces and their `block_metrics`, or with `mse_only` their
-    `block_mse`. Without adaptation the runs share one covariance path and
-    schedule, so their cost, CPU load and attention are computed once.
+    The runs are one `run_lockstep` stack, which equals `run_loop` run by
+    run, bit for bit. Returns the traces and their `block_metrics`, or with
+    `mse_only` their `block_mse`. Without adaptation the runs share one
+    covariance path and schedule, so their cost, CPU load and attention are
+    computed once.
     """
     dt = cfg.model.dt_s
     adaptive = cfg.sim.adaptive if adaptive is None else adaptive
-    rngs = [np.random.default_rng(seed) for seed in meas_seeds]
-    single = len(rngs) == 1
     source = GridMeasurementSource(
-        cfg.model, paths[0] if single else paths, dt, rngs[0] if single else rngs,
+        cfg.model, paths, dt, [np.random.default_rng(seed) for seed in meas_seeds],
         occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R if true_R is None else true_R,
     )
-    args = (cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn, adaptive,
-            cfg.sim.window)
-    traces = [run_loop(*args)] if single else run_lockstep(*args)
+    traces = run_lockstep(cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn,
+                          adaptive, cfg.sim.window)
     if mse_only:
         return traces, block_mse(traces, paths, cfg.methods, cfg.sim.horizon, dyn, dt)
     return traces, block_metrics(traces, paths, cfg.lam_alpha, cfg.methods, cfg.sim.horizon,
@@ -260,9 +258,8 @@ _MC_CONTEXT: dict | None = None
 def _rows(context, name: str, runs: list, master_entropy) -> list:
     """The rows of `runs`, stepped as one block.
 
-    If the block raises, each run is re-run as a block of one, the per-run
-    path, so a failing run's row records its own error and no other row
-    changes.
+    If the block raises, each run is re-run as a block of one, so a failing
+    run's row records its own error and no other row changes.
     """
     # Child streams are reconstructed as SeedSequence(master, spawn_key=(run,)),
     # which is what .spawn() produces, so rows are identical at any job count.

@@ -14,35 +14,35 @@ e[l] = C xhat[l] - z[l] and estimates the current covariance as
 projected back to PSD, falling back to the nominal R when the window is
 empty.
 
-Without adaptation, the covariance half of an epoch (gain, next covariance
-and its node) does not depend on the measured values, so `run_loop` keeps it
-in a memo on the graph (`CovarianceGraph._epochs`), keyed on the start
-covariance's bytes, the method and whether it measured, for one method list
-(each method's steps and R) and one dynamics object. The mean half runs
-every epoch. Adaptive runs bypass the memo: their R is an estimate, not the
-method's. Like the graph's sweep memo it goes stale when `reps` or `succ`
-are written into.
+Two loops step the epochs. `_shared_path` steps one run, adaptive or not
+(`run_loop`, a one-run `run_lockstep` stack), or every run of a stack
+without adaptation. Without adaptation the covariance half of an epoch
+(gain, next covariance and its node) does not depend on the measured
+values: the stack shares one covariance path, and the loop keeps its
+epochs in a memo on the graph (`CovarianceGraph._epochs`), keyed on the
+start covariance's bytes, the method and whether it measured, for one
+method list (each method's steps and R) and one dynamics object, while the
+means follow as one recursion, stacked over the runs. An adaptive run
+bypasses the memo: its R is an estimate, not the method's. Like the graph's
+sweep memo it goes stale when `reps` or `succ` are written into. Its hits
+come from repeated runs on one graph: the benchmark's tracking run,
+`run_loop` on one graph again and again; the other tracking variants and
+later blocks of an `mc-eval` sweep; a covariance path that repeats itself
+once it has converged. One `simulate` run gets only the last kind.
 
-`run_lockstep` runs a stack of runs as one loop and pays per epoch, not per
-run. Without adaptation every run of the stack shares one covariance path:
-a one-matrix loop computes it, reading the memo once per epoch, and the
-means follow it as one stacked recursion. With adaptation time jumps from
-one epoch start to the next; the runs starting an epoch there are grouped
-by method and each group is stepped with one stacked call per kernel. A
-group of every run, every epoch of a stack whose runs move in lockstep,
-reads the stacks whole, and its source reads the runs' rows by basic
-slicing while their counts of rows taken agree.
-Memo hits therefore come from repeated runs on one graph: the benchmark's
-tracking run, `run_loop` on one graph again and again; the other tracking
-variants and later blocks of an `mc-eval` sweep; a covariance path that
-repeats itself once it has converged. One `simulate` run gets only the last
-kind. A lockstep stack logs each epoch once for the runs that start it, and
-its traces build their EpochRecords from the log when first read. Both
-loops keep only the means epochs start at, which the means up to the next
-epoch are pure predictions of: after the loop, `_traces` gives every
-interior sensor step's mean from one gathered product per run or stack. No
-covariance is kept there: `TrackingTrace.grid` derives tr P from the
-epochs' beliefs.
+`_step_groups` steps an adaptive stack of two or more runs. Time jumps
+from one epoch start to the next; the runs starting an epoch there are
+grouped by method and each group is stepped with one stacked call per
+kernel. A group of every run, every epoch of a stack whose runs move in
+lockstep, reads the stacks whole, and its source reads the runs' rows by
+basic slicing while their counts of rows taken agree.
+
+Both loops log each epoch once for the runs that start it, and a trace
+builds its EpochRecords from the log when first read. They keep only the
+means epochs start at, which the means up to the next epoch are pure
+predictions of: after the loop, `_traces` gives every interior sensor
+step's mean from one gathered product per run or stack. No covariance is
+kept there: `TrackingTrace.grid` derives tr P from the epochs' beliefs.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +60,6 @@ from .estimator import (
     BeliefState,
     _trusted_belief,
     epoch_covariance,
-    epoch_mean,
     predict,
 )
 from .exact import window_steps
@@ -148,31 +146,22 @@ def _estimate_R(outer: np.ndarray, count, Phat: np.ndarray, method: PerceptionMe
     return np.where(passed[..., None, None], raw, clipped)
 
 
-class _Transition(NamedTuple):
-    """The covariance half of one epoch, a pure function of its memo key.
+def _transition(Phat, method, R, graph: CovarianceGraph, dyn: DiscretizedDynamics) -> tuple:
+    """The covariance half of an epoch from one covariance or a stack: (L, P_next, node).
 
-    gain: L of the correction, None for a dropped measurement.
-    Phat: the next covariance, clamped and read-only.
-    node: quantize(Phat), the node whose policy entry picks the next method.
+    L is the correction's gain, None when the measurement was dropped (and
+    `R` is None); P_next the next covariance, clamped and read-only; node
+    quantize(P_next), whose policy entry picks the next method.
     """
-
-    gain: np.ndarray | None
-    Phat: np.ndarray
-    node: int
-
-
-def _transition(Phat, method, R, graph: CovarianceGraph,
-                dyn: DiscretizedDynamics) -> _Transition:
-    """The covariance half of an epoch from one covariance or a stack; `R` is None when dropped."""
     L, P_next = epoch_covariance(Phat, method, dyn, R)
-    return _Transition(L, P_next, quantize(P_next, graph))
+    return L, P_next, quantize(P_next, graph)
 
 
 def _epoch_memo(graph: CovarianceGraph, methods, dyn: DiscretizedDynamics) -> dict:
     """The graph's table of epoch transitions for these methods and `dyn`.
 
-    The table maps `(Phat bytes, method id, measured)` to a
-    `_Transition`, and a run's start covariance bytes to its node.
+    The table maps `(Phat bytes, method id, measured)` to a `_transition`,
+    and a run's start covariance bytes to its node.
     """
     return graph._memo("_epochs", tuple((m.steps, m.R.tobytes()) for m in methods), dyn, dict)
 
@@ -229,9 +218,9 @@ class TrackingTrace:
     """Loop output: per-epoch records plus the estimate means on the sensor grid.
 
     `grid_xhat` is filled after the last epoch, by `_traces`; `grid` derives
-    tr P, the method and the measured flag there from the epochs. A
-    `run_lockstep` trace builds its EpochRecords from its stack's log the
-    first time `epochs` is read. `end_steps`, set by the loops, is the step
+    tr P, the method and the measured flag there from the epochs. A trace
+    the loops build makes its EpochRecords from their log the first time
+    `epochs` is read. `end_steps`, set by the loops, is the step
     the last epoch ends at (0 without epochs); it is None on a trace built
     otherwise.
     """
@@ -345,51 +334,14 @@ def run_loop(
     k (start step t_steps) or None when it is dropped; raising SourceExhausted
     ends the run cleanly with a partial trace. `policy` maps node id to the
     1-based method id to run next; pass graph.policy when it was precomputed.
+    The run is `_shared_path`'s one-run loop over the measurements' z.
     """
-    policy = _checked_policy(policy, graph, methods)
-    horizon_steps = window_steps(horizon, dyn.dt_s)
+    def draw(k, t_steps, method):
+        meas = source(k, t_steps, method)
+        return None if meas is None else meas.z
 
-    window = InnovationWindow(window_length)
-    # Only adaptive R reads the innovations, and adaptive runs bypass the memo.
-    if use_adaptive:
-        memo = None
-    else:
-        window, memo = None, _epoch_memo(graph, methods, dyn)
-    belief = BeliefState(0.0, model.x0, model.P0)
-    pid = int(policy[_remember(memo, belief.Phat.tobytes(),
-                               lambda: quantize(belief.Phat, graph))])
-    epochs: list[EpochRecord] = []
-
-    k = 0
-    t_steps = 0
-    while t_steps < horizon_steps:
-        method = methods[pid - 1]
-        try:
-            meas = source(k, t_steps, method)
-        except SourceExhausted:
-            break
-        measured = meas is not None
-        epochs.append(EpochRecord(k, t_steps, method.id, measured, belief))
-        R = method.R if measured else None
-        if measured and window is not None:
-            window.push(method.id, meas.k, dyn.model.C @ belief.xhat - meas.z)
-            R = adaptive_R(window, method, meas.k, belief, dyn.model)
-        if memo is None:
-            step = _transition(belief.Phat, method, R, graph, dyn)
-        else:
-            step = _remember(memo, (belief.Phat.tobytes(), method.id, measured),
-                             lambda: _transition(belief.Phat, method, R, graph, dyn))
-        belief = epoch_mean(belief, method, dyn, step.gain, step.Phat,
-                            meas.z if measured else None)
-        pid = int(policy[step.node])
-        t_steps += method.steps
-        k += 1
-    xhat = np.empty((1, horizon_steps + 1, model.n_x))
-    begun = np.zeros(xhat.shape[:2], dtype=bool)
-    starts = [epoch.t_steps for epoch in epochs]
-    xhat[0, starts] = np.reshape([epoch.belief.xhat for epoch in epochs], (-1, model.n_x))
-    begun[0, starts] = True
-    return _traces(dyn, xhat, begun, np.array([t_steps]), [epochs], [belief])[0]
+    return _tracked(model, methods, graph, policy, horizon, dyn, use_adaptive, window_length, 1,
+                    draw, None)[0]
 
 
 def _push(ring, runs, k: np.ndarray, e: np.ndarray, length: int):
@@ -429,74 +381,109 @@ def run_lockstep(
     `source` is a `GridMeasurementSource` over a path stack with one generator
     per run, read through its `draw`. It drops a step for every run or for
     none, and its paths share their length, so it runs out at a step for
-    every run and at every later step: the stack ends there. Without
-    adaptation every run follows one covariance path, which `_replay` steps
-    once for the stack; with it `_step_groups` steps groups of runs. Either
-    logs each epoch once for the runs that start it, and a trace builds its
-    EpochRecords from the log the first time its `epochs` is read. The
-    interior sensor steps' means come after the last epoch, from one
-    `_traces` product over the stack. Each stacked product is `run_loop`'s
-    product for one run, stacked, so every trace equals `run_loop`'s over the
-    same path and generator bit for bit, and a run whose kernels raise raises
-    what `run_loop` raises when stepped alone.
+    every run and at every later step: the stack ends there. One run, and
+    every run of a stack without adaptation, takes `_shared_path`, the loop
+    of `run_loop`; an adaptive stack of more runs takes `_step_groups`.
+    Each stacked product is the one-run product, stacked, so every trace
+    equals `run_loop`'s over the same path and generator bit for bit, and a
+    run whose kernels raise raises what `run_loop` raises when stepped alone.
+    """
+    runs = len(source.path)
+    which = 0 if runs == 1 else slice(None)
+    return _tracked(model, methods, graph, policy, horizon, dyn, use_adaptive, window_length,
+                    runs, lambda k, t_steps, method: source.draw(which, t_steps, method), source)
+
+
+def _tracked(model: ContinuousModel, methods, graph: CovarianceGraph, policy, horizon: float,
+             dyn: DiscretizedDynamics, use_adaptive: bool, window_length: int, runs: int, draw,
+             source) -> list:
+    """The TrackingTraces of `runs` runs.
+
+    One run, adaptive or not, and every run of a stack without adaptation,
+    is `_shared_path` over `draw(k, t_steps, method)`; an adaptive stack of
+    any other size is `_step_groups` over the stacked `source`.
     """
     policy = _checked_policy(policy, graph, methods)
     if window_length < 1:
         raise ValueError("window length must be >= 1")
     horizon_steps = window_steps(horizon, dyn.dt_s)
-    runs = len(source.path)
     start = BeliefState(0.0, model.x0, model.P0)
-    X = np.tile(start.xhat, (runs, 1))
-    if use_adaptive:
+    xhat = np.empty((runs, horizon_steps + 1, model.n_x))
+    begun = np.zeros(xhat.shape[:2], dtype=bool)
+    if use_adaptive and runs != 1:
         log, T, X, P, t_next = _step_groups(methods, graph, policy, horizon_steps, source, dyn,
-                                            start, X, window_length)
+                                            start, np.tile(start.xhat, (runs, 1)), window_length)
         grouped = functools.cache(lambda: _grouped_records(log, runs))
         records = [lambda i=i: grouped()[i] for i in range(runs)]
         finals = list(map(_trusted_belief, T.tolist(), X, P))
+        for idx, _, t, _, _, _, Xg, _ in log:
+            xhat[idx, t], begun[idx, t] = Xg, True
     else:
-        log, T, X, P, end = _replay(methods, graph, policy, horizon_steps, source, dyn, start, X)
-        records = [functools.partial(_replayed_records, log, i) for i in range(runs)]
-        finals = [_trusted_belief(T, x, P) for x in X]
+        window = InnovationWindow(window_length) if use_adaptive else None
+        X = start.xhat if runs == 1 else np.tile(start.xhat, (runs, 1))
+        log, T, X, P, end = _shared_path(methods, graph, policy, horizon_steps, draw, dyn, start,
+                                         X, window)
+        # One run's means are vectors, which `...` reads whole.
+        picks = [...] if runs == 1 else range(runs)
+        records = [functools.partial(_path_records, log, i) for i in picks]
+        finals = [_trusted_belief(T, X[i], P) for i in picks]
         t_next = np.full(runs, end)
-    xhat = np.empty((runs, horizon_steps + 1, model.n_x))
-    begun = np.zeros(xhat.shape[:2], dtype=bool)
-    for group, _, t, _, _, _, Xg, _ in log:
-        xhat[group, t], begun[group, t] = Xg, True
+        if log:
+            # np.array of the logged means, epochs first, costs half of np.stack.
+            starts = [entry[1] for entry in log]
+            xhat[:, starts] = np.moveaxis(np.array([entry[5] for entry in log]), 0, -2)
+            begun[:, starts] = True
     return _traces(dyn, xhat, begun, t_next, records, finals)
 
 
-def _replay(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_steps: int, source,
-            dyn: DiscretizedDynamics, start: BeliefState, X: np.ndarray) -> tuple:
-    """The epochs of a stack without adaptation from the means `X (runs, n)`.
+def _shared_path(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_steps: int, draw,
+                 dyn: DiscretizedDynamics, start: BeliefState, X: np.ndarray,
+                 window: InnovationWindow | None) -> tuple:
+    """The epochs of runs that share one covariance path, from the means `X`.
 
-    The covariance half reads no measurement, and the source drops or runs
-    out for every run at once, so every run follows one covariance path. It
-    is stepped as one matrix, from the graph's epoch memo under `run_loop`'s
-    keys, and the means follow it epoch by epoch as one stacked recursion.
-    Returns the log, one entry (slice(None), k, t, method id, measured, T, X,
-    P) an epoch with P the shared start covariance, the final T, X and P and
-    the step the path ends at.
+    `X` is one run's mean `(n,)` or a stack `(runs, n)`; `draw(k, t, method)`
+    gives epoch k's measurements shaped alike, or None when they are
+    dropped, and raising SourceExhausted ends every run. Without a `window`
+    the covariance half is read from the graph's epoch memo. With an
+    InnovationWindow, `X` is one run's mean, and R is its window's
+    `adaptive_R` estimate, aged by epoch index. Returns the log, one entry
+    (k, t, method id, measured, T, X, P) an epoch with P the start
+    covariance, the final T, X and P and the step the path ends at.
     """
-    memo = _epoch_memo(graph, methods, dyn)
     C, P, T = dyn.model.C, start.Phat, 0.0
+    memo = _epoch_memo(graph, methods, dyn) if window is None else None
     pid = int(policy[_remember(memo, P.tobytes(), lambda: quantize(P, graph))])
     log = []
     t = 0
     while t < horizon_steps:
         method = methods[pid - 1]
+        k = len(log)
         try:
-            z = source.draw(slice(None), t, method)
+            z = draw(k, t, method)
         except SourceExhausted:
             break
         measured = z is not None
-        L, P_next, node = _remember(memo, (P.tobytes(), method.id, measured),
-                                    lambda: _transition(P, method, method.R if measured else None,
-                                                        graph, dyn))
         X.setflags(write=False)
-        log.append((slice(None), len(log), t, method.id, measured, T, X, P))
-        X_next = (dyn.step_pair(method.steps)[0] @ X[..., None])[..., 0]
-        if measured:
-            X_next = X_next + (L @ (z - (C @ X[..., None])[..., 0])[..., None])[..., 0]
+        log.append((k, t, method.id, measured, T, X, P))
+        R = method.R if measured else None
+        if window is None:
+            L, P_next, node = _remember(memo, (P.tobytes(), method.id, measured),
+                                        lambda: _transition(P, method, R, graph, dyn))
+        else:
+            if measured:
+                window.push(method.id, k, C @ X - z)
+                R = adaptive_R(window, method, k, _trusted_belief(T, X, P), dyn.model)
+            L, P_next, node = _transition(P, method, R, graph, dyn)
+        Ad = dyn.step_pair(method.steps)[0]
+        # One run keeps plain matrix-vector products: stacked, they cost about 25% more.
+        if X.ndim == 1:
+            X_next = Ad @ X
+            if measured:
+                X_next = X_next + L @ (z - C @ X)
+        else:
+            X_next = (Ad @ X[..., None])[..., 0]
+            if measured:
+                X_next = X_next + (L @ (z - (C @ X[..., None])[..., 0])[..., None])[..., 0]
         X, P, T, pid = X_next, P_next, T + method.latency(dyn.dt_s), int(policy[node])
         t += method.steps
     X.setflags(write=False)
@@ -581,10 +568,10 @@ def _scatter(stack: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray
     return out
 
 
-def _replayed_records(log: list, run: int) -> list:
-    """Run `run`'s EpochRecords from `_replay`'s log."""
+def _path_records(log: list, run) -> list:
+    """Run `run`'s EpochRecords from `_shared_path`'s log; `...` reads a one-run log."""
     return [EpochRecord(k, t, method_id, measured, _trusted_belief(T, X[run], P))
-            for _, k, t, method_id, measured, T, X, P in log]
+            for k, t, method_id, measured, T, X, P in log]
 
 
 def _grouped_records(log: list, runs: int) -> list:

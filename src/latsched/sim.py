@@ -340,9 +340,7 @@ def metrics(
     window; the CPU load truncates the final epoch at the window edge; the MSE
     averages squared estimate error over the sensor-grid points of the trace.
     """
-    j_empirical, attention, cpu_load = _window_metrics(trace, lam_alpha, methods, tf, dyn)
-    err = trace.grid_xhat - truth[_grid_index(trace, truth.shape[0], grid_ratio(dyn.dt_s, dt))]
-    return RunMetrics(j_empirical, attention, cpu_load, float(np.mean(np.sum(err * err, axis=1))))
+    return block_metrics([trace], truth[None], lam_alpha, methods, tf, dyn, dt)[0]
 
 
 def block_metrics(traces: list, truths: np.ndarray, lam_alpha: float, methods, tf: float,
@@ -352,7 +350,7 @@ def block_metrics(traces: list, truths: np.ndarray, lam_alpha: float, methods, t
     With `shared`, the traces share one schedule and covariance path, as
     `run_lockstep`'s do without adaptation, so the cost, attention and CPU
     load are computed once, from the first trace. A trace that fails raises
-    what `metrics` raises for it alone.
+    what it raises alone.
     """
     windows = [_window_metrics(trace, lam_alpha, methods, tf, dyn)
                for trace in (traces[:1] if shared else traces)]
@@ -379,11 +377,11 @@ def block_mse(traces: list, truths: np.ndarray, methods, tf: float,
 
 
 def _block_mse(traces: list, truths: np.ndarray, dyn: DiscretizedDynamics, dt: float) -> list:
-    """The MSEs of `metrics`, bit for bit, from one stacked reduction.
+    """Each trace's mean squared error on its grid points, from one stacked reduction.
 
     The sums run along the state and grid axes of a contiguous stack, which
-    numpy sums as it sums one run's: pairwise, in blocks of 8. Traces of
-    different lengths do not stack and are reduced one at a time.
+    numpy sums as it sums one run's alone: pairwise, in blocks of 8. Traces
+    of different lengths do not stack and are reduced one at a time.
     """
     ratio = grid_ratio(dyn.dt_s, dt)
     idx = [_grid_index(trace, truths.shape[1], ratio) for trace in traces]

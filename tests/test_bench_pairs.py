@@ -192,6 +192,37 @@ def test_a_sweep_set_records_the_first_sweep_ungated(monkeypatch, tmp_path):
     assert row["change_better_pairs"] == 2 and not row["resolved"]
 
 
+def test_a_cut_set_describes_the_pairs_it_saved(monkeypatch, tmp_path):
+    # A call for 10 pairs whose runs fail in the third pair: the file keeps
+    # two pairs, and the set's description says two pairs of seeds 5..6.
+    calls = []
+
+    def fake_run(root, args, seed):
+        calls.append(seed)
+        if len(calls) > 4:
+            raise RuntimeError("run cut")
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"primary_ref_p50": {"value": 1.0}}}
+        head = {"machine": {"git_commit": "c", "source_sha256": "s", "nproc": 2,
+                            "python": "3", "numpy": "2", "blas": "b"}, "detail": {}}
+        return {"head": head, "result": result}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    with pytest.raises(RuntimeError, match="run cut"):
+        bench_pairs.main(["--parent", str(parent), "--workload", "mc-adaptive", "--pairs", "10",
+                          "--seconds", "25", "--seed", "5", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert calls == [5, 5, 6, 6, 7]
+    assert doc["sets"] == {"A": "mc-adaptive, 2 pairs, --seed 5..6, --seed2 0, --seconds 25, "
+                                "--trace 0"}
+    assert len(doc["runs"]) == 4
+    assert doc["summary"]["A"]["primary_ref_p50"]["pairs"] == 2
+
+
 def test_a_sweep_child_times_several_sweeps():
     # A real child on a one-run sweep of a few ms: it times many in its
     # second, and reports their median.

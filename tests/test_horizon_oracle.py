@@ -412,7 +412,7 @@ def ladder_graph(n):
     horizon=st.integers(1, 40),
     path_steps=st.integers(1, 45),
     drops=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)), max_size=2),
-    runs=st.integers(2, 3),
+    runs=st.integers(1, 3),
     adaptive=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -424,6 +424,10 @@ def ladder_graph(n):
 # The adaptive runs diverge, then start their last epoch together; it ends
 # past the horizon.
 @example(n=1, steps=(2, 1), horizon=5, path_steps=18, drops=[], runs=2, adaptive=True, seed=5)
+# A one-run stack, the path `simulate` and a block of one take, adaptive
+# across a dropped span.
+@example(n=2, steps=(1, 3), horizon=30, path_steps=45, drops=[(4, 5)], runs=1, adaptive=True,
+         seed=2)
 def test_interior_points_match_predict(n, steps, horizon, path_steps, drops, runs, adaptive,
                                        seed):
     # `_traces` writes every interior mean after the loop. A run and each run of

@@ -1,9 +1,9 @@
 """Lockstep Monte-Carlo sweeps against runs made one at a time.
 
 `monte_carlo` steps each block of tracking runs together with `run_lockstep`.
-The references here are built run by run from `simulate_sde`,
-`GridMeasurementSource`, `run_loop` and `metrics` (the one-run path that
-`simulate` takes), and rows and traces must equal theirs bit for bit.
+The references here are built run by run from `simulate_sde`, a one-path
+`GridMeasurementSource`, `run_loop` and `metrics`, and rows and traces must
+equal theirs bit for bit.
 """
 
 import json
@@ -20,6 +20,7 @@ from latsched import (
     BeliefState,
     ContinuousModel,
     GridMeasurementSource,
+    IncompleteScheduleError,
     InnovationWindow,
     PerceptionMethod,
     SourceExhausted,
@@ -38,7 +39,7 @@ from latsched import cli, covgraph, experiments, horizon
 from latsched.config import load_scenario, parse_scenario
 from latsched.exact import check_covering, window_steps
 from latsched.horizon import EpochRecord, TrackingTrace, run_lockstep
-from latsched.sim import _schedule, block_metrics, block_mse, grid_ratio
+from latsched.sim import _schedule, block_metrics, block_mse, empirical_cost, grid_ratio
 from test_epoch_memo import assert_same_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -158,16 +159,23 @@ windows = st.lists(
 def test_rows_equal_runs_made_one_at_a_time(name, runs, lam_alpha, horizon_s, occlusions,
                                             adaptive, seed, jobs):
     cfg = noise_mismatch(name, lam_alpha, horizon_s, occlusions, adaptive)
-    # A block of one is the per-run path. A larger block that fell back to it
-    # after raising would still give these rows, so here the sweep may not.
-    refuse = runs >= 2 * jobs
-    with patch.object(experiments, "run_loop", fallback_refused if refuse else run_loop):
+    # A block that raises is re-run as blocks of one, which would still give
+    # these rows, so here the sweep may not: each worker's range of at least
+    # two runs is one block, and `_rows` refuses a block of one.
+    rows = experiments._rows
+    with patch.object(experiments, "_rows",
+                      fallback_refused(rows) if runs >= 2 * jobs else rows):
         got = monte_carlo(cfg, runs=runs, seed=seed, jobs=jobs)
     same_rows(got, per_run_rows(cfg, runs, seed))
 
 
-def fallback_refused(*args, **kwargs):
-    raise AssertionError("a lockstep block fell back to run_loop")
+def fallback_refused(rows):
+    """`experiments._rows` that refuses to step a block of one run."""
+    def refusing(context, name, runs, master_entropy):
+        if len(runs) == 1:
+            raise AssertionError("a lockstep block fell back to blocks of one")
+        return rows(context, name, runs, master_entropy)
+    return refusing
 
 
 def test_seed_3_splits_the_adaptive_schedules():
@@ -659,37 +667,44 @@ def test_block_metrics_equal_each_runs_metrics(runs, points, n_x, ratio, ragged,
     # np.add.reduce sums a contiguous axis pairwise, in blocks of 8, and
     # rounds otherwise, so the block's reductions must run along the axes a
     # run's own do: lengths on both sides of 8 and 128, bit for bit. Traces
-    # of different lengths are reduced one at a time.
+    # of different lengths are reduced one at a time. Each trace's three
+    # one-step epochs cover the window; epochs 0 and 2 measure.
     rng = np.random.default_rng(seed)
     methods, dyn = one_step_model(n_x)
     lengths = rng.integers(1, points + 1, size=runs) if ragged else [points] * runs
     traces = [synthetic_trace(rng, length, n_x) for length in lengths]
     truths = rng.standard_normal((runs, (points - 1) * ratio + 1 + int(rng.integers(0, 3)), n_x))
     dt = dyn.dt_s / ratio
-    want = [metrics(trace, truth, 0.5, methods, 0.3, dyn, dt)
-            for trace, truth in zip(traces, truths)]
     got = block_metrics(traces, truths, 0.5, methods, 0.3, dyn, dt)
     mses = block_mse(traces, truths, methods, 0.3, dyn, dt)
-    for a, b, mse in zip(got, want, mses):
-        assert np.float64(a.mse).tobytes() == np.float64(b.mse).tobytes()
-        assert np.float64(mse).tobytes() == np.float64(b.mse).tobytes()
-        assert (a.j_empirical, a.attention, a.cpu_load) == (b.j_empirical, b.attention,
-                                                            b.cpu_load)
+    for trace, truth, a, mse in zip(traces, truths, got, mses):
+        err = trace.grid_xhat - truth[np.arange(len(trace.grid_steps)) * ratio]
+        want = np.mean(np.sum(err * err, axis=1))
+        assert np.float64(a.mse).tobytes() == want.tobytes()
+        assert np.float64(mse).tobytes() == want.tobytes()
+        assert np.float64(metrics(trace, truth, 0.5, methods, 0.3, dyn, dt).mse).tobytes() == \
+            want.tobytes()
+        # Three 0.1 s epochs at CPU 0.5, summed in epoch order over the 0.3 s window.
+        assert (a.j_empirical, a.attention, a.cpu_load) == (
+            empirical_cost(trace, 0.5, methods, 0.3, dyn), 2, sum([0.5 * 0.1] * 3) / 0.3)
 
 
 def test_block_errors_are_each_runs_own():
     # A trace that does not cover the window and a path that ends before the
-    # trace's last point fail with the class and message `metrics` gives.
+    # trace's last point fail alike in `metrics` and the block functions.
     rng = np.random.default_rng(2)
     methods, dyn = one_step_model(2)
     trace = synthetic_trace(rng, 5, 2)
-    for tf, truth in ((0.5, rng.standard_normal((5, 2))), (0.3, rng.standard_normal((4, 2)))):
-        with pytest.raises(Exception) as want:
-            metrics(trace, truth, 0.5, methods, tf, dyn, dyn.dt_s)
-        for block in (lambda: block_metrics([trace], truth[None], 0.5, methods, tf, dyn,
+    cases = [(0.5, rng.standard_normal((5, 2)), IncompleteScheduleError,
+              "schedule of 3 epochs (3 steps) does not minimally cover 5 steps"),
+             (0.3, rng.standard_normal((4, 2)), ValueError,
+              "truth path has 4 points; the trace reads 5")]
+    for tf, truth, error, message in cases:
+        for block in (lambda: metrics(trace, truth, 0.5, methods, tf, dyn, dyn.dt_s),
+                      lambda: block_metrics([trace], truth[None], 0.5, methods, tf, dyn,
                                             dyn.dt_s),
                       lambda: block_mse([trace], truth[None], methods, tf, dyn, dyn.dt_s)):
-            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 block()
 
 
@@ -707,6 +722,5 @@ def test_moving_horizon_block_equals_each_runs_metrics(occlusion_context, runs):
     assert not cfg.sim.adaptive and cfg.sim.occlusions
     entropy = np.random.SeedSequence(11).entropy
     seeds = [np.random.SeedSequence(entropy, spawn_key=(run,)) for run in range(runs)]
-    with patch.object(experiments, "run_loop", fallback_refused if runs > 1 else run_loop):
-        got = experiments._rows_moving_horizon(occlusion_context, list(range(runs)), seeds)
+    got = experiments._rows_moving_horizon(occlusion_context, list(range(runs)), seeds)
     same_rows(got, per_run_rows(cfg, runs, 11, graph=occlusion_context["graph"]))

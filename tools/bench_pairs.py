@@ -24,7 +24,9 @@ read from BENCHMARK.json. The summary and the printout also give both
 sides' medians of the `detail` timings `primary_ms_p50`, `secondary_ms_p50`
 and `secondary_ms_p90`, in milliseconds and without a verdict, so a change
 in reference-loop units can be read in time too. OUT is rewritten after
-every pair, so an interrupted call keeps the pairs it finished. For every metric the call
+every pair, so an interrupted call keeps the pairs it finished, and the
+set's description (its count of pairs and range of seeds) names those pairs
+only. For every metric the call
 prints whether the claim rule holds: the change is better in at least 9 of
 10 pairs, and the medians differ, in its favour, by more than the parent's
 interquartile range. It also prints the mirror verdict: "worse" when the
@@ -262,6 +264,22 @@ def machine(head: dict | None) -> dict:
             "numpy": block["numpy"], "blas": block["blas"]}
 
 
+def describe(args, pairs: int) -> str:
+    """A set's description, from the `pairs` it holds: pair i ran seed SEED + i."""
+    if args.cli:
+        text = (f"cli, {pairs} pairs of the {len(RUNS)} tools/output_digest.py runs, "
+                "wall seconds per process")
+    elif args.sweep:
+        text = (f"sweep {args.sweep}, {args.runs} runs, {pairs} pairs, --seed "
+                f"{args.seed}..{args.seed + pairs - 1}, in-process ms after a warm-up sweep, "
+                f"the median of {SWEEP_LEAST} or more sweeps over about {SWEEP_SECONDS:g} s "
+                "per process, and the warm-up sweep's ms")
+    else:
+        text = (f"{args.workload}, {pairs} pairs, --seed {args.seed}..{args.seed + pairs - 1}, "
+                f"--seed2 {args.seed2}, --seconds {args.seconds:g}, --trace {args.trace}")
+    return text + (f"; {args.note}" if args.note else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -316,20 +334,6 @@ def main(argv=None) -> int:
     doc.setdefault("summary", {})
     doc.setdefault("runs", [])
     label = next(c for c in string.ascii_uppercase if c not in doc["sets"])
-    last = args.seed + args.pairs - 1
-    if args.cli:
-        doc["sets"][label] = (f"cli, {args.pairs} pairs of the {len(RUNS)} "
-                              "tools/output_digest.py runs, wall seconds per process")
-    elif args.sweep:
-        doc["sets"][label] = (f"sweep {args.sweep}, {args.runs} runs, {args.pairs} pairs, "
-                              f"--seed {args.seed}..{last}, in-process ms after a warm-up "
-                              f"sweep, the median of {SWEEP_LEAST} or more sweeps over about "
-                              f"{SWEEP_SECONDS:g} s per process, and the warm-up sweep's ms")
-    else:
-        doc["sets"][label] = (f"{args.workload}, {args.pairs} pairs, --seed {args.seed}..{last}, "
-                              f"--seed2 {args.seed2}, --seconds {args.seconds:g}, "
-                              f"--trace {args.trace}")
-    doc["sets"][label] += f"; {args.note}" if args.note else ""
     better = directions()
     roots = {"parent": parent_root, "change": CHANGE_ROOT}
     if args.cli:
@@ -377,6 +381,7 @@ def main(argv=None) -> int:
                         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
                         "detail": out["head"]["detail"],
                     })
+            doc["sets"][label] = describe(args, i + 1)
             doc["summary"][label] = summarize(runs, better)
             doc["runs"] = [r for r in doc["runs"] if r["set"] != label] + runs
             with open(args.out, "w") as fh:
