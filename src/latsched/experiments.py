@@ -27,7 +27,9 @@ of runs, which it cuts the same way. A block that raises is re-run one run at
 a time, as blocks of one, so a failing run's row records its own error and
 every other row is unchanged. A block of one is a one-run `run_lockstep`
 stack, which `horizon._shared_path` steps as it steps `run_loop`, adaptive
-or not; so is the one run of `simulate`.
+or not; so is the one run of `simulate`. A run's measurement noise is keyed
+on its capture step (`sim.GridMeasurementSource`), so the variants of a row
+see common random numbers: the same normals at each step they both capture.
 
 A tracking block computes each value its rows hold once. Adaptive-R rows
 hold only MSEs, so its blocks compute no cost, CPU load or attention, and

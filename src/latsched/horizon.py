@@ -34,8 +34,8 @@ once it has converged. One `simulate` run gets only the last kind.
 from one epoch start to the next; the runs starting an epoch there are
 grouped by method and each group is stepped with one stacked call per
 kernel. A group of every run, every epoch of a stack whose runs move in
-lockstep, reads the stacks whole, and its source reads the runs' rows by
-basic slicing while their counts of rows taken agree.
+lockstep, reads the stacks whole, and its source reads the runs'
+detections at the step by basic slicing.
 
 Both loops log each epoch once for the runs that start it, and a trace
 builds its EpochRecords from the log when first read. They keep only the
@@ -379,7 +379,8 @@ def run_lockstep(
     """`run_loop` over a stack of runs stepped together: one TrackingTrace per run.
 
     `source` is a `GridMeasurementSource` over a path stack with one generator
-    per run, read through its `draw`. It drops a step for every run or for
+    per run, read through its `draw`; a run's detection at a step does not
+    depend on which runs draw with it. It drops a step for every run or for
     none, and its paths share their length, so it runs out at a step for
     every run and at every later step: the stack ends there. One run, and
     every run of a stack without adaptation, takes `_shared_path`, the loop

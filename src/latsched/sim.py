@@ -13,9 +13,10 @@ integral of tr(P(t)) from each epoch's start belief, evaluated by
 `exact.window_cost` as the schedulers evaluate it.
 
 `simulate_sde` keeps its chunk tables in a bounded memo, so a sweep builds
-them once, not per path. A stacked `GridMeasurementSource` reads each run's
-generator ahead, once per block. `block_metrics` and `block_mse` give a
-block's metrics with its MSEs from one stacked reduction.
+them once, not per path. A `GridMeasurementSource` reads each run's
+generator ahead once; a detection is a function of (run, sensor step,
+method). `block_metrics` and `block_mse` give a block's metrics with its
+MSEs from one stacked reduction.
 """
 
 from __future__ import annotations
@@ -157,23 +158,21 @@ def _advance(start: np.ndarray, inputs: np.ndarray, levels) -> np.ndarray:
 
 
 class GridMeasurementSource:
-    """Measurement source backed by a simulated truth path on the dt grid.
+    """Measurement source backed by simulated truth paths on the dt grid.
 
-    Detects z = C x + v from the path's state at each epoch's start step, with
-    v drawn from the method's R or its true noise override; drops measurements
-    whose capture time falls in an occlusion window, and raises
-    SourceExhausted past the end of the path. Each method id's noise root is
-    computed on its first measurement and reused.
+    The detection of a run at sensor step t is z = C x_t + R^(1/2) n_t: x_t
+    is the path's state at the step's grid point, R the method's R or its
+    true noise override, and n_t row t of the run's normals. A step whose
+    capture time falls in an occlusion window is dropped, and a step past the
+    end of the paths raises SourceExhausted. So a measurement is a function
+    of the run, the capture step and the method: drawing it again, alone or
+    with other runs, gives the same z, and no draw moves another.
 
-    `path` is one path `(N, n_x)` with one generator `rng`, read by calling
-    the source, or a stack `(runs, N, n_x)` with a list of generators, one per
-    run, read by `draw`. A stacked source reads each run's generator ahead,
-    once: `standard_normal((sensor steps, n_z))`, the rows that per-epoch
-    draws of n_z normals would give in turn, of which each measurement takes
-    the run's next one. It forms C x at every sensor step once, and each
-    method's noise root times every row on the method's first draw. So each
-    run's measurements are those of a one-path source over its path and
-    generator, bit for bit, and a dropped epoch takes no row.
+    `path` is a stack `(runs, N, n_x)` with a list of generators, one per
+    run, or one path `(N, n_x)` with one generator, a stack of one. Each
+    generator is read once, `standard_normal((sensor steps, n_z))`; C x at
+    every sensor step and the drop mask are formed then, and each method's
+    noise root times every row on the method's first draw.
     """
 
     def __init__(
@@ -187,78 +186,43 @@ class GridMeasurementSource:
     ):
         self.model = model
         self.path = np.asarray(path, dtype=float)
-        self.dt = dt
-        self.rng = rng
-        self.ratio = grid_ratio(model.dt_s, dt)
-        self.occlusions = [(float(a), float(b)) for a, b in occlusions]
         self.true_R = dict(true_R or {})
-        self._roots: dict = {}
-        if self.path.ndim == 3:
-            sensor = self.path[:, ::self.ratio]
-            self._Cx = (model.C @ np.ascontiguousarray(sensor)[..., None])[..., 0]
-            self._normals = np.array([g.standard_normal((sensor.shape[1], model.n_z))
-                                      for g in rng])
-            self._taken = np.zeros(len(rng), dtype=np.int64)
-            # The rows every run has taken, None while that count differs by run.
-            self._row: int | None = 0
-            self._noise: dict = {}
-
-    def _occluded(self, t: float) -> bool:
-        return any(a <= t < b for a, b in self.occlusions)
-
-    def _index(self, t_steps: int) -> int | None:
-        """Path index of sensor step t_steps, or None when it is occluded."""
-        idx = t_steps * self.ratio
-        if idx >= self.path.shape[-2]:
-            raise SourceExhausted(f"truth path ends before step {t_steps}")
-        return None if self._occluded(t_steps * self.model.dt_s) else idx
-
-    def _root(self, method: PerceptionMethod) -> np.ndarray:
-        root = self._roots.get(method.id)
-        if root is None:
-            R = np.asarray(self.true_R.get(method.id, method.R), dtype=float)
-            root = self._roots[method.id] = sqrt_psd(R)
-        return root
+        stacked = self.path.ndim == 3
+        sensor = (self.path if stacked else self.path[None])[:, ::grid_ratio(model.dt_s, dt)]
+        runs, steps = sensor.shape[:2]
+        self._Cx = (model.C @ np.ascontiguousarray(sensor)[..., None])[..., 0]
+        n_z = model.n_z
+        self._normals = np.array([g.standard_normal((steps, n_z))
+                                  for g in (rng if stacked else [rng])]).reshape(runs, steps, n_z)
+        captured = np.arange(steps) * model.dt_s
+        self._dropped = np.zeros(steps, dtype=bool)
+        for a, b in occlusions:
+            self._dropped |= (float(a) <= captured) & (captured < float(b))
+        self._noise: dict = {}
 
     def __call__(self, k: int, t_steps: int, method: PerceptionMethod):
-        idx = self._index(t_steps)
-        if idx is None:
+        """The Measurement of epoch k of the first run, captured at step t_steps, or None."""
+        z = self.draw(0, t_steps, method)
+        if z is None:
             return None
-        root = self._root(method)
-        z = self.model.C @ self.path[idx] + root @ self.rng.standard_normal(root.shape[0])
         return Measurement(k=k, z=z, produced_at=(t_steps + method.steps) * self.model.dt_s,
                            method_id=method.id)
 
     def draw(self, runs, t_steps: int, method: PerceptionMethod):
-        """z `(len(runs), n_z)` of the stacked paths `runs` at step t_steps, or None.
+        """z of the runs `runs` at sensor step t_steps, or None when it is dropped.
 
-        `runs` is an index array or slice(None), every run. Row i is what a
-        one-path source over path runs[i] with generator rng[runs[i]] returns
-        as its z, bit for bit: the products are the same matrix-vector
-        products, stacked, and the normals the same rows. While every run has
-        taken the same number of rows, a draw of every run reads its rows by
-        basic slicing.
+        `runs` indexes the stack: a run's index gives z `(n_z,)`, an index
+        array or a slice gives `(len(runs), n_z)`.
         """
-        if self._index(t_steps) is None:
+        if t_steps >= self._dropped.size:
+            raise SourceExhausted(f"truth path ends before step {t_steps}")
+        if self._dropped[t_steps]:
             return None
         noise = self._noise.get(method.id)
         if noise is None:
-            noise = self._noise[method.id] = \
-                (self._root(method) @ self._normals[..., None])[..., 0]
-        taken = self._taken
-        if isinstance(runs, slice):
-            if self._row is None and taken.min() == taken.max():
-                self._row = int(taken[0])
-            if self._row is not None:
-                row = self._row
-                self._row += 1
-                taken += 1
-                return self._Cx[:, t_steps] + noise[:, row]
-            runs = np.arange(len(taken))
-        self._row = None
-        rows = taken[runs]
-        taken[runs] = rows + 1
-        return self._Cx[runs, t_steps] + noise[runs, rows]
+            R = np.asarray(self.true_R.get(method.id, method.R), dtype=float)
+            noise = self._noise[method.id] = (sqrt_psd(R) @ self._normals[..., None])[..., 0]
+        return self._Cx[runs, t_steps] + noise[runs, t_steps]
 
 
 @dataclass

@@ -150,6 +150,67 @@ class TestAdaptiveR:
             assert row["mse_adaptive"] > 0 and row["mse_nominal"] > 0
 
 
+def textbook_trP(epochs, methods, model, horizon_steps: int, occlusions) -> np.ndarray:
+    """tr P at sensor steps 0..horizon_steps by the textbook recursion, for A = 0, B = I.
+
+    Epoch by epoch from P0, under the epochs' methods: step t + j of an
+    epoch from step t reads P + W j dt_s. Unless its capture time t dt_s
+    lies in an occlusion, the epoch's measurement of x(t) corrects P, and
+    the epoch ends at P + W s dt_s for a method of s steps.
+    """
+    P, C, trP = model.P0, model.C, []
+    for epoch in epochs:
+        method = methods[epoch.method_id - 1]
+        trP += [np.trace(P + model.W * (j * model.dt_s)) for j in range(method.steps)]
+        if not any(a <= epoch.t_steps * model.dt_s < b for a, b in occlusions):
+            P = P - P @ C.T @ np.linalg.solve(C @ P @ C.T + method.R, C @ P)
+        P = P + model.W * (method.steps * model.dt_s)
+    return np.array(trP + [np.trace(P)])[:horizon_steps + 1]
+
+
+class TestCalibration:
+    """The tracking pipeline's run-averaged error against the covariance it should have.
+
+    With the truth simulated from the filter's own model and nominal R, a
+    row's `mse` averages squared errors whose expectation at each grid point
+    is tr P there, so the mean over runs of `mse` estimates the grid mean of
+    tr P. The pipeline under test is `_truths`' sampling, the source's
+    capture step, noise rule and occlusions, the shared-path loop, the grid
+    means and `block_mse`; tr P comes from `textbook_trP`, not from the
+    traces, which must agree with it.
+    """
+
+    RUNS = 2000
+
+    @pytest.mark.parametrize("policy", ["graph", 1, 2])
+    def test_mean_mse_matches_mean_trP(self, policy):
+        # A mixing graph policy (method 2 at P0 and after the occlusion) and
+        # both statics; 3-step epochs straddle both occlusion edges.
+        from latsched import experiments
+
+        occlusions = [(1.0, 2.05)]
+        cfg = parse_scenario(planar_payload(
+            cost={"lambda_alpha": 0.1}, graph={"count": 30},
+            sim={"horizon": 5.0, "occlusions": [list(o) for o in occlusions]}))
+        ctx = experiments._prepare_tracking(cfg)
+        dyn, graph = ctx["dyn"], ctx["graph"]
+        paths, meas_seeds = experiments._truths(
+            cfg, np.random.SeedSequence(99).spawn(self.RUNS))
+        traces, mse = experiments._tracks(
+            cfg, dyn, graph, paths, meas_seeds, adaptive=False, true_R={}, mse_only=True,
+            policy=None if policy == "graph" else np.full(graph.size, policy))
+        epochs = traces[0].epochs
+        if policy == "graph":
+            assert {1, 2} <= {e.method_id for e in epochs}
+        horizon_steps = window_steps(cfg.sim.horizon, dyn.dt_s)
+        trP = textbook_trP(epochs, cfg.methods, cfg.model, horizon_steps, occlusions)
+        mse = np.array(mse)
+        gap = mse.mean() - trP.mean()
+        stderr = mse.std(ddof=1) / np.sqrt(self.RUNS)
+        assert abs(gap) <= 4 * stderr, (gap, stderr)
+        np.testing.assert_allclose(traces[0].grid(cfg.methods, dyn)[0], trP, rtol=1e-12, atol=0)
+
+
 class TestTrackingRowsMatchExplicitRuns:
     """Rows of the tracking experiments against runs wired call by call."""
 

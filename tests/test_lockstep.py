@@ -39,7 +39,14 @@ from latsched import cli, covgraph, experiments, horizon
 from latsched.config import load_scenario, parse_scenario
 from latsched.exact import check_covering, window_steps
 from latsched.horizon import EpochRecord, TrackingTrace, run_lockstep
-from latsched.sim import _schedule, block_metrics, block_mse, empirical_cost, grid_ratio
+from latsched.sim import (
+    _schedule,
+    block_metrics,
+    block_mse,
+    empirical_cost,
+    grid_ratio,
+    sqrt_psd,
+)
 from test_epoch_memo import assert_same_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -359,9 +366,8 @@ def lockstep_traces(planar, runs, horizon_s, path_steps, adaptive, window, polic
          occlusions=[(0, 3)], seed=0)
 @example(runs=3, horizon_s=2.3, path_steps=8, adaptive=False, window=1, policy="graph",
          occlusions=[(6, 5)], seed=1)
-# Adaptive runs that start in lockstep, diverge, start together again having
-# measured different numbers of times, and later with equal counts
-# (`test_the_adaptive_example_diverges_and_rejoins`).
+# Adaptive runs that start in lockstep, diverge, start together again, and
+# do both once more (`test_the_adaptive_example_diverges_and_rejoins`).
 @example(runs=2, horizon_s=2.3, path_steps=30, adaptive=True, window=3, policy="alternate",
          occlusions=[], seed=6)
 def test_traces_equal_run_loop(planar, runs, horizon_s, path_steps, adaptive, window, policy,
@@ -380,27 +386,24 @@ def test_traces_equal_run_loop(planar, runs, horizon_s, path_steps, adaptive, wi
 def lockstep_pattern(traces) -> str:
     """One letter per epoch start of a stack: where its runs stand there.
 
-    "W": every run starts an epoch there under one method, each having taken
-    as many measurements as the others; "T": the same with counts that
-    differ; "p": the runs start apart.
+    "L": every run starts an epoch there under one method; "p": the runs
+    start apart.
     """
     starts = sorted({e.t_steps for trace in traces for e in trace.epochs})
     pattern = ""
     for t in starts:
         methods = [[e.method_id for e in trace.epochs if e.t_steps == t] for trace in traces]
-        taken = {sum(e.measured for e in trace.epochs if e.t_steps < t) for trace in traces}
         together = all(len(m) == 1 for m in methods) and len({m[0] for m in methods}) == 1
-        pattern += ("W" if len(taken) == 1 else "T") if together else "p"
+        pattern += "L" if together else "p"
     return pattern
 
 
 def test_the_adaptive_example_diverges_and_rejoins(planar):
     # The adaptive example of test_traces_equal_run_loop discriminates only
-    # if the stack leaves its lockstep and enters it again, both with and
-    # without a common count of rows drawn.
+    # if the stack leaves its lockstep and enters it again, twice.
     traces, _ = lockstep_traces(planar, 2, 2.3, 30, True, 3, "alternate", [], 6)
     pattern = lockstep_pattern(traces)
-    assert re.fullmatch(r"W+p+T+p+W+p*", pattern), pattern
+    assert re.fullmatch(r"L+p+L+p+L+p*", pattern), pattern
 
 
 def test_an_empty_adaptive_stack_has_no_traces(planar):
@@ -538,6 +541,17 @@ def test_stacked_quantize_is_nearest_member_by_member(monkeypatch, threshold):
     assert got.tolist() == [graph.nearest(P)[0] for P in points]
 
 
+def draw_model():
+    """A 3-state model seen through 2 channels, with a one-step and a two-step method."""
+    model = ContinuousModel(
+        A=np.eye(3, k=1), B=np.eye(3), W=np.eye(3), C=[[1.0, 0.0, 2.0], [0.0, -1.5, 0.5]],
+        x0=np.zeros(3), P0=np.eye(3), dt_s=0.1,
+    )
+    methods = [PerceptionMethod(id=1, steps=1, R=np.eye(2), cpu=0.5, penalty=0.0),
+               PerceptionMethod(id=2, steps=2, R=0.1 * np.eye(2), cpu=0.5, penalty=0.0)]
+    return model, methods
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     runs=st.integers(1, 7),
@@ -546,17 +560,15 @@ def test_stacked_quantize_is_nearest_member_by_member(monkeypatch, threshold):
     occlusions=st.lists(st.tuples(st.integers(0, 14), st.integers(1, 6)), max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_draws_equal_one_path_sources(runs, ratio, path_points, occlusions, seed):
-    # At each sensor step some runs draw, split over two methods whose true
-    # noise roots differ, and the rest skip it; dropped steps and steps past
-    # the end of the paths included. Every row must be what the run's own
-    # one-path source returns, bit for bit, and both must run out together.
-    model = ContinuousModel(
-        A=np.eye(3, k=1), B=np.eye(3), W=np.eye(3), C=[[1.0, 0.0, 2.0], [0.0, -1.5, 0.5]],
-        x0=np.zeros(3), P0=np.eye(3), dt_s=0.1,
-    )
-    methods = [PerceptionMethod(id=1, steps=1, R=np.eye(2), cpu=0.5, penalty=0.0),
-               PerceptionMethod(id=2, steps=2, R=0.1 * np.eye(2), cpu=0.5, penalty=0.0)]
+def test_stacked_draws_equal_the_noise_rule(runs, ratio, path_points, occlusions, seed):
+    # Draws at sensor steps in a random order, repeated steps, dropped steps
+    # and steps past the end of the paths included, each under one of two
+    # methods whose true noise roots differ, of some runs as an index array,
+    # of every run as a slice or of one run by its index. Run i's z at step t
+    # must be C x(t) + R^(1/2) n_t, with n_t row t of its generator's normals
+    # read ahead, bit for bit, whatever was drawn before. Its own one-path
+    # source must give the same Measurement, and all must run out together.
+    model, methods = draw_model()
     true_R = {2: np.array([[0.3, 0.1], [0.1, 0.2]])}
     rng = np.random.default_rng(seed)
     paths = rng.standard_normal((runs, path_points, 3)) * 10.0 ** rng.uniform(-2, 2, (runs, 1, 3))
@@ -569,31 +581,30 @@ def test_stacked_draws_equal_one_path_sources(runs, ratio, path_points, occlusio
                                   occlusions=occlusions, true_R=true_R)
             for path, s in zip(paths, seeds)]
     sensor_steps = -(-path_points // ratio)
-    drawn = 0
-    for t in range(sensor_steps + 2):
-        taking = rng.random(runs) < 0.8
-        pick = rng.integers(1, 3, size=runs)
-        for method in methods:
-            idx = np.flatnonzero(taking & (pick == method.id))
-            if not idx.size:
-                continue
-            if t >= sensor_steps:
+    normals = [np.random.default_rng(s).standard_normal((sensor_steps, 2)) for s in seeds]
+    roots = {m.id: sqrt_psd(true_R.get(m.id, m.R)) for m in methods}
+    for t in rng.integers(0, sensor_steps + 2, size=2 * sensor_steps + 4).tolist():
+        method = methods[rng.integers(2)]
+        some = rng.permutation(runs)[:rng.integers(1, runs + 1)]
+        idx = [some, slice(None), int(some[0])][rng.integers(3)]
+        drawn = np.atleast_1d(np.arange(runs)[idx])
+        if t >= sensor_steps:
+            with pytest.raises(SourceExhausted):
+                stacked.draw(idx, t, method)
+            for run in drawn:
                 with pytest.raises(SourceExhausted):
-                    stacked.draw(idx, t, method)
-                for run in idx:
-                    with pytest.raises(SourceExhausted):
-                        ones[run](t, t, method)
-                continue
-            z = stacked.draw(idx, t, method)
-            want = [ones[run](t, t, method) for run in idx]
-            if z is None:
-                assert want == [None] * idx.size
-                continue
-            assert z.shape == (idx.size, 2)
-            for row, meas in zip(z, want):
-                assert row.tobytes() == meas.z.tobytes()
-            drawn += idx.size
-    assert drawn <= runs * sensor_steps
+                    ones[run](t, t, method)
+            continue
+        z = stacked.draw(idx, t, method)
+        alone = [ones[run](t, t, method) for run in drawn]
+        if any(a <= t * model.dt_s < b for a, b in occlusions):
+            assert z is None and alone == [None] * drawn.size
+            continue
+        assert z.shape == ((2,) if isinstance(idx, int) else (drawn.size, 2))
+        for run, row, meas in zip(drawn, np.atleast_2d(z), alone):
+            want = model.C @ paths[run, t * ratio] + roots[method.id] @ normals[run][t]
+            assert row.tobytes() == meas.z.tobytes() == want.tobytes()
+            assert meas.produced_at == (t + method.steps) * model.dt_s
 
 
 @settings(max_examples=80, deadline=None)
@@ -606,15 +617,9 @@ def test_stacked_draws_equal_one_path_sources(runs, ratio, path_points, occlusio
 )
 def test_whole_draws_equal_index_draws(runs, plan, occluded, seed):
     # A draw of every run as slice(None) against the same draw as
-    # np.arange(runs), mixed with partial draws that split the runs' row
-    # counts and whole draws that find them split or equal again: the rows
-    # and each run's count of rows taken must agree bit for bit at every draw.
-    model = ContinuousModel(
-        A=np.eye(3, k=1), B=np.eye(3), W=np.eye(3), C=[[1.0, 0.0, 2.0], [0.0, -1.5, 0.5]],
-        x0=np.zeros(3), P0=np.eye(3), dt_s=0.1,
-    )
-    methods = [PerceptionMethod(id=1, steps=1, R=np.eye(2), cpu=0.5, penalty=0.0),
-               PerceptionMethod(id=2, steps=2, R=0.1 * np.eye(2), cpu=0.5, penalty=0.0)]
+    # np.arange(runs), mixed with partial draws of some runs: the rows must
+    # agree bit for bit at every draw.
+    model, methods = draw_model()
     rng = np.random.default_rng(seed)
     paths = rng.standard_normal((runs, 12, 3))
     seeds = np.random.SeedSequence(seed).spawn(runs)
@@ -634,7 +639,6 @@ def test_whole_draws_equal_index_draws(runs, plan, occluded, seed):
         assert (got is None) == (want is None) == (t in occluded)
         if got is not None:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert whole._taken.tolist() == indexed._taken.tolist()
 
 
 def synthetic_trace(rng, points: int, n_x: int) -> TrackingTrace:

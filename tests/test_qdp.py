@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from latsched import (
     steady_state,
 )
 from conftest import random_spd, window_time_ratio
+
+from latsched.config import load_scenario
 
 from latsched import ContinuousModel, IncompleteScheduleError, PerceptionMethod, Schedule
 
@@ -360,3 +363,51 @@ def test_memoized_queries_equal_fresh_sweeps(two_dyns, case):
     copy = dataclasses.replace(graph, succ=other_succ)
     for q0 in range(copy.size):
         check(copy, q0, tf_steps * dyn.dt_s, lam, variants[variant], dyn)
+
+
+
+@pytest.fixture(scope="module")
+def double_integrator():
+    """The shipped double_integrator scenario's methods and dynamics, and a small graph."""
+    cfg = load_scenario(Path(__file__).resolve().parent.parent / "configs"
+                        / "double_integrator.json")
+    dyn = build_dynamics(cfg.model, cfg.methods)
+    graph = expand_graph(sample_region(4, cfg.graph.b0, 100, seed=42), cfg.methods, dyn,
+                         b0=cfg.graph.b0)
+    return cfg, dyn, graph
+
+
+def penalty_sum(schedule, methods) -> float:
+    return sum(methods[pid - 1].penalty for pid in schedule)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lowest=st.floats(-3.0, 0.0),
+    ratio=st.floats(2.0, 2000.0),
+    count=st.integers(2, 8),
+    tf_steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    node=st.integers(0, 2**16),
+)
+def test_penalty_sum_does_not_rise_with_lambda(double_integrator, lowest, ratio, count,
+                                               tf_steps, seed, node):
+    # For lam1 < lam2 with optima s1 and s2 of penalty sums r1 and r2,
+    # J1(s1) <= J1(s2) and J2(s2) <= J2(s1) add up to (lam2 - lam1)(r2 - r1)
+    # <= 0 (Everett 1963): for the exact search from a sampled start and for
+    # the graph DP from a fixed node alike, along a geometric ladder of lam.
+    # The lowest rung is 10**lowest. Penalties 0.05 and 0.24 move a sum by
+    # at least 0.01, and rungs at least 1e-4 apart keep (lam2 - lam1) * 0.01
+    # far above rounding.
+    cfg, dyn, graph = double_integrator
+    tf = tf_steps * dyn.dt_s
+    P0 = sample_region(4, cfg.graph.b0, 1, seed)[0]
+    q0 = node % graph.size
+    exact, on_graph = [], []
+    for lam in np.geomspace(10.0 ** lowest, 10.0 ** lowest * ratio, count):
+        exact.append(penalty_sum(dyn_prog_exact(P0, tf, lam, cfg.methods, dyn)[0],
+                                 cfg.methods))
+        on_graph.append(penalty_sum(qdp(q0, tf, lam, graph, cfg.methods, dyn)[0],
+                                    cfg.methods))
+    assert np.all(np.diff(exact) <= 1e-12), exact
+    assert np.all(np.diff(on_graph) <= 1e-12), on_graph

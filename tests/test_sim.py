@@ -103,11 +103,11 @@ class TestSimulateSde:
 
 
 class TestSynthMeasurement:
-    """The detections GridMeasurementSource draws from a one-point path."""
+    """The detections GridMeasurementSource draws from a constant path."""
 
     @staticmethod
-    def _source(model, x, seed, true_R=None):
-        path = np.asarray(x, dtype=float)[None]
+    def _source(model, x, seed, true_R=None, steps=1):
+        path = np.tile(np.asarray(x, dtype=float), (steps, 1))
         return GridMeasurementSource(model, path, model.dt_s, np.random.default_rng(seed),
                                      true_R=true_R)
 
@@ -120,8 +120,9 @@ class TestSynthMeasurement:
 
     def test_sample_covariance_matches_R(self, bench):
         model, methods, _ = bench
-        src = self._source(model, np.zeros(4), 1)
-        draws = np.array([src(0, 0, methods[0]).z for _ in range(10000)])
+        # One detection a step: a step's noise is fixed, so its draws repeat.
+        src = self._source(model, np.zeros(4), 1, steps=10000)
+        draws = np.array([src(t, t, methods[0]).z for t in range(10000)])
         cov = np.cov(draws.T)
         assert np.linalg.norm(cov - methods[0].R, "fro") < 0.05 * np.linalg.norm(
             methods[0].R, "fro") + 0.02
@@ -129,8 +130,8 @@ class TestSynthMeasurement:
     def test_true_R_override(self, bench):
         model, methods, _ = bench
         true_R = 4.0 * np.asarray(methods[0].R)
-        src = self._source(model, np.zeros(4), 2, true_R={1: true_R})
-        draws = np.array([src(0, 0, methods[0]).z for _ in range(10000)])
+        src = self._source(model, np.zeros(4), 2, true_R={1: true_R}, steps=10000)
+        draws = np.array([src(t, t, methods[0]).z for t in range(10000)])
         assert np.allclose(np.cov(draws.T), true_R, rtol=0.1, atol=0.05)
 
 
