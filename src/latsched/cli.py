@@ -31,10 +31,10 @@ from .dynamics import build_dynamics
 from .errors import ConfigError, InvalidModelError, LatschedError
 from .exact import dyn_prog_exact, evaluate_schedule, schedule_cpu_load
 from .experiments import (
+    _block_source,
     _built_graph,
     _prepare_tracking,
     _tracks,
-    _truths,
     certificate,
     monte_carlo,
     rows_to_csv,
@@ -135,7 +135,7 @@ def _cmd_bound_check(cfg: ScenarioConfig, args) -> int:
 def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
     ctx = _prepare_tracking(cfg, args.graph)
     (trace,), (m,) = _tracks(cfg, ctx["dyn"], ctx["graph"],
-                             *_truths(cfg, [np.random.SeedSequence(cfg.sim.seed)]))
+                             _block_source(cfg, [np.random.SeedSequence(cfg.sim.seed)]))
     trace.write_csv(args.output, cfg.methods, ctx["dyn"])
     print(f"simulate: J={m.j_empirical:.6g} cpu={m.cpu_load:.3f} "
           f"attention={m.attention} mse={m.mse:.6g} -> {args.output}")

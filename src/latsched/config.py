@@ -80,8 +80,8 @@ def _grid_steps(length: float, step: float, tol: float, message: str) -> int:
 def check_sim_grid(sim: SimConfig, dt_s: float) -> None:
     """ConfigError unless sim.dt divides dt_s and sim.horizon lies on both grids.
 
-    A file without a `sim` block keeps the SimConfig defaults, so the tracking
-    subcommands check them here before they simulate.
+    A file without a `sim` block keeps the defaults (`dt` = dt_s, `horizon`
+    10), so the tracking subcommands check them here before they simulate.
     """
     _grid_steps(dt_s, sim.dt, 1e-9, "sim.dt: must divide model.dt_s exactly")
     # The tolerances of run_loop (in model.dt_s) and simulate_sde (in sim.dt).
@@ -121,7 +121,7 @@ class GraphConfig:
 
 @dataclass
 class SimConfig:
-    dt: float = 1e-3
+    dt: float
     horizon: float = 10.0
     occlusions: list = field(default_factory=list)
     true_R: dict = field(default_factory=dict)
@@ -214,7 +214,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             else _number(g["admit_tol"], "graph.admit_tol", positive=True),
         )
 
-    sim = SimConfig()
+    sim = SimConfig(dt=dt_s)
     if "sim" in payload:
         s = _object(payload["sim"], "sim")
         occl = s.get("occlusions", [])

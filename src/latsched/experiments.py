@@ -31,7 +31,9 @@ or not; so is the one run of `simulate`. A run's measurement noise is keyed
 on its capture step (`sim.GridMeasurementSource`), so the variants of a row
 see common random numbers: the same normals at each step they both capture.
 
-A tracking block computes each value its rows hold once. Adaptive-R rows
+A tracking block computes each value its rows hold once. Its truth paths
+and their measurement source are built once (`_block_source`), and every
+tracking variant of the block reads that source. Adaptive-R rows
 hold only MSEs, so its blocks compute no cost, CPU load or attention, and
 the MSEs of a block are one stacked reduction (`sim.block_mse`). A
 moving-horizon variant without adaptation computes the window metrics once
@@ -152,38 +154,36 @@ def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
     return row
 
 
-def _tracks(cfg: ScenarioConfig, dyn, graph, paths, meas_seeds, policy=None, adaptive=None,
-            true_R=None, mse_only=False) -> tuple[list, list]:
-    """A tracking run for each truth path of a stack `(runs, N, n_x)` on the sensor grid.
+def _tracks(cfg: ScenarioConfig, dyn, graph, source, policy=None, adaptive=None,
+            mse_only=False) -> tuple[list, list]:
+    """A tracking run for each truth path of a `_block_source`, on the sensor grid.
 
-    `policy`, `adaptive` and `true_R` default to the graph's and cfg.sim's.
-    The runs are one `run_lockstep` stack, which equals `run_loop` run by
-    run, bit for bit. Returns the traces and their `block_metrics`, or with
-    `mse_only` their `block_mse`. Without adaptation the runs share one
-    covariance path and schedule, so their cost, CPU load and attention are
-    computed once.
+    `policy` and `adaptive` default to the graph's and cfg.sim's. The runs
+    are one `run_lockstep` stack, which equals `run_loop` run by run, bit for
+    bit. Returns the traces and their `block_metrics`, or with `mse_only`
+    their `block_mse`. Without adaptation the runs share one covariance path
+    and schedule, so their cost, CPU load and attention are computed once.
     """
     dt = cfg.model.dt_s
     adaptive = cfg.sim.adaptive if adaptive is None else adaptive
-    source = GridMeasurementSource(
-        cfg.model, paths, dt, [np.random.default_rng(seed) for seed in meas_seeds],
-        occlusions=cfg.sim.occlusions, true_R=cfg.sim.true_R if true_R is None else true_R,
-    )
     traces = run_lockstep(cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn,
                           adaptive, cfg.sim.window)
     if mse_only:
-        return traces, block_mse(traces, paths, cfg.methods, cfg.sim.horizon, dyn, dt)
-    return traces, block_metrics(traces, paths, cfg.lam_alpha, cfg.methods, cfg.sim.horizon,
-                                 dyn, dt, shared=not adaptive)
+        return traces, block_mse(traces, source.path, cfg.methods, cfg.sim.horizon, dyn, dt)
+    return traces, block_metrics(traces, source.path, cfg.lam_alpha, cfg.methods,
+                                 cfg.sim.horizon, dyn, dt, shared=not adaptive)
 
 
-def _truths(cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, list]:
-    """Each run's truth path at the sensor steps, stacked, and its measurement seeds.
+def _block_source(cfg: ScenarioConfig, seeds, true_R=None) -> GridMeasurementSource:
+    """One measurement source over each run's truth path at the sensor steps, stacked.
 
-    A run's path is `simulate_sde`'s from its first child seed. A state at a
-    sensor step that is not finite is a LatschedError naming the first one.
+    A run's path is `simulate_sde`'s from its first child seed, and its
+    measurement generator comes from the second. A state at a sensor step
+    that is not finite is a LatschedError naming the first one. `true_R`
+    defaults to cfg.sim's. The source is stateless, so every tracking variant
+    of a block reads the one source.
     """
-    paths, meas_seeds = [], []
+    paths, rngs = [], []
     for seed in seeds:
         truth_seed, meas_seed = seed.spawn(2)
         _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, truth_seed)
@@ -192,8 +192,10 @@ def _truths(cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, list]:
         if bad.any():
             raise LatschedError(f"truth path is not finite at sensor step {int(bad.argmax())}")
         paths.append(sampled)
-        meas_seeds.append(meas_seed)
-    return np.stack(paths), meas_seeds
+        rngs.append(np.random.default_rng(meas_seed))
+    return GridMeasurementSource(cfg.model, np.stack(paths), cfg.model.dt_s, rngs,
+                                 occlusions=cfg.sim.occlusions,
+                                 true_R=cfg.sim.true_R if true_R is None else true_R)
 
 
 def _prepare_tracking(cfg: ScenarioConfig, graph_path=None) -> dict:
@@ -204,13 +206,13 @@ def _prepare_tracking(cfg: ScenarioConfig, graph_path=None) -> dict:
 
 def _rows_moving_horizon(ctx: dict, runs, seeds) -> list:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
-    truth = _truths(cfg, seeds)
+    source = _block_source(cfg, seeds)
     rows = [{"run": run, "j_mh": mh.j_empirical, "cpu_mh": mh.cpu_load,
              "attention_mh": mh.attention, "mse_mh": mh.mse}
-            for run, mh in zip(runs, _tracks(cfg, dyn, graph, *truth)[1])]
+            for run, mh in zip(runs, _tracks(cfg, dyn, graph, source)[1])]
     for m in cfg.methods:
         policy = np.full(graph.size, m.id, dtype=np.int64)
-        for row, sm in zip(rows, _tracks(cfg, dyn, graph, *truth, policy=policy,
+        for row, sm in zip(rows, _tracks(cfg, dyn, graph, source, policy=policy,
                                          adaptive=False)[1]):
             row.update({f"j_static_{m.id}": sm.j_empirical, f"cpu_static_{m.id}": sm.cpu_load,
                         f"attention_static_{m.id}": sm.attention, f"mse_static_{m.id}": sm.mse})
@@ -226,10 +228,9 @@ def _prepare_adaptive_R(cfg: ScenarioConfig) -> dict:
 
 def _rows_adaptive_R(ctx: dict, runs, seeds) -> list:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
-    truth = _truths(cfg, seeds)
-    adaptive, nominal = (
-        _tracks(cfg, dyn, graph, *truth, adaptive=a, true_R=ctx["true_R"], mse_only=True)[1]
-        for a in (True, False))
+    source = _block_source(cfg, seeds, ctx["true_R"])
+    adaptive, nominal = (_tracks(cfg, dyn, graph, source, adaptive=a, mse_only=True)[1]
+                         for a in (True, False))
     return [{"run": run, "mse_adaptive": a, "mse_nominal": b, "improved": int(a < b)}
             for run, a, b in zip(runs, adaptive, nominal)]
 

@@ -575,6 +575,18 @@ def _path_records(log: list, run) -> list:
             for k, t, method_id, measured, T, X, P in log]
 
 
+def _epoch_starts(trace) -> list:
+    """(start step, method id, measured, start covariance) of each epoch of `trace`.
+
+    A trace `_shared_path` logged whose records are not built yet is read
+    from the log, which builds no EpochRecord; any other reads `epochs`.
+    """
+    lazy = vars(trace).get("_epochs")
+    if isinstance(lazy, functools.partial) and lazy.func is _path_records:
+        return [(t, method_id, measured, P) for _, t, method_id, measured, _, _, P in lazy.args[0]]
+    return [(e.t_steps, e.method_id, e.measured, e.belief.Phat) for e in trace.epochs]
+
+
 def _grouped_records(log: list, runs: int) -> list:
     """Every run's EpochRecords from `_step_groups`' log, one list per run."""
     epochs = [[] for _ in range(runs)]

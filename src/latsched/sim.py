@@ -1,16 +1,23 @@
 """Ground-truth simulation, synthetic measurements, and run metrics.
 
-Truth paths are Euler-Maruyama discretizations of the target SDE on a grid of
-step dt that must divide the sensor period, so every capture epoch lands on a
-grid point and measurements are read off the path with no interpolation. The
-EM recurrence is evaluated a block of steps at a time with stacked products;
-a seed gives the same normals and the same scheme as a per-step loop, so the
-paths agree with it up to round-off, not bit for bit.
+Truth paths sample the target SDE exactly on a grid of step dt that must
+divide the sensor period: step k is x[k+1] = Ad(dt) x[k] + Wd(dt)^(1/2) n[k]
+with the (Ad, Wd) pair of `dynamics.discretize` (Van Loan 1978; Sarkka &
+Solin 2019, ch. 6), the discretization the filter and the schedulers use.
+The grid's states have the SDE's law at every dt, so the sensor grid itself
+(dt = dt_s, the default) needs no finer one, and every capture epoch lands
+on a grid point with no interpolation. The recurrence is evaluated a block
+of steps at a time with stacked products; a seed gives the same normals and
+the same recurrence as a per-step loop, so the paths agree with it up to
+round-off, not bit for bit.
 
 The path is read only at sensor epochs: by the measurement source and by the
 MSE of `metrics`. The run's window cost reads no path: it is the exact
 integral of tr(P(t)) from each epoch's start belief, evaluated by
-`exact.window_cost` as the schedulers evaluate it.
+`exact.window_cost` as the schedulers evaluate it. The cost, attention and
+CPU load read each epoch's start step, method, measured flag and start
+covariance, from the loop's log when the trace has not built its records
+(`horizon._epoch_starts`).
 
 `simulate_sde` keeps its chunk tables in a bounded memo, so a sweep builds
 them once, not per path. A `GridMeasurementSource` reads each run's
@@ -26,18 +33,20 @@ from math import isqrt
 
 import numpy as np
 
-from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack
+from .dynamics import (ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack,
+                       discretize)
 from .errors import SourceExhausted
 from .estimator import Measurement
 from .exact import Schedule, check_covering, window_cost, window_steps
-from .horizon import TrackingTrace
+from .horizon import TrackingTrace, _epoch_starts
 
-# Normals drawn per super-block of Euler-Maruyama steps; bounds the temporaries.
+# Normals drawn per super-block of steps; bounds the temporaries.
 _BLOCK_NORMALS = 1 << 14
-# Entries of a chunk's kick table (L n_w, L n_x); sets the chunk length L.
+# Entries of a chunk's kick table (L n_x, L n_x); sets the chunk length L.
 _CHUNK_TABLE_ENTRIES = 1 << 9
 # Chunk-table levels `simulate_sde` keeps, by (A, B, W, dt, L, depth); a full
-# memo is cleared. On the 4-state occlusion model a depth-5 entry is 40 KB.
+# memo is cleared. On the 4-state occlusion model a 300-step path's entry
+# (depth 4) is 16 KB.
 _TABLES: dict = {}
 _TABLE_ENTRIES = 16
 
@@ -56,40 +65,40 @@ def grid_ratio(dt_s: float, dt: float) -> int:
 def simulate_sde(
     model: ContinuousModel, horizon: float, dt: float, seed
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler-Maruyama truth path; deterministic given the seed.
+    """One truth path sampled exactly on the dt grid; deterministic given the seed.
 
-    Step k is x[k+1] = x[k] + A x[k] dt + B W^(1/2) sqrt(dt) n[k], with the
-    normals n[k] read from the generator one step after another, as a
-    per-step loop reads them. The steps are evaluated in chunks by
-    `_advance`, so the path equals that loop's up to round-off, not bit for
-    bit. Normals are drawn in super-blocks of at most `_BLOCK_NORMALS`, which
-    bounds the temporaries. The chunk tables come from the `_TABLES` memo.
-    Returns (t, x) with t of length N+1 on the dt grid and x of shape
-    (N+1, n_x). The initial state is drawn from the model's initial belief.
+    Step k is x[k+1] = Ad(dt) x[k] + Wd(dt)^(1/2) n[k], with (Ad, Wd) from
+    `dynamics.discretize` and the n_x normals n[k] read from the generator
+    one step after another, as a per-step loop reads them. The steps are
+    evaluated in chunks by `_advance`, so the path equals that loop's up to
+    round-off, not bit for bit. Normals are drawn in super-blocks of at most
+    `_BLOCK_NORMALS`, which bounds the temporaries. The chunk tables come
+    from the `_TABLES` memo. Returns (t, x) with t of length N+1 on the dt
+    grid and x of shape (N+1, n_x). The initial state is drawn from the
+    model's initial belief.
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
     n_steps = window_steps(horizon, dt, 1e-9)
     rng = np.random.default_rng(seed)
-    n, n_w = model.n_x, model.n_w
+    n = model.n_x
     x = np.empty((n_steps + 1, n))
     x[0] = model.x0 + rng.standard_normal((1, n)) @ sqrt_psd(model.P0).T
-    L, block = _chunking(n, n_w)
+    L, block = _chunking(n)
     depth = 1
     while L ** depth < min(block, n_steps):
         depth += 1
     levels = _levels(model, dt, L, depth)
     for first in range(1, n_steps + 1, block):
         count = min(block, n_steps + 1 - first)
-        x[first:first + count] = _advance(x[first - 1], rng.standard_normal((count, n_w)),
-                                          levels)
+        x[first:first + count] = _advance(x[first - 1], rng.standard_normal((count, n)), levels)
     return np.arange(n_steps + 1) * dt, x
 
 
-def _chunking(n: int, n_w: int) -> tuple[int, int]:
-    """(chunk length L, steps per super-block) of `simulate_sde`."""
-    block = max(1, _BLOCK_NORMALS // max(1, n_w))
-    return min(block, max(2, isqrt(_CHUNK_TABLE_ENTRIES // (n * n_w)))), block
+def _chunking(n: int) -> tuple[int, int]:
+    """(chunk length L, steps per super-block) of `simulate_sde` on n states."""
+    block = max(1, _BLOCK_NORMALS // n)
+    return min(block, max(2, isqrt(_CHUNK_TABLE_ENTRIES // (n * n)))), block
 
 
 def _levels(model: ContinuousModel, dt: float, L: int, depth: int) -> list:
@@ -98,11 +107,10 @@ def _levels(model: ContinuousModel, dt: float, L: int, depth: int) -> list:
            L, depth)
     levels = _TABLES.get(key)
     if levels is None:
-        n = model.n_x
-        levels = [_chunk_tables(np.eye(n) + model.A * dt,
-                                (model.B @ sqrt_psd(model.W)) * np.sqrt(dt), L)]
+        Ad, Wd = discretize(model, dt)
+        levels = [_chunk_tables(Ad, sqrt_psd(Wd), L)]
         while len(levels) < depth:
-            levels.append(_chunk_tables(levels[-1][2], np.eye(n), L))
+            levels.append(_chunk_tables(levels[-1][2], np.eye(model.n_x), L))
         for table in (t for level in levels for t in level):
             table.setflags(write=False)
         if len(_TABLES) >= _TABLE_ENTRIES:
@@ -235,9 +243,9 @@ class RunMetrics:
     mse: float
 
 
-def _schedule(trace: TrackingTrace, tf_steps: int) -> Schedule:
-    """The methods of the trace's epochs that start inside the window."""
-    return Schedule(e.method_id for e in trace.epochs if e.t_steps < tf_steps)
+def _schedule(starts: list, tf_steps: int) -> Schedule:
+    """The methods of the `_epoch_starts` that start inside the window."""
+    return Schedule(method_id for t, method_id, _, _ in starts if t < tf_steps)
 
 
 def empirical_cost(
@@ -254,8 +262,9 @@ def empirical_cost(
     form and cuts a last epoch at the window edge. A trace that does not cover
     the window raises IncompleteScheduleError.
     """
-    return window_cost(0, lambda i, method: i + 1, lambda i: trace.epochs[i].belief.Phat,
-                       _schedule(trace, window_steps(tf, dyn.dt_s)), tf, lam_alpha, methods,
+    starts = _epoch_starts(trace)
+    return window_cost(0, lambda i, method: i + 1, lambda i: starts[i][3],
+                       _schedule(starts, window_steps(tf, dyn.dt_s)), tf, lam_alpha, methods,
                        dyn)
 
 
@@ -267,14 +276,14 @@ def _window_metrics(trace: TrackingTrace, lam_alpha: float, methods, tf: float,
     tf_steps = window_steps(tf, dyn.dt_s)
     attention = 0
     busy = 0.0
-    for epoch in trace.epochs:
-        if epoch.t_steps >= tf_steps:
+    for t, method_id, measured, _ in _epoch_starts(trace):
+        if t >= tf_steps:
             break
-        method = methods[epoch.method_id - 1]
-        end = epoch.t_steps + method.steps
-        if epoch.measured and end <= tf_steps:
+        method = methods[method_id - 1]
+        end = t + method.steps
+        if measured and end <= tf_steps:
             attention += 1
-        busy += method.cpu * (min(end, tf_steps) - epoch.t_steps) * dyn.dt_s
+        busy += method.cpu * (min(end, tf_steps) - t) * dyn.dt_s
     return j_empirical, attention, busy / tf
 
 
@@ -336,7 +345,7 @@ def block_mse(traces: list, truths: np.ndarray, methods, tf: float,
     tf_steps = window_steps(tf, dyn.dt_s)
     for trace in traces:
         if trace.end_steps is None or trace.end_steps < tf_steps:
-            check_covering(_schedule(trace, tf_steps), tf_steps, methods)
+            check_covering(_schedule(_epoch_starts(trace), tf_steps), tf_steps, methods)
     return _block_mse(traces, truths, dyn, dt)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from latsched import ContinuousModel, PerceptionMethod, build_dynamics
+from latsched.dynamics import discretize
 from latsched.exact import window_steps
 from latsched.sim import sqrt_psd
 
@@ -107,15 +108,8 @@ def window_time_ratio(run, rounds: int = 11, batch: int = 5) -> float:
     return float(np.median(times[calm, 1] / times[calm, 0]))
 
 
-def per_step_ensemble(model, horizon, dt, runs, seed, record_steps=None):
-    """Euler-Maruyama paths of `runs` targets, one generator call and one kick product per step.
-
-    Each step draws the normals of all runs together from one generator, in
-    the order `simulate_sde` reads a path's normals, so at one run the path
-    is `simulate_sde`'s up to round-off, with the same start state bit for
-    bit. Returns (t, x) with x of shape (runs, len(record_steps), n_x);
-    `record_steps` (all grid indices by default) picks the stored points.
-    """
+def _per_step(model, horizon, dt, runs, seed, record_steps, n_kick, step):
+    """Paths of `runs` targets, one generator call a step: x <- step(x, normals (runs, n_kick))."""
     n_steps = window_steps(horizon, dt, 1e-9)
     rng = np.random.default_rng(seed)
     n = model.n_x
@@ -126,14 +120,74 @@ def per_step_ensemble(model, horizon, dt, runs, seed, record_steps=None):
     record_at = {int(s): i for i, s in enumerate(record_steps)}
 
     x = model.x0 + rng.standard_normal((runs, n)) @ sqrt_psd(model.P0).T
-    noise_map = (model.B @ sqrt_psd(model.W)) * np.sqrt(dt)
     out = np.empty((runs, record_steps.size, n))
     if 0 in record_at:
         out[:, record_at[0]] = x
     for j in range(1, n_steps + 1):
-        drift = x @ model.A.T
-        kicks = rng.standard_normal((runs, model.n_w)) @ noise_map.T
-        x = x + drift * dt + kicks
+        x = step(x, rng.standard_normal((runs, n_kick)))
         if j in record_at:
             out[:, record_at[j]] = x
     return record_steps * dt, out
+
+
+def per_step_ensemble(model, horizon, dt, runs, seed, record_steps=None):
+    """Euler-Maruyama paths of `runs` targets, one generator call and one kick product per step.
+
+    Step k is x[k+1] = x[k] + A x[k] dt + B W^(1/2) sqrt(dt) n[k], with n_w
+    normals a run, drawn for all runs together from one generator. It is the
+    distributional oracle of `simulate_sde`'s exact sampler: on a fine grid
+    its law at the sensor steps is the SDE's up to the scheme's O(dt) bias.
+    Returns (t, x) with x of shape (runs, len(record_steps), n_x);
+    `record_steps` (all grid indices by default) picks the stored points.
+    """
+    noise_map = (model.B @ sqrt_psd(model.W)) * np.sqrt(dt)
+
+    def step(x, normals):
+        return x + (x @ model.A.T) * dt + normals @ noise_map.T
+
+    return _per_step(model, horizon, dt, runs, seed, record_steps, model.n_w, step)
+
+
+def per_step_exact(model, horizon, dt, runs, seed, record_steps=None):
+    """Paths of `runs` targets sampled exactly, one generator call and one product per step.
+
+    Step k is x[k+1] = Ad x[k] + Wd^(1/2) n[k] with (Ad, Wd) =
+    `discretize(model, dt)` and n_x normals a run, in the order
+    `simulate_sde` reads a path's normals, so at one run the path is
+    `simulate_sde`'s up to round-off, with the same start state bit for bit.
+    Returns what `per_step_ensemble` returns.
+    """
+    Ad, Wd = discretize(model, dt)
+    root = sqrt_psd(Wd)
+
+    def step(x, normals):
+        return x @ Ad.T + normals @ root.T
+
+    return _per_step(model, horizon, dt, runs, seed, record_steps, model.n_x, step)
+
+
+def assert_same_law(a, b, Ad, sigmas: float = 4.0):
+    """Two ensembles `(runs, steps, n)` on one sensor grid agree in mean and covariance.
+
+    Each mean and covariance entry of the states at each step, and of their
+    noise parts x_t - Ad[t] x_0 (`Ad (steps, n, n)`, the exact transitions
+    from step 0), must differ by at most `sigmas` standard errors of the
+    difference, each ensemble's error estimated from its own samples. The
+    noise parts carry the process noise alone, so a start covariance much
+    larger than it does not hide an error in its law.
+    """
+    def parts(x):
+        return np.concatenate([x, x - (Ad @ x[:, :1, :, None])[..., 0]], axis=-1)
+
+    stats = []
+    for x in (parts(a), parts(b)):
+        runs = x.shape[0]
+        dev = x - x.mean(axis=0)
+        outer = dev[..., :, None] * dev[..., None, :]
+        stats.append((x.mean(axis=0), x.var(axis=0, ddof=1) / runs,
+                      outer.mean(axis=0), outer.var(axis=0, ddof=1) / runs))
+    (m1, v1, c1, w1), (m2, v2, c2, w2) = stats
+    mean_z = np.abs(m1 - m2) / np.sqrt(v1 + v2 + 1e-300)
+    cov_z = np.abs(c1 - c2) / np.sqrt(w1 + w2 + 1e-300)
+    assert mean_z.max() <= sigmas, (mean_z.max(), np.unravel_index(mean_z.argmax(), mean_z.shape))
+    assert cov_z.max() <= sigmas, (cov_z.max(), np.unravel_index(cov_z.argmax(), cov_z.shape))

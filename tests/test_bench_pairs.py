@@ -7,6 +7,7 @@ same rule turned round. Neither verdict is given from fewer than 10 pairs.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -231,3 +232,68 @@ def test_a_sweep_child_times_several_sweeps():
     assert out["sweeps"] > bench_pairs.SWEEP_LEAST
     assert 0.0 < out["ms"] < 1e3 * bench_pairs.SWEEP_SECONDS
     assert out["first_ms"] > 0.0
+
+
+def stub_checkout(root: Path, experiment: str) -> Path:
+    """A checkout whose `latsched` only reads a config's experiment name and sweeps nothing.
+
+    Its `configs/sweep.json` names `experiment`, so a sweep child reports
+    which checkout's file it loaded.
+    """
+    package = root / "src" / "latsched"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "def monte_carlo(cfg, runs, seed, jobs):\n    return [{'run': 0}]\n")
+    (package / "cli.py").write_text("")
+    (package / "config.py").write_text(
+        "import json\nfrom types import SimpleNamespace\n\n\n"
+        "def load_scenario(path):\n"
+        "    with open(path) as fh:\n"
+        "        name = json.load(fh)['experiment']['name']\n"
+        "    return SimpleNamespace(experiment=SimpleNamespace(name=name))\n")
+    (root / "configs").mkdir()
+    (root / "configs" / "sweep.json").write_text(json.dumps({"experiment": {"name": experiment}}))
+    return root
+
+
+def test_a_sweep_child_reads_a_relative_config_inside_its_checkout(tmp_path):
+    # The parent's configs/sweep.json differs from this checkout's (which has
+    # none): a child started in the parent loads the parent's own file.
+    parent = stub_checkout(tmp_path / "parent", "parent-config")
+    out = time_sweep(str(parent), "configs/sweep.json", 1, 2)
+    assert out["experiment"] == "parent-config" and out["failed"] == 0
+    assert not (ROOT / "configs" / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_a_sweep_set_hands_each_side_its_own_config(monkeypatch, tmp_path, absolute):
+    # A relative CONFIG reaches each side's child as it was given, to be read
+    # inside that side's checkout; an absolute one names one file for both.
+    seen = []
+
+    def fake_sweep(root, config, runs, seed):
+        path = os.path.join(root, config)
+        with open(path) as fh:
+            name = json.load(fh)["experiment"]["name"]
+        seen.append((root, path))
+        return {"experiment": "sweep", "ms": 1.0 if name == "parent-config" else 0.5,
+                "first_ms": 1.0, "sweeps": 3, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "time_sweep", fake_sweep)
+    parent = stub_checkout(tmp_path / "parent", "parent-config")
+    change = stub_checkout(tmp_path / "change", "change-config")
+    monkeypatch.setattr(bench_pairs, "CHANGE_ROOT", str(change))
+    monkeypatch.setattr(bench_pairs, "directions", dict)
+    config = str(parent / "configs" / "sweep.json") if absolute else "configs/sweep.json"
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--sweep", config, "--runs", "2",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    assert {root for root, _ in seen} == {str(parent), str(change)}
+    files = {root: path for root, path in seen}
+    if absolute:
+        assert set(files.values()) == {config}
+    else:
+        assert files == {str(root): str(root / "configs" / "sweep.json")
+                         for root in (parent, change)}
+    row = json.loads(out.read_text())["summary"]["A"]["sweep_ms.sweep"]
+    assert row["ratio"] == pytest.approx(1.0 if absolute else 0.5)

@@ -28,7 +28,7 @@ from latsched import (
 )
 from latsched import estimator, horizon
 from latsched.config import load_scenario
-from latsched.experiments import _build_graph, _tracks, _truths
+from latsched.experiments import _block_source, _build_graph, _tracks
 from test_horizon_oracle import StepSource
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -76,7 +76,7 @@ def occlusion():
 def occlusion_track(occlusion, graph, seed, **kwargs):
     cfg, dyn, _ = occlusion
     (trace,), (run_metrics,) = _tracks(cfg, dyn, graph,
-                                       *_truths(cfg, [np.random.SeedSequence(seed)]), **kwargs)
+                                       _block_source(cfg, [np.random.SeedSequence(seed)]), **kwargs)
     return trace, run_metrics
 
 

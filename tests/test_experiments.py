@@ -174,7 +174,7 @@ class TestCalibration:
     With the truth simulated from the filter's own model and nominal R, a
     row's `mse` averages squared errors whose expectation at each grid point
     is tr P there, so the mean over runs of `mse` estimates the grid mean of
-    tr P. The pipeline under test is `_truths`' sampling, the source's
+    tr P. The pipeline under test is `_block_source`'s sampling, the source's
     capture step, noise rule and occlusions, the shared-path loop, the grid
     means and `block_mse`; tr P comes from `textbook_trP`, not from the
     traces, which must agree with it.
@@ -194,10 +194,10 @@ class TestCalibration:
             sim={"horizon": 5.0, "occlusions": [list(o) for o in occlusions]}))
         ctx = experiments._prepare_tracking(cfg)
         dyn, graph = ctx["dyn"], ctx["graph"]
-        paths, meas_seeds = experiments._truths(
-            cfg, np.random.SeedSequence(99).spawn(self.RUNS))
+        source = experiments._block_source(
+            cfg, np.random.SeedSequence(99).spawn(self.RUNS), true_R={})
         traces, mse = experiments._tracks(
-            cfg, dyn, graph, paths, meas_seeds, adaptive=False, true_R={}, mse_only=True,
+            cfg, dyn, graph, source, adaptive=False, mse_only=True,
             policy=None if policy == "graph" else np.full(graph.size, policy))
         epochs = traces[0].epochs
         if policy == "graph":

@@ -38,7 +38,7 @@ from latsched import (
 from latsched import cli, covgraph, experiments, horizon
 from latsched.config import load_scenario, parse_scenario
 from latsched.exact import check_covering, window_steps
-from latsched.horizon import EpochRecord, TrackingTrace, run_lockstep
+from latsched.horizon import EpochRecord, TrackingTrace, _epoch_starts, run_lockstep
 from latsched.sim import (
     _schedule,
     block_metrics,
@@ -157,7 +157,7 @@ windows = st.lists(
     seed=st.integers(0, 2**16),
     jobs=st.sampled_from([1, 2]),
 )
-# At lambda_alpha = 0.2 the 8 runs of seed 3 follow 8 different adaptive
+# At lambda_alpha = 0.2 the 8 runs of seed 3 follow 7 different adaptive
 # schedules, so method groups split and rejoin at every few steps.
 @example(name="adaptive-R", runs=8, lam_alpha=0.2, horizon_s=10.0, occlusions=[],
          adaptive=True, seed=3, jobs=1)
@@ -204,7 +204,7 @@ def test_seed_3_splits_the_adaptive_schedules():
         schedules.add(tuple(e.method_id for e in trace.epochs))
         for e in trace.epochs:
             starts.setdefault(e.t_steps, set()).add(e.method_id)
-    assert len(schedules) == 8
+    assert len(schedules) == 7
     # Steps at which runs start epochs of both methods: two groups at once.
     assert sum(methods == {1, 2} for methods in starts.values()) >= 10
 
@@ -453,7 +453,8 @@ def test_block_mse_checks_coverage_as_check_covering(planar, runs, horizon_s, pa
     for trace, truth in zip(traces, truths):
         got = outcome(lambda: block_mse([trace], truth[None], methods, tf_steps * dyn.dt_s, dyn,
                                         dyn.dt_s))
-        want = outcome(lambda: check_covering(_schedule(trace, tf_steps), tf_steps, methods))
+        want = outcome(lambda: check_covering(_schedule(_epoch_starts(trace), tf_steps),
+                                              tf_steps, methods))
         if want is None:
             assert isinstance(got, list)
         else:
@@ -490,6 +491,26 @@ def test_records_are_built_on_first_read(planar, adaptive, policy, horizon_s):
         assert made.call_count == sum(map(len, first))
     for run, trace in enumerate(traces):
         assert_same_trace(trace, run_alone(run), methods, dyn)
+
+
+@pytest.mark.parametrize("runs,adaptive", [(4, False), (1, False), (1, True)])
+@pytest.mark.parametrize("policy,horizon_s", [("graph", 2.3), ("slow", 0.9)])
+def test_metrics_read_the_loop_log(planar, runs, adaptive, policy, horizon_s):
+    # A trace that `_shared_path` stepped gives its cost, attention and CPU
+    # load from the loop's log, building no EpochRecord, and they equal
+    # those read from its records bit for bit, at the horizon and inside it.
+    _, methods, dyn, _ = planar
+    tf_steps = window_steps(horizon_s, dyn.dt_s)
+    traces, _ = lockstep_traces(planar, runs, horizon_s, 30, adaptive, 3, policy, [(5, 4)], 7)
+    truths = np.random.default_rng(7).standard_normal((runs, tf_steps + 1, 2))
+    windows = (horizon_s, 0.5)
+    with patch.object(horizon, "EpochRecord", wraps=EpochRecord) as made:
+        got = [block_metrics(traces, truths, 5.0, methods, tf, dyn, dyn.dt_s) for tf in windows]
+        assert made.call_count == 0
+    for trace in traces:
+        assert trace.epochs
+    want = [block_metrics(traces, truths, 5.0, methods, tf, dyn, dyn.dt_s) for tf in windows]
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)

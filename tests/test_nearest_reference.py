@@ -27,7 +27,7 @@ from latsched import (
 )
 from latsched import covgraph
 from latsched.config import load_scenario
-from latsched.experiments import _tracks, _truths
+from latsched.experiments import _block_source, _tracks
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_BLOCK = 1 << 18
@@ -198,7 +198,7 @@ def test_shipped_graphs_match_reference(name, count):
 def test_occlusion_run_quantizes_as_reference():
     cfg, dyn, graph = shipped_graph("occlusion_run", None, covgraph._nearest_known)
     assert graph.reps.size > covgraph._SCAN_ENTRIES
-    (trace,), _ = _tracks(cfg, dyn, graph, *_truths(cfg, [np.random.SeedSequence(cfg.sim.seed)]))
+    (trace,), _ = _tracks(cfg, dyn, graph, _block_source(cfg, [np.random.SeedSequence(cfg.sim.seed)]))
     beliefs = [epoch.belief.Phat for epoch in trace.epochs]
     assert len(beliefs) > 50
     for P in beliefs:

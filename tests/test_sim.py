@@ -30,8 +30,9 @@ class TestSimulateSde:
         )
         t, x = simulate_sde(model, 1.0, 1e-3, seed=0)
         exact = np.array([expm(np.asarray(model.A) * ti) @ model.x0 for ti in t])
-        # Euler global error is O(dt) for the deterministic part.
-        assert np.max(np.abs(x - exact)) < 5e-3
+        # Each step applies exp(A dt) itself, so 1,000 steps leave only
+        # round-off: 3.6e-14 seen, against 4.1e-4 for Euler steps of 1e-3.
+        assert np.max(np.abs(x - exact)) < 1e-12
 
     def test_brownian_covariance(self):
         model = ContinuousModel(
@@ -83,7 +84,7 @@ class TestSimulateSde:
         monkeypatch.setattr(sim, "_TABLE_ENTRIES", bound)
         monkeypatch.setattr(sim, "_TABLES", {})
         model, other = benchmark_model(), benchmark_model(W=np.diag([0.5, 2.0]))
-        block = _chunking(model.n_x, model.n_w)[1]
+        block = _chunking(model.n_x)[1]
         calls = [(model, 0.5, 1e-3), (other, 0.5, 1e-3), (model, 0.5, 2e-3),
                  (model, (block + 5) * 1e-3, 1e-3), (other, 0.5, 2e-3),
                  (other, (block + 5) * 1e-3, 1e-3)]

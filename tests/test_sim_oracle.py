@@ -1,9 +1,12 @@
 """The simulation kernels and the run cost against independent references.
 
-`simulate_sde` evaluates the Euler-Maruyama recurrence a chunk of steps at a
-time with stacked products. It reads the same normals in the same order as
-the per-step loop `conftest.per_step_ensemble`, so its path must match that
-loop's up to round-off (see `assert_same_path` for the bound).
+`simulate_sde` evaluates the exact recurrence x[k+1] = Ad x[k] + Wd^(1/2) n[k]
+a chunk of steps at a time with stacked products. It reads the same normals
+in the same order as the per-step loop `conftest.per_step_exact`, so its path
+must match that loop's up to round-off (see `assert_same_path` for the
+bound). Its law at the sensor steps must match that of Euler-Maruyama on a
+grid a hundred times finer, `conftest.per_step_ensemble`, within Monte-Carlo
+error (`TestLawMatchesFineEulerMaruyama`).
 `empirical_cost` is the exact integral of tr(P(t)) over each epoch, from
 `exact.window_cost`. It is checked against the trapezoid rule on the sim
 grid, Richardson-extrapolated (see `richardson_empirical_cost`), and against
@@ -32,11 +35,12 @@ from latsched import (
     simulate_sde,
 )
 from latsched.config import load_scenario
+from latsched.dynamics import discretize
 from latsched.exact import window_steps
 from latsched.horizon import EpochRecord
 from latsched.sim import _chunking, empirical_cost, grid_ratio
 
-from conftest import benchmark_model, per_step_ensemble
+from conftest import assert_same_law, benchmark_model, per_step_ensemble, per_step_exact
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,15 +125,14 @@ def assert_same_path(model, horizon, dt, seed):
 
     Both evaluations round every step to a relative eps = 1.1e-16 of the
     states they add, and their errors are independent, so they drift apart
-    like a random walk: about sqrt(S) eps over S steps, 2e-14 at the 30,000
-    steps of the shipped occlusion run (observed there: 3.9e-15; over 1,500
-    random models of `small_models`: at most 5.4e-15). The bound is fifty
-    times that estimate. A fault in the chunked recurrence is far above it: a normal read one step off or a wrong power of F moves a state
-    by a whole kick, of order |B W^(1/2)| sqrt(dt) n, which is 1e-2 on the
-    test models.
+    like a random walk: about sqrt(S) eps over S steps, 2e-14 at 30,000
+    steps. The bound is fifty times that estimate. A fault in the chunked
+    recurrence is far above it: a normal read one step off or a wrong power
+    of Ad moves a state by a whole kick, of order |Wd^(1/2)| n, which is
+    1e-3 or more on the test models.
     """
     t, path = simulate_sde(model, horizon, dt, seed)
-    t_ref, ref = per_step_ensemble(model, horizon, dt, 1, seed)
+    t_ref, ref = per_step_exact(model, horizon, dt, 1, seed)
     assert np.array_equal(t, t_ref)
     assert path.shape == ref[0].shape
     assert np.array_equal(path[0], ref[0, 0])
@@ -171,7 +174,7 @@ class TestEnsembleMatchesPerStepLoop:
         # The benchmark model, its two noise inputs merged into one for n_w = 1.
         model = benchmark_model() if n_w == 2 else \
             benchmark_model(B=[[0], [1], [0], [1]], W=[[0.5]])
-        L, block = _chunking(model.n_x, model.n_w)
+        L, block = _chunking(model.n_x)
         assert 1 < L < block
         steps = EDGES[edge](L, block)
         assert_same_path(model, steps * 1e-3, 1e-3, seed=steps)
@@ -179,6 +182,40 @@ class TestEnsembleMatchesPerStepLoop:
     def test_shipped_occlusion_path(self):
         cfg = load_scenario(CONFIGS / "occlusion_run.json")
         assert_same_path(cfg.model, cfg.sim.horizon, cfg.sim.dt, seed=8)
+
+
+# Paths of each ensemble in `TestLawMatchesFineEulerMaruyama`, and the sensor
+# steps compared: the first three, where Euler-Maruyama at the sensor period
+# is furthest from the exact law, then steps out to the end of 2 s.
+LAW_RUNS = 2000
+LAW_STEPS = {"occlusion_run": [0, 1, 2, 3, 6, 15, 30, 60],
+             "noise_mismatch": [0, 1, 2, 3, 5, 10, 20]}
+
+
+class TestLawMatchesFineEulerMaruyama:
+    """`simulate_sde` at the sensor period against Euler-Maruyama at dt_s / 100.
+
+    Over LAW_RUNS paths each, the mean and covariance of the states at the
+    sensor steps, and of their process-noise parts x_t - Ad(t) x_0, agree
+    within 4 standard errors (`conftest.assert_same_law`). On the occlusion
+    model Euler-Maruyama's relative bias in the position's noise variance
+    is about 1.5 / (steps taken), 0.5% at the first sensor step of the fine
+    grid, a tenth of a standard error; at the sensor period itself (three
+    steps to 0.1 s) it is 44%, dozens of standard errors.
+    """
+
+    @pytest.mark.parametrize("name", list(LAW_STEPS))
+    def test_sensor_steps(self, name):
+        cfg = load_scenario(CONFIGS / f"{name}.json")
+        model, steps = cfg.model, LAW_STEPS[name]
+        horizon = steps[-1] * model.dt_s
+        seeds = np.random.SeedSequence(41).spawn(LAW_RUNS)
+        exact = np.array([simulate_sde(model, horizon, model.dt_s, seed)[1][steps]
+                          for seed in seeds])
+        _, fine = per_step_ensemble(model, horizon, model.dt_s / 100, LAW_RUNS, seed=42,
+                                    record_steps=[100 * s for s in steps])
+        assert_same_law(exact, fine, np.array([discretize(model, s * model.dt_s)[0]
+                                               for s in steps]))
 
 
 def tracked(model, methods, dyn, dt, horizon, policy_id=None, seed=9):
@@ -227,8 +264,11 @@ class TestEmpiricalCostMatchesPerPointLoop:
                                        occlusions=cfg.sim.occlusions)
         trace = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon,
                          source, dyn)
+        # The reference integrates on a grid of its own, a hundred points a
+        # sensor period, whatever grid the truth was sampled on.
+        fine = cfg.model.dt_s / 100
         for tf in (cfg.tf, 0.5, cfg.sim.horizon):
-            assert_richardson_cost(trace, cfg.lam_alpha, cfg.methods, tf, dyn, cfg.sim.dt)
+            assert_richardson_cost(trace, cfg.lam_alpha, cfg.methods, tf, dyn, fine)
 
     def test_incomplete_trace_rejected(self, bench):
         model, methods, dyn = bench

@@ -49,7 +49,7 @@ compiled bytecode.
 
 With `--sweep CONFIG --runs N`, a pair times Monte-Carlo sweeps in-process:
 one child process per checkout, the parent first in even pairs, each loading
-CONFIG (the same file for both sides), running one warm-up sweep at seed
+CONFIG, running one warm-up sweep at seed
 SEED + i and then timing consecutive sweeps
 `monte_carlo(cfg, runs=N, seed=S, jobs=1)` for about SWEEP_SECONDS, and at
 least SWEEP_LEAST of them, with single-threaded BLAS as perfbench fixes it.
@@ -61,7 +61,9 @@ sample of the machine's noise. The warm-up sweep's milliseconds are
 process pays, set-up and cold memos included. Neither is a BENCHMARK.json
 metric, so their summary rows are marked `gated` false, but they get both
 verdicts under the same rules, from at least 10 pairs. No sweep of a child
-may fail a row.
+may fail a row. A relative CONFIG is read inside each checkout, so each side
+sweeps its own version of a shipped config; an absolute one is the same file
+for both sides.
 """
 
 import argparse
@@ -151,7 +153,10 @@ print(json.dumps({"experiment": cfg.experiment.name, **timings, "failed": sum(fa
 
 
 def time_sweep(root: str, config: str, runs: int, seed: int) -> dict:
-    """One sweep process in `root`: its experiment, `sweep_timings` and failed rows."""
+    """One sweep process in `root`: its experiment, `sweep_timings` and failed rows.
+
+    A relative `config` is read inside `root`, the child's working directory.
+    """
     # Single-threaded BLAS, as perfbench/run.py fixes it.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -349,7 +354,7 @@ def main(argv=None) -> int:
             if args.sweep:
                 doc.setdefault("machine", machine(None))
                 for side in order:
-                    out = time_sweep(roots[side], os.path.abspath(args.sweep), args.runs, seed)
+                    out = time_sweep(roots[side], args.sweep, args.runs, seed)
                     if out["failed"]:
                         raise RuntimeError(f"{side}: {out['failed']} rows of "
                                            f"{out['sweeps']} sweeps failed")
