@@ -15,29 +15,27 @@ Four experiments are available, selected by name:
 
 Runs are independent: per-run RNG streams are spawned from the master seed,
 rows are reduced in run order, and (config, seed) fixes the output exactly.
-Runs are stepped in blocks of consecutive runs. The tracking experiments
-(moving-horizon, adaptive-R) step a block's runs together, each tracking
-variant as one `run_lockstep` call whose traces equal `run_loop`'s run by run,
-so no row depends on the blocking; the other experiments take one run per
-block. A tracking run reads its truth path at the sensor steps only, as
-`simulate` does, and a path that is not finite there fails its run. At
-jobs = 1 the sweep is cut into blocks of up to `_BLOCK_RUNS` runs. At
-jobs > 1 a fork-based process pool gives each worker one contiguous range
-of runs, which it cuts the same way. A block that raises is re-run one run at
-a time, as blocks of one, so a failing run's row records its own error and
-every other row is unchanged. A block of one is a one-run `run_lockstep`
-stack, which `horizon._shared_path` steps as it steps `run_loop`, adaptive
-or not; so is the one run of `simulate`. A run's measurement noise is keyed
-on its capture step (`sim.GridMeasurementSource`), so the variants of a row
-see common random numbers: the same normals at each step they both capture.
+Every experiment steps blocks of consecutive runs, `rows(ctx, runs, seeds)`:
+at jobs = 1 the sweep is cut into blocks of up to `_BLOCK_RUNS` runs, and at
+jobs > 1 a fork-based process pool gives each worker one contiguous range of
+runs, which it cuts the same way. A block that raises is re-run one run at a
+time, so a failing run's row records its own error and no other row changes.
+No row depends on the blocking. bound-validation steps a block's covariances
+one step index at a time, one stacked `riccati_step` per method;
+cost-histogram computes its rows one run after another; a tracking
+experiment steps each variant as one `run_lockstep` call, whose traces equal
+`run_loop`'s run by run (a block of one, like the run of `simulate`, is a
+one-run stack). A tracking run reads its truth path at the sensor steps
+only, and a path that is not finite there fails its run. Measurement noise
+is keyed on the capture step (`sim.GridMeasurementSource`), so the variants
+of a row see common random numbers.
 
-A tracking block computes each value its rows hold once. Its truth paths
-and their measurement source are built once (`_block_source`), and every
-tracking variant of the block reads that source. Adaptive-R rows
-hold only MSEs, so its blocks compute no cost, CPU load or attention, and
-the MSEs of a block are one stacked reduction (`sim.block_mse`). A
-moving-horizon variant without adaptation computes the window metrics once
-per block (`sim.block_metrics`): its runs share one covariance path.
+A tracking block computes each value its rows hold once: one measurement
+source over its truth paths (`_block_source`), read by every variant; one
+stacked MSE reduction for adaptive-R rows (`sim.block_mse`), which hold no
+cost, CPU load or attention; and the window metrics once per moving-horizon
+variant without adaptation (`sim.block_metrics`), whose runs share one
+covariance path.
 """
 
 from __future__ import annotations
@@ -110,22 +108,29 @@ def _prepare_bound_validation(cfg: ScenarioConfig) -> dict:
     return {"cfg": cfg, "dyn": dyn, "bs": bs}
 
 
-def _run_bound_validation(ctx: dict, run: int, seed) -> dict:
+def _rows_bound_validation(ctx: dict, runs, seeds) -> list:
+    """Each run's random schedule from its random start, the block as one stack.
+
+    At each step index, one `riccati_step` per method steps the runs taking
+    it. Norms are `norm(P, "fro")` bit for bit, and their maximum skips NaN.
+    """
     cfg, dyn, bs = ctx["cfg"], ctx["dyn"], ctx["bs"]
-    rng = np.random.default_rng(seed)
-    P = sample_region(cfg.model.n_x, cfg.graph.b0, 1, rng)[0]
     steps = cfg.experiment.schedule_steps
-    ids = rng.integers(1, len(cfg.methods) + 1, size=steps)
-    worst = float(np.linalg.norm(P, "fro"))
-    violations = 0
-    for pid in ids:
-        P = riccati_step(P, cfg.methods[pid - 1], dyn)
-        norm = float(np.linalg.norm(P, "fro"))
-        worst = max(worst, norm)
-        if norm > bs:
-            violations += 1
-    return {"run": run, "bs": bs, "max_covariance_norm": worst,
-            "violations": violations, "steps": steps}
+    rngs = list(map(np.random.default_rng, seeds))  # a run's start, then its schedule
+    P = np.array([sample_region(cfg.model.n_x, cfg.graph.b0, 1, rng)[0] for rng in rngs])
+    ids = np.array([rng.integers(1, len(cfg.methods) + 1, size=steps) for rng in rngs])
+    flat = P.reshape(len(runs), -1)  # a view of P, which the steps update in place
+    norms = [np.sqrt(np.vecdot(flat, flat))]
+    for step_ids in ids.T:
+        for m in cfg.methods:
+            group = step_ids == m.id
+            if group.any():
+                P[group] = riccati_step(P[group], m, dyn)
+        norms.append(np.sqrt(np.vecdot(flat, flat)))
+    norms = np.array(norms)
+    worst, count = np.fmax.reduce(norms).tolist(), (norms[1:] > bs).sum(axis=0).tolist()
+    return [{"run": run, "bs": bs, "max_covariance_norm": w, "violations": c, "steps": steps}
+            for run, w, c in zip(runs, worst, count)]
 
 
 def _prepare_cost_histogram(cfg: ScenarioConfig) -> dict:
@@ -138,20 +143,23 @@ def _prepare_cost_histogram(cfg: ScenarioConfig) -> dict:
     return {"cfg": cfg, "dyn": dyn, "graphs": graphs, "statics": statics}
 
 
-def _run_cost_histogram(ctx: dict, run: int, seed) -> dict:
+def _rows_cost_histogram(ctx: dict, runs, seeds) -> list:
     cfg, dyn = ctx["cfg"], ctx["dyn"]
-    P0 = sample_region(cfg.model.n_x, cfg.graph.b0, 1, seed)[0]
-    _, j_min = dyn_prog_exact(P0, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-    row = {"run": run, "j_min": j_min}
-    for mid, sched in ctx["statics"].items():
-        row[f"j_static_{mid}"] = evaluate_schedule(
-            P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-    for size, graph in ctx["graphs"].items():
-        sched, _ = qdp(quantize(P0, graph), cfg.tf, cfg.lam_alpha, graph, cfg.methods, dyn)
-        row[f"j_qdp_{size}"] = evaluate_schedule(
-            P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
-        row[f"cpu_qdp_{size}"] = schedule_cpu_load(sched, cfg.tf, cfg.methods, dyn)
-    return row
+    rows = []
+    for run, seed in zip(runs, seeds):
+        P0 = sample_region(cfg.model.n_x, cfg.graph.b0, 1, seed)[0]
+        _, j_min = dyn_prog_exact(P0, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+        row = {"run": run, "j_min": j_min}
+        for mid, sched in ctx["statics"].items():
+            row[f"j_static_{mid}"] = evaluate_schedule(
+                P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+        for size, graph in ctx["graphs"].items():
+            sched, _ = qdp(quantize(P0, graph), cfg.tf, cfg.lam_alpha, graph, cfg.methods, dyn)
+            row[f"j_qdp_{size}"] = evaluate_schedule(
+                P0, sched, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
+            row[f"cpu_qdp_{size}"] = schedule_cpu_load(sched, cfg.tf, cfg.methods, dyn)
+        rows.append(row)
+    return rows
 
 
 def _tracks(cfg: ScenarioConfig, dyn, graph, source, policy=None, adaptive=None,
@@ -235,23 +243,18 @@ def _rows_adaptive_R(ctx: dict, runs, seeds) -> list:
             for run, a, b in zip(runs, adaptive, nominal)]
 
 
-def _each(run_fn):
-    """The rows of `run_fn(ctx, run, seed)` over a block of runs."""
-    return lambda ctx, runs, seeds: [run_fn(ctx, run, seed) for run, seed in zip(runs, seeds)]
-
-
-# Runs a tracking block holds at most. On a 1,000-run noise_mismatch sweep the
-# time per run had flattened by 64 runs a block (3.3-3.6 ms, against 3.5 at
-# 1,000 and 4.6-5.7 at 16), and a block's traces are alive together: peak
-# RSS read 66 MB at 64 and 130 MB at 1,000.
+# Runs a block holds at most. Blocks of 16, 64 and 256 take 1.08, 0.59 and
+# 0.46 ms a run on 1,000 noise_mismatch runs, and 0.48, 0.43 and 0.37 on 512
+# occlusion_run runs at 45, 51 and 76 MB peak RSS (in-process, min of 3, 2
+# cores). No perfbench workload sweeps more than 6 runs to show more.
 _BLOCK_RUNS = 64
 
-# name -> (prepare(cfg), rows(ctx, runs, seeds), most runs per block)
+# name -> (prepare(cfg), rows(ctx, runs, seeds))
 _EXPERIMENTS = {
-    "bound-validation": (_prepare_bound_validation, _each(_run_bound_validation), 1),
-    "cost-histogram": (_prepare_cost_histogram, _each(_run_cost_histogram), 1),
-    "moving-horizon": (_prepare_tracking, _rows_moving_horizon, _BLOCK_RUNS),
-    "adaptive-R": (_prepare_adaptive_R, _rows_adaptive_R, _BLOCK_RUNS),
+    "bound-validation": (_prepare_bound_validation, _rows_bound_validation),
+    "cost-histogram": (_prepare_cost_histogram, _rows_cost_histogram),
+    "moving-horizon": (_prepare_tracking, _rows_moving_horizon),
+    "adaptive-R": (_prepare_adaptive_R, _rows_adaptive_R),
 }
 
 # Context handed to forked pool workers; set by monte_carlo before the fork.
@@ -259,11 +262,7 @@ _MC_CONTEXT: dict | None = None
 
 
 def _rows(context, name: str, runs: list, master_entropy) -> list:
-    """The rows of `runs`, stepped as one block.
-
-    If the block raises, each run is re-run as a block of one, so a failing
-    run's row records its own error and no other row changes.
-    """
+    """The rows of `runs`, stepped as one block, or one run at a time if it raises."""
     # Child streams are reconstructed as SeedSequence(master, spawn_key=(run,)),
     # which is what .spawn() produces, so rows are identical at any job count.
     seeds = [np.random.SeedSequence(master_entropy, spawn_key=(run,)) for run in runs]
@@ -276,11 +275,9 @@ def _rows(context, name: str, runs: list, master_entropy) -> list:
 
 
 def _sweep(context, name: str, runs: range, master_entropy) -> list:
-    """The rows of a contiguous range of runs, in blocks of the experiment's size."""
-    block = _EXPERIMENTS[name][2]
-    return [row for lo in range(runs.start, runs.stop, block)
-            for row in _rows(context, name, list(range(lo, min(lo + block, runs.stop))),
-                             master_entropy)]
+    """The rows of a contiguous range of runs, in blocks of `_BLOCK_RUNS`."""
+    return [row for lo in range(0, len(runs), _BLOCK_RUNS)
+            for row in _rows(context, name, list(runs[lo:lo + _BLOCK_RUNS]), master_entropy)]
 
 
 def _mc_worker(args):
@@ -304,10 +301,9 @@ def monte_carlo(
     name = cfg.experiment.name
     if name not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
-    prepare = _EXPERIMENTS[name][0]
     runs = cfg.sim.runs if runs is None else runs
     seed = cfg.sim.seed if seed is None else seed
-    context = prepare(cfg)
+    context = _EXPERIMENTS[name][0](cfg)
     entropy = np.random.SeedSequence(seed).entropy
 
     workers = min(jobs, os.cpu_count() or 1, runs)

@@ -378,18 +378,18 @@ def run_lockstep(
 ) -> list:
     """`run_loop` over a stack of runs stepped together: one TrackingTrace per run.
 
-    `source` is a `GridMeasurementSource` over a path stack with one generator
-    per run, read through its `draw`; a run's detection at a step does not
-    depend on which runs draw with it. It drops a step for every run or for
-    none, and its paths share their length, so it runs out at a step for
-    every run and at every later step: the stack ends there. One run, and
-    every run of a stack without adaptation, takes `_shared_path`, the loop
-    of `run_loop`; an adaptive stack of more runs takes `_step_groups`.
+    `source` is a `GridMeasurementSource` over `source.runs` paths, read
+    through its `draw`; a run's detection at a step does not depend on which
+    runs draw with it. It drops a step for every run or for none, and its
+    paths share their length, so it runs out at a step for every run and at
+    every later step: the stack ends there. One run, and every run of a
+    stack without adaptation, takes `_shared_path`, the loop of `run_loop`;
+    an adaptive stack of more runs takes `_step_groups`.
     Each stacked product is the one-run product, stacked, so every trace
     equals `run_loop`'s over the same path and generator bit for bit, and a
     run whose kernels raise raises what `run_loop` raises when stepped alone.
     """
-    runs = len(source.path)
+    runs = source.runs
     which = 0 if runs == 1 else slice(None)
     return _tracked(model, methods, graph, policy, horizon, dyn, use_adaptive, window_length,
                     runs, lambda k, t_steps, method: source.draw(which, t_steps, method), source)

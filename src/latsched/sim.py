@@ -176,11 +176,11 @@ class GridMeasurementSource:
     of the run, the capture step and the method: drawing it again, alone or
     with other runs, gives the same z, and no draw moves another.
 
-    `path` is a stack `(runs, N, n_x)` with a list of generators, one per
-    run, or one path `(N, n_x)` with one generator, a stack of one. Each
-    generator is read once, `standard_normal((sensor steps, n_z))`; C x at
-    every sensor step and the drop mask are formed then, and each method's
-    noise root times every row on the method's first draw.
+    `path` is a stack `(runs, N, n_x)` with `runs` generators, one per run,
+    or one path `(N, n_x)` with one generator, a stack of one (`runs` = 1).
+    Each generator is read once, `standard_normal((sensor steps, n_z))`; C x
+    at every sensor step and the drop mask are formed then, and each
+    method's noise root times every row on the method's first draw.
     """
 
     def __init__(
@@ -197,11 +197,14 @@ class GridMeasurementSource:
         self.true_R = dict(true_R or {})
         stacked = self.path.ndim == 3
         sensor = (self.path if stacked else self.path[None])[:, ::grid_ratio(model.dt_s, dt)]
-        runs, steps = sensor.shape[:2]
+        self.runs, steps = sensor.shape[:2]
+        rngs = list(rng) if stacked else [rng]
+        if len(rngs) != self.runs:
+            raise ValueError(f"{self.runs} truth paths but {len(rngs)} generators")
         self._Cx = (model.C @ np.ascontiguousarray(sensor)[..., None])[..., 0]
         n_z = model.n_z
         self._normals = np.array([g.standard_normal((steps, n_z))
-                                  for g in (rng if stacked else [rng])]).reshape(runs, steps, n_z)
+                                  for g in rngs]).reshape(self.runs, steps, n_z)
         captured = np.arange(steps) * model.dt_s
         self._dropped = np.zeros(steps, dtype=bool)
         for a, b in occlusions:

@@ -1,12 +1,15 @@
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latsched import (
     GridMeasurementSource,
     Schedule,
+    SingularUpdateError,
     attach_policy,
     build_dynamics,
     enumerate_covering_schedules,
@@ -19,8 +22,11 @@ from latsched import (
     sample_region,
     simulate_sde,
 )
+from latsched import experiments
 from latsched.config import parse_scenario
+from latsched.estimator import riccati_step
 from latsched.exact import window_steps
+from test_lockstep import no_fallback_unless_alone, same_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,18 +66,115 @@ def double_integrator_payload(lam_alpha=None, graph_sizes=(50,)):
     return payload
 
 
+def bound_validation_cfg(model: str, steps: int):
+    """The bound-validation sweep of `steps` steps on the planar or a shipped model."""
+    experiment = {"name": "bound-validation", "schedule_steps": steps}
+    if model == "planar":
+        return parse_scenario(planar_payload(experiment=experiment,
+                                             certificate={"gamma": 0.9}))
+    payload = json.loads((CONFIGS / f"{model}.json").read_text())
+    payload["experiment"] = experiment
+    return parse_scenario(payload)
+
+
+def bound_validation_rows(cfg, runs: int, seed: int, step=riccati_step) -> list:
+    """The sweep's rows made one run at a time, one covariance matrix a step.
+
+    `step` takes the place of `riccati_step`; a run that raises gets the
+    error row the sweep records.
+    """
+    ctx = experiments._prepare_bound_validation(cfg)
+    dyn, bs = ctx["dyn"], ctx["bs"]
+    entropy = np.random.SeedSequence(seed).entropy
+    rows = []
+    for run in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(run,)))
+        P = sample_region(cfg.model.n_x, cfg.graph.b0, 1, rng)[0]
+        steps = cfg.experiment.schedule_steps
+        ids = rng.integers(1, len(cfg.methods) + 1, size=steps)
+        worst = float(np.linalg.norm(P, "fro"))
+        violations = 0
+        try:
+            for pid in ids:
+                P = step(P, cfg.methods[pid - 1], dyn)
+                norm = float(np.linalg.norm(P, "fro"))
+                worst = max(worst, norm)
+                if norm > bs:
+                    violations += 1
+        except Exception as exc:  # noqa: BLE001 - the sweep records it the same way
+            rows.append({"run": run, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        rows.append({"run": run, "bs": bs, "max_covariance_norm": worst,
+                     "violations": violations, "steps": steps})
+    return rows
+
+
 class TestBoundValidation:
     def test_rows_and_soundness(self):
-        cfg = parse_scenario(planar_payload(
-            experiment={"name": "bound-validation", "schedule_steps": 40},
-            certificate={"gamma": 0.9},
-        ))
+        cfg = bound_validation_cfg("planar", 40)
         rows = monte_carlo(cfg, runs=5, seed=1)
         assert len(rows) == 5
         for row in rows:
             assert "error" not in row, row
             assert row["violations"] == 0
             assert row["max_covariance_norm"] <= row["bs"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["planar", "double_integrator", "occlusion_run",
+                               "noise_mismatch"]),
+        steps=st.sampled_from([1, 7, 40]),
+        runs=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+        jobs=st.sampled_from([1, 2]),
+    )
+    def test_block_rows_equal_runs_made_one_at_a_time(self, model, steps, runs, seed, jobs):
+        cfg = bound_validation_cfg(model, steps)
+        with no_fallback_unless_alone(runs, jobs):
+            got = monte_carlo(cfg, runs=runs, seed=seed, jobs=jobs)
+        same_rows(got, bound_validation_rows(cfg, runs, seed))
+
+    def test_violations_counted_from_step_one(self):
+        # A bound below every norm: each step is a violation, the start is not.
+        cfg = bound_validation_cfg("planar", 7)
+        real = experiments._prepare_bound_validation
+
+        def low_bound(cfg):
+            return dict(real(cfg), bs=0.0)
+
+        with patch.dict(experiments._EXPERIMENTS,
+                        {"bound-validation": (low_bound, experiments._rows_bound_validation)}):
+            rows = monte_carlo(cfg, runs=3, seed=2)
+        assert [row["violations"] for row in rows] == [7, 7, 7]
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    def test_a_faulty_run_changes_its_own_row(self, monkeypatch, fault):
+        # Run 2's first step raises, which fails the block, or gives NaN,
+        # whose norms the maximum skips and no bound counts. Either way run
+        # 2's row is its own and every other row is the clean sweep's.
+        cfg = bound_validation_cfg("double_integrator", 20)
+        clean = monte_carlo(cfg, runs=5, seed=3)
+        child = np.random.SeedSequence(np.random.SeedSequence(3).entropy, spawn_key=(2,))
+        start = sample_region(cfg.model.n_x, cfg.graph.b0, 1, np.random.default_rng(child))[0]
+
+        def faulty(P, method, dyn):
+            hit = [np.array_equal(member, start) for member in np.reshape(P, (-1,) + start.shape)]
+            if fault == "raise" and any(hit):
+                raise SingularUpdateError("planted at run 2's start")
+            P_next = riccati_step(P, method, dyn)
+            np.reshape(P_next, (-1,) + start.shape)[hit] = np.nan
+            return P_next
+
+        monkeypatch.setattr(experiments, "riccati_step", faulty)
+        got = monte_carlo(cfg, runs=5, seed=3)
+        want = bound_validation_rows(cfg, 5, 3, step=faulty)
+        if fault == "raise":
+            assert want[2] == {"run": 2, "error": "SingularUpdateError: planted at run 2's start"}
+        else:
+            assert want[2]["max_covariance_norm"] == float(np.linalg.norm(start, "fro"))
+            assert want[2]["violations"] == 0
+        same_rows(got, want)
+        same_rows(got[:2] + got[3:], clean[:2] + clean[3:])
 
 
 class TestCostHistogram:
@@ -99,7 +202,9 @@ class TestCostHistogram:
         schedules = [Schedule(s) for s in enumerate_covering_schedules(
             window_steps(cfg.tf, dyn.dt_s), cfg.methods)]
         entropy = np.random.SeedSequence(9).entropy
-        for run, row in enumerate(monte_carlo(cfg, runs=20, seed=9)):
+        with no_fallback_unless_alone(20, 1):
+            rows = monte_carlo(cfg, runs=20, seed=9)
+        for run, row in enumerate(rows):
             child = np.random.SeedSequence(entropy, spawn_key=(run,))
             P0 = sample_region(cfg.model.n_x, cfg.graph.b0, 1, child)[0]
             want = min(evaluate_schedule(P0, s, cfg.tf, cfg.lam_alpha, cfg.methods, dyn)
@@ -119,7 +224,8 @@ class TestCostHistogram:
              1.0297179485665862, 0.5, 1.059997195740514, 0.59),
         ]
         cfg = parse_scenario(double_integrator_payload(0.1, graph_sizes=[50, 500]))
-        rows = monte_carlo(cfg, runs=3, seed=4)
+        with no_fallback_unless_alone(3, 1):
+            rows = monte_carlo(cfg, runs=3, seed=4)
         for run, (row, (j_min, *rest)) in enumerate(zip(rows, before)):
             assert list(row) == ["run", "j_min", "j_static_1", "j_static_2", "j_qdp_50",
                                  "cpu_qdp_50", "j_qdp_500", "cpu_qdp_500"]
@@ -186,8 +292,6 @@ class TestCalibration:
     def test_mean_mse_matches_mean_trP(self, policy):
         # A mixing graph policy (method 2 at P0 and after the occlusion) and
         # both statics; 3-step epochs straddle both occlusion edges.
-        from latsched import experiments
-
         occlusions = [(1.0, 2.05)]
         cfg = parse_scenario(planar_payload(
             cost={"lambda_alpha": 0.1}, graph={"count": 30},
@@ -288,9 +392,7 @@ class TestReproducibility:
 
 class TestErrorRecording:
     def test_failed_run_recorded_not_raised(self, monkeypatch):
-        from latsched import experiments
-
-        prepare, _, block = experiments._EXPERIMENTS["moving-horizon"]
+        prepare, _ = experiments._EXPERIMENTS["moving-horizon"]
 
         # A block holding run 1 raises; its other runs are re-run on their own.
         def flaky(ctx, runs, seeds):
@@ -298,8 +400,7 @@ class TestErrorRecording:
                 raise RuntimeError("boom")
             return [{"run": run, "ok": 1} for run in runs]
 
-        monkeypatch.setitem(experiments._EXPERIMENTS, "moving-horizon",
-                            (prepare, flaky, block))
+        monkeypatch.setitem(experiments._EXPERIMENTS, "moving-horizon", (prepare, flaky))
         cfg = parse_scenario(planar_payload())
         rows = monte_carlo(cfg, runs=3, seed=14)
         assert rows[0] == {"run": 0, "ok": 1}

@@ -166,23 +166,27 @@ windows = st.lists(
 def test_rows_equal_runs_made_one_at_a_time(name, runs, lam_alpha, horizon_s, occlusions,
                                             adaptive, seed, jobs):
     cfg = noise_mismatch(name, lam_alpha, horizon_s, occlusions, adaptive)
-    # A block that raises is re-run as blocks of one, which would still give
-    # these rows, so here the sweep may not: each worker's range of at least
-    # two runs is one block, and `_rows` refuses a block of one.
-    rows = experiments._rows
-    with patch.object(experiments, "_rows",
-                      fallback_refused(rows) if runs >= 2 * jobs else rows):
+    with no_fallback_unless_alone(runs, jobs):
         got = monte_carlo(cfg, runs=runs, seed=seed, jobs=jobs)
     same_rows(got, per_run_rows(cfg, runs, seed))
 
 
-def fallback_refused(rows):
-    """`experiments._rows` that refuses to step a block of one run."""
+def no_fallback_unless_alone(runs: int, jobs: int):
+    """`experiments._rows` patched to refuse a block of one where every worker
+    holds two or more runs.
+
+    A block that raises is re-run as blocks of one, which would still give
+    the same rows, so a sweep under test may not: each worker's range of at
+    least two runs is one block.
+    """
+    rows = experiments._rows
+
     def refusing(context, name, runs, master_entropy):
         if len(runs) == 1:
-            raise AssertionError("a lockstep block fell back to blocks of one")
+            raise AssertionError("a block fell back to blocks of one")
         return rows(context, name, runs, master_entropy)
-    return refusing
+
+    return patch.object(experiments, "_rows", refusing if runs >= 2 * jobs else rows)
 
 
 def test_seed_3_splits_the_adaptive_schedules():
@@ -411,6 +415,31 @@ def test_an_empty_adaptive_stack_has_no_traces(planar):
     source = GridMeasurementSource(model, np.zeros((0, 30, 2)), model.dt_s, [])
     assert run_lockstep(model, methods, graph, graph.policy, 2.3, source, dyn,
                         use_adaptive=True) == []
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_a_one_path_source_is_one_run(adaptive):
+    # One path (N, n_x) is a stack of one run, not N runs of one point each.
+    cfg = noise_mismatch("adaptive-R")
+    dyn = build_dynamics(cfg.model, cfg.methods)
+    graph = graph_for(cfg, dyn)
+    _, path = simulate_sde(cfg.model, cfg.sim.horizon, cfg.sim.dt, 5)
+    source = GridMeasurementSource(cfg.model, path, cfg.sim.dt, np.random.default_rng(6))
+    traces = run_lockstep(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon, source,
+                          dyn, use_adaptive=adaptive, window_length=cfg.sim.window)
+    want = run_loop(cfg.model, cfg.methods, graph, graph.policy, cfg.sim.horizon, source, dyn,
+                    use_adaptive=adaptive, window_length=cfg.sim.window)
+    assert len(path) > 1 and len(traces) == 1
+    assert source.runs == 1
+    assert_same_trace(traces[0], want, cfg.methods, dyn)
+    assert traces[0].end_steps == want.end_steps
+
+
+def test_generators_must_match_the_paths(planar):
+    model = planar[0]
+    rngs = [np.random.default_rng(seed) for seed in range(2)]
+    with pytest.raises(ValueError, match=r"^3 truth paths but 2 generators$"):
+        GridMeasurementSource(model, np.zeros((3, 30, 2)), model.dt_s, rngs)
 
 
 @settings(max_examples=80, deadline=None)

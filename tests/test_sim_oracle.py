@@ -46,9 +46,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def per_point_empirical_cost(trace, lam_alpha, methods, tf, dyn, dt):
-    """Window cost with one dyn.pair lookup and one trace per sim-grid point."""
+    """Window cost with one dyn.pair lookup and one trace per sim-grid point.
+
+    Equal offsets into an epoch give the same float, so each offset's pair
+    is looked up once per call and reused.
+    """
     ratio = grid_ratio(dyn.dt_s, dt)
     tf_steps = window_steps(tf, dyn.dt_s)
+    pairs = {}
     covered = 0
     total = 0.0
     for epoch in trace.epochs:
@@ -61,7 +66,9 @@ def per_point_empirical_cost(trace, lam_alpha, methods, tf, dyn, dt):
         P = epoch.belief.Phat
         values = np.empty(stop - start + 1)
         for j in range(start, stop + 1):
-            Ad, Wd = dyn.pair((j - start) * dt)
+            if j - start not in pairs:
+                pairs[j - start] = dyn.pair((j - start) * dt)
+            Ad, Wd = pairs[j - start]
             values[j - start] = float(((Ad @ P) * Ad).sum() + np.trace(Wd))
         total += float(np.trapezoid(values, dx=dt))
         covered = max(covered, stop)

@@ -38,7 +38,7 @@ and stores `resolved` false. Quartiles are `statistics.quantiles(n=4)`'s, the
 exclusive method.
 
 With `--cli` in place of `--workload`, a pair times CLI processes instead:
-each of `tools/output_digest.py`'s 29 runs (every subcommand on every
+each of `tools/output_digest.py`'s 30 runs (every subcommand on every
 shipped config) once in each checkout, back to back, the parent first in even
 pairs and the change first in odd ones. A run's metric is its process's wall
 time in seconds, `wall_s.<subcommand>.<config>`, start-up included; both

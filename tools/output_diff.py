@@ -4,7 +4,7 @@ Usage, from any directory:
 
     python tools/output_diff.py --parent PARENT [--root CHECKOUT] > diff.txt
 
-Runs `tools/output_digest.py`'s 29 runs (its `RUNS`, in its order) once in
+Runs `tools/output_digest.py`'s 30 runs (its `RUNS`, in its order) once in
 PARENT and once in CHECKOUT (default: the checkout this file is in), each
 side in its own temporary directory, and parses each output file as JSON or,
 failing that, as CSV. A JSON output is flattened to fields named by their

@@ -13,20 +13,26 @@ more at `--jobs 2`, which splits their runs into one block per worker.
 `schedule-qdp` and `simulate` run once more on each config with `--graph`,
 reading the graph file that config's `build-graph` run wrote, and `simulate`
 runs once more with `--seed 1`, which draws another graph, truth path and
-schedule. One line is printed per run:
+schedule. No shipped config names the `bound-validation` experiment, so
+`mc-eval` runs once more on double_integrator with its experiment block set
+to `{"name": "bound-validation"}`, from a copy of CHECKOUT's config written
+into the temporary directory. That makes 30 runs. One line is printed per
+run:
 
     <sha256> <exit code> <subcommand> <config>
 
 where a `--jobs 2` run's subcommand reads `mc-eval--jobs2`, a `--graph`
 run's reads `schedule-qdp--graph` or `simulate--graph`, a `--seed 1` run's
-reads `simulate--seed1`, and the hash covers
-the output file, stdout and stderr, with the temporary directory's path
-replaced by a fixed name. Two checkouts give the same outputs when their
-digests are the same, which one `diff` shows.
+reads `simulate--seed1`, the bound-validation run's reads
+`mc-eval--bound-validation`, and the hash covers the output file, stdout
+and stderr, with the temporary directory's path replaced by a fixed name.
+Two checkouts give the same outputs when their digests are the same, which
+one `diff` shows.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +44,8 @@ COMMANDS = ("build-graph", "schedule-exact", "schedule-qdp", "bound-check", "sim
 MC_RUNS = {"double_integrator": 20, "occlusion_run": 20, "noise_mismatch": 40}
 POOLED = ("occlusion_run", "noise_mismatch")
 GRAPH_READERS = ("schedule-qdp", "simulate")
+# Experiments no shipped config names: config -> the experiment `mc-eval` runs on it.
+EXPERIMENTS = {"double_integrator": "bound-validation"}
 
 
 class Run(NamedTuple):
@@ -47,6 +55,7 @@ class Run(NamedTuple):
     jobs: int = 1
     graph: bool = False
     seed: int | None = None
+    experiment: str | None = None
 
 
 def _run_list() -> tuple:
@@ -58,6 +67,9 @@ def _run_list() -> tuple:
         runs += [Run(f"{command}--graph", command, config, graph=True)
                  for command in GRAPH_READERS]
         runs.append(Run("simulate--seed1", "simulate", config, seed=1))
+        if config in EXPERIMENTS:
+            name = EXPERIMENTS[config]
+            runs.append(Run(f"mc-eval--{name}", "mc-eval", config, experiment=name))
     return tuple(runs)
 
 
@@ -68,10 +80,18 @@ RUNS = _run_list()
 
 def execute(root: str, run: Run, workdir: str) -> tuple[str, subprocess.CompletedProcess]:
     """`run` of the checkout at `root`, in a fresh process; its output path and process."""
-    tag = ("--graph" if run.graph else "") + ("" if run.seed is None else f"--seed{run.seed}")
+    tag = ("--graph" if run.graph else "") + ("" if run.seed is None else f"--seed{run.seed}") \
+        + ("" if run.experiment is None else f"--{run.experiment}")
     output = os.path.join(workdir, f"{run.command}{tag}-{run.config}.out")
-    argv = [sys.executable, "-m", "latsched.cli", run.command,
-            "-c", os.path.join(root, "configs", f"{run.config}.json"), "-o", output]
+    config = os.path.join(root, "configs", f"{run.config}.json")
+    if run.experiment is not None:
+        with open(config, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["experiment"] = {"name": run.experiment}
+        config = os.path.join(workdir, f"{run.config}-{run.experiment}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    argv = [sys.executable, "-m", "latsched.cli", run.command, "-c", config, "-o", output]
     if run.command == "mc-eval":
         argv += ["--runs", str(MC_RUNS[run.config])]
     if run.jobs > 1:
