@@ -35,7 +35,7 @@ source over its truth paths (`_block_source`), read by every variant; one
 stacked MSE reduction for adaptive-R rows (`sim.block_mse`), which hold no
 cost, CPU load or attention; and the window metrics once per moving-horizon
 variant without adaptation (`sim.block_metrics`), whose runs share one
-covariance path.
+table of epoch starts.
 """
 
 from __future__ import annotations
@@ -162,24 +162,20 @@ def _rows_cost_histogram(ctx: dict, runs, seeds) -> list:
     return rows
 
 
-def _tracks(cfg: ScenarioConfig, dyn, graph, source, policy=None, adaptive=None,
-            mse_only=False) -> tuple[list, list]:
+def _tracks(cfg: ScenarioConfig, dyn, graph, source, policy=None, adaptive=None) -> tuple:
     """A tracking run for each truth path of a `_block_source`, on the sensor grid.
 
     `policy` and `adaptive` default to the graph's and cfg.sim's. The runs
     are one `run_lockstep` stack, which equals `run_loop` run by run, bit for
-    bit. Returns the traces and their `block_metrics`, or with `mse_only`
-    their `block_mse`. Without adaptation the runs share one covariance path
-    and schedule, so their cost, CPU load and attention are computed once.
+    bit. Returns the traces and their `block_metrics`. Without adaptation the
+    runs share one table of epoch starts, so their cost, CPU load and
+    attention are computed once.
     """
-    dt = cfg.model.dt_s
     adaptive = cfg.sim.adaptive if adaptive is None else adaptive
     traces = run_lockstep(cfg.model, cfg.methods, graph, policy, cfg.sim.horizon, source, dyn,
                           adaptive, cfg.sim.window)
-    if mse_only:
-        return traces, block_mse(traces, source.path, cfg.methods, cfg.sim.horizon, dyn, dt)
     return traces, block_metrics(traces, source.path, cfg.lam_alpha, cfg.methods,
-                                 cfg.sim.horizon, dyn, dt, shared=not adaptive)
+                                 cfg.sim.horizon, dyn, cfg.model.dt_s)
 
 
 def _block_source(cfg: ScenarioConfig, seeds, true_R=None) -> GridMeasurementSource:
@@ -237,7 +233,9 @@ def _prepare_adaptive_R(cfg: ScenarioConfig) -> dict:
 def _rows_adaptive_R(ctx: dict, runs, seeds) -> list:
     cfg, dyn, graph = ctx["cfg"], ctx["dyn"], ctx["graph"]
     source = _block_source(cfg, seeds, ctx["true_R"])
-    adaptive, nominal = (_tracks(cfg, dyn, graph, source, adaptive=a, mse_only=True)[1]
+    adaptive, nominal = (block_mse(run_lockstep(cfg.model, cfg.methods, graph, None,
+                                                cfg.sim.horizon, source, dyn, a, cfg.sim.window),
+                                   source.path, cfg.methods, cfg.sim.horizon, dyn, cfg.model.dt_s)
                          for a in (True, False))
     return [{"run": run, "mse_adaptive": a, "mse_nominal": b, "improved": int(a < b)}
             for run, a, b in zip(runs, adaptive, nominal)]

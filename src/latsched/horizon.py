@@ -37,31 +37,27 @@ kernel. A group of every run, every epoch of a stack whose runs move in
 lockstep, reads the stacks whole, and its source reads the runs'
 detections at the step by basic slicing.
 
-Both loops log each epoch once for the runs that start it, and a trace
-builds its EpochRecords from the log when first read. They keep only the
-means epochs start at, which the means up to the next epoch are pure
+Each trace holds one table of epoch starts (`EpochStarts`), which the
+traces of a `_shared_path` stack share and an adaptive stack builds for
+every run from its log on the first read. The loops keep only the means
+epochs start at, which the means up to the next epoch are pure
 predictions of: after the loop, `_traces` gives every interior sensor
-step's mean from one gathered product per run or stack. No covariance is
-kept there: `TrackingTrace.grid` derives tr P from the epochs' beliefs.
+step's mean from one gathered product per run or stack. A trace builds
+its EpochRecords from its table and those means when first read.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covgraph import CovarianceGraph, quantize
-from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack
+from .dynamics import ContinuousModel, DiscretizedDynamics, PerceptionMethod, _lapack, clamp_psd
 from .errors import SourceExhausted
-from .estimator import (
-    BeliefState,
-    _trusted_belief,
-    epoch_covariance,
-    predict,
-)
+from .estimator import BeliefState, _trusted_belief, epoch_covariance
 from .exact import window_steps
 
 # Entries a graph's epoch memo holds before it is cleared. On the shipped
@@ -192,70 +188,90 @@ class EpochRecord:
     belief: BeliefState
 
 
-class _Epochs:
-    """`TrackingTrace.epochs`: a list, or a callable that builds it on the first read.
+# One sequence a column, in epoch order: each epoch's start step, method id,
+# measured flag, start time and start covariance, which fix its cost.
+EpochStarts = namedtuple("EpochStarts", "t method_id measured T P", defaults=[()] * 5)
 
-    A descriptor as a dataclass field's default takes the value `__init__` is
-    passed; it raises AttributeError on the class, so the field has no
-    default. New epochs clear the trace's `end_steps`, which they may move.
+
+class _Lazy:
+    """TrackingTrace attribute `name`: its value, or a function of the trace that
+    makes it on the first read; `derive` makes an unset one, and setting it
+    unsets the attributes in `clears`. It raises AttributeError on the
+    class, so as a dataclass field it has no default.
     """
+
+    def __init__(self, name: str, derive=None, clears=()):
+        self.name, self.derive, self.clears = name, derive, clears
 
     def __get__(self, trace, owner=None):
         if trace is None:
-            raise AttributeError("epochs")
-        epochs = trace.__dict__["_epochs"]
-        if callable(epochs):
-            epochs = trace.__dict__["_epochs"] = epochs()
-        return epochs
+            raise AttributeError(self.name)
+        value = vars(trace).get(self.name, self.derive)
+        if callable(value):
+            value = vars(trace)[self.name] = value(trace)
+        return value
 
-    def __set__(self, trace, epochs):
-        trace.__dict__["_epochs"] = epochs
-        trace.__dict__["end_steps"] = None
+    def __set__(self, trace, value):
+        vars(trace)[self.name] = value
+        for name in self.clears:
+            vars(trace).pop(name, None)
+
+
+def _records(trace) -> list:
+    """The trace's EpochRecords: epoch k from row k of `starts`, its mean from `grid_xhat`."""
+    return [EpochRecord(k, t, method_id, measured, _trusted_belief(T, trace.grid_xhat[t], P))
+            for k, (t, method_id, measured, T, P) in enumerate(zip(*trace.starts))]
 
 
 @dataclass
 class TrackingTrace:
-    """Loop output: per-epoch records plus the estimate means on the sensor grid.
+    """Loop output: the epochs' starts plus the estimate means on the sensor grid.
 
-    `grid_xhat` is filled after the last epoch, by `_traces`; `grid` derives
-    tr P, the method and the measured flag there from the epochs. A trace
-    the loops build makes its EpochRecords from their log the first time
-    `epochs` is read. `end_steps`, set by the loops, is the step
-    the last epoch ends at (0 without epochs); it is None on a trace built
-    otherwise.
+    `grid_xhat`, read-only, is filled after the last epoch by `_traces`;
+    `grid` derives tr P, the method and the measured flag there from
+    `starts`. A trace the loops build makes its EpochRecords from `starts`
+    and `grid_xhat` when `epochs` is first read; other epochs, set or passed
+    to `dataclasses.replace`, give `starts` anew. `end_steps`, set by the
+    loops, is the step the last epoch ends at (0 without epochs), else None.
     """
 
     dt_s: float
     horizon_steps: int
-    epochs: list = _Epochs()
+    epochs: list = _Lazy("epochs", clears=("starts", "end_steps"))
     final_belief: BeliefState
     grid_steps: np.ndarray
     grid_xhat: np.ndarray
     end_steps: int | None = field(default=None, init=False)
+    # EpochStarts; not a dataclass field, so `replace` does not copy it.
+    starts = _Lazy("starts", lambda trace: EpochStarts(*zip(*[
+        (e.t_steps, e.method_id, e.measured, e.belief.t, e.belief.Phat) for e in trace.epochs])))
 
     def grid(self, methods, dyn: DiscretizedDynamics) -> tuple:
         """tr P, method id and measured flag (0/1) at each of `grid_steps`.
 
-        Step t + j of an epoch that starts at step t reads
-        trace(predict(belief, j * dt_s).Phat) of the epoch's start belief.
+        Step t + j > t of an epoch that starts at step t from P reads the
+        trace of Ad(j) P Ad(j)' + Wd(j), clamped as `predict` clamps it.
         """
         size = len(self.grid_steps)
         trP = np.empty(size)
         method_id = np.zeros(size, dtype=np.int64)
         measured = np.zeros(size, dtype=np.int64)
+        starts = self.starts
         end = 0
-        for epoch in self.epochs:
-            t = epoch.t_steps
-            end = min(t + methods[epoch.method_id - 1].steps, size)
-            trP[t:end] = [np.trace(predict(epoch.belief, j * dyn.dt_s, dyn).Phat)
-                          for j in range(end - t)]
-            method_id[t:end], measured[t:end] = epoch.method_id, epoch.measured
+        for t, epoch_method, epoch_measured, _, P in zip(*starts):
+            end = min(t + methods[epoch_method - 1].steps, size)
+            trP[t:t + 1] = np.trace(P)
+            method_id[t:end], measured[t:end] = epoch_method, epoch_measured
+            if t + 1 < end:
+                Ad, Wd = dyn.step_pair(slice(1, end - t))
+                trP[t + 1:end] = np.trace(clamp_psd(Ad @ P @ Ad.mT + Wd, "Phat", ValueError),
+                                          axis1=-2, axis2=-1)
         # Past the last epoch's points lies at most the horizon endpoint, which
         # an epoch ending exactly on the horizon leaves to the final belief,
         # under that epoch's method.
         trP[end:] = np.trace(self.final_belief.Phat)
-        if self.epochs:
-            method_id[end:], measured[end:] = epoch.method_id, epoch.measured
+        if starts.t:
+            method_id[end:], measured[end:] = starts.method_id[-1], starts.measured[-1]
         return trP, method_id, measured
 
     def write_csv(self, path, methods, dyn: DiscretizedDynamics) -> None:
@@ -287,13 +303,13 @@ def _checked_policy(policy, graph: CovarianceGraph, methods) -> np.ndarray:
 
 
 def _traces(dyn: DiscretizedDynamics, xhat: np.ndarray, begun: np.ndarray, t_next: np.ndarray,
-            epochs: list, finals: list) -> list:
+            starts: list, finals: list) -> list:
     """The TrackingTraces of a stack of runs from the means their epochs started at.
 
     `xhat (runs, horizon_steps + 1, n)` holds those means at the steps
     `begun` marks; run i's next epoch would start at `t_next[i]`, where its
-    last ends. `epochs[i]` is run i's records or a callable that builds them.
-    Step s of an epoch started at t < s gets Ad(s - t) x_t, the mean half of
+    last ends. `starts[i]` is run i's EpochStarts or a function of its trace
+    that builds them. Step s of an epoch started at t < s gets Ad(s - t) x_t, the mean half of
     `predict`, from one product gathered over every run and step. A run whose
     source ran out at an epoch start ends there; one whose last epoch ends on
     the horizon takes its final belief's mean (`finals`) at the endpoint.
@@ -307,13 +323,16 @@ def _traces(dyn: DiscretizedDynamics, xhat: np.ndarray, begun: np.ndarray, t_nex
         t = origin[r, s]
         xhat[r, s] = (dyn.step_pair(s - t)[0] @ xhat[r, t][..., None])[..., 0]
     traces = []
-    for x, end, run_epochs, final in zip(xhat, t_next.tolist(), epochs, finals):
+    for x, end, run_starts, final in zip(xhat, t_next.tolist(), starts, finals):
         if end == horizon_steps:
             x[end] = final.xhat
         points = end if end < horizon_steps else horizon_steps + 1
-        traces.append(TrackingTrace(dyn.dt_s, horizon_steps, run_epochs, final,
-                                    np.arange(points, dtype=np.int64), x[:points]))
-        traces[-1].end_steps = end
+        grid_xhat = x[:points]
+        grid_xhat.setflags(write=False)
+        trace = TrackingTrace(dyn.dt_s, horizon_steps, _records, final,
+                              np.arange(points, dtype=np.int64), grid_xhat)
+        trace.starts, trace.end_steps = run_starts, end
+        traces.append(trace)
     return traces
 
 
@@ -414,27 +433,25 @@ def _tracked(model: ContinuousModel, methods, graph: CovarianceGraph, policy, ho
     if use_adaptive and runs != 1:
         log, T, X, P, t_next = _step_groups(methods, graph, policy, horizon_steps, source, dyn,
                                             start, np.tile(start.xhat, (runs, 1)), window_length)
-        grouped = functools.cache(lambda: _grouped_records(log, runs))
-        records = [lambda i=i: grouped()[i] for i in range(runs)]
+        tables = functools.cache(lambda: _grouped_starts(log, runs))
+        starts = [lambda trace, i=i: tables()[i] for i in range(runs)]
         finals = list(map(_trusted_belief, T.tolist(), X, P))
-        for idx, _, t, _, _, _, Xg, _ in log:
+        for idx, t, _, _, _, _, Xg in log:
             xhat[idx, t], begun[idx, t] = Xg, True
     else:
         window = InnovationWindow(window_length) if use_adaptive else None
         X = start.xhat if runs == 1 else np.tile(start.xhat, (runs, 1))
         log, T, X, P, end = _shared_path(methods, graph, policy, horizon_steps, draw, dyn, start,
                                          X, window)
-        # One run's means are vectors, which `...` reads whole.
-        picks = [...] if runs == 1 else range(runs)
-        records = [functools.partial(_path_records, log, i) for i in picks]
-        finals = [_trusted_belief(T, X[i], P) for i in picks]
+        columns = list(zip(*log))
+        starts = [EpochStarts(*columns[:5])] * runs
+        finals = [_trusted_belief(T, x, P) for x in ([X] if runs == 1 else X)]
         t_next = np.full(runs, end)
         if log:
             # np.array of the logged means, epochs first, costs half of np.stack.
-            starts = [entry[1] for entry in log]
-            xhat[:, starts] = np.moveaxis(np.array([entry[5] for entry in log]), 0, -2)
-            begun[:, starts] = True
-    return _traces(dyn, xhat, begun, t_next, records, finals)
+            xhat[:, columns[0]] = np.moveaxis(np.array(columns[5]), 0, -2)
+            begun[:, columns[0]] = True
+    return _traces(dyn, xhat, begun, t_next, starts, finals)
 
 
 def _shared_path(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_steps: int, draw,
@@ -448,8 +465,8 @@ def _shared_path(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
     the covariance half is read from the graph's epoch memo. With an
     InnovationWindow, `X` is one run's mean, and R is its window's
     `adaptive_R` estimate, aged by epoch index. Returns the log, one entry
-    (k, t, method id, measured, T, X, P) an epoch with P the start
-    covariance, the final T, X and P and the step the path ends at.
+    (t, method id, measured, T, P, X) an epoch with T, P and X its start,
+    the final T, X and P and the step the path ends at.
     """
     C, P, T = dyn.model.C, start.Phat, 0.0
     memo = _epoch_memo(graph, methods, dyn) if window is None else None
@@ -465,7 +482,7 @@ def _shared_path(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
             break
         measured = z is not None
         X.setflags(write=False)
-        log.append((k, t, method.id, measured, T, X, P))
+        log.append((t, method.id, measured, T, P, X))
         R = method.R if measured else None
         if window is None:
             L, P_next, node = _remember(memo, (P.tobytes(), method.id, measured),
@@ -500,8 +517,8 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
     starting an epoch there are split by the method they start, every group
     fixed before any is stepped, and each group takes one stacked call per
     kernel: the adaptive-R estimate, `epoch_covariance`, `quantize` and the
-    mean half. Returns the log, one entry (runs, k, t, method id, measured,
-    T, X, P) a group with k, T, X and P its runs' rows, then the final T, X
+    mean half. Returns the log, one entry (runs, t, method id, measured, T,
+    P, X) a group with T, P and X its runs' start rows, then the final T, X
     and P stacks and each run's next epoch start, the end of its last epoch.
     """
     model = dyn.model
@@ -546,12 +563,13 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
                 X_next = (dyn.step_pair(method.steps)[0] @ Xg[..., None])[..., 0]
                 if measured:
                     X_next = X_next + (L @ (z - Cx)[..., None])[..., 0]
-                log.append((idx, kg, t, method.id, measured, Tg, Xg, Pg))
+                log.append((idx, t, method.id, measured, Tg, Pg, Xg))
                 nexts = (X_next, P_next, Tg + method.latency(dyn.dt_s), kg + 1)
                 if whole:
                     X, P, T, k = nexts
                 else:
-                    X, P, T, k = (_scatter(a, idx, b) for a, b in zip((X, P, T, k), nexts))
+                    X, P, T, k = (a.copy() for a in (X, P, T, k))
+                    X[idx], P[idx], T[idx], k[idx] = nexts
                 pid[idx] = policy[node]
                 t_next[idx] = t + method.steps
             t = int(t_next.min(initial=horizon_steps))
@@ -562,36 +580,10 @@ def _step_groups(methods, graph: CovarianceGraph, policy: np.ndarray, horizon_st
     return log, T, X, P, t_next
 
 
-def _scatter(stack: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A copy of `stack` with `rows` at `idx`."""
-    out = stack.copy()
-    out[idx] = rows
-    return out
-
-
-def _path_records(log: list, run) -> list:
-    """Run `run`'s EpochRecords from `_shared_path`'s log; `...` reads a one-run log."""
-    return [EpochRecord(k, t, method_id, measured, _trusted_belief(T, X[run], P))
-            for k, t, method_id, measured, T, X, P in log]
-
-
-def _epoch_starts(trace) -> list:
-    """(start step, method id, measured, start covariance) of each epoch of `trace`.
-
-    A trace `_shared_path` logged whose records are not built yet is read
-    from the log, which builds no EpochRecord; any other reads `epochs`.
-    """
-    lazy = vars(trace).get("_epochs")
-    if isinstance(lazy, functools.partial) and lazy.func is _path_records:
-        return [(t, method_id, measured, P) for _, t, method_id, measured, _, _, P in lazy.args[0]]
-    return [(e.t_steps, e.method_id, e.measured, e.belief.Phat) for e in trace.epochs]
-
-
-def _grouped_records(log: list, runs: int) -> list:
-    """Every run's EpochRecords from `_step_groups`' log, one list per run."""
-    epochs = [[] for _ in range(runs)]
-    for idx, k, t, method_id, measured, T, X, P in log:
-        for i, epoch, belief in zip(idx.tolist(), k.tolist(),
-                                    map(_trusted_belief, T.tolist(), X, P)):
-            epochs[i].append(EpochRecord(epoch, t, method_id, measured, belief))
-    return epochs
+def _grouped_starts(log: list, runs: int) -> list:
+    """Every run's EpochStarts from `_step_groups`' log."""
+    rows = [[] for _ in range(runs)]
+    for idx, t, method_id, measured, T, P, _ in log:
+        for i, Ti, Pi in zip(idx.tolist(), T.tolist(), P):
+            rows[i].append((t, method_id, measured, Ti, Pi))
+    return [EpochStarts(*zip(*run)) for run in rows]

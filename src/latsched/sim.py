@@ -13,17 +13,17 @@ round-off, not bit for bit.
 
 The path is read only at sensor epochs: by the measurement source and by the
 MSE of `metrics`. The run's window cost reads no path: it is the exact
-integral of tr(P(t)) from each epoch's start belief, evaluated by
+integral of tr(P(t)) from each epoch's start covariance, evaluated by
 `exact.window_cost` as the schedulers evaluate it. The cost, attention and
-CPU load read each epoch's start step, method, measured flag and start
-covariance, from the loop's log when the trace has not built its records
-(`horizon._epoch_starts`).
+CPU load read the trace's table of epoch starts (`TrackingTrace.starts`),
+not its EpochRecords.
 
 `simulate_sde` keeps its chunk tables in a bounded memo, so a sweep builds
 them once, not per path. A `GridMeasurementSource` reads each run's
 generator ahead once; a detection is a function of (run, sensor step,
 method). `block_metrics` and `block_mse` give a block's metrics with its
-MSEs from one stacked reduction.
+MSEs from one stacked reduction and its window metrics once per table of
+epoch starts.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .dynamics import (ContinuousModel, DiscretizedDynamics, PerceptionMethod, _
 from .errors import SourceExhausted
 from .estimator import Measurement
 from .exact import Schedule, check_covering, window_cost, window_steps
-from .horizon import TrackingTrace, _epoch_starts
+from .horizon import EpochStarts, TrackingTrace
 
 # Normals drawn per super-block of steps; bounds the temporaries.
 _BLOCK_NORMALS = 1 << 14
@@ -246,9 +246,9 @@ class RunMetrics:
     mse: float
 
 
-def _schedule(starts: list, tf_steps: int) -> Schedule:
-    """The methods of the `_epoch_starts` that start inside the window."""
-    return Schedule(method_id for t, method_id, _, _ in starts if t < tf_steps)
+def _schedule(starts: EpochStarts, tf_steps: int) -> Schedule:
+    """The methods of the epochs that start inside the window."""
+    return Schedule(m for t, m in zip(starts.t, starts.method_id) if t < tf_steps)
 
 
 def empirical_cost(
@@ -258,28 +258,28 @@ def empirical_cost(
     tf: float,
     dyn: DiscretizedDynamics,
 ) -> float:
-    """Window cost of the trace's epochs over [0, tf], each from its start belief.
+    """Window cost of the trace's epochs over [0, tf], each from its start covariance.
 
     The covariance jumps at corrections, so epoch i integrates tr(P(t)) from
-    trace.epochs[i].belief.Phat; `window_cost` gives that integral in closed
-    form and cuts a last epoch at the window edge. A trace that does not cover
-    the window raises IncompleteScheduleError.
+    trace.starts.P[i]; `window_cost` gives that integral in closed form and
+    cuts a last epoch at the window edge. A trace that does not cover the
+    window raises IncompleteScheduleError.
     """
-    starts = _epoch_starts(trace)
-    return window_cost(0, lambda i, method: i + 1, lambda i: starts[i][3],
+    starts = trace.starts
+    return window_cost(0, lambda i, method: i + 1, starts.P.__getitem__,
                        _schedule(starts, window_steps(tf, dyn.dt_s)), tf, lam_alpha, methods,
                        dyn)
 
 
 def _window_metrics(trace: TrackingTrace, lam_alpha: float, methods, tf: float,
                     dyn: DiscretizedDynamics) -> tuple:
-    """Cost, attention and CPU load of `metrics`: they read the epochs, not the path."""
+    """Cost, attention and CPU load of `metrics`: they read the epoch starts, not the path."""
     # A trace that does not cover the window, an empty one included, fails here.
     j_empirical = empirical_cost(trace, lam_alpha, methods, tf, dyn)
     tf_steps = window_steps(tf, dyn.dt_s)
     attention = 0
     busy = 0.0
-    for t, method_id, measured, _ in _epoch_starts(trace):
+    for t, method_id, measured, _, _ in zip(*trace.starts):
         if t >= tf_steps:
             break
         method = methods[method_id - 1]
@@ -320,18 +320,18 @@ def metrics(
 
 
 def block_metrics(traces: list, truths: np.ndarray, lam_alpha: float, methods, tf: float,
-                  dyn: DiscretizedDynamics, dt: float, shared: bool = False) -> list:
+                  dyn: DiscretizedDynamics, dt: float) -> list:
     """`metrics` of each trace against its path in the stack `truths (runs, N, n_x)`.
 
-    With `shared`, the traces share one schedule and covariance path, as
-    `run_lockstep`'s do without adaptation, so the cost, attention and CPU
-    load are computed once, from the first trace. A trace that fails raises
-    what it raises alone.
+    The cost, attention and CPU load are computed once per table of epoch
+    starts: traces that share one, as `run_lockstep`'s do without
+    adaptation, share them. A trace that fails raises what it raises alone.
     """
-    windows = [_window_metrics(trace, lam_alpha, methods, tf, dyn)
-               for trace in (traces[:1] if shared else traces)]
-    return [RunMetrics(*window, mse) for window, mse in
-            zip(windows * len(traces) if shared else windows, _block_mse(traces, truths, dyn, dt))]
+    by_table = {id(trace.starts): trace for trace in traces}
+    windows = {table: _window_metrics(trace, lam_alpha, methods, tf, dyn)
+               for table, trace in by_table.items()}
+    return [RunMetrics(*windows[id(trace.starts)], mse)
+            for trace, mse in zip(traces, _block_mse(traces, truths, dyn, dt))]
 
 
 def block_mse(traces: list, truths: np.ndarray, methods, tf: float,
@@ -343,12 +343,12 @@ def block_mse(traces: list, truths: np.ndarray, methods, tf: float,
     `metrics` raises for it alone. A trace's epochs run back to back from
     step 0, so they cover the window exactly when they end at or past its
     edge: a trace that knows its `end_steps` is checked from it, and its
-    records are built only to raise `metrics`' error.
+    epoch starts are read only to raise `metrics`' error.
     """
     tf_steps = window_steps(tf, dyn.dt_s)
     for trace in traces:
         if trace.end_steps is None or trace.end_steps < tf_steps:
-            check_covering(_schedule(_epoch_starts(trace), tf_steps), tf_steps, methods)
+            check_covering(_schedule(trace.starts, tf_steps), tf_steps, methods)
     return _block_mse(traces, truths, dyn, dt)
 
 

@@ -300,15 +300,15 @@ class TestCalibration:
         dyn, graph = ctx["dyn"], ctx["graph"]
         source = experiments._block_source(
             cfg, np.random.SeedSequence(99).spawn(self.RUNS), true_R={})
-        traces, mse = experiments._tracks(
-            cfg, dyn, graph, source, adaptive=False, mse_only=True,
+        traces, rows = experiments._tracks(
+            cfg, dyn, graph, source, adaptive=False,
             policy=None if policy == "graph" else np.full(graph.size, policy))
         epochs = traces[0].epochs
         if policy == "graph":
             assert {1, 2} <= {e.method_id for e in epochs}
         horizon_steps = window_steps(cfg.sim.horizon, dyn.dt_s)
         trP = textbook_trP(epochs, cfg.methods, cfg.model, horizon_steps, occlusions)
-        mse = np.array(mse)
+        mse = np.array([row.mse for row in rows])
         gap = mse.mean() - trP.mean()
         stderr = mse.std(ddof=1) / np.sqrt(self.RUNS)
         assert abs(gap) <= 4 * stderr, (gap, stderr)

@@ -33,7 +33,7 @@ from latsched import (
     sample_region,
     simulate_sde,
 )
-from latsched import covgraph, horizon
+from latsched import covgraph, estimator, horizon
 from latsched.config import load_scenario
 from latsched.estimator import Measurement, epoch_covariance, epoch_mean
 from latsched.exact import window_steps
@@ -292,7 +292,8 @@ class TestSmallRuns:
         stacked = GridMeasurementSource(model, paths, model.dt_s,
                                         [np.random.default_rng(run) for run in range(3)])
         # 1.8 s ends on an epoch boundary, so the endpoint is the final belief's.
-        with patch.object(horizon, "predict", refuse):
+        assert not hasattr(horizon, "predict")
+        with patch.object(estimator, "predict", refuse):
             one = run_loop(model, methods, graph, policy, 1.8, one_path(0), dyn)
             stack = run_lockstep(model, methods, graph, policy, 1.8, stacked, dyn)
         for run, trace in [(0, one)] + list(enumerate(stack)):

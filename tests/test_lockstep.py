@@ -6,6 +6,7 @@ The references here are built run by run from `simulate_sde`, a one-path
 equal theirs bit for bit.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -35,10 +36,10 @@ from latsched import (
     sample_region,
     simulate_sde,
 )
-from latsched import cli, covgraph, experiments, horizon
+from latsched import cli, covgraph, experiments, horizon, sim
 from latsched.config import load_scenario, parse_scenario
 from latsched.exact import check_covering, window_steps
-from latsched.horizon import EpochRecord, TrackingTrace, _epoch_starts, run_lockstep
+from latsched.horizon import EpochRecord, TrackingTrace, run_lockstep
 from latsched.sim import (
     _schedule,
     block_metrics,
@@ -482,7 +483,7 @@ def test_block_mse_checks_coverage_as_check_covering(planar, runs, horizon_s, pa
     for trace, truth in zip(traces, truths):
         got = outcome(lambda: block_mse([trace], truth[None], methods, tf_steps * dyn.dt_s, dyn,
                                         dyn.dt_s))
-        want = outcome(lambda: check_covering(_schedule(_epoch_starts(trace), tf_steps),
+        want = outcome(lambda: check_covering(_schedule(trace.starts, tf_steps),
                                               tf_steps, methods))
         if want is None:
             assert isinstance(got, list)
@@ -540,6 +541,51 @@ def test_metrics_read_the_loop_log(planar, runs, adaptive, policy, horizon_s):
         assert trace.epochs
     want = [block_metrics(traces, truths, 5.0, methods, tf, dyn, dyn.dt_s) for tf in windows]
     assert got == want
+
+
+@pytest.mark.parametrize("adaptive,calls", [(False, 1), (True, 4)])
+def test_block_metrics_computes_each_table_once(planar, adaptive, calls):
+    # The runs of a stack without adaptation share one table of epoch
+    # starts, so the block computes their cost, attention and CPU load once;
+    # an adaptive stack's runs hold a table each. Every row is the run's own
+    # `metrics`, bit for bit.
+    _, methods, dyn, _ = planar
+    traces, _ = lockstep_traces(planar, 4, 2.3, 30, adaptive, 3, "graph", [(5, 4)], 7)
+    truths = np.random.default_rng(7).standard_normal((4, 24, 2))
+    with patch.object(sim, "_window_metrics", wraps=sim._window_metrics) as window:
+        rows = block_metrics(traces, truths, 5.0, methods, 2.3, dyn, dyn.dt_s)
+        assert window.call_count == calls
+    for trace, truth, row in zip(traces, truths, rows):
+        want = metrics(trace, truth, 5.0, methods, 2.3, dyn, dyn.dt_s)
+        assert [np.float64(v).tobytes() for v in dataclasses.astuple(row)] == \
+            [np.float64(v).tobytes() for v in dataclasses.astuple(want)]
+
+
+@pytest.mark.parametrize("runs,adaptive", [(1, False), (1, True), (3, False), (3, True)])
+def test_traces_keep_the_surface_the_benchmark_reads(planar, runs, adaptive):
+    # The benchmark replaces a loop trace's epochs and grid steps to make a
+    # truncated trace, and reads each record's fields; records stay
+    # read-only, and a trace's table of epoch starts follows its epochs.
+    traces, _ = lockstep_traces(planar, runs, 2.3, 30, adaptive, 3, "graph", [(5, 4)], 7)
+    for trace in traces:
+        assert not trace.grid_xhat.flags.writeable
+        for k, epoch in enumerate(trace.epochs):
+            assert (epoch.k, epoch.t_steps, epoch.method_id, epoch.measured) == (
+                k, trace.starts.t[k], trace.starts.method_id[k], trace.starts.measured[k])
+            assert epoch.belief.Phat is trace.starts.P[k]
+            assert epoch.belief.xhat.tobytes() == trace.grid_xhat[epoch.t_steps].tobytes()
+            assert not epoch.belief.xhat.flags.writeable
+            assert not epoch.belief.Phat.flags.writeable
+        short = dataclasses.replace(trace, epochs=trace.epochs[:-5],
+                                    grid_steps=trace.grid_steps[:-20])
+        assert len(short.epochs) == len(trace.epochs) - 5 > 0
+        assert all(a is b for a, b in zip(short.epochs, trace.epochs))
+        assert short.grid_steps.tolist() == trace.grid_steps[:-20].tolist()
+        assert short.starts.t == tuple(e.t_steps for e in short.epochs)
+        assert short.end_steps is None and trace.end_steps is not None
+        trace.epochs = trace.epochs[:2]
+        assert trace.starts.t == tuple(e.t_steps for e in trace.epochs)
+        assert trace.end_steps is None
 
 
 @settings(max_examples=40, deadline=None)

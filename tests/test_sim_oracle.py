@@ -14,7 +14,6 @@ adaptive quadrature of the integrand read from `dyn.pair` on random models.
 """
 
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from latsched import (
 from latsched.config import load_scenario
 from latsched.dynamics import discretize
 from latsched.exact import window_steps
-from latsched.horizon import EpochRecord
+from latsched.horizon import EpochRecord, TrackingTrace
 from latsched.sim import _chunking, empirical_cost, grid_ratio
 
 from conftest import assert_same_law, benchmark_model, per_step_ensemble, per_step_exact
@@ -337,7 +336,8 @@ def test_random_models_match_reference_loops(problem, ratio, periods, seed, data
         epochs.append(EpochRecord(len(epochs), t_steps, pid, True,
                                   BeliefState(t_steps * model.dt_s, model.x0, P)))
         t_steps += methods[pid - 1].steps
-    trace = SimpleNamespace(epochs=epochs)
+    trace = TrackingTrace(model.dt_s, periods, epochs, epochs[-1].belief, np.arange(periods + 1),
+                          np.zeros((periods + 1, model.n_x)))
     tf = data.draw(st.integers(1, periods)) * model.dt_s
     args = (trace, 0.7, methods, tf, dyn)
     ref = quad_empirical_cost(*args)
